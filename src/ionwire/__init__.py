@@ -18,18 +18,17 @@ from .core import (CONST, IonSpecies, TrapSite, WireSpec, calcium_40, electron,
                    energy_to_quanta, quanta_to_energy, quanta_to_temperature,
                    temperature_to_quanta)
 from .dynamics import (CoolingClamp, EnsembleTrajectory, NoiseModel,
-                       OscillatorState, PairParams, integrate_envelope,
-                       integrate_full, noise_psd, rate_equation_fixed_point,
+                       PairParams, integrate_envelope, integrate_full,
+                       noise_psd, rate_equation_fixed_point,
                        rate_equation_model)
-from .experiments import (ExperimentReport, HeadlineNumber, Scenario,
-                          ScheduleResonanceScan, ScheduleSwap,
-                          ScheduleSympathetic, load_expectations,
+from .experiments import (ExperimentReport, HeadlineNumber, load_expectations,
                           run_prediction_table, run_resonance_scan,
                           run_swap_demo, run_sympathetic)
 from .geometry import (RectPatch, effective_distance, effective_distance_table,
                        patch_field, patch_potential, sample_field)
-from .scenario import (ScenarioError, parse_scenario, scenario_digest,
-                       serialize_scenario)
+from .scenario import (Scenario, ScenarioError, ScheduleResonanceScan,
+                       ScheduleSwap, ScheduleSympathetic, parse_scenario,
+                       scenario_digest, serialize_scenario)
 
 __all__ = [
     "__version__",
@@ -41,7 +40,7 @@ __all__ = [
     "CircuitEquivalent", "CouplingPrediction", "circuit_equivalent",
     "wire_coupling_rate", "coulomb_coupling_rate", "crossover_radius",
     "enhancement_report",
-    "OscillatorState", "NoiseModel", "CoolingClamp", "PairParams",
+    "NoiseModel", "CoolingClamp", "PairParams",
     "EnsembleTrajectory", "integrate_full", "integrate_envelope",
     "rate_equation_model", "rate_equation_fixed_point", "noise_psd",
     "FitResult", "RabiDataset", "fit_linear_heating", "fit_resonance",

@@ -4,9 +4,10 @@ Exit codes are a contract: 0 success, 1 expectation-band failure,
 2 usage or configuration error. All computation happens in the library
 modules; this layer owns argument parsing, the master seed, output
 paths, and atomic writes. Only two environment overrides exist,
-IONWIRE_OUT (output directory) and IONWIRE_THREADS (worker count);
-every physical parameter must come from the scenario file or flags so
-runs stay auditable.
+IONWIRE_OUT (output directory) and IONWIRE_THREADS (the number of
+worker processes in the pool that integrates ensemble batches; results
+are identical for any count); every physical parameter must come from
+the scenario file or flags so runs stay auditable.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, analysis, circuit, experiments, geometry, svgplot
-from .core import calcium_40, mhz_to_rad_s, per_s_to_quanta_per_ms, rad_s_to_hz
-from .experiments import (ScheduleResonanceScan, ScheduleSwap,
-                          ScheduleSympathetic)
-from .scenario import ScenarioError, parse_scenario, parse_scenario_text, \
-    scenario_digest
+from .core import rad_s_to_hz
+from .scenario import (SCHEDULES, ScenarioError, parse_scenario,
+                       parse_scenario_text, scenario_digest)
 
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
 EXIT_USAGE = 2
 
-BUNDLED = ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark")
+BUNDLED = tuple(kind.bundled for kind in SCHEDULES.values())
 CSV_SCHEMA_VERSION = 1
 
 
@@ -200,15 +199,18 @@ def _write_svg(writer, report):
                         ylabel="heating rate (quanta/ms)"))
 
 
-def _manifest(writer, args, digest, started, extra=None):
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _manifest(writer, args, digest, started, scn=None, seed=None,
+              passed=None):
+    """manifest.json; the seed and ensemble size are the ones the run used,
+    taken from ``scn`` when the command runs a scenario."""
     payload = {"tool": "ionwire", "version": __version__,
                "command": args.command, "config_digest": digest,
-               "seed": getattr(args, "seed", None),
-               "started": started, "finished": finished,
+               "seed": seed if scn is None else scn.seed,
+               "ensemble": None if scn is None else scn.ensemble_size,
+               "started": started, "finished": _now(),
                "outputs": sorted(writer.outputs)}
-    if extra:
-        payload.update(extra)
+    if passed is not None:
+        payload["passed"] = passed
     writer.json("manifest.json", payload)
 
 
@@ -255,23 +257,21 @@ def _n_workers():
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each returns whether its expectation bands passed, or None
 
-def _cmd_report(args, runner, default_bundled):
-    scn = _load_scenario(args, default_bundled)
-    started = _now()
-    report = runner(scn, n_workers=_n_workers())
+def _cmd_report(args, started, kind):
+    scn = _load_scenario(args, kind.bundled)
+    report = getattr(experiments, kind.runner)(scn, n_workers=_n_workers())
     writer = _Writer(_resolve_outdir(args, scn))
     _write_report(writer, report, args.format, svg=args.svg)
-    _manifest(writer, args, report.scenario_digest, started,
-              {"passed": report.passed})
+    _manifest(writer, args, report.scenario_digest, started, scn=scn,
+              passed=report.passed)
     print(f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
           f"({writer.outdir})")
-    return EXIT_OK if report.passed else EXIT_BAND_FAILURE
+    return report.passed
 
 
-def _cmd_predict(args):
-    started = _now()
+def _cmd_predict(args, started):
     report = experiments.run_prediction_table()
     writer = _Writer(_resolve_outdir(args))
     _write_report(writer, report, args.format, svg=False)
@@ -280,19 +280,18 @@ def _cmd_predict(args):
            ("case", "kappa_hz"),
            [(r["case"], r["kappa_hz"]) for r in rows], args.format)
     _manifest(writer, args, report.scenario_digest, started,
-              {"passed": report.passed})
+              passed=report.passed)
     for h in report.headline:
         band = "" if h.band is None else \
             f"  band [{h.band[0]:g}, {h.band[1]:g}]" \
             f" {'pass' if h.passed else 'FAIL'}"
         print(f"{h.name:32s} {h.value:12.6g} {h.unit}{band}")
     print(f"{report.name}: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_BAND_FAILURE
+    return report.passed
 
 
-def _cmd_rate(args):
+def _cmd_rate(args, started):
     scn = _load_scenario(args, "sympathetic_benchmark")
-    started = _now()
     pred = circuit.enhancement_report(scn.species, scn.site1, scn.site2,
                                       scn.wire)
     lc1 = circuit.circuit_equivalent(scn.species, scn.site1)
@@ -309,14 +308,12 @@ def _cmd_rate(args):
     ]
     writer = _Writer(_resolve_outdir(args, scn))
     _table(writer, "rate", "rate", ("quantity", "value"), rows, args.format)
-    _manifest(writer, args, scenario_digest(scn), started)
+    _manifest(writer, args, scenario_digest(scn), started, scn=scn)
     for name, value in rows:
         print(f"{name:24s} {value:.6g}")
-    return EXIT_OK
 
 
-def _cmd_deff(args):
-    started = _now()
+def _cmd_deff(args, started):
     heights = np.asarray([float(tok) for tok in args.heights_um.split(",")])
     if np.any(heights <= 0):
         raise ScenarioError("invalid", "heights must be positive")
@@ -330,11 +327,9 @@ def _cmd_deff(args):
     _manifest(writer, args, digest, started)
     for h_um, d_um in rows:
         print(f"height {h_um:8.2f} um   deff {d_um:8.2f} um")
-    return EXIT_OK
 
 
-def _cmd_thermometry(args):
-    started = _now()
+def _cmd_thermometry(args, started):
     seed = args.seed if args.seed is not None else 0
     carrier_rabi = 2 * math.pi * args.rabi_khz * 1e3
     t_pi = math.pi / carrier_rabi
@@ -355,11 +350,14 @@ def _cmd_thermometry(args):
     writer.json("thermometry_truth.json", _json_safe(truth))
     digest = hashlib.sha256(json.dumps(_json_safe(truth),
                                        sort_keys=True).encode()).hexdigest()
-    _manifest(writer, args, digest, started)
+    _manifest(writer, args, digest, started, seed=seed)
     sig = fit.sigmas.get("n_bar", float("nan"))
     print(f"injected n_bar {args.nbar:g}, fitted {n_fit:.4g} "
           f"+- {sig:.2g} ({100 * rel:.2f}% off), method {fit.method}")
-    return EXIT_OK
+
+
+_COMMANDS = {"predict": _cmd_predict, "rate": _cmd_rate, "deff": _cmd_deff,
+             "thermometry": _cmd_thermometry}
 
 
 # ---------------------------------------------------------------------------
@@ -421,33 +419,17 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    kinds = {kind.command: kind for kind in SCHEDULES.values()}
+    started = _now()
     try:
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "rate":
-            return _cmd_rate(args)
-        if args.command == "deff":
-            return _cmd_deff(args)
-        if args.command == "thermometry":
-            return _cmd_thermometry(args)
-        if args.command == "swap":
-            return _cmd_report(args, experiments.run_swap_demo, "swap_benchmark")
-        if args.command == "scan":
-            return _cmd_report(args, experiments.run_resonance_scan,
-                               "scan_benchmark")
-        if args.command == "sympathetic":
-            return _cmd_report(args, experiments.run_sympathetic,
-                               "sympathetic_benchmark")
-        raise AssertionError(f"unhandled command {args.command}")
-    except ScenarioError as exc:
+        if args.command in kinds:
+            passed = _cmd_report(args, started, kinds[args.command])
+        else:
+            passed = _COMMANDS[args.command](args, started)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"ionwire: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"ionwire: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"ionwire: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_BAND_FAILURE if passed is False else EXIT_OK
 
 
 def entry():

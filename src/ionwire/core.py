@@ -68,21 +68,16 @@ def electron():
 
 @dataclass(frozen=True)
 class TrapSite:
-    """One trap well: vertical mode frequency, geometry, and noise settings.
+    """One trap well: vertical mode frequency and geometry.
 
     vertical_frequency : rad/s
     physical_height    : m, ion height above the electrode plane
     effective_distance : m, voltage-to-field ratio U/|E_z| at the ion
-    heating_rate_reference : quanta/s at reference_frequency (rad/s)
-    jitter_sigma       : Hz, rms slow trap-frequency fluctuation
     """
 
     vertical_frequency: float
     physical_height: float
     effective_distance: float
-    heating_rate_reference: float = 0.0
-    reference_frequency: float = 0.0
-    jitter_sigma: float = 0.0
 
     def __post_init__(self):
         if not (self.vertical_frequency > 0):
@@ -92,10 +87,6 @@ class TrapSite:
         # the image-charge geometry always gives D_eff above the physical height
         if self.effective_distance < self.physical_height:
             raise ValueError("effective_distance must be >= physical_height")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-        if self.heating_rate_reference < 0:
-            raise ValueError("heating_rate_reference must be >= 0")
 
 
 @dataclass(frozen=True)

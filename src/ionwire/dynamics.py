@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,21 +51,6 @@ JITTER_OU = "ornstein_uhlenbeck"
 INIT_THERMAL = "thermal"    # Rayleigh amplitude, uniform phase
 INIT_COHERENT = "coherent"  # fixed amplitude, uniform phase
 INIT_FIXED = "fixed"        # fixed amplitude, zero phase
-
-
-@dataclass(frozen=True)
-class OscillatorState:
-    """Positions and velocities of the two ions."""
-
-    position: tuple   # (x1, x2) m
-    velocity: tuple   # (v1, v2) m/s
-
-    def __post_init__(self):
-        vals = list(self.position) + list(self.velocity)
-        if len(self.position) != 2 or len(self.velocity) != 2:
-            raise ValueError("two ions required")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("state must be finite")
 
 
 @dataclass(frozen=True)
@@ -142,11 +127,6 @@ class PairParams:
     def resonant(cls, mass, omega, kappa):
         return cls(mass, mass, omega, omega, kappa)
 
-    def coupling_coefficient(self):
-        """Bilinear spring constant 2 kappa sqrt(m1 w1 m2 w2), N/m."""
-        return 2.0 * self.kappa * math.sqrt(
-            self.mass1 * self.omega1 * self.mass2 * self.omega2)
-
 
 @dataclass(frozen=True)
 class EnsembleTrajectory:
@@ -168,39 +148,6 @@ class EnsembleTrajectory:
         for arr in (self.n_bar_1, self.n_bar_2, self.n_bar_sem_1, self.n_bar_sem_2):
             if arr.shape != self.times.shape:
                 raise ValueError("trajectory arrays must share the time grid")
-
-
-# ---------------------------------------------------------------------------
-# deterministic skeleton
-
-def equations_of_motion(state, params):
-    """(dx/dt, dv/dt) of the coupled pair; deterministic part only."""
-    x1, x2 = state.position
-    v1, v2 = state.velocity
-    g = params.coupling_coefficient()
-    a1 = -params.omega1 ** 2 * x1 - (g / params.mass1) * x2
-    a2 = -params.omega2 ** 2 * x2 - (g / params.mass2) * x1
-    return np.array([v1, v2]), np.array([a1, a2])
-
-
-def total_energy(state, params):
-    """Conserved Hamiltonian of the noiseless pair, in J."""
-    x = np.asarray(state.position)
-    v = np.asarray(state.velocity)
-    m = np.array([params.mass1, params.mass2])
-    w = np.array([params.omega1, params.omega2])
-    g = params.coupling_coefficient()
-    return float(np.sum(0.5 * m * v ** 2 + 0.5 * m * w ** 2 * x ** 2) + g * x[0] * x[1])
-
-
-def occupations(state, params):
-    """Per-ion n = E_i/(hbar omega_i), cross term excluded."""
-    x = np.asarray(state.position)
-    v = np.asarray(state.velocity)
-    m = np.array([params.mass1, params.mass2])
-    w = np.array([params.omega1, params.omega2])
-    e = 0.5 * m * v ** 2 + 0.5 * m * w ** 2 * x ** 2
-    return e / (HBAR * w)
 
 
 def noise_psd(model, omega):
@@ -265,12 +212,12 @@ def _initial_amplitudes(initial_occupations, init_phase, z, phase):
 
 
 def _reduce_moments(partials, n_real):
-    """Deterministic batch-ordered reduction of (sum, sumsq) pairs."""
+    """Deterministic batch-ordered reduction of the (sum, sumsq) moments."""
     s = partials[0][0].copy()
     s2 = partials[0][1].copy()
-    for p, p2 in partials[1:]:
-        s += p
-        s2 += p2
+    for p in partials[1:]:
+        s += p[0]
+        s2 += p[1]
     mean = s / n_real
     if n_real > 1:
         var = np.maximum(s2 / n_real - mean ** 2, 0.0) * n_real / (n_real - 1)
@@ -293,8 +240,35 @@ def _run_batches(worker, n_real, n_workers, extra_args):
     return results
 
 
-# ---------------------------------------------------------------------------
-# full stochastic integrator
+def _integrate(kernel, kernel_args, duration, dt, dt_max, seed,
+               n_realizations, record_points, n_workers):
+    """Front end shared by both integrators; returns an EnsembleTrajectory.
+
+    ``kernel(lo, hi, *kernel_args, dt, n_steps, rec_idx, seed)`` returns
+    the occupation sums and sums of squares of realizations lo..hi-1 on
+    the record grid, then realization lo's positions and energies or None.
+    """
+    if dt is None:
+        dt = dt_max
+    if dt > dt_max * (1.0 + 1e-9):
+        raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
+    if duration < dt:
+        raise ValueError("duration must cover at least one step")
+    n_steps = int(math.ceil(duration / dt - 1e-9))
+    if n_steps > 50_000_000:
+        raise ValueError("step budget exceeded; raise dt or shorten duration")
+    rec_idx = _record_indices(n_steps, record_points)
+
+    partials = _run_batches(kernel, n_realizations, n_workers,
+                            kernel_args + (dt, n_steps, rec_idx, seed))
+    mean, sem = _reduce_moments(partials, n_realizations)
+    return EnsembleTrajectory(
+        times=rec_idx * dt,
+        n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
+        n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
+        n_realizations=n_realizations, rng_seed=seed,
+        positions=partials[0][2], energies=partials[0][3])
+
 
 def _jitter_draws(noise, jit):
     """Per-shot static angular frequency offsets, (B, 2)."""
@@ -305,68 +279,84 @@ def _jitter_draws(noise, jit):
     return out
 
 
-def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
-                dt, n_steps, rec_idx, seed, record_first):
-    b = hi - lo
+def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase,
+                 dt, rec_idx):
+    """Set-up shared by both batch kernels, drawing in the fixed order.
+
+    Returns the batch's generators; its per-shot jitter offsets (B, 2) in
+    rad/s; the damping rates; the diffusion in quanta/s (heating at the
+    ``nominal`` frequencies plus clamp back-action); the OU jitter state
+    (rho, kick, stationary start) or None; the initial amplitudes; the
+    zeroed occupation sum and sum-of-squares accumulators; and the map
+    from step index to record slot.
+    """
     rngs = _spawn_rngs(seed, range(lo, hi))
     z, phase, jit = _draw_setup(rngs)
-
-    m = np.array([params.mass1, params.mass2])
-    w_nom = np.array([params.omega1, params.omega2])
-    w = w_nom[None, :] + _jitter_draws(noise, jit)      # (B, 2) rad/s
-    w2 = w ** 2
-    # coupling spring constant per realization (jitter is a ~1e-4 effect here)
-    g = 2.0 * params.kappa * np.sqrt(m[0] * m[1] * w[:, 0] * w[:, 1])
-    g_over_m = g[:, None] / m[None, :]
+    offsets = _jitter_draws(noise, jit)
 
     gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("the integrators need finite damping rates")
     n_ss = np.array([cooling[0].steady_state_occupation,
                      cooling[1].steady_state_occupation])
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("integrate_full needs finite damping rates")
-    drag = np.exp(-gamma * dt)[None, :]
+    ndot = np.array([noise_psd(noise[i], nominal[i]) for i in (0, 1)])
+    diffusion = ndot + gamma * n_ss
 
-    # diffusion: heating at the nominal frequency plus clamp back-action
-    ndot = np.array([noise_psd(noise[i], w_nom[i]) for i in (0, 1)])
-    diffusion = ndot + gamma * n_ss                       # quanta/s
+    ou = None
+    ou_sigma = np.array([TWO_PI * noise[i].jitter_sigma if
+                         noise[i].jitter_kind == JITTER_OU else 0.0 for i in (0, 1)])
+    if np.any(ou_sigma > 0):
+        tau = np.array([max(noise[i].jitter_correlation_time, 0.0) for i in (0, 1)])
+        ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
+        ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
+              ou_sigma[None, :] * np.stack([r.standard_normal(2) for r in rngs]))
+
+    a = _initial_amplitudes(initial, init_phase, z, phase)
+    n_rec = len(rec_idx)
+    rec_set = {int(k): j for j, k in enumerate(rec_idx)}
+    return (rngs, offsets, gamma, diffusion, ou, a,
+            np.zeros((n_rec, 2)), np.zeros((n_rec, 2)), rec_set)
+
+
+# ---------------------------------------------------------------------------
+# full stochastic integrator
+
+def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
+                record_first, dt, n_steps, rec_idx, seed):
+    m = np.array([params.mass1, params.mass2])
+    w_nom = np.array([params.omega1, params.omega2])
+    (rngs, offsets, gamma, diffusion, ou, a, sum_n, sum_n2,
+     rec_set) = _batch_setup(lo, hi, seed, noise, cooling, w_nom, initial,
+                             init_phase, dt, rec_idx)
+    w = w_nom[None, :] + offsets                        # (B, 2) rad/s
+    w2 = w ** 2
+    # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per realization
+    # (jitter is a ~1e-4 effect here)
+    g = 2.0 * params.kappa * np.sqrt(m[0] * m[1] * w[:, 0] * w[:, 1])
+    g_over_m = g[:, None] / m[None, :]
+    drag = np.exp(-gamma * dt)[None, :]
     sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
     has_kick = bool(np.any(sigma_v > 0))
     has_drag = bool(np.any(gamma > 0))
-
-    ou_sigma = np.array([TWO_PI * noise[i].jitter_sigma if
-                         noise[i].jitter_kind == JITTER_OU else 0.0 for i in (0, 1)])
-    ou_on = np.any(ou_sigma > 0)
+    ou_on = ou is not None
     if ou_on:
-        tau = np.array([max(noise[i].jitter_correlation_time, 0.0) for i in (0, 1)])
-        ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
-        ou_kick = ou_sigma * np.sqrt(1.0 - ou_rho ** 2)
-        delta_ou = ou_sigma[None, :] * np.stack(
-            [r.standard_normal(2) for r in rngs])   # stationary start
+        ou_rho, ou_kick, delta_ou = ou
 
-    # initial conditions
-    if isinstance(initial, OscillatorState):
-        x = np.tile(np.asarray(initial.position, float), (b, 1))
-        v = np.tile(np.asarray(initial.velocity, float), (b, 1))
-    else:
-        a = _initial_amplitudes(initial, init_phase, z, phase)
-        # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
-        scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
-        x = scale_x * a.real
-        v = scale_x * w * a.imag
+    # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
+    scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
+    x = scale_x * a.real
+    v = scale_x * w * a.imag
 
     def energies(xx, vv):
         return 0.5 * m[None, :] * vv ** 2 + 0.5 * m[None, :] * w2 * xx ** 2
 
     n_rec = len(rec_idx)
-    sum_n = np.zeros((n_rec, 2))
-    sum_n2 = np.zeros((n_rec, 2))
     first_x = np.zeros((n_rec, 2)) if record_first else None
     first_e = np.zeros(n_rec) if record_first else None
 
     e0 = energies(x, v)
     e_ref = max(float(np.max(e0)), HBAR * float(np.max(w)))
 
-    rec_set = {int(k): j for j, k in enumerate(rec_idx)}
     accel = -(w2 * x) - g_over_m * x[:, ::-1]
 
     def record(j, xx, vv):
@@ -416,34 +406,15 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
                    record_points=201, record_positions=False, n_workers=1):
     """Velocity-Verlet SDE ensemble; returns an EnsembleTrajectory.
 
-    ``initial`` is either an OscillatorState shared by every realization
-    or an (n1, n2) occupation pair realized per ``init_phase``. The step
-    must resolve the fast motion: dt <= 2 pi / (50 max omega).
+    ``initial`` is the (n1, n2) occupation pair, realized per
+    ``init_phase``. The step must resolve the fast motion:
+    dt <= 2 pi / (50 max omega).
     """
-    w_max = max(params.omega1, params.omega2)
-    dt_max = TWO_PI / (50.0 * w_max)
-    if dt is None:
-        dt = dt_max
-    if dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
-    if duration < dt:
-        raise ValueError("duration must cover at least one step")
-    n_steps = int(math.ceil(duration / dt - 1e-9))
-    rec_idx = _record_indices(n_steps, record_points)
-
-    partials = _run_batches(
-        _full_batch, n_realizations, n_workers,
-        (params, noise, cooling, initial, init_phase, dt, n_steps, rec_idx,
-         seed, record_positions))
-    mean, sem = _reduce_moments([(p[0], p[1]) for p in partials], n_realizations)
-    pos = partials[0][2] if record_positions else None
-    ene = partials[0][3] if record_positions else None
-    return EnsembleTrajectory(
-        times=rec_idx * dt,
-        n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
-        n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
-        n_realizations=n_realizations, rng_seed=seed,
-        positions=pos, energies=ene)
+    dt_max = TWO_PI / (50.0 * max(params.omega1, params.omega2))
+    return _integrate(
+        _full_batch, (params, noise, cooling, initial, init_phase,
+                      record_positions),
+        duration, dt, dt_max, seed, n_realizations, record_points, n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -474,43 +445,20 @@ def _expm2(a11, a22, a12, dt):
 
 def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
                     initial, init_phase, dt, n_steps, rec_idx, seed):
-    b = hi - lo
-    rngs = _spawn_rngs(seed, range(lo, hi))
-    z, phase, jit = _draw_setup(rngs)
-
-    delta = np.tile(np.asarray(detuning, float), (b, 1))
-    delta += _jitter_draws(noise, jit)
-
-    gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("integrate_envelope needs finite damping rates")
-    n_ss = np.array([cooling[0].steady_state_occupation,
-                     cooling[1].steady_state_occupation])
     # heating evaluated at each ion's nominal absolute frequency
-    ndot = np.array([noise_psd(noise[i], carrier + detuning[i]) for i in (0, 1)])
-    diffusion = ndot + gamma * n_ss
+    nominal = [carrier + detuning[i] for i in (0, 1)]
+    (rngs, offsets, gamma, diffusion, ou, a, sum_n, sum_n2,
+     rec_set) = _batch_setup(lo, hi, seed, noise, cooling, nominal, initial,
+                             init_phase, dt, rec_idx)
+    delta = np.asarray(detuning, float)[None, :] + offsets
     kick = np.sqrt(diffusion * dt / 2.0)
     noisy = np.any(kick > 0)
-
     m_step = _expm2(-1j * delta[:, 0] - 0.5 * gamma[0],
                     -1j * delta[:, 1] - 0.5 * gamma[1],
-                    -1j * kappa * np.ones(b), dt)
-
-    ou_sigma = np.array([TWO_PI * noise[i].jitter_sigma if
-                         noise[i].jitter_kind == JITTER_OU else 0.0 for i in (0, 1)])
-    ou_on = np.any(ou_sigma > 0)
+                    -1j * kappa * np.ones(len(rngs)), dt)
+    ou_on = ou is not None
     if ou_on:
-        tau = np.array([max(noise[i].jitter_correlation_time, 0.0) for i in (0, 1)])
-        ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
-        ou_kick = ou_sigma * np.sqrt(1.0 - ou_rho ** 2)
-        delta_ou = ou_sigma[None, :] * np.stack([r.standard_normal(2) for r in rngs])
-
-    a = _initial_amplitudes(initial, init_phase, z, phase)
-
-    n_rec = len(rec_idx)
-    sum_n = np.zeros((n_rec, 2))
-    sum_n2 = np.zeros((n_rec, 2))
-    rec_set = {int(k): j for j, k in enumerate(rec_idx)}
+        ou_rho, ou_kick, delta_ou = ou
 
     def record(j, aa):
         n = np.abs(aa) ** 2
@@ -537,7 +485,7 @@ def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
             step += 1
             if step in rec_set:
                 record(rec_set[step], a)
-    return sum_n, sum_n2
+    return sum_n, sum_n2, None, None
 
 
 def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
@@ -563,25 +511,10 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
     if r_max > carrier / 20.0:
         raise ValueError("scale separation violated: slow rates approach the carrier")
     dt_max = 1.0 / (100.0 * max(r_max, 1.0 / duration))
-    if dt is None:
-        dt = dt_max
-    if dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
-    n_steps = int(math.ceil(duration / dt - 1e-9))
-    if n_steps > 50_000_000:
-        raise ValueError("step budget exceeded; raise dt or shorten duration")
-    rec_idx = _record_indices(n_steps, record_points)
-
-    partials = _run_batches(
-        _envelope_batch, n_realizations, n_workers,
-        (kappa, carrier, detuning, noise, cooling, initial_occupations,
-         init_phase, dt, n_steps, rec_idx, seed))
-    mean, sem = _reduce_moments(partials, n_realizations)
-    return EnsembleTrajectory(
-        times=rec_idx * dt,
-        n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
-        n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
-        n_realizations=n_realizations, rng_seed=seed)
+    return _integrate(
+        _envelope_batch, (kappa, carrier, detuning, noise, cooling,
+                          initial_occupations, init_phase),
+        duration, dt, dt_max, seed, n_realizations, record_points, n_workers)
 
 
 # ---------------------------------------------------------------------------

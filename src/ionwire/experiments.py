@@ -21,10 +21,12 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, circuit, dynamics
+from . import scenario as scenario_file
 from .core import (TWO_PI, TrapSite, WireSpec, calcium_40, electron,
                    hz_to_rad_s, mhz_to_rad_s, per_s_to_quanta_per_ms,
                    rad_s_to_hz)
 from .geometry import RectPatch, effective_distance
+from .scenario import ScheduleResonanceScan, ScheduleSwap, ScheduleSympathetic
 
 # Reference trap hardware the bundled scenarios model: 120 um square coupling
 # paddles 620 um apart, 30 fF total wire capacitance, and the benchmark
@@ -33,85 +35,6 @@ REFERENCE_PADDLE_SIDE = 120e-6
 REFERENCE_SEPARATION = 620e-6
 REFERENCE_CAPACITANCE = 30e-15
 MEASURED_KAPPA_HZ = 11.1
-
-SCHEDULE_SCAN = "resonance_scan"
-SCHEDULE_SYMPATHETIC = "sympathetic_run"
-SCHEDULE_SWAP = "swap_demo"
-
-
-@dataclass(frozen=True)
-class ScheduleResonanceScan:
-    probe_frequencies: np.ndarray   # rad/s, absolute cold-ion frequencies
-    probe_duration: float           # s
-    hot_occupation: float
-    cold_occupation: float
-    kind: str = SCHEDULE_SCAN
-
-    def __post_init__(self):
-        if len(self.probe_frequencies) < 2:
-            raise ValueError("scan needs at least two probe frequencies")
-        if not (self.probe_duration > 0):
-            raise ValueError("probe_duration must be positive")
-        if self.hot_occupation <= self.cold_occupation:
-            raise ValueError("hot ion must start hotter than the cold ion")
-
-
-@dataclass(frozen=True)
-class ScheduleSympathetic:
-    wait_times: np.ndarray          # s
-    initial_hot_occupation: float
-    kind: str = SCHEDULE_SYMPATHETIC
-
-    def __post_init__(self):
-        if len(self.wait_times) < 3:
-            raise ValueError("need at least three wait times to fit a slope")
-        if np.any(np.diff(self.wait_times) <= 0):
-            raise ValueError("wait_times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class ScheduleSwap:
-    duration: float                 # s
-    initial_occupations: tuple = (1000.0, 0.0)
-    kind: str = SCHEDULE_SWAP
-
-    def __post_init__(self):
-        if not (self.duration > 0):
-            raise ValueError("duration must be positive")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Full parameter set for one experiment run."""
-
-    species: object
-    site1: TrapSite
-    site2: TrapSite
-    wire: WireSpec
-    noise1: dynamics.NoiseModel
-    noise2: dynamics.NoiseModel
-    cooling1: dynamics.CoolingClamp
-    cooling2: dynamics.CoolingClamp
-    schedule: object
-    ensemble_size: int
-    seed: int
-    kappa_override: float = None    # rad/s; None = circuit prediction
-    label: str = ""
-    output_dir: str = ""            # default landing spot; CLI --out wins
-
-    def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
-        # zero is allowed: a decoupled run is the null experiment
-        if self.kappa_override is not None and self.kappa_override < 0:
-            raise ValueError("kappa_override must be >= 0 when given")
-
-    def kappa(self):
-        """Exchange rate in rad/s: explicit override or circuit prediction."""
-        if self.kappa_override is not None:
-            return self.kappa_override
-        return circuit.wire_coupling_rate(self.species, self.site1,
-                                          self.site2, self.wire)
 
 
 @dataclass
@@ -156,12 +79,6 @@ def load_expectations():
     if exp.get("version") != 1:
         raise ValueError(f"unsupported expectations version {exp.get('version')!r}")
     return exp
-
-
-def _scenario_digest(scenario):
-    # deferred import; the file-format layer owns canonicalization
-    from .scenario import scenario_digest
-    return scenario_digest(scenario)
 
 
 def _band(exp, group, key):
@@ -343,7 +260,7 @@ def run_resonance_scan(scenario, expectations=None, n_workers=1):
     ]
     report = ExperimentReport(
         name="resonance_scan",
-        scenario_digest=_scenario_digest(scenario),
+        scenario_digest=scenario_file.scenario_digest(scenario),
         headline=headline,
         fits={"resonance": fit},
         tables={"scan": {"omega_rad_s": probes, "rate_quanta_per_s": rates,
@@ -468,7 +385,7 @@ def run_sympathetic(scenario, expectations=None, n_workers=1):
             "expectations:sympathetic.extraction_rel_err"))
     report = ExperimentReport(
         name="sympathetic",
-        scenario_digest=_scenario_digest(scenario),
+        scenario_digest=scenario_file.scenario_digest(scenario),
         headline=headline,
         trajectories={"uncoupled": traj_u, "coupled": traj_c},
         fits={"uncoupled": fit_u, "coupled": fit_c},
@@ -556,7 +473,7 @@ def run_swap_demo(scenario, expectations=None, n_workers=1):
     ]
     report = ExperimentReport(
         name="swap_demo",
-        scenario_digest=_scenario_digest(scenario),
+        scenario_digest=scenario_file.scenario_digest(scenario),
         headline=headline,
         trajectories={"full": traj, "envelope": env},
         artifact_choices={

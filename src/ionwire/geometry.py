@@ -48,10 +48,6 @@ class RectPatch:
     def center(self):
         return 0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max)
 
-    @property
-    def area(self):
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass(frozen=True)
 class FieldSample:

@@ -1,4 +1,4 @@
-"""Strict INI-style scenario files.
+"""Scenarios: the parameter set of one run and its strict INI-style file.
 
 Sectioned, unit-suffixed key-value text. Unknown sections and keys are
 rejected so a typo cannot silently fall back to a default in a physics
@@ -11,18 +11,101 @@ round-trip wobble do not change the hash.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
+from . import circuit, dynamics
 from .core import IonSpecies, TrapSite, WireSpec, mhz_to_rad_s, rad_s_to_mhz
-from .experiments import (SCHEDULE_SCAN, SCHEDULE_SWAP, SCHEDULE_SYMPATHETIC,
-                          Scenario, ScheduleResonanceScan, ScheduleSwap,
-                          ScheduleSympathetic)
 from .geometry import RectPatch, effective_distance
+
+SCHEDULE_SCAN = "resonance_scan"
+SCHEDULE_SYMPATHETIC = "sympathetic_run"
+SCHEDULE_SWAP = "swap_demo"
+
+
+@dataclass(frozen=True)
+class ScheduleResonanceScan:
+    probe_frequencies: np.ndarray   # rad/s, absolute cold-ion frequencies
+    probe_duration: float           # s
+    hot_occupation: float
+    cold_occupation: float
+    kind: str = SCHEDULE_SCAN
+
+    def __post_init__(self):
+        if len(self.probe_frequencies) < 2:
+            raise ValueError("scan needs at least two probe frequencies")
+        if not (self.probe_duration > 0):
+            raise ValueError("probe_duration must be positive")
+        if self.hot_occupation <= self.cold_occupation:
+            raise ValueError("hot ion must start hotter than the cold ion")
+
+
+@dataclass(frozen=True)
+class ScheduleSympathetic:
+    wait_times: np.ndarray          # s
+    initial_hot_occupation: float
+    kind: str = SCHEDULE_SYMPATHETIC
+
+    def __post_init__(self):
+        if len(self.wait_times) < 3:
+            raise ValueError("need at least three wait times to fit a slope")
+        if np.any(np.diff(self.wait_times) <= 0):
+            raise ValueError("wait_times must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class ScheduleSwap:
+    duration: float                 # s
+    initial_occupations: tuple = (1000.0, 0.0)
+    kind: str = SCHEDULE_SWAP
+
+    def __post_init__(self):
+        if not (self.duration > 0):
+            raise ValueError("duration must be positive")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Full parameter set for one experiment run."""
+
+    species: object
+    site1: TrapSite
+    site2: TrapSite
+    wire: WireSpec
+    noise1: dynamics.NoiseModel
+    noise2: dynamics.NoiseModel
+    cooling1: dynamics.CoolingClamp
+    cooling2: dynamics.CoolingClamp
+    schedule: object
+    ensemble_size: int
+    seed: int
+    kappa_override: float = None    # rad/s; None = circuit prediction
+    label: str = ""
+    output_dir: str = ""            # default landing spot; CLI --out wins
+
+    def __post_init__(self):
+        if self.ensemble_size < 1:
+            raise ValueError("ensemble_size must be >= 1")
+        # zero is allowed: a decoupled run is the null experiment
+        if self.kappa_override is not None and self.kappa_override < 0:
+            raise ValueError("kappa_override must be >= 0 when given")
+
+    def kappa(self):
+        """Exchange rate in rad/s: explicit override or circuit prediction."""
+        if self.kappa_override is not None:
+            return self.kappa_override
+        return circuit.wire_coupling_rate(self.species, self.site1,
+                                          self.site2, self.wire)
+
+
+# ---------------------------------------------------------------------------
+# file format
 
 KIND_MISSING = "missing"
 KIND_UNKNOWN = "unknown"
@@ -128,7 +211,7 @@ class _Section:
             raise ScenarioError(
                 KIND_UNIT, f"expected a plain number in the units of the key "
                 f"suffix, got {value!r}", self.path, lineno, self.name, key)
-        if not allow_inf and not math.isfinite(num):
+        if math.isnan(num) or (math.isinf(num) and not allow_inf):
             raise ScenarioError(KIND_UNIT, "value must be finite",
                                 self.path, lineno, self.name, key)
         if minimum is not None and num < minimum:
@@ -136,27 +219,27 @@ class _Section:
                                 self.path, lineno, self.name, key)
         return num
 
-    def number_or_auto(self, key):
-        value, lineno = self._take(key, True, None)
-        if value.lower() == "auto":
+    def number_or_auto(self, key, minimum=None):
+        """``number``, or None for ``auto``."""
+        if self.entries.get(key, ("",))[0].lower() == "auto":
+            del self.entries[key]
             return None
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioError(
-                KIND_UNIT, f"expected a number or 'auto', got {value!r}",
-                self.path, lineno, self.name, key)
+        return self.number(key, minimum=minimum)
 
     def number_list(self, key, required=True, default=None):
         value, lineno = self._take(key, required, None)
         if value is None:
             return default
         try:
-            return [float(tok) for tok in value.split(",") if tok.strip()]
+            nums = [float(tok) for tok in value.split(",") if tok.strip()]
+            finite = all(math.isfinite(num) for num in nums)
         except ValueError:
+            finite = False
+        if not finite:
             raise ScenarioError(
-                KIND_UNIT, f"expected comma-separated numbers, got {value!r}",
-                self.path, lineno, self.name, key)
+                KIND_UNIT, f"expected comma-separated finite numbers, got "
+                f"{value!r}", self.path, lineno, self.name, key)
+        return nums
 
     def text(self, key, required=True, default=None, choices=None):
         value, lineno = self._take(key, required, default)
@@ -172,12 +255,102 @@ class _Section:
             raise ScenarioError(KIND_UNKNOWN, "unknown key",
                                 self.path, self.entries[key][1], self.name, key)
 
+    @contextlib.contextmanager
+    def checked(self):
+        """Report an invariant failure inside as a diagnostic at this section."""
+        try:
+            yield
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(KIND_INVALID, str(exc), self.path, self.lineno,
+                                self.name)
 
-def _invalid(section, path, lineno):
-    """Wrap dataclass invariant failures into located diagnostics."""
-    def raiser(exc):
-        raise ScenarioError(KIND_INVALID, str(exc), path, lineno, section)
-    return raiser
+
+# ---------------------------------------------------------------------------
+# schedule kinds
+
+def _fmt(value):
+    if value == math.inf:
+        return "inf"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
+
+
+def _parse_scan(sc):
+    freqs = sc.number_list("frequencies_mhz", required=False)
+    if freqs is None:
+        center = sc.number("center_mhz", minimum=0.0)
+        span = sc.number("span_khz", minimum=0.0)
+        points = sc.number("points", integer=True, minimum=2)
+        half = 0.5 * span * 1e-3
+        freqs = list(np.linspace(center - half, center + half, points))
+    return dict(probe_frequencies=np.array([mhz_to_rad_s(f) for f in freqs]),
+                probe_duration=sc.number("probe_ms", minimum=0.0) * 1e-3,
+                hot_occupation=sc.number("hot_quanta", minimum=0.0),
+                cold_occupation=sc.number("cold_quanta", minimum=0.0))
+
+
+def _serialize_scan(sched):
+    return [("frequencies_mhz", ",".join(
+                _fmt(rad_s_to_mhz(w)) for w in sched.probe_frequencies)),
+            ("probe_ms", _fmt(sched.probe_duration * 1e3)),
+            ("hot_quanta", _fmt(sched.hot_occupation)),
+            ("cold_quanta", _fmt(sched.cold_occupation))]
+
+
+def _parse_sympathetic(sc):
+    return dict(wait_times=np.array(sc.number_list("wait_ms")) * 1e-3,
+                initial_hot_occupation=sc.number("initial_hot_quanta",
+                                                 minimum=0.0))
+
+
+def _serialize_sympathetic(sched):
+    return [("wait_ms", ",".join(_fmt(t * 1e3) for t in sched.wait_times)),
+            ("initial_hot_quanta", _fmt(sched.initial_hot_occupation))]
+
+
+def _parse_swap(sc):
+    pair = sc.number_list("initial_quanta", required=False,
+                          default=[1000.0, 0.0])
+    if len(pair) != 2:
+        raise ValueError("initial_quanta needs exactly two values")
+    return dict(duration=sc.number("duration_ms", minimum=0.0) * 1e-3,
+                initial_occupations=(pair[0], pair[1]))
+
+
+def _serialize_swap(sched):
+    return [("duration_ms", _fmt(sched.duration * 1e3)),
+            ("initial_quanta", ",".join(_fmt(n)
+                                        for n in sched.initial_occupations))]
+
+
+@dataclass(frozen=True)
+class ScheduleKind:
+    """Everything that depends on one schedule kind."""
+
+    schedule: type      # the schedule dataclass
+    parse: object       # [schedule] section -> the dataclass's fields
+    serialize: object   # schedule -> (key, text) pairs after ``kind``
+    runner: str         # name of its run_* function in ``experiments``
+    command: str        # CLI subcommand
+    bundled: str        # default bundled scenario
+
+
+# keyed by the ``kind`` value of the [schedule] section; runners are named,
+# not held, so a replaced experiments.run_* is the one that runs
+SCHEDULES = {
+    SCHEDULE_SCAN: ScheduleKind(
+        ScheduleResonanceScan, _parse_scan, _serialize_scan,
+        "run_resonance_scan", "scan", "scan_benchmark"),
+    SCHEDULE_SYMPATHETIC: ScheduleKind(
+        ScheduleSympathetic, _parse_sympathetic, _serialize_sympathetic,
+        "run_sympathetic", "sympathetic", "sympathetic_benchmark"),
+    SCHEDULE_SWAP: ScheduleKind(
+        ScheduleSwap, _parse_swap, _serialize_swap,
+        "run_swap_demo", "swap", "swap_benchmark"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -196,47 +369,34 @@ def parse_scenario_text(text, path="<scenario>"):
 
     sp = section("species")
     label = sp.text("label")
-    try:
+    with sp.checked():
         species = IonSpecies(charge_number=sp.number("charge_number", integer=True),
                              mass_number=sp.number("mass_u", minimum=0.0),
                              label=label)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _invalid("species", path, raw["species"][0])(exc)
     sp.finish()
 
     wr = section("wire")
-    fail = _invalid("wire", path, raw["wire"][0])
-    try:
+    with wr.checked():
         wire = WireSpec(capacitance=wr.number("capacitance_ff", minimum=0.0) * 1e-15,
                         paddle_side=wr.number("paddle_um", minimum=0.0) * 1e-6,
                         center_separation=wr.number("separation_um", minimum=0.0) * 1e-6,
                         resistance=wr.number("resistance_ohm", required=False,
                                              default=0.0, minimum=0.0))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        fail(exc)
     wr.finish()
 
     def parse_site(name):
         sc = section(name)
-        freq = mhz_to_rad_s(sc.number("frequency_mhz", minimum=0.0))
-        height = sc.number("height_um", minimum=0.0) * 1e-6
-        deff_um = sc.number_or_auto("deff_um")
-        if deff_um is None:
-            patch = RectPatch.centered_square(wire.paddle_side)
-            deff = float(effective_distance(patch, height))
-        else:
-            deff = deff_um * 1e-6
-        try:
+        with sc.checked():
+            freq = mhz_to_rad_s(sc.number("frequency_mhz", minimum=0.0))
+            height = sc.number("height_um", minimum=0.0) * 1e-6
+            deff_um = sc.number_or_auto("deff_um")
+            if deff_um is None:
+                patch = RectPatch.centered_square(wire.paddle_side)
+                deff = float(effective_distance(patch, height))
+            else:
+                deff = deff_um * 1e-6
             site = TrapSite(vertical_frequency=freq, physical_height=height,
                             effective_distance=deff)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _invalid(name, path, raw[name][0])(exc)
         sc.finish()
         return site
 
@@ -245,13 +405,13 @@ def parse_scenario_text(text, path="<scenario>"):
 
     no = section("noise")
 
-    def parse_noise(prefix, site):
+    def parse_noise(prefix):
         kind = _JITTER_KINDS[no.text(f"{prefix}_jitter_kind", required=False,
                                      default="per_shot",
                                      choices=set(_JITTER_KINDS))]
         tau_ms = no.number(f"{prefix}_jitter_correlation_ms", required=False,
                            default=0.0, minimum=0.0)
-        try:
+        with no.checked():
             return dynamics.NoiseModel(
                 heating_rate_at_reference=no.number(
                     f"{prefix}_heating_quanta_per_ms", minimum=0.0) * 1e3,
@@ -264,28 +424,20 @@ def parse_scenario_text(text, path="<scenario>"):
                                        minimum=0.0),
                 jitter_kind=kind,
                 jitter_correlation_time=tau_ms * 1e-3)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _invalid("noise", path, raw["noise"][0])(exc)
 
-    noise1 = parse_noise("site1", site1)
-    noise2 = parse_noise("site2", site2)
+    noise1 = parse_noise("site1")
+    noise2 = parse_noise("site2")
     no.finish()
 
     co = section("cooling")
 
     def parse_cooling(prefix):
-        try:
+        with co.checked():
             return dynamics.CoolingClamp(
                 damping_rate=co.number(f"{prefix}_damping_per_s",
                                        minimum=0.0, allow_inf=True),
                 steady_state_occupation=co.number(f"{prefix}_target_quanta",
                                                   minimum=0.0))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _invalid("cooling", path, raw["cooling"][0])(exc)
 
     cooling1 = parse_cooling("site1")
     cooling2 = parse_cooling("site2")
@@ -294,50 +446,15 @@ def parse_scenario_text(text, path="<scenario>"):
     kappa_override = None
     if "coupling" in raw:
         cp = section("coupling")
-        kappa_hz = cp.number_or_auto("kappa_hz")
+        kappa_hz = cp.number_or_auto("kappa_hz", minimum=0.0)
         cp.finish()
         if kappa_hz is not None:
-            if kappa_hz < 0:
-                raise ScenarioError(KIND_INVALID, "kappa_hz must be >= 0",
-                                    path, raw["coupling"][0], "coupling",
-                                    "kappa_hz")
             kappa_override = 2.0 * math.pi * kappa_hz
 
     sc = section("schedule")
-    kind = sc.text("kind", choices={SCHEDULE_SCAN, SCHEDULE_SYMPATHETIC,
-                                    SCHEDULE_SWAP})
-    fail = _invalid("schedule", path, raw["schedule"][0])
-    try:
-        if kind == SCHEDULE_SCAN:
-            freqs = sc.number_list("frequencies_mhz", required=False)
-            if freqs is None:
-                center = sc.number("center_mhz", minimum=0.0)
-                span = sc.number("span_khz", minimum=0.0)
-                points = sc.number("points", integer=True, minimum=2)
-                half = 0.5 * span * 1e-3
-                freqs = list(np.linspace(center - half, center + half, points))
-            schedule = ScheduleResonanceScan(
-                probe_frequencies=np.array([mhz_to_rad_s(f) for f in freqs]),
-                probe_duration=sc.number("probe_ms", minimum=0.0) * 1e-3,
-                hot_occupation=sc.number("hot_quanta", minimum=0.0),
-                cold_occupation=sc.number("cold_quanta", minimum=0.0))
-        elif kind == SCHEDULE_SYMPATHETIC:
-            schedule = ScheduleSympathetic(
-                wait_times=np.array(sc.number_list("wait_ms")) * 1e-3,
-                initial_hot_occupation=sc.number("initial_hot_quanta",
-                                                 minimum=0.0))
-        else:
-            pair = sc.number_list("initial_quanta", required=False,
-                                  default=[1000.0, 0.0])
-            if len(pair) != 2:
-                raise ValueError("initial_quanta needs exactly two values")
-            schedule = ScheduleSwap(
-                duration=sc.number("duration_ms", minimum=0.0) * 1e-3,
-                initial_occupations=(pair[0], pair[1]))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        fail(exc)
+    kind = SCHEDULES[sc.text("kind", choices=set(SCHEDULES))]
+    with sc.checked():
+        schedule = kind.schedule(**kind.parse(sc))
     sc.finish()
 
     rn = section("run")
@@ -347,17 +464,13 @@ def parse_scenario_text(text, path="<scenario>"):
     output_dir = rn.text("output_dir", required=False, default="")
     rn.finish()
 
-    try:
+    with rn.checked():
         return Scenario(species=species, site1=site1, site2=site2, wire=wire,
                         noise1=noise1, noise2=noise2, cooling1=cooling1,
                         cooling2=cooling2, schedule=schedule,
                         ensemble_size=ensemble, seed=seed,
                         kappa_override=kappa_override, label=run_label,
                         output_dir=output_dir)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(KIND_INVALID, str(exc), path, 0, "run")
 
 
 def parse_scenario(path):
@@ -369,14 +482,6 @@ def parse_scenario(path):
 
 # ---------------------------------------------------------------------------
 # serialize
-
-def _fmt(value):
-    if value == math.inf:
-        return "inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
 
 def serialize_scenario(scn):
     """Canonical text form; parse(serialize(s)) has the digest of s."""
@@ -429,25 +534,8 @@ def serialize_scenario(scn):
         sec("coupling", ("kappa_hz", _fmt(scn.kappa_override / (2 * math.pi))))
 
     sched = scn.schedule
-    if isinstance(sched, ScheduleResonanceScan):
-        sec("schedule",
-            ("kind", SCHEDULE_SCAN),
-            ("frequencies_mhz", ",".join(
-                _fmt(rad_s_to_mhz(w)) for w in sched.probe_frequencies)),
-            ("probe_ms", _fmt(sched.probe_duration * 1e3)),
-            ("hot_quanta", _fmt(sched.hot_occupation)),
-            ("cold_quanta", _fmt(sched.cold_occupation)))
-    elif isinstance(sched, ScheduleSympathetic):
-        sec("schedule",
-            ("kind", SCHEDULE_SYMPATHETIC),
-            ("wait_ms", ",".join(_fmt(t * 1e3) for t in sched.wait_times)),
-            ("initial_hot_quanta", _fmt(sched.initial_hot_occupation)))
-    else:
-        sec("schedule",
-            ("kind", SCHEDULE_SWAP),
-            ("duration_ms", _fmt(sched.duration * 1e3)),
-            ("initial_quanta", ",".join(_fmt(n)
-                                        for n in sched.initial_occupations)))
+    sec("schedule", ("kind", sched.kind),
+        *SCHEDULES[sched.kind].serialize(sched))
 
     run_pairs = [("ensemble", scn.ensemble_size), ("seed", scn.seed)]
     if scn.label:
@@ -467,65 +555,22 @@ def _round12(value):
     return float(f"{float(value):.12g}")
 
 
+def _canonical(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_canonical(v) for v in value]
+    return _round12(value)
+
+
 def canonical_dict(scn):
-    """SI-valued nested dict with floats rounded to 12 significant digits."""
-    def noise_dict(nm):
-        return {"heating_rate_at_reference": _round12(nm.heating_rate_at_reference),
-                "reference_frequency": _round12(nm.reference_frequency),
-                "spectral_exponent": _round12(nm.spectral_exponent),
-                "jitter_sigma": _round12(nm.jitter_sigma),
-                "jitter_kind": nm.jitter_kind,
-                "jitter_correlation_time": _round12(nm.jitter_correlation_time)}
-
-    def site_dict(site):
-        return {"vertical_frequency": _round12(site.vertical_frequency),
-                "physical_height": _round12(site.physical_height),
-                "effective_distance": _round12(site.effective_distance)}
-
-    def cool_dict(cl):
-        return {"damping_rate": _round12(cl.damping_rate),
-                "steady_state_occupation": _round12(cl.steady_state_occupation)}
-
-    sched = scn.schedule
-    if isinstance(sched, ScheduleResonanceScan):
-        sched_dict = {"kind": sched.kind,
-                      "probe_frequencies": [_round12(w)
-                                            for w in sched.probe_frequencies],
-                      "probe_duration": _round12(sched.probe_duration),
-                      "hot_occupation": _round12(sched.hot_occupation),
-                      "cold_occupation": _round12(sched.cold_occupation)}
-    elif isinstance(sched, ScheduleSympathetic):
-        sched_dict = {"kind": sched.kind,
-                      "wait_times": [_round12(t) for t in sched.wait_times],
-                      "initial_hot_occupation":
-                          _round12(sched.initial_hot_occupation)}
-    else:
-        sched_dict = {"kind": sched.kind,
-                      "duration": _round12(sched.duration),
-                      "initial_occupations": [_round12(n)
-                                              for n in sched.initial_occupations]}
-
-    return {
-        "format_version": 1,
-        "species": {"charge_number": scn.species.charge_number,
-                    "mass_number": _round12(scn.species.mass_number),
-                    "label": scn.species.label},
-        "site1": site_dict(scn.site1),
-        "site2": site_dict(scn.site2),
-        "wire": {"capacitance": _round12(scn.wire.capacitance),
-                 "paddle_side": _round12(scn.wire.paddle_side),
-                 "center_separation": _round12(scn.wire.center_separation),
-                 "resistance": _round12(scn.wire.resistance)},
-        "noise1": noise_dict(scn.noise1),
-        "noise2": noise_dict(scn.noise2),
-        "cooling1": cool_dict(scn.cooling1),
-        "cooling2": cool_dict(scn.cooling2),
-        "schedule": sched_dict,
-        "ensemble_size": scn.ensemble_size,
-        "seed": scn.seed,
-        "kappa_override": _round12(scn.kappa_override),
-        "label": scn.label,
-    }
+    """SI-valued nested dict of every Scenario field but output_dir, with
+    floats rounded to 12 significant digits."""
+    d = _canonical(scn)
+    del d["output_dir"]
+    d["format_version"] = 1
+    return d
 
 
 def scenario_digest(scn):

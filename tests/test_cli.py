@@ -7,6 +7,14 @@ import sys
 
 import pytest
 
+import ionwire
+from conftest import load_bundled
+
+# the subprocesses run in temporary directories, where a relative
+# PYTHONPATH entry no longer finds the package under test
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    ionwire.__file__)))
+
 NULL_SCAN = """\
 [species]
 label = 40Ca+
@@ -62,6 +70,8 @@ seed = 99
 def run_cli(args, cwd, check=None):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("IONWIRE_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "ionwire", *args],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=300)
@@ -166,6 +176,10 @@ def test_rate_reports_enhancement(tmp_path):
     proc = run_cli(["rate", "--out", str(out)], tmp_path, check=0)
     man = read_manifest(out)
     assert man["command"] == "rate"
+    # without --seed the manifest records the scenario's own seed and size
+    bundled = load_bundled("sympathetic_benchmark")
+    assert man["seed"] == bundled.seed
+    assert man["ensemble"] == bundled.ensemble_size
     rows = (out / "rate.csv").read_text()
     assert "enhancement_ratio" in rows
     assert "kappa_wire_hz" in proc.stdout

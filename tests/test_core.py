@@ -88,8 +88,6 @@ def test_trap_site_validation():
     with pytest.raises(ValueError):
         # the image-charge lever arm can never be shorter than the height
         TrapSite(mhz_to_rad_s(2.0), 60e-6, 30e-6)
-    with pytest.raises(ValueError):
-        TrapSite(mhz_to_rad_s(2.0), 60e-6, 130e-6, jitter_sigma=-1.0)
 
 
 def test_wire_spec_validation():

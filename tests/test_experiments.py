@@ -7,12 +7,12 @@ import pytest
 from ionwire import dynamics, experiments
 from ionwire.core import TWO_PI, mhz_to_rad_s
 from ionwire.dynamics import CoolingClamp, NoiseModel
-from ionwire.experiments import (ExperimentReport, HeadlineNumber, Scenario,
-                                 ScheduleResonanceScan, ScheduleSwap,
-                                 ScheduleSympathetic, load_expectations,
-                                 run_prediction_table, run_resonance_scan,
-                                 run_swap_demo, run_sympathetic)
-from ionwire.scenario import scenario_digest
+from ionwire.experiments import (ExperimentReport, HeadlineNumber,
+                                 load_expectations, run_prediction_table,
+                                 run_resonance_scan, run_swap_demo,
+                                 run_sympathetic)
+from ionwire.scenario import (ScheduleResonanceScan, ScheduleSwap,
+                              ScheduleSympathetic, scenario_digest)
 
 
 def by_name(report, name):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ionwire import circuit
@@ -61,11 +62,22 @@ seed = 7
 """
 
 
+# digests of the bundled scenarios as format_version 1 defines them
+FROZEN_DIGESTS = {
+    "scan_benchmark":
+        "9ed7c0a3223d5ac17686c2b21d17b60adb7eaaf31d11149e9cfdca3d7ceadf16",
+    "sympathetic_benchmark":
+        "960b275bf7d4e3ecd9513393f060237aaae8cab68f49c9551e442c562a0deba6",
+    "swap_benchmark":
+        "a1ee5108abd9953f02a7d2a1ffcfae191c03dd20651667e8f21c94a048d6c93a",
+}
+
+
 def test_bundled_scenarios_parse():
-    for name in ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark"):
+    for name, digest in FROZEN_DIGESTS.items():
         scn = load_bundled(name)
         assert scn.ensemble_size >= 1
-        assert len(scenario_digest(scn)) == 64
+        assert scenario_digest(scn) == digest
 
 
 def test_parsed_physical_values():
@@ -187,12 +199,21 @@ def test_unknown_section_diagnostic():
 
 
 def test_bad_unit_diagnostic():
-    text = BASE.replace("capacitance_ff = 30", "capacitance_ff = thirty")
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario_text(text)
-    assert err.value.kind == KIND_UNIT
-    assert err.value.section == "wire"
-    assert err.value.key == "capacitance_ff"
+    cases = [("capacitance_ff = 30", "capacitance_ff = thirty", "wire",
+              "capacitance_ff"),
+             ("site2_damping_per_s = inf", "site2_damping_per_s = nan",
+              "cooling", "site2_damping_per_s"),
+             ("wait_ms = 0,1,2", "wait_ms = 0,nan,2", "schedule", "wait_ms")]
+    for value in ("nan", "inf"):
+        cases += [("deff_um = auto", f"deff_um = {value}", "site1", "deff_um"),
+                  ("kappa_hz = 11.1", f"kappa_hz = {value}", "coupling",
+                   "kappa_hz")]
+    for old, new, section, key in cases:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_text(BASE.replace(old, new, 1))
+        assert err.value.kind == KIND_UNIT
+        assert err.value.section == section
+        assert err.value.key == key
 
 
 def test_invariant_violation_diagnostics():
@@ -212,6 +233,13 @@ def test_invariant_violation_diagnostics():
     with pytest.raises(ScenarioError) as err3:
         parse_scenario_text(bad_kappa)
     assert err3.value.kind == KIND_INVALID
+
+    # the auto effective distance needs a height above the plane
+    zero_height = BASE.replace("height_um = 50", "height_um = 0")
+    with pytest.raises(ScenarioError) as err4:
+        parse_scenario_text(zero_height)
+    assert err4.value.kind == KIND_INVALID
+    assert err4.value.section == "site1"
 
 
 def test_scan_schedule_requires_hot_above_cold():
@@ -259,3 +287,68 @@ def test_replace_supports_null_coupling():
     assert null.kappa() == 0.0
     with pytest.raises(ValueError):
         dataclasses.replace(scn, kappa_override=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of the bundled scenario texts
+
+_BAD_UNITS = ("1.99 MHz", "abc", "", "1,,2", "0x1f", "1e", "--3", "auto")
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+
+
+def _mutate(text, rng):
+    """One to three edits: drop a key, corrupt a unit, write an edge
+    value, or swap two section headers."""
+    lines = text.splitlines()
+    for _ in range(rng.integers(1, 4)):
+        keyed = [i for i, line in enumerate(lines) if "=" in line]
+        i = keyed[rng.integers(len(keyed))]
+        key = lines[i].partition("=")[0].strip()
+        op = rng.integers(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines[i] = f"{key} = {rng.choice(_BAD_UNITS)}"
+        elif op == 2:
+            lines[i] = f"{key} = {rng.choice(_EDGE_VALUES)}"
+        else:
+            headers = [j for j, line in enumerate(lines)
+                       if line.startswith("[")]
+            a, b = rng.choice(headers, 2, replace=False)
+            lines[a], lines[b] = lines[b], lines[a]
+    return "\n".join(lines) + "\n"
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_fuzzed_scenarios_fail_only_with_scenario_error():
+    from importlib import resources
+    rng = np.random.default_rng(20260815)
+    accepted = 0
+    for name in FROZEN_DIGESTS:
+        text = resources.files("ionwire.data").joinpath(
+            name + ".scenario").read_text(encoding="utf-8")
+        for _ in range(150):
+            mutated = _mutate(text, rng)
+            try:
+                scn = parse_scenario_text(mutated)
+            except ScenarioError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{exc!r} escaped the parser on:\n{mutated}")
+            accepted += 1
+            leaves = list(_leaves(canonical_dict(scn)))
+            assert not any(isinstance(v, float) and math.isnan(v)
+                           for v in leaves), mutated
+            again = parse_scenario_text(serialize_scenario(scn))
+            assert scenario_digest(again) == scenario_digest(scn), mutated
+    # the edits must leave some scenarios valid, or the round trip is untested
+    assert accepted > 0
