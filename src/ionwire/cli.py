@@ -1,7 +1,8 @@
 """Command-line front end: subcommand dispatch and file emission.
 
 Exit codes are a contract: 0 success, 1 expectation-band failure,
-2 usage or configuration error. All computation happens in the library
+2 usage or configuration error, 3 any other failure (a crash, reported in
+one line on stderr). All computation happens in the library
 modules; this layer owns argument parsing, the master seed, output
 paths, and atomic writes. Only two environment overrides exist,
 IONWIRE_OUT (output directory) and IONWIRE_THREADS (the number of
@@ -33,6 +34,7 @@ from .scenario import (SCHEDULES, ScenarioError, parse_scenario,
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 BUNDLED = tuple(kind.bundled for kind in SCHEDULES.values())
 CSV_SCHEMA_VERSION = 1
@@ -229,9 +231,10 @@ def _load_scenario(args, default_bundled):
         scn = parse_scenario_text(text, path=f"bundled:{name}")
     else:
         scn = parse_scenario(name)
-    if args.seed is not None:
+    # commands without the --seed or --ensemble flag run the scenario's own
+    if getattr(args, "seed", None) is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
-    if args.ensemble is not None:
+    if getattr(args, "ensemble", None) is not None:
         scn = dataclasses.replace(scn, ensemble_size=args.ensemble)
     return scn
 
@@ -371,37 +374,41 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"ionwire {__version__}")
 
+    def option(*names, **kwargs):
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
+
+    # each command offers only the options it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="master seed override (default: scenario value)")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default: IONWIRE_OUT or "
                              "./ionwire-out)")
-    common.add_argument("--ensemble", type=int, default=None, metavar="N",
-                        help="ensemble size override")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format (default csv)")
-    common.add_argument("--svg", action="store_true",
-                        help="also emit SVG line plots")
-    scenario_opt = argparse.ArgumentParser(add_help=False)
-    scenario_opt.add_argument("--scenario", default=None, metavar="PATH",
-                              help="scenario file, or one of: "
-                                   + ", ".join(BUNDLED))
+    scenario = option("--scenario", default=None, metavar="PATH",
+                      help="scenario file, or one of: " + ", ".join(BUNDLED))
+    seed = option("--seed", type=int, default=None, metavar="U64",
+                  help="master seed override (default: scenario value)")
+    ensemble = option("--ensemble", type=int, default=None, metavar="N",
+                      help="ensemble size override")
+    svg = option("--svg", action="store_true", help="also emit SVG line plots")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.add_parser("rate", parents=[common, scenario_opt],
+    sub.add_parser("rate", parents=[common, scenario],
                    help="coupling rates and circuit equivalents")
     deff = sub.add_parser("deff", parents=[common],
                           help="effective ion-wire distance vs height")
     deff.add_argument("--paddle-um", type=float, default=120.0)
     deff.add_argument("--heights-um", default="40,50,60,70,80,100,150,200")
-    sub.add_parser("swap", parents=[common, scenario_opt],
+    sub.add_parser("swap", parents=[common, scenario, seed, svg],
                    help="noiseless resonant exchange demonstration")
-    sub.add_parser("scan", parents=[common, scenario_opt],
+    sub.add_parser("scan", parents=[common, scenario, seed, ensemble, svg],
                    help="heating-rate spectroscopy across the resonance")
-    sub.add_parser("sympathetic", parents=[common, scenario_opt],
+    sub.add_parser("sympathetic",
+                   parents=[common, scenario, seed, ensemble, svg],
                    help="sympathetic heating-rate reduction")
-    thermo = sub.add_parser("thermometry", parents=[common],
+    thermo = sub.add_parser("thermometry", parents=[common, seed],
                             help="Rabi thermometry round trip")
     thermo.add_argument("--nbar", type=float, default=182.0)
     thermo.add_argument("--shots", type=int, default=200)
@@ -429,6 +436,10 @@ def main(argv=None):
     except (ValueError, FileNotFoundError) as exc:
         print(f"ionwire: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a crash must not read as a band failure
+        print(f"ionwire: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CRASH
     return EXIT_BAND_FAILURE if passed is False else EXIT_OK
 
 

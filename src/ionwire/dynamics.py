@@ -488,6 +488,23 @@ def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
     return sum_n, sum_n2, None, None
 
 
+def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
+    """Largest envelope step that resolves the slow dynamics:
+    1/(100 max(kappa, |detuning| + 5 sigma, gamma_c, 1/duration)), with
+    sigma the angular jitter of each ion. All slow rates must sit far below
+    the carrier.
+    """
+    sig = [TWO_PI * n.jitter_sigma for n in noise]
+    rates = [abs(kappa)] + [abs(d) + 5.0 * s for d, s in zip(detuning, sig)] + \
+        [c.damping_rate for c in cooling if np.isfinite(c.damping_rate)]
+    r_max = max(rates)
+    if carrier <= 0:
+        raise ValueError("carrier must be positive")
+    if r_max > carrier / 20.0:
+        raise ValueError("scale separation violated: slow rates approach the carrier")
+    return 1.0 / (100.0 * max(r_max, 1.0 / duration))
+
+
 def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
                        noise=(NO_NOISE, NO_NOISE), cooling=(NO_COOLING, NO_COOLING),
                        duration=1e-3, dt=None, seed=0, n_realizations=1,
@@ -497,20 +514,11 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
     """Rotating-frame amplitude ensemble; n_i = |a_i|^2.
 
     ``carrier`` is the absolute mode frequency the frame rotates at;
-    ``detuning`` are the per-ion offsets from it. All slow rates must sit
-    far below the carrier, and the step must resolve the slow dynamics:
-    dt <= 1/(100 max(kappa, |detuning|, gamma_c)).
+    ``detuning`` are the per-ion offsets from it. ``dt`` defaults to, and
+    must not exceed, ``envelope_step_limit``.
     """
-    gamma = (cooling[0].damping_rate, cooling[1].damping_rate)
-    sig = [TWO_PI * n.jitter_sigma for n in noise]
-    rates = [abs(kappa)] + [abs(d) + 5.0 * s for d, s in zip(detuning, sig)] + \
-        [g for g in gamma if np.isfinite(g)]
-    r_max = max(rates)
-    if carrier <= 0:
-        raise ValueError("carrier must be positive")
-    if r_max > carrier / 20.0:
-        raise ValueError("scale separation violated: slow rates approach the carrier")
-    dt_max = 1.0 / (100.0 * max(r_max, 1.0 / duration))
+    dt_max = envelope_step_limit(kappa, carrier, detuning, noise, cooling,
+                                 duration)
     return _integrate(
         _envelope_batch, (kappa, carrier, detuning, noise, cooling,
                           initial_occupations, init_phase),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, circuit, dynamics
 from . import scenario as scenario_file
-from .core import (TWO_PI, TrapSite, WireSpec, calcium_40, electron,
+from .core import (TrapSite, WireSpec, calcium_40, electron,
                    hz_to_rad_s, mhz_to_rad_s, per_s_to_quanta_per_ms,
                    rad_s_to_hz)
 from .geometry import RectPatch, effective_distance
@@ -81,9 +81,11 @@ def load_expectations():
     return exp
 
 
-def _band(exp, group, key):
-    lo, hi = exp[group][key]
-    return (float(lo), float(hi))
+def _banded(exp, group, name, value, unit):
+    """Headline row ``name`` checked against its expectation band."""
+    lo, hi = exp[group][name]
+    return HeadlineNumber(name, value, unit, (float(lo), float(hi)),
+                          f"expectations:{group}.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +134,18 @@ def run_prediction_table(expectations=None):
     lc = circuit.circuit_equivalent(ca, _reference_site(50e-6, w_asym, deff=130e-6))
 
     headline = [
-        HeadlineNumber("kappa_symmetric_hz", rad_s_to_hz(kappa_sym), "Hz",
-                       _band(exp, "prediction_table", "kappa_symmetric_hz"),
-                       "expectations:prediction_table.kappa_symmetric_hz"),
-        HeadlineNumber("kappa_asymmetric_hz", rad_s_to_hz(kappa_asym), "Hz",
-                       _band(exp, "prediction_table", "kappa_asymmetric_hz"),
-                       "expectations:prediction_table.kappa_asymmetric_hz"),
-        HeadlineNumber("enhancement_ratio_measured", kappa_meas / coulomb, "",
-                       _band(exp, "prediction_table", "enhancement_ratio_measured"),
-                       "expectations:prediction_table.enhancement_ratio_measured"),
-        HeadlineNumber("enhancement_ratio_predicted", pred.enhancement_ratio, "",
-                       _band(exp, "prediction_table", "enhancement_ratio_predicted"),
-                       "expectations:prediction_table.enhancement_ratio_predicted"),
-        HeadlineNumber("electron_scaling", electron_scaling, "",
-                       _band(exp, "prediction_table", "electron_scaling"),
-                       "expectations:prediction_table.electron_scaling"),
-        HeadlineNumber("inductance_henry", lc.inductance, "H",
-                       _band(exp, "prediction_table", "inductance_henry"),
-                       "expectations:prediction_table.inductance_henry"),
+        _banded(exp, "prediction_table", "kappa_symmetric_hz",
+                rad_s_to_hz(kappa_sym), "Hz"),
+        _banded(exp, "prediction_table", "kappa_asymmetric_hz",
+                rad_s_to_hz(kappa_asym), "Hz"),
+        _banded(exp, "prediction_table", "enhancement_ratio_measured",
+                kappa_meas / coulomb, ""),
+        _banded(exp, "prediction_table", "enhancement_ratio_predicted",
+                pred.enhancement_ratio, ""),
+        _banded(exp, "prediction_table", "electron_scaling",
+                electron_scaling, ""),
+        _banded(exp, "prediction_table", "inductance_henry",
+                lc.inductance, "H"),
         HeadlineNumber("coulomb_rate_hz", rad_s_to_hz(coulomb), "Hz",
                        None, "informational"),
         HeadlineNumber("crossover_radius_um",
@@ -202,13 +198,12 @@ def run_resonance_scan(scenario, expectations=None, n_workers=1):
     deltas = probes - w1
     t_probe = sched.probe_duration
 
-    # one global step for every point so rates are comparable across the scan
-    sig = [TWO_PI * n.jitter_sigma for n in (scenario.noise1, scenario.noise2)]
-    gammas = [g for g in (scenario.cooling1.damping_rate,
-                          scenario.cooling2.damping_rate) if np.isfinite(g)]
-    r_max = max([kappa, np.max(np.abs(deltas)) + 5.0 * max(sig),
-                 5.0 * max(sig)] + gammas + [1.0 / t_probe])
-    dt = 1.0 / (100.0 * r_max)
+    # one global step for every point so rates are comparable across the
+    # scan: the step rule at the largest detuning, for both ions
+    d_max = np.max(np.abs(deltas))
+    dt = dynamics.envelope_step_limit(
+        kappa, w1, (d_max, d_max), (scenario.noise1, scenario.noise2),
+        (scenario.cooling1, scenario.cooling2), t_probe)
 
     rates = np.empty(probes.size)
     sems = np.empty(probes.size)
@@ -239,20 +234,13 @@ def run_resonance_scan(scenario, expectations=None, n_workers=1):
     center_offset = rad_s_to_hz(p["center"] - w2_nominal)
 
     headline = [
-        HeadlineNumber("baseline_quanta_per_ms",
-                       per_s_to_quanta_per_ms(p["baseline_coeff"]), "quanta/ms",
-                       _band(exp, "resonance_scan", "baseline_quanta_per_ms"),
-                       "expectations:resonance_scan.baseline_quanta_per_ms"),
-        HeadlineNumber("peak_quanta_per_ms",
-                       per_s_to_quanta_per_ms(peak_rate), "quanta/ms",
-                       _band(exp, "resonance_scan", "peak_quanta_per_ms"),
-                       "expectations:resonance_scan.peak_quanta_per_ms"),
-        HeadlineNumber("center_offset_hz", center_offset, "Hz",
-                       _band(exp, "resonance_scan", "center_offset_hz"),
-                       "expectations:resonance_scan.center_offset_hz"),
-        HeadlineNumber("width_rel_err", width_err, "",
-                       _band(exp, "resonance_scan", "width_rel_err"),
-                       "expectations:resonance_scan.width_rel_err"),
+        _banded(exp, "resonance_scan", "baseline_quanta_per_ms",
+                per_s_to_quanta_per_ms(p["baseline_coeff"]), "quanta/ms"),
+        _banded(exp, "resonance_scan", "peak_quanta_per_ms",
+                per_s_to_quanta_per_ms(peak_rate), "quanta/ms"),
+        _banded(exp, "resonance_scan", "center_offset_hz",
+                center_offset, "Hz"),
+        _banded(exp, "resonance_scan", "width_rel_err", width_err, ""),
         HeadlineNumber("width_sigma_hz", p["width_sigma_hz"], "Hz",
                        None, "informational"),
         HeadlineNumber("kappa_scan_hz", rad_s_to_hz(kappa), "Hz",
@@ -358,14 +346,10 @@ def run_sympathetic(scenario, expectations=None, n_workers=1):
     crossing_ok = traj_c.n_bar_1[-1] < traj_u.n_bar_1[-1]
 
     headline = [
-        HeadlineNumber("uncoupled_quanta_per_ms", per_s_to_quanta_per_ms(rate_u),
-                       "quanta/ms",
-                       _band(exp, "sympathetic", "uncoupled_quanta_per_ms"),
-                       "expectations:sympathetic.uncoupled_quanta_per_ms"),
-        HeadlineNumber("coupled_quanta_per_ms", per_s_to_quanta_per_ms(rate_c),
-                       "quanta/ms",
-                       _band(exp, "sympathetic", "coupled_quanta_per_ms"),
-                       "expectations:sympathetic.coupled_quanta_per_ms"),
+        _banded(exp, "sympathetic", "uncoupled_quanta_per_ms",
+                per_s_to_quanta_per_ms(rate_u), "quanta/ms"),
+        _banded(exp, "sympathetic", "coupled_quanta_per_ms",
+                per_s_to_quanta_per_ms(rate_c), "quanta/ms"),
         HeadlineNumber("kappa_injected_hz", rad_s_to_hz(kappa_ex), "Hz",
                        None, "scenario coupling input"),
         HeadlineNumber("kappa_extracted_hz", rad_s_to_hz(kappa_eff), "Hz",
@@ -379,10 +363,8 @@ def run_sympathetic(scenario, expectations=None, n_workers=1):
     ]
     if kappa_ex > 0:
         extraction_err = abs(kappa_eff - kappa_ex) / kappa_ex
-        headline.insert(2, HeadlineNumber(
-            "extraction_rel_err", extraction_err, "",
-            _band(exp, "sympathetic", "extraction_rel_err"),
-            "expectations:sympathetic.extraction_rel_err"))
+        headline.insert(2, _banded(exp, "sympathetic", "extraction_rel_err",
+                                   extraction_err, ""))
     report = ExperimentReport(
         name="sympathetic",
         scenario_digest=scenario_file.scenario_digest(scenario),
@@ -461,15 +443,9 @@ def run_swap_demo(scenario, expectations=None, n_workers=1):
     headline = [
         HeadlineNumber("swap_time_ms", t_swap * 1e3, "ms", None,
                        "first minimum of n1(t)"),
-        HeadlineNumber("swap_time_rel_err", swap_err, "",
-                       _band(exp, "swap", "swap_time_rel_err"),
-                       "expectations:swap.swap_time_rel_err"),
-        HeadlineNumber("envelope_rms_rel", rms, "",
-                       _band(exp, "swap", "envelope_rms_rel"),
-                       "expectations:swap.envelope_rms_rel"),
-        HeadlineNumber("residual_fraction", residual, "",
-                       _band(exp, "swap", "residual_fraction"),
-                       "expectations:swap.residual_fraction"),
+        _banded(exp, "swap", "swap_time_rel_err", swap_err, ""),
+        _banded(exp, "swap", "envelope_rms_rel", rms, ""),
+        _banded(exp, "swap", "residual_fraction", residual, ""),
     ]
     report = ExperimentReport(
         name="swap_demo",

@@ -3,6 +3,8 @@
 Sectioned, unit-suffixed key-value text. Unknown sections and keys are
 rejected so a typo cannot silently fall back to a default in a physics
 run. Every diagnostic carries the file, line, section, and key context.
+Each section's keys are described once, in a table of ``_Key`` entries
+that both the parser and the serializer walk.
 
 Digests canonicalize the parsed scenario (SI values, sorted keys, floats
 rounded to 12 significant digits) so that key order, comments, and float
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, dynamics
-from .core import IonSpecies, TrapSite, WireSpec, mhz_to_rad_s, rad_s_to_mhz
+from .core import (IonSpecies, TrapSite, WireSpec, hz_to_rad_s, mhz_to_rad_s,
+                   rad_s_to_hz, rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
 SCHEDULE_SCAN = "resonance_scan"
@@ -66,6 +70,8 @@ class ScheduleSwap:
     kind: str = SCHEDULE_SWAP
 
     def __post_init__(self):
+        if len(self.initial_occupations) != 2:
+            raise ValueError("initial_quanta needs exactly two values")
         if not (self.duration > 0):
             raise ValueError("duration must be positive")
 
@@ -116,10 +122,6 @@ KIND_INVALID = "invalid"
 REQUIRED_SECTIONS = ("species", "site1", "site2", "wire", "noise",
                      "cooling", "schedule", "run")
 OPTIONAL_SECTIONS = ("coupling",)
-
-_JITTER_KINDS = {"per_shot": dynamics.JITTER_PER_SHOT,
-                 "ou": dynamics.JITTER_OU}
-_JITTER_NAMES = {v: k for k, v in _JITTER_KINDS.items()}
 
 
 class ScenarioError(ValueError):
@@ -181,6 +183,119 @@ def _read_raw(text, path):
     return sections
 
 
+# ---------------------------------------------------------------------------
+# keys
+
+NUMBER = "number"
+INTEGER = "integer"
+LIST = "list"       # comma-separated numbers, read as one array
+TEXT = "text"
+
+
+def _fmt(value):
+    if value == math.inf:
+        return "inf"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One ``key = value`` line of a section and the dataclass field it
+    fills. ``default`` is in file units, or a function of the section that
+    returns them; None makes the key required. ``minimum`` bounds the value
+    as written, the finiteness check applies to the SI value."""
+
+    name: str
+    field: str
+    kind: str = NUMBER
+    units: tuple = (None, None)   # (to SI, from SI); None keeps the value
+    default: object = None
+    minimum: float = None
+    auto: bool = False            # ``auto`` reads as None
+    inf: bool = False             # +-inf passes the finiteness check
+    choices: dict = None          # text kinds: file text -> field value
+
+    def write(self, value):
+        """The file text of a field value."""
+        if value is None:
+            return "auto"
+        if self.choices:
+            return next(t for t, v in self.choices.items() if v == value)
+        if self.kind in (INTEGER, TEXT):
+            return str(value)
+        if self.units[1] is not None:
+            value = self.units[1](value)
+        if self.kind == LIST:
+            return ",".join(_fmt(v) for v in value)
+        return _fmt(value)
+
+
+def _scaled(to_si, from_si):
+    # both factors are given: v / 1e-6 can round differently from v * 1e6
+    return (lambda v: v * to_si, lambda v: v * from_si)
+
+
+_UM = _scaled(1e-6, 1e6)
+_MS = _scaled(1e-3, 1e3)
+_MHZ = (mhz_to_rad_s, rad_s_to_mhz)
+_SITE_PREFIXES = ("site1_", "site2_")
+
+
+def _scan_grid(sc):
+    """Default probe grid in MHz: ``points`` frequencies spread over
+    ``span_khz`` around ``center_mhz``."""
+    center, span, points = sc.read(_GRID_KEYS).values()
+    half = 0.5 * span * 1e-3
+    return np.linspace(center - half, center + half, points)
+
+
+# each table lists its keys in parse order: the first bad key is reported
+_SPECIES_KEYS = (
+    _Key("label", "label", TEXT),
+    _Key("charge_number", "charge_number", INTEGER),
+    _Key("mass_u", "mass_number", minimum=0.0))
+_WIRE_KEYS = (
+    _Key("capacitance_ff", "capacitance", units=_scaled(1e-15, 1e15),
+         minimum=0.0),
+    _Key("paddle_um", "paddle_side", units=_UM, minimum=0.0),
+    _Key("separation_um", "center_separation", units=_UM, minimum=0.0),
+    _Key("resistance_ohm", "resistance", default=0.0, minimum=0.0))
+_SITE_KEYS = (
+    _Key("frequency_mhz", "vertical_frequency", units=_MHZ, minimum=0.0),
+    _Key("height_um", "physical_height", units=_UM, minimum=0.0),
+    _Key("deff_um", "effective_distance", units=_UM, auto=True))
+_NOISE_KEYS = (         # after a site prefix
+    _Key("jitter_kind", "jitter_kind", TEXT, default="per_shot",
+         choices={"per_shot": dynamics.JITTER_PER_SHOT,
+                  "ou": dynamics.JITTER_OU}),
+    _Key("jitter_correlation_ms", "jitter_correlation_time", units=_MS,
+         default=0.0, minimum=0.0),
+    _Key("heating_quanta_per_ms", "heating_rate_at_reference",
+         units=_scaled(1e3, 1e-3), minimum=0.0),
+    _Key("reference_mhz", "reference_frequency", units=_MHZ, default=0.0,
+         minimum=0.0),
+    _Key("spectral_exponent", "spectral_exponent", default=1.0),
+    _Key("jitter_sigma_hz", "jitter_sigma", minimum=0.0))
+_COOLING_KEYS = (       # after a site prefix
+    _Key("damping_per_s", "damping_rate", minimum=0.0, inf=True),
+    _Key("target_quanta", "steady_state_occupation", minimum=0.0))
+_COUPLING_KEYS = (
+    _Key("kappa_hz", "kappa_override", units=(hz_to_rad_s, rad_s_to_hz),
+         minimum=0.0, auto=True),)
+_RUN_KEYS = (
+    _Key("ensemble", "ensemble_size", INTEGER, minimum=1),
+    _Key("seed", "seed", INTEGER, minimum=0),
+    _Key("label", "label", TEXT, default=""),
+    _Key("output_dir", "output_dir", TEXT, default=""))
+# read only where frequencies_mhz is absent, and never written
+_GRID_KEYS = (
+    _Key("center_mhz", "center", minimum=0.0),
+    _Key("span_khz", "span", minimum=0.0),
+    _Key("points", "points", INTEGER, minimum=2))
+
+
 class _Section:
     def __init__(self, name, lineno, entries, path):
         self.name = name
@@ -188,66 +303,60 @@ class _Section:
         self.entries = dict(entries)
         self.path = path
 
-    def _take(self, key, required, default):
-        if key not in self.entries:
-            if required:
-                raise ScenarioError(KIND_MISSING, "required key is missing",
-                                    self.path, self.lineno, self.name, key)
-            return default, 0
-        value, lineno = self.entries.pop(key)
-        return value, lineno
+    def read(self, keys, prefix=""):
+        """Field name -> SI value for ``prefix`` + each key, in table order."""
+        return {key.field: self._value(key, prefix + key.name) for key in keys}
 
-    def number(self, key, required=True, default=None, minimum=None,
-               allow_inf=False, integer=False):
-        value, lineno = self._take(key, required, None)
-        if value is None:
-            return default
-        try:
-            if allow_inf and value.lower() in ("inf", "infinity"):
-                num = math.inf
-            else:
-                num = int(value) if integer else float(value)
-        except ValueError:
-            raise ScenarioError(
-                KIND_UNIT, f"expected a plain number in the units of the key "
-                f"suffix, got {value!r}", self.path, lineno, self.name, key)
-        if math.isnan(num) or (math.isinf(num) and not allow_inf):
-            raise ScenarioError(KIND_UNIT, "value must be finite",
-                                self.path, lineno, self.name, key)
-        if minimum is not None and num < minimum:
-            raise ScenarioError(KIND_INVALID, f"must be >= {minimum}",
-                                self.path, lineno, self.name, key)
-        return num
+    def _value(self, key, name):
+        text = None
+        lineno = self.lineno
+        if name in self.entries:
+            text, lineno = self.entries.pop(name)
+            if key.auto and text.lower() == "auto":
+                return None
+        elif key.default is None:
+            raise ScenarioError(KIND_MISSING, "required key is missing",
+                                self.path, lineno, self.name, name)
 
-    def number_or_auto(self, key, minimum=None):
-        """``number``, or None for ``auto``."""
-        if self.entries.get(key, ("",))[0].lower() == "auto":
-            del self.entries[key]
-            return None
-        return self.number(key, minimum=minimum)
+        def error(kind, message):
+            return ScenarioError(kind, message, self.path, lineno, self.name,
+                                 name)
 
-    def number_list(self, key, required=True, default=None):
-        value, lineno = self._take(key, required, None)
-        if value is None:
-            return default
-        try:
-            nums = [float(tok) for tok in value.split(",") if tok.strip()]
-            finite = all(math.isfinite(num) for num in nums)
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ScenarioError(
-                KIND_UNIT, f"expected comma-separated finite numbers, got "
-                f"{value!r}", self.path, lineno, self.name, key)
-        return nums
+        if key.kind == TEXT:
+            value = key.default if text is None else text
+            if key.choices is None:
+                return value
+            if value not in key.choices:
+                raise error(KIND_INVALID, f"must be one of "
+                            f"{sorted(key.choices)}, got {value!r}")
+            return key.choices[value]
 
-    def text(self, key, required=True, default=None, choices=None):
-        value, lineno = self._take(key, required, default)
-        if lineno and choices and value not in choices:
-            raise ScenarioError(
-                KIND_INVALID, f"must be one of {sorted(choices)}, got {value!r}",
-                self.path, lineno, self.name, key)
-        return value
+        not_finite = "value must be finite"
+        if text is None:
+            value = key.default(self) if callable(key.default) else key.default
+        elif key.kind == LIST:
+            not_finite = f"expected comma-separated finite numbers, got {text!r}"
+            try:
+                value = [float(tok) for tok in text.split(",") if tok.strip()]
+            except ValueError:
+                raise error(KIND_UNIT, not_finite)
+        else:
+            try:
+                value = int(text) if key.kind == INTEGER else float(text)
+            except ValueError:
+                raise error(KIND_UNIT, f"expected a plain number in the units "
+                            f"of the key suffix, got {text!r}")
+        if key.kind == LIST:
+            value = np.array(value, float)
+        with np.errstate(over="ignore"):
+            si = value if key.units[0] is None else key.units[0](value)
+        # after the conversion, so a value that overflows in SI is caught
+        if key.kind != INTEGER and not np.all(
+                np.isfinite(si) | (key.inf & np.isinf(si))):
+            raise error(KIND_UNIT, not_finite)
+        if key.minimum is not None and value < key.minimum:
+            raise error(KIND_INVALID, f"must be >= {key.minimum}")
+        return si
 
     def finish(self):
         if self.entries:
@@ -270,60 +379,8 @@ class _Section:
 # ---------------------------------------------------------------------------
 # schedule kinds
 
-def _fmt(value):
-    if value == math.inf:
-        return "inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def _parse_scan(sc):
-    freqs = sc.number_list("frequencies_mhz", required=False)
-    if freqs is None:
-        center = sc.number("center_mhz", minimum=0.0)
-        span = sc.number("span_khz", minimum=0.0)
-        points = sc.number("points", integer=True, minimum=2)
-        half = 0.5 * span * 1e-3
-        freqs = list(np.linspace(center - half, center + half, points))
-    return dict(probe_frequencies=np.array([mhz_to_rad_s(f) for f in freqs]),
-                probe_duration=sc.number("probe_ms", minimum=0.0) * 1e-3,
-                hot_occupation=sc.number("hot_quanta", minimum=0.0),
-                cold_occupation=sc.number("cold_quanta", minimum=0.0))
-
-
-def _serialize_scan(sched):
-    return [("frequencies_mhz", ",".join(
-                _fmt(rad_s_to_mhz(w)) for w in sched.probe_frequencies)),
-            ("probe_ms", _fmt(sched.probe_duration * 1e3)),
-            ("hot_quanta", _fmt(sched.hot_occupation)),
-            ("cold_quanta", _fmt(sched.cold_occupation))]
-
-
-def _parse_sympathetic(sc):
-    return dict(wait_times=np.array(sc.number_list("wait_ms")) * 1e-3,
-                initial_hot_occupation=sc.number("initial_hot_quanta",
-                                                 minimum=0.0))
-
-
-def _serialize_sympathetic(sched):
-    return [("wait_ms", ",".join(_fmt(t * 1e3) for t in sched.wait_times)),
-            ("initial_hot_quanta", _fmt(sched.initial_hot_occupation))]
-
-
-def _parse_swap(sc):
-    pair = sc.number_list("initial_quanta", required=False,
-                          default=[1000.0, 0.0])
-    if len(pair) != 2:
-        raise ValueError("initial_quanta needs exactly two values")
-    return dict(duration=sc.number("duration_ms", minimum=0.0) * 1e-3,
-                initial_occupations=(pair[0], pair[1]))
-
-
-def _serialize_swap(sched):
-    return [("duration_ms", _fmt(sched.duration * 1e3)),
-            ("initial_quanta", ",".join(_fmt(n)
-                                        for n in sched.initial_occupations))]
+def _pair(quanta):
+    return tuple(quanta.tolist())
 
 
 @dataclass(frozen=True)
@@ -331,8 +388,7 @@ class ScheduleKind:
     """Everything that depends on one schedule kind."""
 
     schedule: type      # the schedule dataclass
-    parse: object       # [schedule] section -> the dataclass's fields
-    serialize: object   # schedule -> (key, text) pairs after ``kind``
+    keys: tuple         # its [schedule] keys after ``kind``, in parse order
     runner: str         # name of its run_* function in ``experiments``
     command: str        # CLI subcommand
     bundled: str        # default bundled scenario
@@ -342,19 +398,40 @@ class ScheduleKind:
 # not held, so a replaced experiments.run_* is the one that runs
 SCHEDULES = {
     SCHEDULE_SCAN: ScheduleKind(
-        ScheduleResonanceScan, _parse_scan, _serialize_scan,
+        ScheduleResonanceScan,
+        (_Key("frequencies_mhz", "probe_frequencies", LIST, units=_MHZ,
+              default=_scan_grid),
+         _Key("probe_ms", "probe_duration", units=_MS, minimum=0.0),
+         _Key("hot_quanta", "hot_occupation", minimum=0.0),
+         _Key("cold_quanta", "cold_occupation", minimum=0.0)),
         "run_resonance_scan", "scan", "scan_benchmark"),
     SCHEDULE_SYMPATHETIC: ScheduleKind(
-        ScheduleSympathetic, _parse_sympathetic, _serialize_sympathetic,
+        ScheduleSympathetic,
+        (_Key("wait_ms", "wait_times", LIST, units=_MS),
+         _Key("initial_hot_quanta", "initial_hot_occupation", minimum=0.0)),
         "run_sympathetic", "sympathetic", "sympathetic_benchmark"),
     SCHEDULE_SWAP: ScheduleKind(
-        ScheduleSwap, _parse_swap, _serialize_swap,
+        ScheduleSwap,
+        (_Key("initial_quanta", "initial_occupations", LIST,
+              units=(_pair, None), default=(1000.0, 0.0)),
+         _Key("duration_ms", "duration", units=_MS, minimum=0.0)),
         "run_swap_demo", "swap", "swap_benchmark"),
 }
+_KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 
 
 # ---------------------------------------------------------------------------
 # parse
+
+def _trap_site(wire, **fields):
+    """TrapSite; ``deff_um = auto`` takes the effective distance of a square
+    patch the size of the wire's paddle."""
+    if fields["effective_distance"] is None:
+        patch = RectPatch.centered_square(wire.paddle_side)
+        fields["effective_distance"] = float(
+            effective_distance(patch, fields["physical_height"]))
+    return TrapSite(**fields)
+
 
 def parse_scenario_text(text, path="<scenario>"):
     raw = _read_raw(text, path)
@@ -362,115 +439,35 @@ def parse_scenario_text(text, path="<scenario>"):
         if name not in raw:
             raise ScenarioError(KIND_MISSING, "required section is missing",
                                 path, 0, name)
+    sections = {name: _Section(name, lineno, entries, path)
+                for name, (lineno, entries) in raw.items()}
 
-    def section(name):
-        lineno, entries = raw[name]
-        return _Section(name, lineno, entries, path)
-
-    sp = section("species")
-    label = sp.text("label")
-    with sp.checked():
-        species = IonSpecies(charge_number=sp.number("charge_number", integer=True),
-                             mass_number=sp.number("mass_u", minimum=0.0),
-                             label=label)
-    sp.finish()
-
-    wr = section("wire")
-    with wr.checked():
-        wire = WireSpec(capacitance=wr.number("capacitance_ff", minimum=0.0) * 1e-15,
-                        paddle_side=wr.number("paddle_um", minimum=0.0) * 1e-6,
-                        center_separation=wr.number("separation_um", minimum=0.0) * 1e-6,
-                        resistance=wr.number("resistance_ohm", required=False,
-                                             default=0.0, minimum=0.0))
-    wr.finish()
-
-    def parse_site(name):
-        sc = section(name)
+    def build(name, make, keys, prefixes=("",)):
+        """``make`` of each prefix's fields; then no key may be left over."""
+        sc = sections[name]
         with sc.checked():
-            freq = mhz_to_rad_s(sc.number("frequency_mhz", minimum=0.0))
-            height = sc.number("height_um", minimum=0.0) * 1e-6
-            deff_um = sc.number_or_auto("deff_um")
-            if deff_um is None:
-                patch = RectPatch.centered_square(wire.paddle_side)
-                deff = float(effective_distance(patch, height))
-            else:
-                deff = deff_um * 1e-6
-            site = TrapSite(vertical_frequency=freq, physical_height=height,
-                            effective_distance=deff)
+            made = [make(**sc.read(keys, prefix)) for prefix in prefixes]
         sc.finish()
-        return site
+        return made
 
-    site1 = parse_site("site1")
-    site2 = parse_site("site2")
-
-    no = section("noise")
-
-    def parse_noise(prefix):
-        kind = _JITTER_KINDS[no.text(f"{prefix}_jitter_kind", required=False,
-                                     default="per_shot",
-                                     choices=set(_JITTER_KINDS))]
-        tau_ms = no.number(f"{prefix}_jitter_correlation_ms", required=False,
-                           default=0.0, minimum=0.0)
-        with no.checked():
-            return dynamics.NoiseModel(
-                heating_rate_at_reference=no.number(
-                    f"{prefix}_heating_quanta_per_ms", minimum=0.0) * 1e3,
-                reference_frequency=mhz_to_rad_s(
-                    no.number(f"{prefix}_reference_mhz", required=False,
-                              default=0.0, minimum=0.0)),
-                spectral_exponent=no.number(f"{prefix}_spectral_exponent",
-                                            required=False, default=1.0),
-                jitter_sigma=no.number(f"{prefix}_jitter_sigma_hz",
-                                       minimum=0.0),
-                jitter_kind=kind,
-                jitter_correlation_time=tau_ms * 1e-3)
-
-    noise1 = parse_noise("site1")
-    noise2 = parse_noise("site2")
-    no.finish()
-
-    co = section("cooling")
-
-    def parse_cooling(prefix):
-        with co.checked():
-            return dynamics.CoolingClamp(
-                damping_rate=co.number(f"{prefix}_damping_per_s",
-                                       minimum=0.0, allow_inf=True),
-                steady_state_occupation=co.number(f"{prefix}_target_quanta",
-                                                  minimum=0.0))
-
-    cooling1 = parse_cooling("site1")
-    cooling2 = parse_cooling("site2")
-    co.finish()
-
-    kappa_override = None
-    if "coupling" in raw:
-        cp = section("coupling")
-        kappa_hz = cp.number_or_auto("kappa_hz", minimum=0.0)
-        cp.finish()
-        if kappa_hz is not None:
-            kappa_override = 2.0 * math.pi * kappa_hz
-
-    sc = section("schedule")
-    kind = SCHEDULES[sc.text("kind", choices=set(SCHEDULES))]
-    with sc.checked():
-        schedule = kind.schedule(**kind.parse(sc))
-    sc.finish()
-
-    rn = section("run")
-    ensemble = rn.number("ensemble", integer=True, minimum=1)
-    seed = rn.number("seed", integer=True, minimum=0)
-    run_label = rn.text("label", required=False, default="")
-    output_dir = rn.text("output_dir", required=False, default="")
-    rn.finish()
-
-    with rn.checked():
+    [species] = build("species", IonSpecies, _SPECIES_KEYS)
+    [wire] = build("wire", WireSpec, _WIRE_KEYS)
+    [site1] = build("site1", functools.partial(_trap_site, wire), _SITE_KEYS)
+    [site2] = build("site2", functools.partial(_trap_site, wire), _SITE_KEYS)
+    noise1, noise2 = build("noise", dynamics.NoiseModel, _NOISE_KEYS,
+                           _SITE_PREFIXES)
+    cooling1, cooling2 = build("cooling", dynamics.CoolingClamp,
+                               _COOLING_KEYS, _SITE_PREFIXES)
+    [coupling] = build("coupling", dict, _COUPLING_KEYS) \
+        if "coupling" in sections else [{}]
+    kind = SCHEDULES[sections["schedule"].read((_KIND_KEY,))[_KIND_KEY.field]]
+    [schedule] = build("schedule", kind.schedule, kind.keys)
+    [run] = build("run", dict, _RUN_KEYS)
+    with sections["run"].checked():
         return Scenario(species=species, site1=site1, site2=site2, wire=wire,
                         noise1=noise1, noise2=noise2, cooling1=cooling1,
-                        cooling2=cooling2, schedule=schedule,
-                        ensemble_size=ensemble, seed=seed,
-                        kappa_override=kappa_override, label=run_label,
-                        output_dir=output_dir)
+                        cooling2=cooling2, schedule=schedule, **coupling,
+                        **run)
 
 
 def parse_scenario(path):
@@ -487,62 +484,25 @@ def serialize_scenario(scn):
     """Canonical text form; parse(serialize(s)) has the digest of s."""
     lines = []
 
-    def sec(name, *pairs):
+    def section(name, keys, *objects, prefixes=("",)):
         lines.append(f"[{name}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {value}")
+        for prefix, obj in zip(prefixes, objects):
+            lines.extend(f"{prefix}{key.name} = "
+                         f"{key.write(getattr(obj, key.field))}" for key in keys)
         lines.append("")
 
-    sec("species",
-        ("label", scn.species.label),
-        ("charge_number", scn.species.charge_number),
-        ("mass_u", _fmt(scn.species.mass_number)))
-    for name, site in (("site1", scn.site1), ("site2", scn.site2)):
-        sec(name,
-            ("frequency_mhz", _fmt(rad_s_to_mhz(site.vertical_frequency))),
-            ("height_um", _fmt(site.physical_height * 1e6)),
-            ("deff_um", _fmt(site.effective_distance * 1e6)))
-    sec("wire",
-        ("capacitance_ff", _fmt(scn.wire.capacitance * 1e15)),
-        ("paddle_um", _fmt(scn.wire.paddle_side * 1e6)),
-        ("separation_um", _fmt(scn.wire.center_separation * 1e6)),
-        ("resistance_ohm", _fmt(scn.wire.resistance)))
-
-    noise_pairs = []
-    for prefix, nm in (("site1", scn.noise1), ("site2", scn.noise2)):
-        noise_pairs += [
-            (f"{prefix}_heating_quanta_per_ms",
-             _fmt(nm.heating_rate_at_reference * 1e-3)),
-            (f"{prefix}_reference_mhz", _fmt(rad_s_to_mhz(nm.reference_frequency))),
-            (f"{prefix}_spectral_exponent", _fmt(nm.spectral_exponent)),
-            (f"{prefix}_jitter_sigma_hz", _fmt(nm.jitter_sigma)),
-            (f"{prefix}_jitter_kind", _JITTER_NAMES[nm.jitter_kind]),
-        ]
-        if nm.jitter_kind == dynamics.JITTER_OU:
-            noise_pairs.append((f"{prefix}_jitter_correlation_ms",
-                                _fmt(nm.jitter_correlation_time * 1e3)))
-    sec("noise", *noise_pairs)
-
-    cool_pairs = []
-    for prefix, cl in (("site1", scn.cooling1), ("site2", scn.cooling2)):
-        cool_pairs += [(f"{prefix}_damping_per_s", _fmt(cl.damping_rate)),
-                       (f"{prefix}_target_quanta",
-                        _fmt(cl.steady_state_occupation))]
-    sec("cooling", *cool_pairs)
-
-    if scn.kappa_override is not None:
-        sec("coupling", ("kappa_hz", _fmt(scn.kappa_override / (2 * math.pi))))
-
-    sched = scn.schedule
-    sec("schedule", ("kind", sched.kind),
-        *SCHEDULES[sched.kind].serialize(sched))
-
-    run_pairs = [("ensemble", scn.ensemble_size), ("seed", scn.seed)]
-    if scn.label:
-        run_pairs.append(("label", scn.label))
-    if scn.output_dir:
-        run_pairs.append(("output_dir", scn.output_dir))
-    sec("run", *run_pairs)
+    section("species", _SPECIES_KEYS, scn.species)
+    section("site1", _SITE_KEYS, scn.site1)
+    section("site2", _SITE_KEYS, scn.site2)
+    section("wire", _WIRE_KEYS, scn.wire)
+    section("noise", _NOISE_KEYS, scn.noise1, scn.noise2,
+            prefixes=_SITE_PREFIXES)
+    section("cooling", _COOLING_KEYS, scn.cooling1, scn.cooling2,
+            prefixes=_SITE_PREFIXES)
+    section("coupling", _COUPLING_KEYS, scn)
+    section("schedule", (_KIND_KEY,) + SCHEDULES[scn.schedule.kind].keys,
+            scn.schedule)
+    section("run", _RUN_KEYS, scn)
     return "\n".join(lines)
 
 

@@ -8,12 +8,16 @@ import sys
 import pytest
 
 import ionwire
+from ionwire import cli
 from conftest import load_bundled
 
 # the subprocesses run in temporary directories, where a relative
 # PYTHONPATH entry no longer finds the package under test
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     ionwire.__file__)))
+SWAP_SHORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "perfbench", "scenarios",
+                          "swap_short.scenario")
 
 NULL_SCAN = """\
 [species]
@@ -99,6 +103,29 @@ def test_usage_errors_exit_2(tmp_path):
                     "--out", str(tmp_path / "o")], tmp_path)
     assert proc.returncode == 2
     assert "no_such_file" in proc.stderr
+    # deff draws no plot, so it offers no --svg
+    assert run_cli(["deff", "--svg"], tmp_path).returncode == 2
+
+
+def test_commands_offer_only_the_flags_they_read():
+    parser = cli.build_parser()
+    ensemble_run = {"--scenario", "--seed", "--ensemble", "--svg"}
+    offered = {"rate": {"--scenario"}, "deff": set(), "predict": set(),
+               "thermometry": {"--seed"},
+               "swap": {"--scenario", "--seed", "--svg"},
+               "scan": ensemble_run, "sympathetic": ensemble_run}
+    values = {"--scenario": ["swap_benchmark"], "--seed": ["5"],
+              "--ensemble": ["3"], "--svg": []}
+    for command, flags in offered.items():
+        parser.parse_args([command, "--out", "o", "--format", "json"])
+        for flag, value in values.items():
+            argv = [command, flag, *value]
+            if flag in flags:
+                parser.parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(argv)
+            assert err.value.code == 2, argv
 
 
 def test_malformed_scenario_exits_2(tmp_path):
@@ -194,6 +221,20 @@ def test_thermometry_round_trip_cli(tmp_path):
     assert abs(fit["parameters"]["n_bar"] - 182.0) / 182.0 < 0.10
     truth = json.load(open(out / "thermometry_truth.json"))
     assert truth["n_bar_true"] == 182.0 and truth["seed"] == 12
+
+
+def test_crash_exits_3_without_traceback(tmp_path):
+    # kappa near the trap frequency makes the Verlet step unstable
+    with open(SWAP_SHORT, encoding="utf-8") as fh:
+        text = fh.read()
+    scn = tmp_path / "unstable.scenario"
+    scn.write_text(text.replace("kappa_hz = 333", "kappa_hz = 2000000"))
+    proc = run_cli(["swap", "--scenario", str(scn),
+                    "--out", str(tmp_path / "u")], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ionwire: RuntimeError: unstable step")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_band_failure_exits_1(tmp_path):

@@ -93,6 +93,11 @@ def test_parsed_physical_values():
     assert scn.seed == 7 and scn.ensemble_size == 200
 
 
+def test_integer_too_large_for_a_float_parses():
+    scn = parse_scenario_text(BASE.replace("seed = 7", "seed = 1" + "0" * 400))
+    assert scn.seed == 10 ** 400
+
+
 def test_auto_effective_distance_and_coupling():
     text = BASE.replace("kappa_hz = 11.1", "kappa_hz = auto")
     scn = parse_scenario_text(text)
@@ -106,8 +111,13 @@ def test_auto_effective_distance_and_coupling():
 
 
 def test_digest_round_trip():
-    for name in ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark"):
-        scn = load_bundled(name)
+    scenarios = [load_bundled(name) for name in
+                 ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark")]
+    # a per-shot jitter may still carry a correlation time
+    scenarios.append(parse_scenario_text(BASE.replace(
+        "site1_jitter_sigma_hz = 0",
+        "site1_jitter_sigma_hz = 0\nsite1_jitter_correlation_ms = 5")))
+    for scn in scenarios:
         again = parse_scenario_text(serialize_scenario(scn))
         assert scenario_digest(again) == scenario_digest(scn)
         assert canonical_dict(again) == canonical_dict(scn)
@@ -208,12 +218,23 @@ def test_bad_unit_diagnostic():
         cases += [("deff_um = auto", f"deff_um = {value}", "site1", "deff_um"),
                   ("kappa_hz = 11.1", f"kappa_hz = {value}", "coupling",
                    "kappa_hz")]
+    # finite as written, but infinite once converted to SI units
+    cases += [("frequency_mhz = 1.990", "frequency_mhz = 1e308", "site1",
+               "frequency_mhz"),
+              ("site2_heating_quanta_per_ms = 0",
+               "site2_heating_quanta_per_ms = 1e306", "noise",
+               "site2_heating_quanta_per_ms"),
+              ("kappa_hz = 11.1", "kappa_hz = 1e308", "coupling", "kappa_hz")]
     for old, new, section, key in cases:
+        text = BASE.replace(old, new, 1)
         with pytest.raises(ScenarioError) as err:
-            parse_scenario_text(BASE.replace(old, new, 1))
+            parse_scenario_text(text)
         assert err.value.kind == KIND_UNIT
         assert err.value.section == section
         assert err.value.key == key
+        assert err.value.line == next(
+            i for i, line in enumerate(text.splitlines(), start=1)
+            if line.startswith(new))
 
 
 def test_invariant_violation_diagnostics():
@@ -242,15 +263,33 @@ def test_invariant_violation_diagnostics():
     assert err4.value.section == "site1"
 
 
-def test_scan_schedule_requires_hot_above_cold():
-    text = BASE.replace(
+SCAN_SCHEDULE = ("kind = resonance_scan\ncenter_mhz = 1.990\nspan_khz = 6\n"
+                 "points = 9\nprobe_ms = 2\nhot_quanta = 10000\n"
+                 "cold_quanta = 200")
+
+
+def _with_scan_schedule(schedule):
+    return BASE.replace(
         "kind = sympathetic_run\nwait_ms = 0,1,2,3,4,5,6,7,8,9,10\n"
-        "initial_hot_quanta = 1000",
-        "kind = resonance_scan\ncenter_mhz = 1.990\nspan_khz = 6\npoints = 9\n"
-        "probe_ms = 2\nhot_quanta = 100\ncold_quanta = 200")
+        "initial_hot_quanta = 1000", schedule)
+
+
+def test_scan_schedule_requires_hot_above_cold():
+    text = _with_scan_schedule(SCAN_SCHEDULE.replace("hot_quanta = 10000",
+                                                     "hot_quanta = 100"))
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text)
     assert err.value.kind == KIND_INVALID
+
+
+def test_scan_grid_overflow_is_located():
+    assert parse_scenario_text(_with_scan_schedule(SCAN_SCHEDULE))
+    text = _with_scan_schedule(SCAN_SCHEDULE.replace("center_mhz = 1.990",
+                                                     "center_mhz = 1e308"))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.section == "schedule"
+    assert err.value.line == text.splitlines().index("[schedule]") + 1
 
 
 def test_duplicate_section_and_key_rejected():
@@ -293,7 +332,7 @@ def test_replace_supports_null_coupling():
 # seeded fuzzing of the bundled scenario texts
 
 _BAD_UNITS = ("1.99 MHz", "abc", "", "1,,2", "0x1f", "1e", "--3", "auto")
-_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308")
 
 
 def _mutate(text, rng):
@@ -319,14 +358,16 @@ def _mutate(text, rng):
     return "\n".join(lines) + "\n"
 
 
-def _leaves(value):
+def _leaves(value, path=""):
+    """(dotted field path, value) of every leaf of a canonical dict."""
     if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
+        for k, v in value.items():
+            yield from _leaves(v, f"{path}.{k}")
+    elif isinstance(value, list):
         for v in value:
-            yield from _leaves(v)
+            yield from _leaves(v, path)
     else:
-        yield value
+        yield path, value
 
 
 def test_fuzzed_scenarios_fail_only_with_scenario_error():
@@ -345,9 +386,12 @@ def test_fuzzed_scenarios_fail_only_with_scenario_error():
             except Exception as exc:
                 pytest.fail(f"{exc!r} escaped the parser on:\n{mutated}")
             accepted += 1
-            leaves = list(_leaves(canonical_dict(scn)))
-            assert not any(isinstance(v, float) and math.isnan(v)
-                           for v in leaves), mutated
+            floats = [(path, v) for path, v in _leaves(canonical_dict(scn))
+                      if isinstance(v, float)]
+            assert not any(math.isnan(v) for _, v in floats), mutated
+            # only a damping rate may be infinite (a hard clamp)
+            assert not any(math.isinf(v) and not path.endswith(".damping_rate")
+                           for path, v in floats), mutated
             again = parse_scenario_text(serialize_scenario(scn))
             assert scenario_digest(again) == scenario_digest(scn), mutated
     # the edits must leave some scenarios valid, or the round trip is untested
