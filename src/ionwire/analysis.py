@@ -269,8 +269,8 @@ def thermal_weights(n_bar, n_max):
     return np.exp(log_p)
 
 
-def _truncation(n_bar, n_max=None):
-    n = int(min(20.0 * n_bar + 100.0, N_MAX_CAP)) if n_max is None else int(n_max)
+def _truncation(n_bar):
+    n = int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
     if n_bar > 0:
         tail = (n_bar / (1.0 + n_bar)) ** (n + 1)
         if tail >= TAIL_TOL:
@@ -280,14 +280,14 @@ def _truncation(n_bar, n_max=None):
     return n
 
 
-def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke, n_max=None):
+def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     """Thermal carrier flopping P(t) = sum_n p_n sin^2(Omega_n t / 2).
 
     Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2). Evaluated in Fock blocks
     to bound memory at high n_bar.
     """
     t = np.asarray(times, float)
-    n_top = _truncation(n_bar, n_max)
+    n_top = _truncation(n_bar)
     x = lamb_dicke ** 2
     lag = laguerre_sequence(n_top, x)
     omega_n = carrier_rabi * math.exp(-0.5 * x) * lag
@@ -410,6 +410,8 @@ def _rabi_sigmas(dataset, n_bar, omega0):
     """1-sigma from the numeric NLL Hessian; zeros when not positive definite."""
     h_nb = max(1e-3 * (n_bar + 0.5), 1e-4)
     h_om = 1e-4 * omega0
+    if h_om ** 2 == 0.0:
+        return 0.0, 0.0   # the step underflows: no curvature to measure
 
     def nll(nb, om):
         return _rabi_nll(dataset, max(nb, 0.0), om)

@@ -8,7 +8,8 @@ paths, and atomic writes. Only two environment overrides exist,
 IONWIRE_OUT (output directory) and IONWIRE_THREADS (the number of
 worker processes in the pool that integrates ensemble batches; results
 are identical for any count); every physical parameter must come from
-the scenario file or flags so runs stay auditable.
+the scenario file or flags so runs stay auditable. Flags are read and
+checked like scenario keys (``scenario.read_options``), naming the flag.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, analysis, circuit, experiments, geometry, svgplot
 from .core import rad_s_to_hz
-from .scenario import (SCHEDULES, ScenarioError, parse_scenario,
-                       parse_scenario_text, scenario_digest)
+from .scenario import (SCHEDULES, ScenarioError, digest, parse_scenario,
+                       parse_scenario_text, read_options, scenario_digest)
 
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
@@ -201,12 +201,12 @@ def _write_svg(writer, report):
                         ylabel="heating rate (quanta/ms)"))
 
 
-def _manifest(writer, args, digest, started, scn=None, seed=None,
+def _manifest(writer, args, config_digest, started, scn=None, seed=None,
               passed=None):
     """manifest.json; the seed and ensemble size are the ones the run used,
     taken from ``scn`` when the command runs a scenario."""
     payload = {"tool": "ionwire", "version": __version__,
-               "command": args.command, "config_digest": digest,
+               "command": args.command, "config_digest": config_digest,
                "seed": seed if scn is None else scn.seed,
                "ensemble": None if scn is None else scn.ensemble_size,
                "started": started, "finished": _now(),
@@ -231,12 +231,8 @@ def _load_scenario(args, default_bundled):
         scn = parse_scenario_text(text, path=f"bundled:{name}")
     else:
         scn = parse_scenario(name)
-    # commands without the --seed or --ensemble flag run the scenario's own
-    if getattr(args, "seed", None) is not None:
-        scn = dataclasses.replace(scn, seed=args.seed)
-    if getattr(args, "ensemble", None) is not None:
-        scn = dataclasses.replace(scn, ensemble_size=args.ensemble)
-    return scn
+    # --seed and --ensemble, where given, replace the scenario's own
+    return dataclasses.replace(scn, **read_options(args.command, vars(args)))
 
 
 def _resolve_outdir(args, scn=None):
@@ -317,31 +313,27 @@ def _cmd_rate(args, started):
 
 
 def _cmd_deff(args, started):
-    heights = np.asarray([float(tok) for tok in args.heights_um.split(",")])
-    if np.any(heights <= 0):
-        raise ScenarioError("invalid", "heights must be positive")
-    table = geometry.effective_distance_table(args.paddle_um * 1e-6,
-                                              heights * 1e-6)
+    opts = read_options(args.command, vars(args))
+    table = geometry.effective_distance_table(opts["paddle_side"],
+                                              opts["heights"])
     rows = [(h * 1e6, d * 1e6) for h, d in table]
     writer = _Writer(_resolve_outdir(args))
     _table(writer, "deff", "deff", ("height_um", "deff_um"), rows, args.format)
-    digest = hashlib.sha256(
-        f"deff:{args.paddle_um}:{args.heights_um}".encode()).hexdigest()
-    _manifest(writer, args, digest, started)
+    _manifest(writer, args, digest(opts), started)
     for h_um, d_um in rows:
         print(f"height {h_um:8.2f} um   deff {d_um:8.2f} um")
 
 
 def _cmd_thermometry(args, started):
-    seed = args.seed if args.seed is not None else 0
-    carrier_rabi = 2 * math.pi * args.rabi_khz * 1e3
-    t_pi = math.pi / carrier_rabi
-    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, args.points)
+    opts = read_options(args.command, vars(args))
+    nbar, rabi = opts["n_bar"], opts["carrier_rabi"]
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, opts["points"])
     dataset, truth = analysis.synthesize_rabi(
-        args.nbar, carrier_rabi, args.lamb_dicke, times, args.shots, seed)
+        nbar, rabi, opts["lamb_dicke"], times, opts["shots"], opts["seed"])
     fit = analysis.fit_rabi_nbar(dataset)
     n_fit = fit.parameters["n_bar"]
-    rel = abs(n_fit - args.nbar) / args.nbar if args.nbar > 0 else n_fit
+    rel = abs(n_fit - nbar) / nbar if nbar > 0 else n_fit
 
     writer = _Writer(_resolve_outdir(args))
     _table(writer, "thermometry_data", "rabi",
@@ -351,11 +343,9 @@ def _cmd_thermometry(args, started):
                             dataset.excitation_probability)], args.format)
     writer.json("thermometry_fit.json", fit.as_dict())
     writer.json("thermometry_truth.json", _json_safe(truth))
-    digest = hashlib.sha256(json.dumps(_json_safe(truth),
-                                       sort_keys=True).encode()).hexdigest()
-    _manifest(writer, args, digest, started, seed=seed)
+    _manifest(writer, args, digest(opts), started, seed=opts["seed"])
     sig = fit.sigmas.get("n_bar", float("nan"))
-    print(f"injected n_bar {args.nbar:g}, fitted {n_fit:.4g} "
+    print(f"injected n_bar {nbar:g}, fitted {n_fit:.4g} "
           f"+- {sig:.2g} ({100 * rel:.2f}% off), method {fit.method}")
 
 
@@ -388,10 +378,9 @@ def build_parser():
                         help="tabular output format (default csv)")
     scenario = option("--scenario", default=None, metavar="PATH",
                       help="scenario file, or one of: " + ", ".join(BUNDLED))
-    seed = option("--seed", type=int, default=None, metavar="U64",
+    seed = option("--seed", metavar="U64",
                   help="master seed override (default: scenario value)")
-    ensemble = option("--ensemble", type=int, default=None, metavar="N",
-                      help="ensemble size override")
+    ensemble = option("--ensemble", metavar="N", help="ensemble size override")
     svg = option("--svg", action="store_true", help="also emit SVG line plots")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -399,8 +388,8 @@ def build_parser():
                    help="coupling rates and circuit equivalents")
     deff = sub.add_parser("deff", parents=[common],
                           help="effective ion-wire distance vs height")
-    deff.add_argument("--paddle-um", type=float, default=120.0)
-    deff.add_argument("--heights-um", default="40,50,60,70,80,100,150,200")
+    deff.add_argument("--paddle-um")
+    deff.add_argument("--heights-um")
     sub.add_parser("swap", parents=[common, scenario, seed, svg],
                    help="noiseless resonant exchange demonstration")
     sub.add_parser("scan", parents=[common, scenario, seed, ensemble, svg],
@@ -410,11 +399,8 @@ def build_parser():
                    help="sympathetic heating-rate reduction")
     thermo = sub.add_parser("thermometry", parents=[common, seed],
                             help="Rabi thermometry round trip")
-    thermo.add_argument("--nbar", type=float, default=182.0)
-    thermo.add_argument("--shots", type=int, default=200)
-    thermo.add_argument("--points", type=int, default=60)
-    thermo.add_argument("--rabi-khz", type=float, default=50.0)
-    thermo.add_argument("--lamb-dicke", type=float, default=0.05)
+    for flag in ("--nbar", "--shots", "--points", "--rabi-khz", "--lamb-dicke"):
+        thermo.add_argument(flag)
     sub.add_parser("predict", parents=[common],
                    help="predicted rates vs expectation bands")
     return parser

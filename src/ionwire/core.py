@@ -2,7 +2,8 @@
 
 Everything internal runs in pure SI with angular frequencies in rad/s.
 Human-facing boundaries (CLI, scenario files) accept MHz, um, fF and
-quanta/ms and convert here. Occupations n_bar are real-valued ensemble
+quanta/ms; the key tables in ``scenario`` convert them, using the
+frequency helpers here. Occupations n_bar are real-valued ensemble
 means, never integers.
 """
 
@@ -165,7 +166,7 @@ def temperature_to_quanta(temperature, omega):
 
 
 # ---------------------------------------------------------------------------
-# boundary unit helpers (MHz/um/fF/ms <-> SI)
+# boundary unit helpers (MHz, Hz, quanta/ms <-> SI)
 
 def mhz_to_rad_s(f_mhz):
     return TWO_PI * f_mhz * 1e6
@@ -183,54 +184,6 @@ def hz_to_rad_s(f_hz):
     return TWO_PI * f_hz
 
 
-def um_to_m(x_um):
-    return x_um * 1e-6
-
-
-def m_to_um(x_m):
-    return x_m * 1e6
-
-
-def ff_to_f(c_ff):
-    return c_ff * 1e-15
-
-
-def quanta_per_ms_to_per_s(rate):
-    return rate * 1e3
-
-
 def per_s_to_quanta_per_ms(rate):
     return rate * 1e-3
 
-
-def constants_table():
-    """Markdown table of the constants and unit conventions in use."""
-    c = CONST
-    lines = [
-        "# Constants and units",
-        "",
-        "CODATA 2018 values used throughout.",
-        "",
-        "| symbol | meaning | value | unit |",
-        "|---|---|---|---|",
-        f"| e | elementary charge | {c.elementary_charge:.9e} | C |",
-        f"| u | atomic mass unit | {c.atomic_mass_unit:.11e} | kg |",
-        f"| hbar | reduced Planck constant | {c.reduced_planck:.9e} | J s |",
-        f"| eps0 | vacuum permittivity | {c.vacuum_permittivity:.10e} | F/m |",
-        f"| k_B | Boltzmann constant | {c.boltzmann:.6e} | J/K |",
-        f"| m(40Ca+) | calcium-40 ion mass | {CA40_MASS_NUMBER:.7f} | u |",
-        f"| m(e-) | electron mass | {ELECTRON_MASS_NUMBER:.11e} | u |",
-        "",
-        "| quantity | internal unit | boundary unit |",
-        "|---|---|---|",
-        "| q, charge | C | units of e |",
-        "| m, mass | kg | units of u |",
-        "| omega, mode frequency | rad/s | MHz |",
-        "| D_eff, effective distance | m | um |",
-        "| C_w, wire capacitance | F | fF |",
-        "| kappa, coupling rate | rad/s | Hz (divide by 2 pi) |",
-        "| heating rate | quanta/s | quanta/ms |",
-        "| jitter sigma | Hz | Hz |",
-        "",
-    ]
-    return "\n".join(lines)

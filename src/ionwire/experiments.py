@@ -98,10 +98,10 @@ def _reference_site(height, frequency, deff=None):
                     effective_distance=d)
 
 
-def run_prediction_table(expectations=None):
+def run_prediction_table():
     """Predicted coupling rates and rate ratios for the reference trap."""
     t0 = time.perf_counter()
-    exp = expectations or load_expectations()
+    exp = load_expectations()
     ca = calcium_40()
     wire = WireSpec(capacitance=REFERENCE_CAPACITANCE,
                     paddle_side=REFERENCE_PADDLE_SIDE,
@@ -183,13 +183,13 @@ def _point_seed(master, idx):
                .generate_state(1, np.uint64)[0])
 
 
-def run_resonance_scan(scenario, expectations=None, n_workers=1):
+def run_resonance_scan(scenario, n_workers=1):
     """Heating-rate spectroscopy of the cold ion across the resonance."""
     t0 = time.perf_counter()
     sched = scenario.schedule
     if not isinstance(sched, ScheduleResonanceScan):
         raise ValueError("scenario schedule must be a resonance scan")
-    exp = expectations or load_expectations()
+    exp = load_expectations()
 
     kappa = scenario.kappa()
     w1 = scenario.site1.vertical_frequency
@@ -281,13 +281,13 @@ def run_resonance_scan(scenario, expectations=None, n_workers=1):
 # ---------------------------------------------------------------------------
 # sympathetic heating-rate reduction
 
-def run_sympathetic(scenario, expectations=None, n_workers=1):
+def run_sympathetic(scenario, n_workers=1):
     """Uncoupled vs clamped-coupled hot-ion heating, plus rate extraction."""
     t0 = time.perf_counter()
     sched = scenario.schedule
     if not isinstance(sched, ScheduleSympathetic):
         raise ValueError("scenario schedule must be a sympathetic run")
-    exp = expectations or load_expectations()
+    exp = load_expectations()
 
     kappa_ex = scenario.kappa()   # 1/s incoherent exchange rate
     w1 = scenario.site1.vertical_frequency
@@ -390,7 +390,7 @@ def run_sympathetic(scenario, expectations=None, n_workers=1):
 # ---------------------------------------------------------------------------
 # noiseless swap demonstration
 
-def run_swap_demo(scenario, expectations=None, n_workers=1):
+def run_swap_demo(scenario, n_workers=1):
     """Full-SDE resonant energy exchange with the envelope cross-check."""
     t0 = time.perf_counter()
     sched = scenario.schedule
@@ -399,7 +399,7 @@ def run_swap_demo(scenario, expectations=None, n_workers=1):
     for nm in (scenario.noise1, scenario.noise2):
         if nm.heating_rate_at_reference > 0 or nm.jitter_sigma > 0:
             raise ValueError("swap demo requires zeroed noise")
-    exp = expectations or load_expectations()
+    exp = load_expectations()
 
     kappa = scenario.kappa()
     w = 0.5 * (scenario.site1.vertical_frequency +

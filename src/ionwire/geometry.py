@@ -147,7 +147,11 @@ def effective_distance(patch, height):
         raise ValueError("degenerate patch: zero voltage gives zero field")
     cx, cy = patch.center
     h = np.asarray(height, float)
-    _, _, ez = patch_field(patch, (np.full_like(h, cx), np.full_like(h, cy), h))
+    # lengths far beyond float range overflow the squares to inf, then nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, ez = patch_field(patch, (np.full_like(h, cx), np.full_like(h, cy), h))
+    if not np.all(np.isfinite(ez)):
+        raise ValueError("axial field not finite: lengths beyond float range")
     if np.any(ez == 0):
         raise ValueError("degenerate patch: zero axial field")
     return np.abs(patch.voltage) / np.abs(ez)

@@ -4,11 +4,12 @@ Sectioned, unit-suffixed key-value text. Unknown sections and keys are
 rejected so a typo cannot silently fall back to a default in a physics
 run. Every diagnostic carries the file, line, section, and key context.
 Each section's keys are described once, in a table of ``_Key`` entries
-that both the parser and the serializer walk.
+that both the parser and the serializer walk. The commands' direct
+options are ``_Key`` entries too, read the same way under their flags.
 
-Digests canonicalize the parsed scenario (SI values, sorted keys, floats
-rounded to 12 significant digits) so that key order, comments, and float
-round-trip wobble do not change the hash.
+Digests canonicalize a value (SI values, sorted keys, floats rounded to
+12 significant digits) so that key order, comments, flag spelling, and
+float round-trip wobble do not change the hash.
 """
 
 from __future__ import annotations
@@ -136,9 +137,7 @@ class ScenarioError(ValueError):
         where = path or "<scenario>"
         if line:
             where += f":{line}"
-        ctx = section
-        if key:
-            ctx += f".{key}"
+        ctx = ".".join(filter(None, (section, key)))
         super().__init__(f"{where}: [{kind}] {ctx}: {message}")
 
 
@@ -204,8 +203,9 @@ def _fmt(value):
 class _Key:
     """One ``key = value`` line of a section and the dataclass field it
     fills. ``default`` is in file units, or a function of the section that
-    returns them; None makes the key required. ``minimum`` bounds the value
-    as written, the finiteness check applies to the SI value."""
+    returns them; None makes the key required. ``minimum`` and ``below``
+    (exclusive) bound the value as written; the finiteness check and
+    ``positive`` apply to the SI value, so they catch an over- or underflow."""
 
     name: str
     field: str
@@ -213,6 +213,8 @@ class _Key:
     units: tuple = (None, None)   # (to SI, from SI); None keeps the value
     default: object = None
     minimum: float = None
+    below: float = None
+    positive: bool = False        # the SI value must be > 0
     auto: bool = False            # ``auto`` reads as None
     inf: bool = False             # +-inf passes the finiteness check
     choices: dict = None          # text kinds: file text -> field value
@@ -284,9 +286,10 @@ _COOLING_KEYS = (       # after a site prefix
 _COUPLING_KEYS = (
     _Key("kappa_hz", "kappa_override", units=(hz_to_rad_s, rad_s_to_hz),
          minimum=0.0, auto=True),)
-_RUN_KEYS = (
+_RUN_OPTIONS = (      # also the --ensemble and --seed overrides
     _Key("ensemble", "ensemble_size", INTEGER, minimum=1),
-    _Key("seed", "seed", INTEGER, minimum=0),
+    _Key("seed", "seed", INTEGER, minimum=0))
+_RUN_KEYS = _RUN_OPTIONS + (
     _Key("label", "label", TEXT, default=""),
     _Key("output_dir", "output_dir", TEXT, default=""))
 # read only where frequencies_mhz is absent, and never written
@@ -339,6 +342,8 @@ class _Section:
             try:
                 value = [float(tok) for tok in text.split(",") if tok.strip()]
             except ValueError:
+                value = []
+            if not value:      # unparsable or empty
                 raise error(KIND_UNIT, not_finite)
         else:
             try:
@@ -354,8 +359,12 @@ class _Section:
         if key.kind != INTEGER and not np.all(
                 np.isfinite(si) | (key.inf & np.isinf(si))):
             raise error(KIND_UNIT, not_finite)
-        if key.minimum is not None and value < key.minimum:
+        if key.minimum is not None and np.any(value < key.minimum):
             raise error(KIND_INVALID, f"must be >= {key.minimum}")
+        if key.below is not None and np.any(value >= key.below):
+            raise error(KIND_INVALID, f"must be < {key.below}")
+        if key.positive and np.any(si <= 0):
+            raise error(KIND_INVALID, "must be > 0")
         return si
 
     def finish(self):
@@ -418,6 +427,42 @@ SCHEDULES = {
         "run_swap_demo", "swap", "swap_benchmark"),
 }
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
+
+
+# ---------------------------------------------------------------------------
+# command-line options, read like scenario keys named after their flags
+
+OPTION_KEYS = {
+    "deff": (
+        _Key("paddle-um", "paddle_side", units=_UM, default=120.0,
+             positive=True),
+        _Key("heights-um", "heights", LIST, units=_UM,
+             default=(40.0, 50.0, 60.0, 70.0, 80.0, 100.0, 150.0, 200.0),
+             positive=True)),
+    "thermometry": (
+        _Key("nbar", "n_bar", default=182.0, minimum=0.0),
+        # Generator.binomial takes an int64 count
+        _Key("shots", "shots", INTEGER, default=200, minimum=1, below=2 ** 63),
+        # more points than fitted parameters; Fock blocks hold points x 20,000
+        _Key("points", "points", INTEGER, default=60, minimum=3, below=1000),
+        _Key("rabi-khz", "carrier_rabi",
+             units=(lambda f: 2 * math.pi * f * 1e3, None), default=50.0,
+             positive=True),
+        _Key("lamb-dicke", "lamb_dicke", default=0.05, minimum=0.0, below=1.0),
+        _Key("seed", "seed", INTEGER, default=0, minimum=0)),
+    **{kind.command: _RUN_OPTIONS for kind in SCHEDULES.values()},
+}
+
+
+def read_options(command, values):
+    """Field name -> SI value of each option of ``command`` given, or with a
+    default; ``values`` maps argparse destinations to text, None if absent."""
+    keys = OPTION_KEYS.get(command, ())
+    given = {f"--{k.name}": (values[k.name.replace("-", "_")], 0) for k in keys
+             if values.get(k.name.replace("-", "_")) is not None}
+    return _Section("", 0, given, "<command line>").read(
+        [k for k in keys if k.default is not None or f"--{k.name}" in given],
+        "--")
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +562,10 @@ def _round12(value):
 
 def _canonical(value):
     if dataclasses.is_dataclass(value):
-        return {f.name: _canonical(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+        value = {f.name: getattr(value, f.name)
+                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
     if isinstance(value, (tuple, list, np.ndarray)):
         return [_canonical(v) for v in value]
     return _round12(value)
@@ -533,7 +580,13 @@ def canonical_dict(scn):
     return d
 
 
-def scenario_digest(scn):
-    payload = json.dumps(canonical_dict(scn), sort_keys=True,
+def digest(value):
+    """SHA-256 of the canonical JSON of a value: dataclasses and dicts as
+    sorted objects, sequences as lists, floats rounded to 12 digits."""
+    payload = json.dumps(_canonical(value), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def scenario_digest(scn):
+    return digest(canonical_dict(scn))

@@ -169,6 +169,16 @@ def test_thermometry_ground_state():
     assert fit.parameters["n_bar"] < 1.0
 
 
+def test_thermometry_fit_at_underflowing_rabi_step():
+    # the Hessian step 1e-4 * Omega_0 squares to zero: sigmas read 0
+    rabi = 2 * math.pi * 1e-300 * 1e3
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 5)
+    data, _ = synthesize_rabi(5.0, rabi, 0.05, times, shots=10, seed=0)
+    fit = fit_rabi_nbar(data)
+    assert fit.sigmas == {"n_bar": 0.0, "carrier_rabi": 0.0}
+
+
 def test_rabi_dataset_validation():
     with pytest.raises(ValueError):
         RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1]), 100,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -266,3 +267,74 @@ def test_scan_precision_scales_with_ensemble(tmp_path):
     assert abs(w50 - w400) < 3.0 * math.hypot(s50, s400)
     ratio = s50 / s400
     assert math.sqrt(8.0) / 2.0 < ratio < math.sqrt(8.0) * 2.0
+
+
+# ---------------------------------------------------------------------------
+# direct options, run in-process
+
+_EDGE_TEXTS = ("nan", "inf", "-inf", "-1", "0", "1e308", "1" + "0" * 400, "")
+_DIRECT_FLAGS = {
+    "deff": ("--paddle-um", "--heights-um"),
+    "thermometry": ("--nbar", "--shots", "--points", "--rabi-khz",
+                    "--lamb-dicke", "--seed")}
+_SMALL_THERMOMETRY = ("--nbar", "5", "--shots", "20", "--points", "8")
+
+
+def _main(argv, capsys):
+    """(status, stderr) of ``cli.main``; a numpy warning fails the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.main(argv)
+    return status, capsys.readouterr().err
+
+
+def test_fuzzed_direct_options_exit_0_or_2(tmp_path, capsys):
+    for command, flags in _DIRECT_FLAGS.items():
+        small = _SMALL_THERMOMETRY if command == "thermometry" else ()
+        for flag in flags:
+            for i, text in enumerate(_EDGE_TEXTS):
+                out = tmp_path / f"{command}{flag}{i}"
+                # --flag=text: after a space, argparse reads -inf as a flag
+                argv = [command, *small, f"{flag}={text}", "--out", str(out)]
+                status, err = _main(argv, capsys)
+                assert status in (0, 2), (argv, err)
+                assert len(err.splitlines()) <= 1, (argv, err)
+                assert "Traceback" not in err
+                for table in out.glob("*.csv"):
+                    assert "nan" not in table.read_text(), (argv, table)
+
+
+def test_rejected_options_exit_2_naming_the_flag(tmp_path, capsys):
+    cases = [("deff", "--heights-um", "nan"), ("deff", "--heights-um", ""),
+             ("thermometry", "--points", "1"),
+             ("thermometry", "--nbar", "nan"),
+             ("thermometry", "--shots", "100000000000000000000"),
+             ("thermometry", "--rabi-khz", "0")]
+    # only values the [run] table rejects: a huge valid ensemble would run
+    for command in ("swap", "scan", "sympathetic"):
+        cases += [(command, "--seed", text)
+                  for text in ("-1", "1.5", "nan", "inf", "1e308", "")]
+        if command != "swap":
+            cases += [(command, "--ensemble", text)
+                      for text in ("0", "-1", "2.5", "nan", "1e308", "")]
+    for command, flag, text in cases:
+        status, err = _main([command, f"{flag}={text}",
+                             "--out", str(tmp_path / "o")], capsys)
+        assert status == 2, (command, flag, text, err)
+        assert len(err.splitlines()) == 1 and flag in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_direct_option_digests_cover_the_validated_values(tmp_path, capsys):
+    def config_digest(*argv):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert _main([*argv, "--out", str(out)], capsys)[0] == 0
+        return read_manifest(out)["config_digest"]
+
+    # the pulse grid is part of the configuration
+    assert config_digest("thermometry", *_SMALL_THERMOMETRY[:4],
+                         "--points", "20") != \
+        config_digest("thermometry", *_SMALL_THERMOMETRY[:4], "--points", "40")
+    # the spelling of a value is not
+    assert config_digest("deff", "--heights-um", "40,50") == \
+        config_digest("deff", "--heights-um", "40.0,50.0")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,3 +137,13 @@ def test_geometry_error_paths():
         patch_field(PADDLE, (0.0, 0.0, -10e-6))
     with pytest.raises(ValueError):
         effective_distance(PADDLE, 0.0)
+
+
+def test_effective_distance_rejects_nonfinite_field():
+    # lengths far beyond float range overflow the field's squares to nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            effective_distance(RectPatch.centered_square(1e144), 40e-6)
+        with pytest.raises(ValueError, match="not finite"):
+            effective_distance(PADDLE, np.array([40e-6, 1e194]))

@@ -213,7 +213,10 @@ def test_bad_unit_diagnostic():
               "capacitance_ff"),
              ("site2_damping_per_s = inf", "site2_damping_per_s = nan",
               "cooling", "site2_damping_per_s"),
-             ("wait_ms = 0,1,2", "wait_ms = 0,nan,2", "schedule", "wait_ms")]
+             ("wait_ms = 0,1,2", "wait_ms = 0,nan,2", "schedule", "wait_ms"),
+             # an empty list is located at its key, not at the schedule
+             ("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = ,", "schedule",
+              "wait_ms")]
     for value in ("nan", "inf"):
         cases += [("deff_um = auto", f"deff_um = {value}", "site1", "deff_um"),
                   ("kappa_hz = 11.1", f"kappa_hz = {value}", "coupling",
