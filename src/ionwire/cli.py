@@ -397,8 +397,9 @@ def build_parser():
     sub.add_parser("sympathetic",
                    parents=[common, scenario, seed, ensemble, svg],
                    help="sympathetic heating-rate reduction")
-    thermo = sub.add_parser("thermometry", parents=[common, seed],
+    thermo = sub.add_parser("thermometry", parents=[common],
                             help="Rabi thermometry round trip")
+    thermo.add_argument("--seed", metavar="U64", help="master seed (default 0)")
     for flag in ("--nbar", "--shots", "--points", "--rabi-khz", "--lamb-dicke"):
         thermo.add_argument(flag)
     sub.add_parser("predict", parents=[common],

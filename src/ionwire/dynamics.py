@@ -22,13 +22,15 @@ noise enters only through the frequency dependence of ndot between runs
 (see ``noise_psd``), never within one run.
 
 Every stochastic realization owns a private generator spawned from
-(master seed, realization index), and draws in a fixed chunked order, so
-ensembles are bit-identical regardless of batch size, worker count, or
-scheduling.
+(master seed, realization index). Its draw order is written once: the
+set-up draws in ``_batch_setup``, the chunked per-step draws in
+``_step_loop``. So ensembles are bit-identical regardless of batch size,
+worker count, or scheduling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -137,8 +139,6 @@ class EnsembleTrajectory:
     n_bar_2: np.ndarray
     n_bar_sem_1: np.ndarray
     n_bar_sem_2: np.ndarray
-    n_realizations: int
-    rng_seed: int
     positions: np.ndarray = None   # (n_times, 2), realization 0 only, on request
     energies: np.ndarray = None    # total H of realization 0, on request
 
@@ -174,23 +174,10 @@ def _spawn_rngs(seed, indices):
             for i in indices]
 
 
-def _batch_ranges(n_real):
-    return [(lo, min(lo + _BATCH, n_real)) for lo in range(0, n_real, _BATCH)]
-
-
 def _record_indices(n_steps, record_points):
     if record_points < 2:
         raise ValueError("need at least two record points")
-    idx = np.unique(np.round(np.linspace(0, n_steps, record_points)).astype(int))
-    return idx
-
-
-def _draw_setup(rngs):
-    """Fixed per-realization setup block: 4 normals, 2 phases, 2 jitter normals."""
-    z = np.stack([r.standard_normal(4) for r in rngs])
-    phase = np.stack([r.uniform(0.0, TWO_PI, 2) for r in rngs])
-    jit = np.stack([r.standard_normal(2) for r in rngs])
-    return z, phase, jit
+    return np.unique(np.round(np.linspace(0, n_steps, record_points)).astype(int))
 
 
 def _initial_amplitudes(initial_occupations, init_phase, z, phase):
@@ -228,16 +215,14 @@ def _reduce_moments(partials, n_real):
 
 
 def _run_batches(worker, n_real, n_workers, extra_args):
-    ranges = _batch_ranges(n_real)
-    if n_workers <= 1 or len(ranges) == 1:
-        return [worker(lo, hi, *extra_args) for lo, hi in ranges]
-    results = [None] * len(ranges)
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
-        futures = {pool.submit(worker, lo, hi, *extra_args): k
-                   for k, (lo, hi) in enumerate(ranges)}
-        for fut in futures:
-            results[futures[fut]] = fut.result()
-    return results
+    """``worker(lo, hi, *extra_args)`` per batch of _BATCH realizations, in order."""
+    los = range(0, n_real, _BATCH)
+    args = (los, [min(lo + _BATCH, n_real) for lo in los],
+            *(itertools.repeat(arg) for arg in extra_args))
+    if n_workers <= 1 or len(los) == 1:
+        return list(map(worker, *args))
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(los))) as pool:
+        return list(pool.map(worker, *args))
 
 
 def _integrate(kernel, kernel_args, duration, dt, dt_max, seed,
@@ -266,33 +251,27 @@ def _integrate(kernel, kernel_args, duration, dt, dt_max, seed,
         times=rec_idx * dt,
         n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
         n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
-        n_realizations=n_realizations, rng_seed=seed,
         positions=partials[0][2], energies=partials[0][3])
 
 
-def _jitter_draws(noise, jit):
-    """Per-shot static angular frequency offsets, (B, 2)."""
-    out = np.zeros_like(jit)
-    for i in (0, 1):
-        if noise[i].jitter_sigma > 0 and noise[i].jitter_kind == JITTER_PER_SHOT:
-            out[:, i] = TWO_PI * noise[i].jitter_sigma * jit[:, i]
-    return out
-
-
-def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase,
-                 dt, rec_idx):
+def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt):
     """Set-up shared by both batch kernels, drawing in the fixed order.
 
-    Returns the batch's generators; its per-shot jitter offsets (B, 2) in
-    rad/s; the damping rates; the diffusion in quanta/s (heating at the
+    Each generator draws 4 normals (thermal amplitudes), 2 uniform phases
+    and 2 jitter normals, then 2 OU start normals when any OU jitter is
+    on. Returns the batch's generators; its per-shot jitter offsets (B, 2)
+    in rad/s; the damping rates; the diffusion in quanta/s (heating at the
     ``nominal`` frequencies plus clamp back-action); the OU jitter state
-    (rho, kick, stationary start) or None; the initial amplitudes; the
-    zeroed occupation sum and sum-of-squares accumulators; and the map
-    from step index to record slot.
+    (rho, kick, stationary start) or None; and the initial amplitudes.
     """
     rngs = _spawn_rngs(seed, range(lo, hi))
-    z, phase, jit = _draw_setup(rngs)
-    offsets = _jitter_draws(noise, jit)
+    z = np.stack([r.standard_normal(4) for r in rngs])
+    phase = np.stack([r.uniform(0.0, TWO_PI, 2) for r in rngs])
+    jit = np.stack([r.standard_normal(2) for r in rngs])
+
+    sigma = np.array([TWO_PI * n.jitter_sigma for n in noise])
+    is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
+    offsets = np.where(~is_ou & (sigma > 0), sigma * jit, 0.0)
 
     gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
     if not np.all(np.isfinite(gamma)):
@@ -303,19 +282,53 @@ def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase,
     diffusion = ndot + gamma * n_ss
 
     ou = None
-    ou_sigma = np.array([TWO_PI * noise[i].jitter_sigma if
-                         noise[i].jitter_kind == JITTER_OU else 0.0 for i in (0, 1)])
+    ou_sigma = np.where(is_ou, sigma, 0.0)
     if np.any(ou_sigma > 0):
-        tau = np.array([max(noise[i].jitter_correlation_time, 0.0) for i in (0, 1)])
+        tau = np.array([max(n.jitter_correlation_time, 0.0) for n in noise])
         ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
         ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
               ou_sigma[None, :] * np.stack([r.standard_normal(2) for r in rngs]))
+    return (rngs, offsets, gamma, diffusion, ou,
+            _initial_amplitudes(initial, init_phase, z, phase))
 
-    a = _initial_amplitudes(initial, init_phase, z, phase)
-    n_rec = len(rec_idx)
-    rec_set = {int(k): j for j, k in enumerate(rec_idx)}
-    return (rngs, offsets, gamma, diffusion, ou, a,
-            np.zeros((n_rec, 2)), np.zeros((n_rec, 2)), rec_set)
+
+def _step_loop(rngs, n_steps, rec_idx, kick_shape, ou, advance, read_out):
+    """The step loop of both batch kernels; returns the occupation moments.
+
+    Per block of _CHUNK steps each generator draws all of the block's
+    kick normals (``kick_shape`` per step; none when it is None), then
+    all of its OU normals. Each step updates the OU jitter state, then
+    calls ``advance(kick, delta_ou)``. At each record point (step 0
+    included) ``read_out(slot)`` returns the (B, 2) occupations, whose
+    sum and sum of squares are accumulated per slot.
+    """
+    slot = {int(k): j for j, k in enumerate(rec_idx)}
+    sum_n = np.zeros((len(rec_idx), 2))
+    sum_n2 = np.zeros((len(rec_idx), 2))
+
+    def record(j):
+        n = read_out(j)
+        sum_n[j] += n.sum(axis=0)
+        sum_n2[j] += (n ** 2).sum(axis=0)
+
+    record(0)                       # the record grid starts at step 0
+    delta_ou = None
+    if ou is not None:
+        ou_rho, ou_kick, delta_ou = ou
+    for start in range(0, n_steps, _CHUNK):
+        span = min(_CHUNK, n_steps - start)
+        if kick_shape is not None:
+            kicks = np.stack([r.standard_normal((span,) + kick_shape)
+                              for r in rngs], axis=1)
+        if ou is not None:
+            ou_draws = np.stack([r.standard_normal((span, 2)) for r in rngs], axis=1)
+        for k in range(span):
+            if ou is not None:
+                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[k]
+            advance(None if kick_shape is None else kicks[k], delta_ou)
+            if start + k + 1 in slot:
+                record(slot[start + k + 1])
+    return sum_n, sum_n2
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +338,8 @@ def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
                 record_first, dt, n_steps, rec_idx, seed):
     m = np.array([params.mass1, params.mass2])
     w_nom = np.array([params.omega1, params.omega2])
-    (rngs, offsets, gamma, diffusion, ou, a, sum_n, sum_n2,
-     rec_set) = _batch_setup(lo, hi, seed, noise, cooling, w_nom, initial,
-                             init_phase, dt, rec_idx)
+    rngs, offsets, gamma, diffusion, ou, a = _batch_setup(
+        lo, hi, seed, noise, cooling, w_nom, initial, init_phase, dt)
     w = w_nom[None, :] + offsets                        # (B, 2) rad/s
     w2 = w ** 2
     # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per realization
@@ -336,11 +348,7 @@ def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
     g_over_m = g[:, None] / m[None, :]
     drag = np.exp(-gamma * dt)[None, :]
     sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
-    has_kick = bool(np.any(sigma_v > 0))
     has_drag = bool(np.any(gamma > 0))
-    ou_on = ou is not None
-    if ou_on:
-        ou_rho, ou_kick, delta_ou = ou
 
     # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
     scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
@@ -359,44 +367,33 @@ def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
 
     accel = -(w2 * x) - g_over_m * x[:, ::-1]
 
-    def record(j, xx, vv):
-        e = energies(xx, vv)
-        n = e / (HBAR * w)
-        sum_n[j] += n.sum(axis=0)
-        sum_n2[j] += (n ** 2).sum(axis=0)
+    def advance(kick, delta_ou):
+        nonlocal x, v, w2, accel
+        if delta_ou is not None:
+            w2 = (w + delta_ou) ** 2
+        x += dt * v + (0.5 * dt * dt) * accel
+        new_accel = -(w2 * x) - g_over_m * x[:, ::-1]
+        v += (0.5 * dt) * (accel + new_accel)
+        accel = new_accel
+        # impulsive drag and diffusion act on v only; accel is untouched
+        if has_drag:
+            v *= drag
+        if kick is not None:
+            v += sigma_v[None, :] * kick
+
+    def read_out(j):
+        e = energies(x, v)
         if record_first:
-            first_x[j] = xx[0]
-            first_e[j] = e[0].sum() + g[0] * xx[0, 0] * xx[0, 1]
+            first_x[j] = x[0]
+            first_e[j] = e[0].sum() + g[0] * x[0, 0] * x[0, 1]
         if np.max(e) > 1e6 * e_ref:
             raise RuntimeError(
                 f"unstable step: energy exceeded 1e6x initial at step {rec_idx[j]}")
+        return e / (HBAR * w)
 
-    if 0 in rec_set:
-        record(rec_set[0], x, v)
-
-    step = 0
-    while step < n_steps:
-        span = min(_CHUNK, n_steps - step)
-        if has_kick:
-            kicks = np.stack([r.standard_normal((span, 2)) for r in rngs], axis=1)
-        if ou_on:
-            ou_draws = np.stack([r.standard_normal((span, 2)) for r in rngs], axis=1)
-        for k in range(span):
-            if ou_on:
-                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[k]
-                w2 = (w + delta_ou) ** 2
-            x += dt * v + (0.5 * dt * dt) * accel
-            new_accel = -(w2 * x) - g_over_m * x[:, ::-1]
-            v += (0.5 * dt) * (accel + new_accel)
-            accel = new_accel
-            # impulsive drag and diffusion act on v only; accel is untouched
-            if has_drag:
-                v *= drag
-            if has_kick:
-                v += sigma_v[None, :] * kicks[k]
-            step += 1
-            if step in rec_set:
-                record(rec_set[step], x, v)
+    kick_shape = (2,) if np.any(sigma_v > 0) else None
+    sum_n, sum_n2 = _step_loop(rngs, n_steps, rec_idx, kick_shape, ou,
+                               advance, read_out)
     return sum_n, sum_n2, first_x, first_e
 
 
@@ -447,44 +444,25 @@ def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
                     initial, init_phase, dt, n_steps, rec_idx, seed):
     # heating evaluated at each ion's nominal absolute frequency
     nominal = [carrier + detuning[i] for i in (0, 1)]
-    (rngs, offsets, gamma, diffusion, ou, a, sum_n, sum_n2,
-     rec_set) = _batch_setup(lo, hi, seed, noise, cooling, nominal, initial,
-                             init_phase, dt, rec_idx)
+    rngs, offsets, gamma, diffusion, ou, a = _batch_setup(
+        lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt)
     delta = np.asarray(detuning, float)[None, :] + offsets
-    kick = np.sqrt(diffusion * dt / 2.0)
-    noisy = np.any(kick > 0)
+    kick_size = np.sqrt(diffusion * dt / 2.0)
     m_step = _expm2(-1j * delta[:, 0] - 0.5 * gamma[0],
                     -1j * delta[:, 1] - 0.5 * gamma[1],
                     -1j * kappa * np.ones(len(rngs)), dt)
-    ou_on = ou is not None
-    if ou_on:
-        ou_rho, ou_kick, delta_ou = ou
 
-    def record(j, aa):
-        n = np.abs(aa) ** 2
-        sum_n[j] += n.sum(axis=0)
-        sum_n2[j] += (n ** 2).sum(axis=0)
+    def advance(kick, delta_ou):
+        nonlocal a
+        a = np.einsum('rij,rj->ri', m_step, a)
+        if kick is not None:
+            a += kick_size[None, :] * (kick[:, :, 0] + 1j * kick[:, :, 1])
+        if delta_ou is not None:
+            a *= np.exp(-1j * dt * delta_ou)
 
-    if 0 in rec_set:
-        record(rec_set[0], a)
-
-    step = 0
-    while step < n_steps:
-        span = min(_CHUNK, n_steps - step)
-        if noisy:
-            draws = np.stack([r.standard_normal((span, 2, 2)) for r in rngs], axis=1)
-        if ou_on:
-            ou_draws = np.stack([r.standard_normal((span, 2)) for r in rngs], axis=1)
-        for k in range(span):
-            a = np.einsum('rij,rj->ri', m_step, a)
-            if noisy:
-                a += kick[None, :] * (draws[k, :, :, 0] + 1j * draws[k, :, :, 1])
-            if ou_on:
-                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[k]
-                a *= np.exp(-1j * dt * delta_ou)
-            step += 1
-            if step in rec_set:
-                record(rec_set[step], a)
+    kick_shape = (2, 2) if np.any(kick_size > 0) else None
+    sum_n, sum_n2 = _step_loop(rngs, n_steps, rec_idx, kick_shape, ou, advance,
+                               lambda j: np.abs(a) ** 2)
     return sum_n, sum_n2, None, None
 
 
@@ -563,8 +541,7 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
         raise RuntimeError(f"rate-equation integration failed: {sol.message}")
     zeros = np.zeros_like(n1)
     return EnsembleTrajectory(times=times, n_bar_1=n1, n_bar_2=n2,
-                              n_bar_sem_1=zeros, n_bar_sem_2=zeros,
-                              n_realizations=1, rng_seed=0)
+                              n_bar_sem_1=zeros, n_bar_sem_2=zeros)
 
 
 def rate_equation_fixed_point(heat1, heat2, kappa_ex, cooling2):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, dynamics
+from . import analysis, circuit, dynamics
 from .core import (IonSpecies, TrapSite, WireSpec, hz_to_rad_s, mhz_to_rad_s,
                    rad_s_to_hz, rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
@@ -287,7 +287,8 @@ _COUPLING_KEYS = (
     _Key("kappa_hz", "kappa_override", units=(hz_to_rad_s, rad_s_to_hz),
          minimum=0.0, auto=True),)
 _RUN_OPTIONS = (      # also the --ensemble and --seed overrides
-    _Key("ensemble", "ensemble_size", INTEGER, minimum=1),
+    # the ensemble runs as ensemble / 256 batches, all listed before the first
+    _Key("ensemble", "ensemble_size", INTEGER, minimum=1, below=10 ** 8),
     _Key("seed", "seed", INTEGER, minimum=0))
 _RUN_KEYS = _RUN_OPTIONS + (
     _Key("label", "label", TEXT, default=""),
@@ -440,7 +441,9 @@ OPTION_KEYS = {
              default=(40.0, 50.0, 60.0, 70.0, 80.0, 100.0, 150.0, 200.0),
              positive=True)),
     "thermometry": (
-        _Key("nbar", "n_bar", default=182.0, minimum=0.0),
+        # the largest n_bar whose thermal tail beyond N_MAX_CAP is < TAIL_TOL
+        _Key("nbar", "n_bar", default=182.0, minimum=0.0, below=1.0 / math.expm1(
+            -math.log(analysis.TAIL_TOL) / (analysis.N_MAX_CAP + 1))),
         # Generator.binomial takes an int64 count
         _Key("shots", "shots", INTEGER, default=200, minimum=1, below=2 ** 63),
         # more points than fitted parameters; Fock blocks hold points x 20,000

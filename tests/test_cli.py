@@ -10,6 +10,7 @@ import pytest
 
 import ionwire
 from ionwire import cli
+from ionwire.scenario import read_options
 from conftest import load_bundled
 
 # the subprocesses run in temporary directories, where a relative
@@ -95,6 +96,9 @@ def test_all_subcommands_advertise_help(tmp_path):
                 "thermometry", "predict"):
         proc = run_cli([sub, "--help"], tmp_path, check=0)
         assert sub in proc.stdout
+    # thermometry reads no scenario, so no help text may point to one
+    assert "scenario" not in run_cli(["thermometry", "--help"], tmp_path,
+                                     check=0).stdout
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -309,20 +313,24 @@ def test_rejected_options_exit_2_naming_the_flag(tmp_path, capsys):
              ("thermometry", "--points", "1"),
              ("thermometry", "--nbar", "nan"),
              ("thermometry", "--shots", "100000000000000000000"),
-             ("thermometry", "--rabi-khz", "0")]
-    # only values the [run] table rejects: a huge valid ensemble would run
+             ("thermometry", "--rabi-khz", "0"),
+             # the thermal tail at the truncation cap bounds n_bar
+             ("thermometry", "--nbar", "1e308"),
+             ("thermometry", "--nbar", "14477")]
     for command in ("swap", "scan", "sympathetic"):
         cases += [(command, "--seed", text)
                   for text in ("-1", "1.5", "nan", "inf", "1e308", "")]
         if command != "swap":
             cases += [(command, "--ensemble", text)
-                      for text in ("0", "-1", "2.5", "nan", "1e308", "")]
+                      for text in ("0", "-1", "2.5", "nan", "1e308", "",
+                                   "100000000", "1" + "0" * 400)]
     for command, flag, text in cases:
         status, err = _main([command, f"{flag}={text}",
                              "--out", str(tmp_path / "o")], capsys)
         assert status == 2, (command, flag, text, err)
         assert len(err.splitlines()) == 1 and flag in err, err
     assert not (tmp_path / "o").exists()
+    assert read_options("thermometry", {"nbar": "14476"})["n_bar"] == 14476.0
 
 
 def test_direct_option_digests_cover_the_validated_values(tmp_path, capsys):

@@ -180,6 +180,44 @@ def test_worker_count_does_not_change_results(workers):
     assert np.array_equal(base_e.n_bar_sem_2, alt_e.n_bar_sem_2)
 
 
+# the RNG draw layout, frozen: both integrators with heating, drag,
+# per-shot jitter on ion 1 and OU jitter on ion 2, over more than one
+# draw block (_CHUNK) and two batches (_BATCH); any change of the draw
+# order moves these values by far more than the tolerance
+FROZEN_LAYOUT = {
+    "full": ([108.6246471298066, 108.96757836913534, 108.77677673569329],
+             [50.36119977068677, 49.218225028673054, 48.95716568953444],
+             [7.250767148844367, 7.328241889985701, 7.650527899832019],
+             [3.0499636614215637, 2.9926439079868246, 2.9886930080076857]),
+    "envelope": ([108.6246471298066, 122.40031615144909, 119.46116067395698],
+                 [50.361199770686774, 39.88079019494422, 39.66985986364355],
+                 [7.250767148844368, 7.444333396857943, 6.917482287185832],
+                 [3.0499636614215655, 2.61868749453271, 2.5519232845600146])}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_draw_layout_is_frozen(workers):
+    w = TWO_PI * 100e3
+    cooling = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
+    common = dict(cooling=cooling, seed=21, n_realizations=260,
+                  record_points=3, n_workers=workers)
+
+    def noise(f):
+        return (NoiseModel(5e4, f, 1.0, 300.0),
+                NoiseModel(2e4, f, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
+
+    params = PairParams.resonant(calcium_40().mass, w, TWO_PI * 50.0)
+    runs = {"full": integrate_full(params, (100.0, 50.0), noise=noise(w),
+                                   duration=2.2e-4, **common),      # 1,100 steps
+            "envelope": integrate_envelope(
+                TWO_PI * 50.0, CARRIER, noise=noise(CARRIER), duration=2e-3,
+                initial_occupations=(100.0, 50.0), **common)}      # 1,885 steps
+    for name, tr in runs.items():
+        got = (tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1, tr.n_bar_sem_2)
+        for values, frozen in zip(got, FROZEN_LAYOUT[name]):
+            np.testing.assert_allclose(values, frozen, rtol=1e-12, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # frequency jitter
 

@@ -265,6 +265,15 @@ def test_invariant_violation_diagnostics():
     assert err4.value.kind == KIND_INVALID
     assert err4.value.section == "site1"
 
+    # every batch of the ensemble is listed before the first one runs
+    assert parse_scenario_text(BASE.replace(
+        "ensemble = 200", "ensemble = 99999999")).ensemble_size == 10 ** 8 - 1
+    with pytest.raises(ScenarioError) as err5:
+        parse_scenario_text(BASE.replace("ensemble = 200",
+                                         "ensemble = 100000000"))
+    assert err5.value.kind == KIND_INVALID
+    assert (err5.value.section, err5.value.key) == ("run", "ensemble")
+
 
 SCAN_SCHEDULE = ("kind = resonance_scan\ncenter_mhz = 1.990\nspan_khz = 6\n"
                  "points = 9\nprobe_ms = 2\nhot_quanta = 10000\n"
