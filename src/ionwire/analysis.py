@@ -5,7 +5,17 @@ for heating-rate lines, grid-seeded Levenberg-Marquardt for the resonance
 line shape, and a grid-seeded binomial maximum-likelihood fit for Rabi
 thermometry. Every FitResult records the model identifier, the method,
 and the initial guess actually used, so fits are reproducible from their
-serialized form.
+serialized form. scipy is imported inside the two fitters that use it,
+so importing this module does not load scipy.
+
+The thermometry likelihood evaluates ``rabi_excitation`` about 130 times
+per fit, always at the same eta. Its Laguerre coefficients L_n(eta^2)
+come from an upward recurrence, so the sequence up to any n is a bitwise
+prefix of the sequence up to a larger n at the same x. The module keeps
+one read-only sequence, for the last x (compared by exact equality), and
+slices it; it recomputes only for a new x or a longer truncation. That
+is at most N_MAX_CAP + 1 floats, and every result is bit-identical to
+computing the sequence afresh.
 
 Conventions: rates in quanta/s, frequencies in rad/s except fitted
 resonance widths, which are reported in Hz (rms of the Gaussian).
@@ -17,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 # truncation policy for thermal Fock sums
 N_MAX_CAP = 200_000
@@ -190,6 +199,8 @@ def fit_resonance(omegas, rates, sigmas=None):
     p0 = best[1]
 
     scale = np.array([max(a0, 1.0), max(b0, 1.0), w_ref, 500.0])
+    from scipy.optimize import least_squares
+
     res = least_squares(residuals, p0, bounds=(lo, hi), method="trf",
                         x_scale=scale, xtol=1e-12, ftol=1e-12, max_nfev=800)
     params = res.x.copy()
@@ -246,19 +257,34 @@ def laguerre_sequence(n_max, x):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 1.0 - x
+    x = float(x)
+    out = [1.0, 1.0 - x]
+    prev, cur = out
     for n in range(1, n_max):
-        out[n + 1] = ((2 * n + 1 - x) * out[n] - n * out[n - 1]) / (n + 1)
-    return out
+        prev, cur = cur, ((2 * n + 1 - x) * cur - n * prev) / (n + 1)
+        out.append(cur)
+    return np.array(out[:n_max + 1])
+
+
+# (x, read-only L_0(x) .. L_m(x)) of the last rabi_excitation call; it is
+# replaced as one tuple, so no reader pairs one x with another's sequence
+_laguerre_kept = (None, np.empty(0))
+
+
+def _laguerre_prefix(n_max, x):
+    """L_0(x) .. L_n_max(x) as a read-only slice of the kept sequence."""
+    global _laguerre_kept
+    kept_x, seq = _laguerre_kept
+    if not (x == kept_x and n_max < seq.size):
+        seq = laguerre_sequence(n_max, x)
+        seq.flags.writeable = False
+        _laguerre_kept = (x, seq)
+    return seq[:n_max + 1]
 
 
 def thermal_weights(n_bar, n_max):
     """Thermal Fock distribution p_n = n^n/(1+n)^(n+1), n = 0..n_max."""
-    if n_bar < 0:
+    if not (n_bar >= 0):
         raise ValueError("n_bar must be >= 0")
     if n_bar == 0:
         p = np.zeros(n_max + 1)
@@ -270,6 +296,8 @@ def thermal_weights(n_bar, n_max):
 
 
 def _truncation(n_bar):
+    if not (n_bar >= 0):
+        raise ValueError("n_bar must be >= 0")
     n = int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
     if n_bar > 0:
         tail = (n_bar / (1.0 + n_bar)) ** (n + 1)
@@ -284,19 +312,26 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     """Thermal carrier flopping P(t) = sum_n p_n sin^2(Omega_n t / 2).
 
     Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2). Evaluated in Fock blocks
-    to bound memory at high n_bar.
+    to bound memory at high n_bar; each block's phases are built, passed
+    through sin and squared in one array. Scaling Omega_n by the exact
+    factor 1/2 before the product with t gives the same phases as halving
+    t * Omega_n, except where that product is subnormal (its square is 0
+    either way) or overflows.
     """
     t = np.asarray(times, float)
     n_top = _truncation(n_bar)
     x = lamb_dicke ** 2
-    lag = laguerre_sequence(n_top, x)
-    omega_n = carrier_rabi * math.exp(-0.5 * x) * lag
+    lag = _laguerre_prefix(n_top, x)
+    half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
     block = 20_000
     for lo in range(0, n_top + 1, block):
         hi = min(lo + block, n_top + 1)
-        out += np.sin(0.5 * np.outer(t, omega_n[lo:hi])) ** 2 @ p_n[lo:hi]
+        phase = np.multiply.outer(t, half[lo:hi])
+        np.sin(phase, out=phase)
+        np.square(phase, out=phase)
+        out += phase @ p_n[lo:hi]
     return out
 
 
@@ -362,6 +397,8 @@ def fit_rabi_nbar(dataset):
         if nb < 0 or nb > 5e4:
             return 1e12
         return _rabi_nll(dataset, nb, om)
+
+    from scipy.optimize import least_squares, minimize
 
     theta0 = np.array([math.log(best[1] + 0.5), math.log(best[2])])
     res = minimize(objective, theta0, method="Nelder-Mead",

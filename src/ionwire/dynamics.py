@@ -36,7 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import CONST
 
@@ -74,13 +73,14 @@ class NoiseModel:
     jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
-        if self.heating_rate_at_reference < 0:
-            raise ValueError("heating rate must be >= 0")
-        if self.heating_rate_at_reference > 0 and self.reference_frequency <= 0:
+        if not (self.heating_rate_at_reference >= 0):
+            raise ValueError("heating_rate_at_reference must be >= 0")
+        if self.heating_rate_at_reference > 0 \
+                and not (self.reference_frequency > 0):
             raise ValueError("reference_frequency required with nonzero heating")
         if not (0.0 <= self.spectral_exponent <= 2.0):
             raise ValueError("spectral_exponent must lie in [0, 2]")
-        if self.jitter_sigma < 0:
+        if not (self.jitter_sigma >= 0):
             raise ValueError("jitter_sigma must be >= 0")
         if self.jitter_kind not in (JITTER_PER_SHOT, JITTER_OU):
             raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
@@ -100,9 +100,9 @@ class CoolingClamp:
     steady_state_occupation: float = 0.0
 
     def __post_init__(self):
-        if self.damping_rate < 0:
+        if not (self.damping_rate >= 0):
             raise ValueError("damping_rate must be >= 0")
-        if self.steady_state_occupation < 0:
+        if not (self.steady_state_occupation >= 0):
             raise ValueError("steady_state_occupation must be >= 0")
 
 
@@ -156,7 +156,7 @@ def noise_psd(model, omega):
     The exponent is alpha + 1 because the quanta rate carries one extra
     1/omega beyond the field PSD.
     """
-    if omega <= 0:
+    if not (omega > 0):
         raise ValueError("omega must be positive")
     if model.heating_rate_at_reference == 0:
         return 0.0
@@ -517,8 +517,10 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
     cooled ion) and integrates n1 alone.
     """
     for name, v in (("heat1", heat1), ("heat2", heat2), ("kappa_ex", kappa_ex)):
-        if v < 0:
+        if not (v >= 0):
             raise ValueError(f"{name} must be >= 0")
+    from scipy.integrate import solve_ivp
+
     times = np.linspace(0.0, duration, record_points)
     gamma = cooling2.damping_rate
     n_ss = cooling2.steady_state_occupation

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+from ionwire import analysis
 from ionwire.analysis import (FitResult, RabiDataset, extract_kappa,
                               fit_linear_heating, fit_rabi_nbar,
                               fit_resonance, laguerre_sequence,
@@ -177,6 +178,110 @@ def test_thermometry_fit_at_underflowing_rabi_step():
     data, _ = synthesize_rabi(5.0, rabi, 0.05, times, shots=10, seed=0)
     fit = fit_rabi_nbar(data)
     assert fit.sigmas == {"n_bar": 0.0, "carrier_rabi": 0.0}
+
+
+def test_thermometry_fit_is_frozen():
+    # frozen from the plain Fock sum (a fresh Laguerre sequence and an
+    # out-of-place sin^2 per block); the cached, in-place kernel keeps them
+    rabi, eta = TWO_PI * 50e3, 0.05
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 60)
+    data, _ = synthesize_rabi(50.0, rabi, eta, times, shots=200, seed=12)
+    fit = fit_rabi_nbar(data)
+    assert fit.method == "mle-binomial-nelder-mead"
+    assert fit.n_iterations == 51
+    for got, frozen in ((fit.parameters, {"n_bar": 51.02472921142999,
+                                          "carrier_rabi": 315372.2380570258}),
+                        (fit.sigmas, {"n_bar": 1.5945730051021676,
+                                      "carrier_rabi": 803.0220904189105})):
+        assert got.keys() == frozen.keys()
+        for k in frozen:
+            assert got[k] == pytest.approx(frozen[k], rel=1e-12)
+
+
+def _plain_excitation(times, n_bar, carrier_rabi, lamb_dicke):
+    """The Fock sum written out: a fresh Laguerre sequence, no cache."""
+    t = np.asarray(times, float)
+    n_top = analysis._truncation(n_bar)
+    x = lamb_dicke ** 2
+    omega_n = carrier_rabi * math.exp(-0.5 * x) * laguerre_sequence(n_top, x)
+    p_n = thermal_weights(n_bar, n_top)
+    out = np.zeros_like(t)
+    for lo in range(0, n_top + 1, 20_000):
+        hi = min(lo + 20_000, n_top + 1)
+        out += np.sin(0.5 * np.outer(t, omega_n[lo:hi])) ** 2 @ p_n[lo:hi]
+    return out
+
+
+def test_rabi_excitation_is_independent_of_call_order(monkeypatch):
+    times = np.linspace(1e-7, 60e-6, 60)
+    rabi = TWO_PI * 50e3
+    # n_bar 1000 spans two Fock blocks
+    cases = [(50.0, 0.05), (1000.0, 0.05), (182.0, 0.07), (0.0, 0.05)]
+
+    def cold(n_bar, eta):
+        monkeypatch.setattr(analysis, "_laguerre_kept", (None, np.empty(0)))
+        return rabi_excitation(times, n_bar, rabi, eta)
+
+    expected = {c: cold(*c) for c in cases}
+    for c in cases:
+        assert np.array_equal(expected[c],
+                              _plain_excitation(times, c[0], rabi, c[1]))
+    orders = [
+        [(1000.0, 0.05), (50.0, 0.05)],                      # after a longer one
+        [(50.0, 0.05), (182.0, 0.07), (50.0, 0.05)],         # other eta and back
+        [(50.0, 0.05), (1000.0, 0.05), (182.0, 0.07), (0.0, 0.05),
+         (1000.0, 0.05), (182.0, 0.07), (50.0, 0.05)],       # interleaved
+    ]
+    for order in orders:
+        for c in order:
+            assert np.array_equal(rabi_excitation(times, c[0], rabi, c[1]),
+                                  expected[c])
+
+
+def _plain_laguerre(n_max, x):
+    """The recurrence written into a numpy array, element by element."""
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    out[1] = 1.0 - x
+    for n in range(1, n_max):
+        out[n + 1] = ((2 * n + 1 - x) * out[n] - n * out[n - 1]) / (n + 1)
+    return out
+
+
+@pytest.mark.parametrize("x", [0.0, 0.0025, 0.0049, 0.3, 1.7])
+def test_laguerre_sequence_equals_the_array_recurrence(x):
+    assert np.array_equal(laguerre_sequence(20_100, x),
+                          _plain_laguerre(20_100, x))
+
+
+def test_laguerre_sequence_is_fresh_and_the_kept_one_read_only():
+    a = laguerre_sequence(500, 0.0025)
+    b = laguerre_sequence(500, 0.0025)
+    assert a.flags.writeable and a is not b
+    a[:] = 0.0
+    assert np.array_equal(b, laguerre_sequence(500, 0.0025))
+    # the recurrence makes each sequence a bitwise prefix of a longer one
+    assert np.array_equal(laguerre_sequence(2000, 0.0025)[:501], b)
+    assert laguerre_sequence(0, 0.3).tolist() == [1.0]
+
+    rabi_excitation(np.linspace(1e-7, 60e-6, 5), 50.0, TWO_PI * 50e3, 0.05)
+    kept = analysis._laguerre_kept[1]
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0] = 2.0
+    assert not analysis._laguerre_prefix(10, 0.05 ** 2).flags.writeable
+
+
+@pytest.mark.parametrize("call", [
+    lambda: thermal_weights(math.nan, 10),
+    lambda: rabi_excitation(np.array([1e-6]), math.nan, TWO_PI * 50e3, 0.05),
+    lambda: synthesize_rabi(math.nan, TWO_PI * 50e3, 0.05,
+                            np.array([1e-6, 2e-6]), 100, 0),
+], ids=["thermal_weights", "rabi_excitation", "synthesize_rabi"])
+def test_nan_n_bar_is_rejected(call):
+    with pytest.raises(ValueError, match="n_bar"):
+        call()
 
 
 def test_rabi_dataset_validation():

@@ -73,14 +73,17 @@ seed = 99
 """
 
 
-def run_cli(args, cwd, check=None):
+def run_python(args, cwd):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("IONWIRE_")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "ionwire", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_cli(args, cwd, check=None):
+    proc = run_python(["-m", "ionwire", *args], cwd)
     if check is not None:
         assert proc.returncode == check, proc.stderr + proc.stdout
     return proc
@@ -99,6 +102,15 @@ def test_all_subcommands_advertise_help(tmp_path):
     # thermometry reads no scenario, so no help text may point to one
     assert "scenario" not in run_cli(["thermometry", "--help"], tmp_path,
                                      check=0).stdout
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # scipy loads on the first fit or rate-equation solve, not on import
+    proc = run_python(["-c", "import sys, ionwire.cli; print(sorted("
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_2(tmp_path):

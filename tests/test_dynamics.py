@@ -369,6 +369,31 @@ def test_cooling_and_params_validation():
         PairParams.resonant(calcium_40().mass, -1.0, TWO_PI * 10.0)
 
 
+# each field or argument, and a call that gives it NaN
+NAN_CALLS = {
+    "heating_rate_at_reference":
+        lambda v: NoiseModel(heating_rate_at_reference=v),
+    "reference_frequency": lambda v: NoiseModel(1e3, v),
+    "jitter_sigma": lambda v: NoiseModel(jitter_sigma=v),
+    "damping_rate": lambda v: CoolingClamp(damping_rate=v),
+    "steady_state_occupation":
+        lambda v: CoolingClamp(steady_state_occupation=v),
+    "heat1": lambda v: rate_equation_model(0.0, 0.0, v, 0.0, 1.0, NO_COOLING,
+                                           1e-3),
+    "heat2": lambda v: rate_equation_model(0.0, 0.0, 0.0, v, 1.0, NO_COOLING,
+                                           1e-3),
+    "kappa_ex": lambda v: rate_equation_model(0.0, 0.0, 0.0, 0.0, v,
+                                              NO_COOLING, 1e-3),
+    "omega": lambda v: noise_psd(NO_NOISE, v),
+}
+
+
+@pytest.mark.parametrize("field", NAN_CALLS)
+def test_invariants_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        NAN_CALLS[field](math.nan)
+
+
 def test_fixed_point_needs_coupling_and_damping():
     with pytest.raises(ValueError):
         rate_equation_fixed_point(1e3, 0.0, 0.0, CoolingClamp(1e3, 10.0))
