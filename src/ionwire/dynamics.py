@@ -26,6 +26,16 @@ Every stochastic realization owns a private generator spawned from
 set-up draws in ``_batch_setup``, the chunked per-step draws in
 ``_step_loop``. So ensembles are bit-identical regardless of batch size,
 worker count, or scheduling.
+
+``integrate_envelope`` can integrate several points (detuning pairs, each
+with its own seed) in one call. Each point's ensemble is cut into
+segments at multiples of _BATCH, and consecutive segments, of one point
+or of several, share a batch of at most _BATCH rows, so a scan of small
+ensembles runs a few wide step loops instead of one narrow loop per
+point. This moves no output bit: every step is row-wise arithmetic, so a
+row's values do not depend on the rows beside it; each segment's
+occupation sums are taken over its own rows; and each point's segments
+are reduced in the same order as when the point runs alone.
 """
 
 from __future__ import annotations
@@ -42,8 +52,9 @@ from .core import CONST
 HBAR = CONST.reduced_planck
 TWO_PI = 2.0 * math.pi
 
-# fixed internals; changing them changes the RNG draw layout
-_BATCH = 256     # realizations per worker batch
+# fixed internals; changing them changes the RNG draw layout or the order
+# in which the ensemble moments are summed
+_BATCH = 256     # rows per worker batch; ensembles are cut at its multiples
 _CHUNK = 1024    # integration steps per RNG draw block
 
 JITTER_PER_SHOT = "per_shot_static"
@@ -73,15 +84,15 @@ class NoiseModel:
     jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
-        if not (self.heating_rate_at_reference >= 0):
-            raise ValueError("heating_rate_at_reference must be >= 0")
+        if not (0 <= self.heating_rate_at_reference < math.inf):
+            raise ValueError("heating_rate_at_reference must be finite and >= 0")
         if self.heating_rate_at_reference > 0 \
-                and not (self.reference_frequency > 0):
+                and not (0 < self.reference_frequency < math.inf):
             raise ValueError("reference_frequency required with nonzero heating")
         if not (0.0 <= self.spectral_exponent <= 2.0):
             raise ValueError("spectral_exponent must lie in [0, 2]")
-        if not (self.jitter_sigma >= 0):
-            raise ValueError("jitter_sigma must be >= 0")
+        if not (0 <= self.jitter_sigma < math.inf):
+            raise ValueError("jitter_sigma must be finite and >= 0")
         if self.jitter_kind not in (JITTER_PER_SHOT, JITTER_OU):
             raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
         if self.jitter_kind == JITTER_OU and self.jitter_sigma > 0 \
@@ -102,8 +113,8 @@ class CoolingClamp:
     def __post_init__(self):
         if not (self.damping_rate >= 0):
             raise ValueError("damping_rate must be >= 0")
-        if not (self.steady_state_occupation >= 0):
-            raise ValueError("steady_state_occupation must be >= 0")
+        if not (0 <= self.steady_state_occupation < math.inf):
+            raise ValueError("steady_state_occupation must be finite and >= 0")
 
 
 NO_COOLING = CoolingClamp()
@@ -120,10 +131,12 @@ class PairParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not (self.mass1 > 0 and self.mass2 > 0):
-            raise ValueError("masses must be positive")
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("frequencies must be positive")
+        if not (0 < self.mass1 < math.inf and 0 < self.mass2 < math.inf):
+            raise ValueError("masses must be positive and finite")
+        if not (0 < self.omega1 < math.inf and 0 < self.omega2 < math.inf):
+            raise ValueError("frequencies must be positive and finite")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
 
     @classmethod
     def resonant(cls, mass, omega, kappa):
@@ -174,10 +187,12 @@ def _spawn_rngs(seed, indices):
             for i in indices]
 
 
-def _record_indices(n_steps, record_points):
-    if record_points < 2:
-        raise ValueError("need at least two record points")
-    return np.unique(np.round(np.linspace(0, n_steps, record_points)).astype(int))
+def _count(name, value, least):
+    """``value`` as an int, when it is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _initial_amplitudes(initial_occupations, init_phase, z, phase):
@@ -198,13 +213,8 @@ def _initial_amplitudes(initial_occupations, init_phase, z, phase):
     return a
 
 
-def _reduce_moments(partials, n_real):
-    """Deterministic batch-ordered reduction of the (sum, sumsq) moments."""
-    s = partials[0][0].copy()
-    s2 = partials[0][1].copy()
-    for p in partials[1:]:
-        s += p[0]
-        s2 += p[1]
+def _mean_and_sem(s, s2, n_real):
+    """Ensemble mean and standard error from the (sum, sumsq) moments."""
     mean = s / n_real
     if n_real > 1:
         var = np.maximum(s2 / n_real - mean ** 2, 0.0) * n_real / (n_real - 1)
@@ -214,57 +224,128 @@ def _reduce_moments(partials, n_real):
     return mean, sem
 
 
-def _run_batches(worker, n_real, n_workers, extra_args):
-    """``worker(lo, hi, *extra_args)`` per batch of _BATCH realizations, in order."""
-    los = range(0, n_real, _BATCH)
-    args = (los, [min(lo + _BATCH, n_real) for lo in los],
-            *(itertools.repeat(arg) for arg in extra_args))
-    if n_workers <= 1 or len(los) == 1:
-        return list(map(worker, *args))
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(los))) as pool:
-        return list(pool.map(worker, *args))
+def _pack(points, n_real):
+    """Yield batches of (seed, point argument, lo, hi) segments, in order.
 
-
-def _integrate(kernel, kernel_args, duration, dt, dt_max, seed,
-               n_realizations, record_points, n_workers):
-    """Front end shared by both integrators; returns an EnsembleTrajectory.
-
-    ``kernel(lo, hi, *kernel_args, dt, n_steps, rec_idx, seed)`` returns
-    the occupation sums and sums of squares of realizations lo..hi-1 on
-    the record grid, then realization lo's positions and energies or None.
+    Each point's realizations are cut at multiples of _BATCH; consecutive
+    segments, of one point or of several, share a batch while it holds at
+    most _BATCH rows.
     """
+    batch, rows = [], 0
+    for seed, point in points:
+        for lo in range(0, n_real, _BATCH):
+            hi = min(lo + _BATCH, n_real)
+            if rows + hi - lo > _BATCH:
+                yield batch
+                batch, rows = [], 0
+            batch.append((seed, point, lo, hi))
+            rows += hi - lo
+    yield batch
+
+
+def _run_batches(worker, batches, n_workers, extra_args):
+    """Yield ``worker(segments, *extra_args)`` per batch, in order.
+
+    A pool starts only for two batches or more, with a worker per batch
+    up to ``n_workers``, and takes one batch per worker at a time, so the
+    batches held in memory stay few however many there are.
+    """
+    head = list(itertools.islice(batches, n_workers))
+    batches = itertools.chain(head, batches)
+    extra = [itertools.repeat(arg) for arg in extra_args]
+    if len(head) <= 1:
+        yield from map(worker, batches, *extra)
+        return
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        while window := list(itertools.islice(batches, len(head))):
+            yield from pool.map(worker, window, *extra)
+
+
+def _integrate(kernel, kernel_args, points, duration, dt, dt_max,
+               n_realizations, record_points, n_workers):
+    """Front end shared by both integrators; one EnsembleTrajectory per point.
+
+    ``points`` holds one (seed, point argument) pair per point.
+    ``kernel(segments, *kernel_args, dt, n_steps, rec_idx)`` integrates a
+    batch of (seed, point argument, lo, hi) segments, realizations lo..hi-1
+    of a point each. It returns each segment's occupation sums and sums of
+    squares on the record grid, then the batch's first row's positions
+    and energies or None. Each point's segment sums are added in order.
+    """
+    if not (0.0 < duration < math.inf):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if dt is None:
         dt = dt_max
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
     if duration < dt:
         raise ValueError("duration must cover at least one step")
+    n_real = _count("n_realizations", n_realizations, 1)
+    n_records = _count("record_points", record_points, 2)
+    n_workers = _count("n_workers", n_workers, 1)
+    for seed, _point in points:
+        _count("seed", seed, 0)
     n_steps = int(math.ceil(duration / dt - 1e-9))
     if n_steps > 50_000_000:
         raise ValueError("step budget exceeded; raise dt or shorten duration")
-    rec_idx = _record_indices(n_steps, record_points)
+    rec_idx = np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
-    partials = _run_batches(kernel, n_realizations, n_workers,
-                            kernel_args + (dt, n_steps, rec_idx, seed))
-    mean, sem = _reduce_moments(partials, n_realizations)
-    return EnsembleTrajectory(
-        times=rec_idx * dt,
-        n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
-        n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
-        positions=partials[0][2], energies=partials[0][3])
+    per_point = -(-n_real // _BATCH)      # segments per point
+    sums, first, done = [], None, 0
+    for moments, x, e in _run_batches(kernel, _pack(points, n_real), n_workers,
+                                      kernel_args + (dt, n_steps, rec_idx)):
+        if first is None:
+            first = (x, e)
+        for s, s2 in moments:
+            if done % per_point == 0:
+                sums.append((s.copy(), s2.copy()))
+            else:
+                total, total2 = sums[-1]
+                total += s
+                total2 += s2
+            done += 1
+    trajectories = []
+    for p, (s, s2) in enumerate(sums):
+        mean, sem = _mean_and_sem(s, s2, n_real)
+        trajectories.append(EnsembleTrajectory(
+            times=rec_idx * dt,
+            n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
+            n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
+            positions=first[0] if p == 0 else None,
+            energies=first[1] if p == 0 else None))
+    return trajectories
 
 
-def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt):
+def _rows(segments, values):
+    """Per-segment ``values`` repeated over each segment's rows."""
+    return np.repeat(np.asarray(values, float),
+                     [hi - lo for _seed, _point, lo, hi in segments], axis=0)
+
+
+def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
     """Set-up shared by both batch kernels, drawing in the fixed order.
 
-    Each generator draws 4 normals (thermal amplitudes), 2 uniform phases
-    and 2 jitter normals, then 2 OU start normals when any OU jitter is
-    on. Returns the batch's generators; its per-shot jitter offsets (B, 2)
-    in rad/s; the damping rates; the diffusion in quanta/s (heating at the
-    ``nominal`` frequencies plus clamp back-action); the OU jitter state
-    (rho, kick, stationary start) or None; and the initial amplitudes.
+    The batch's rows are its segments' realizations, in order. Each
+    generator draws 4 normals (thermal amplitudes), 2 uniform phases and
+    2 jitter normals, then 2 OU start normals when any OU jitter is on.
+    Returns the generators; each segment's row bounds; the per-shot jitter
+    offsets (rows, 2) in rad/s; the damping rates; the diffusion (rows, 2)
+    in quanta/s (heating at each segment's ``nominal`` frequencies plus
+    clamp back-action); the OU jitter state (rho, kick, stationary start)
+    or None; and the initial amplitudes.
     """
-    rngs = _spawn_rngs(seed, range(lo, hi))
+    if not all(0.0 <= n0 < math.inf for n0 in initial):
+        raise ValueError(f"initial occupations must be finite and >= 0, "
+                         f"got {tuple(initial)!r}")
+    gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("the integrators need finite damping rates")
+    rngs = [r for seed, _point, lo, hi in segments
+            for r in _spawn_rngs(seed, range(lo, hi))]
+    ends = np.cumsum([hi - lo for _seed, _point, lo, hi in segments])
+    bounds = list(zip([0, *ends[:-1]], ends))
     z = np.stack([r.standard_normal(4) for r in rngs])
     phase = np.stack([r.uniform(0.0, TWO_PI, 2) for r in rngs])
     jit = np.stack([r.standard_normal(2) for r in rngs])
@@ -273,13 +354,10 @@ def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt)
     is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
     offsets = np.where(~is_ou & (sigma > 0), sigma * jit, 0.0)
 
-    gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("the integrators need finite damping rates")
     n_ss = np.array([cooling[0].steady_state_occupation,
                      cooling[1].steady_state_occupation])
-    ndot = np.array([noise_psd(noise[i], nominal[i]) for i in (0, 1)])
-    diffusion = ndot + gamma * n_ss
+    ndot = [[noise_psd(noise[i], nom[i]) for i in (0, 1)] for nom in nominal]
+    diffusion = _rows(segments, np.array(ndot) + gamma * n_ss)
 
     ou = None
     ou_sigma = np.where(is_ou, sigma, 0.0)
@@ -288,58 +366,67 @@ def _batch_setup(lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt)
         ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
         ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
               ou_sigma[None, :] * np.stack([r.standard_normal(2) for r in rngs]))
-    return (rngs, offsets, gamma, diffusion, ou,
+    return (rngs, bounds, offsets, gamma, diffusion, ou,
             _initial_amplitudes(initial, init_phase, z, phase))
 
 
-def _step_loop(rngs, n_steps, rec_idx, kick_shape, ou, advance, read_out):
-    """The step loop of both batch kernels; returns the occupation moments.
+def _step_loop(rngs, bounds, n_steps, rec_idx, kick_shape, kicked, ou,
+               advance, read_out):
+    """The step loop of both batch kernels; returns each segment's moments.
 
     Per block of _CHUNK steps each generator draws all of the block's
-    kick normals (``kick_shape`` per step; none when it is None), then
-    all of its OU normals. Each step updates the OU jitter state, then
-    calls ``advance(kick, delta_ou)``. At each record point (step 0
-    included) ``read_out(slot)`` returns the (B, 2) occupations, whose
-    sum and sum of squares are accumulated per slot.
+    kick normals (``kick_shape`` per step; only where its ``kicked`` row
+    flag is set), then all of its OU normals, into reused (rows, _CHUNK,
+    ...) buffers. Each step updates the OU jitter state, then calls
+    ``advance(kick, delta_ou)``; ``kick`` is None when no row is kicked,
+    and zero in the rows that are not. At each record point (step 0
+    included) ``read_out(slot)`` returns the (rows, 2) occupations, whose
+    sum and sum of squares are accumulated per slot over each segment's
+    ``bounds``.
     """
     slot = {int(k): j for j, k in enumerate(rec_idx)}
-    sum_n = np.zeros((len(rec_idx), 2))
-    sum_n2 = np.zeros((len(rec_idx), 2))
+    sum_n = np.zeros((len(bounds), len(rec_idx), 2))
+    sum_n2 = np.zeros((len(bounds), len(rec_idx), 2))
 
     def record(j):
         n = read_out(j)
-        sum_n[j] += n.sum(axis=0)
-        sum_n2[j] += (n ** 2).sum(axis=0)
+        n2 = n ** 2
+        for s, (r0, r1) in enumerate(bounds):
+            sum_n[s, j] = n[r0:r1].sum(axis=0)
+            sum_n2[s, j] = n2[r0:r1].sum(axis=0)
 
     record(0)                       # the record grid starts at step 0
+    block = (len(rngs), min(_CHUNK, n_steps))
+    kicks = np.zeros(block + kick_shape) if np.any(kicked) else None
     delta_ou = None
     if ou is not None:
         ou_rho, ou_kick, delta_ou = ou
+        ou_draws = np.empty(block + (2,))
     for start in range(0, n_steps, _CHUNK):
         span = min(_CHUNK, n_steps - start)
-        if kick_shape is not None:
-            kicks = np.stack([r.standard_normal((span,) + kick_shape)
-                              for r in rngs], axis=1)
-        if ou is not None:
-            ou_draws = np.stack([r.standard_normal((span, 2)) for r in rngs], axis=1)
+        for i, r in enumerate(rngs):
+            if kicks is not None and kicked[i]:
+                r.standard_normal(out=kicks[i, :span])
+            if ou is not None:
+                r.standard_normal(out=ou_draws[i, :span])
         for k in range(span):
             if ou is not None:
-                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[k]
-            advance(None if kick_shape is None else kicks[k], delta_ou)
+                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[:, k]
+            advance(None if kicks is None else kicks[:, k], delta_ou)
             if start + k + 1 in slot:
                 record(slot[start + k + 1])
-    return sum_n, sum_n2
+    return [(sum_n[s], sum_n2[s]) for s in range(len(bounds))]
 
 
 # ---------------------------------------------------------------------------
 # full stochastic integrator
 
-def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
-                record_first, dt, n_steps, rec_idx, seed):
+def _full_batch(segments, params, noise, cooling, initial, init_phase,
+                record_first, dt, n_steps, rec_idx):
     m = np.array([params.mass1, params.mass2])
     w_nom = np.array([params.omega1, params.omega2])
-    rngs, offsets, gamma, diffusion, ou, a = _batch_setup(
-        lo, hi, seed, noise, cooling, w_nom, initial, init_phase, dt)
+    rngs, bounds, offsets, gamma, diffusion, ou, a = _batch_setup(
+        segments, [w_nom] * len(segments), noise, cooling, initial, init_phase, dt)
     w = w_nom[None, :] + offsets                        # (B, 2) rad/s
     w2 = w ** 2
     # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per realization
@@ -379,7 +466,7 @@ def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
         if has_drag:
             v *= drag
         if kick is not None:
-            v += sigma_v[None, :] * kick
+            v += sigma_v * kick
 
     def read_out(j):
         e = energies(x, v)
@@ -391,10 +478,9 @@ def _full_batch(lo, hi, params, noise, cooling, initial, init_phase,
                 f"unstable step: energy exceeded 1e6x initial at step {rec_idx[j]}")
         return e / (HBAR * w)
 
-    kick_shape = (2,) if np.any(sigma_v > 0) else None
-    sum_n, sum_n2 = _step_loop(rngs, n_steps, rec_idx, kick_shape, ou,
-                               advance, read_out)
-    return sum_n, sum_n2, first_x, first_e
+    moments = _step_loop(rngs, bounds, n_steps, rec_idx, (2,),
+                         np.any(sigma_v > 0, axis=1), ou, advance, read_out)
+    return moments, first_x, first_e
 
 
 def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
@@ -410,8 +496,8 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
     dt_max = TWO_PI / (50.0 * max(params.omega1, params.omega2))
     return _integrate(
         _full_batch, (params, noise, cooling, initial, init_phase,
-                      record_positions),
-        duration, dt, dt_max, seed, n_realizations, record_points, n_workers)
+                      record_positions), [(seed, None)],
+        duration, dt, dt_max, n_realizations, record_points, n_workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +526,15 @@ def _expm2(a11, a22, a12, dt):
     return m
 
 
-def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
-                    initial, init_phase, dt, n_steps, rec_idx, seed):
-    # heating evaluated at each ion's nominal absolute frequency
-    nominal = [carrier + detuning[i] for i in (0, 1)]
-    rngs, offsets, gamma, diffusion, ou, a = _batch_setup(
-        lo, hi, seed, noise, cooling, nominal, initial, init_phase, dt)
-    delta = np.asarray(detuning, float)[None, :] + offsets
+def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
+                    init_phase, dt, n_steps, rec_idx):
+    # a segment's point argument is its detuning pair; heating is
+    # evaluated at each ion's nominal absolute frequency
+    detuning = [d for _seed, d, _lo, _hi in segments]
+    rngs, bounds, offsets, gamma, diffusion, ou, a = _batch_setup(
+        segments, [[carrier + d[i] for i in (0, 1)] for d in detuning],
+        noise, cooling, initial, init_phase, dt)
+    delta = _rows(segments, detuning) + offsets
     kick_size = np.sqrt(diffusion * dt / 2.0)
     m_step = _expm2(-1j * delta[:, 0] - 0.5 * gamma[0],
                     -1j * delta[:, 1] - 0.5 * gamma[1],
@@ -456,14 +544,14 @@ def _envelope_batch(lo, hi, kappa, carrier, detuning, noise, cooling,
         nonlocal a
         a = np.einsum('rij,rj->ri', m_step, a)
         if kick is not None:
-            a += kick_size[None, :] * (kick[:, :, 0] + 1j * kick[:, :, 1])
+            a += kick_size * (kick[:, :, 0] + 1j * kick[:, :, 1])
         if delta_ou is not None:
             a *= np.exp(-1j * dt * delta_ou)
 
-    kick_shape = (2, 2) if np.any(kick_size > 0) else None
-    sum_n, sum_n2 = _step_loop(rngs, n_steps, rec_idx, kick_shape, ou, advance,
-                               lambda j: np.abs(a) ** 2)
-    return sum_n, sum_n2, None, None
+    moments = _step_loop(rngs, bounds, n_steps, rec_idx, (2, 2),
+                         np.any(kick_size > 0, axis=1), ou, advance,
+                         lambda j: np.abs(a) ** 2)
+    return moments, None, None
 
 
 def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
@@ -472,12 +560,18 @@ def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
     sigma the angular jitter of each ion. All slow rates must sit far below
     the carrier.
     """
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
+    if not (0.0 < carrier < math.inf):
+        raise ValueError(f"carrier must be positive and finite, got {carrier!r}")
+    if not all(math.isfinite(d) for d in detuning):
+        raise ValueError(f"detuning must be finite, got {tuple(detuning)!r}")
+    if not (0.0 < duration < math.inf):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     sig = [TWO_PI * n.jitter_sigma for n in noise]
     rates = [abs(kappa)] + [abs(d) + 5.0 * s for d, s in zip(detuning, sig)] + \
         [c.damping_rate for c in cooling if np.isfinite(c.damping_rate)]
     r_max = max(rates)
-    if carrier <= 0:
-        raise ValueError("carrier must be positive")
     if r_max > carrier / 20.0:
         raise ValueError("scale separation violated: slow rates approach the carrier")
     return 1.0 / (100.0 * max(r_max, 1.0 / duration))
@@ -494,13 +588,31 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
     ``carrier`` is the absolute mode frequency the frame rotates at;
     ``detuning`` are the per-ion offsets from it. ``dt`` defaults to, and
     must not exceed, ``envelope_step_limit``.
+
+    Several points in one call: ``detuning`` a sequence of pairs and
+    ``seed`` a sequence of as many seeds. The call returns a list with one
+    EnsembleTrajectory per point, each ``n_realizations`` strong and
+    bit-identical to a one-point call with that point's detuning and seed
+    at the same ``dt``. The points share one step grid, so ``dt`` must
+    satisfy, and defaults to, the smallest of their step limits.
     """
-    dt_max = envelope_step_limit(kappa, carrier, detuning, noise, cooling,
-                                 duration)
-    return _integrate(
-        _envelope_batch, (kappa, carrier, detuning, noise, cooling,
-                          initial_occupations, init_phase),
-        duration, dt, dt_max, seed, n_realizations, record_points, n_workers)
+    pairs = np.asarray(detuning, float)
+    if pairs.ndim not in (1, 2) or pairs.shape[-1] != 2 or pairs.size == 0:
+        raise ValueError("detuning must be a pair or a sequence of pairs")
+    several = pairs.ndim == 2
+    seeds = seed if several else [seed]
+    if several and (np.ndim(seed) != 1 or len(seed) != len(pairs)):
+        raise ValueError(f"seed must hold one seed per detuning pair "
+                         f"({len(pairs)})")
+    points = [(s, tuple(map(float, d)))
+              for s, d in zip(seeds, pairs if several else [pairs])]
+    dt_max = min(envelope_step_limit(kappa, carrier, d, noise, cooling, duration)
+                 for _s, d in points)
+    trajectories = _integrate(
+        _envelope_batch, (kappa, carrier, noise, cooling, initial_occupations,
+                          init_phase), points,
+        duration, dt, dt_max, n_realizations, record_points, n_workers)
+    return trajectories if several else trajectories[0]
 
 
 # ---------------------------------------------------------------------------

@@ -205,22 +205,23 @@ def run_resonance_scan(scenario, n_workers=1):
         kappa, w1, (d_max, d_max), (scenario.noise1, scenario.noise2),
         (scenario.cooling1, scenario.cooling2), t_probe)
 
-    rates = np.empty(probes.size)
-    sems = np.empty(probes.size)
-    for i, delta in enumerate(deltas):
-        traj = dynamics.integrate_envelope(
-            kappa=kappa, carrier=w1, detuning=(0.0, float(delta)),
-            noise=(scenario.noise1, scenario.noise2),
-            cooling=(scenario.cooling1, scenario.cooling2),
-            duration=t_probe, dt=dt, seed=_point_seed(scenario.seed, i),
-            n_realizations=scenario.ensemble_size,
-            initial_occupations=(sched.hot_occupation, sched.cold_occupation),
-            init_phase=(dynamics.INIT_THERMAL, dynamics.INIT_COHERENT),
-            record_points=2, n_workers=n_workers)
-        # two-point gain over the probe; the coherent-phase cold prep makes
-        # n2(0) exact so the SEM of the gain is the SEM of the endpoint
-        rates[i] = (traj.n_bar_2[-1] - sched.cold_occupation) / t_probe
-        sems[i] = max(traj.n_bar_sem_2[-1] / t_probe, 1e-12)
+    # every probe point in one call; each keeps its own seed
+    trajectories = dynamics.integrate_envelope(
+        kappa=kappa, carrier=w1, detuning=[(0.0, float(d)) for d in deltas],
+        noise=(scenario.noise1, scenario.noise2),
+        cooling=(scenario.cooling1, scenario.cooling2),
+        duration=t_probe, dt=dt,
+        seed=[_point_seed(scenario.seed, i) for i in range(probes.size)],
+        n_realizations=scenario.ensemble_size,
+        initial_occupations=(sched.hot_occupation, sched.cold_occupation),
+        init_phase=(dynamics.INIT_THERMAL, dynamics.INIT_COHERENT),
+        record_points=2, n_workers=n_workers)
+    # two-point gain over the probe; the coherent-phase cold prep makes
+    # n2(0) exact so the SEM of the gain is the SEM of the endpoint
+    rates = np.array([(traj.n_bar_2[-1] - sched.cold_occupation) / t_probe
+                      for traj in trajectories])
+    sems = np.array([max(traj.n_bar_sem_2[-1] / t_probe, 1e-12)
+                     for traj in trajectories])
 
     fit = analysis.fit_resonance(probes, rates, sems)
     p = fit.parameters

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -406,3 +407,199 @@ def test_unknown_init_policy_rejected():
         integrate_envelope(TWO_PI * 10.0, CARRIER, duration=1e-3,
                            initial_occupations=(10.0, 0.0),
                            init_phase=("squeezed", "thermal"))
+
+
+# ---------------------------------------------------------------------------
+# several probe points in one call
+
+def _packing_noise(jitter_kind):
+    return (NoiseModel(5e4, CARRIER, 1.0, 300.0),
+            NoiseModel(2e4, CARRIER, 1.0, 200.0, jitter_kind,
+                       0.5e-3 if jitter_kind == dynamics.JITTER_OU else 0.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ensemble,n_points,jitter_kind", [
+    (64, 5, dynamics.JITTER_OU),     # 4 points per batch, then 1
+    (100, 3, dynamics.JITTER_OU),    # 2 points per batch, 56 rows free
+    (300, 3, dynamics.JITTER_OU),    # each point split at _BATCH
+    (100, 3, dynamics.JITTER_PER_SHOT)])
+def test_packed_points_equal_one_point_calls(ensemble, n_points, jitter_kind,
+                                             workers):
+    common = dict(noise=_packing_noise(jitter_kind),
+                  cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
+                  duration=5.5e-4, dt=5e-7, n_realizations=ensemble,
+                  initial_occupations=(100.0, 50.0),
+                  init_phase=("thermal", "coherent"), record_points=4,
+                  n_workers=workers)                      # 1,100 steps
+    detunings = [(0.0, TWO_PI * 400.0 * (p - 1)) for p in range(n_points)]
+    seeds = [31 + 7 * p for p in range(n_points)]
+    packed = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=detunings,
+                                seed=seeds, **common)
+    assert len(packed) == n_points
+    for d, s, tr in zip(detunings, seeds, packed):
+        alone = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=d, seed=s,
+                                   **common)
+        for name in ("times", "n_bar_1", "n_bar_2", "n_bar_sem_1",
+                     "n_bar_sem_2"):
+            assert np.array_equal(getattr(tr, name), getattr(alone, name)), \
+                (d, name)
+        assert tr.positions is None and tr.energies is None
+
+
+def test_packed_points_draw_kicks_only_where_they_are_kicked():
+    # a subnormal heating rate makes the kick size underflow to zero at
+    # the detuned point only (heating is evaluated at each point's nominal
+    # frequency), so only the resonant point's generators draw kick
+    # normals before their OU normals, as in one-point calls
+    detuned = CARRIER / 25.0
+    noise = (NoiseModel(0.0, 0.0, 1.0, 10.0, dynamics.JITTER_OU, 1e-4),
+             NoiseModel(2.9645e-316, CARRIER, 0.0, 0.0))
+    dt = 2.5e-8
+    kick = [math.sqrt(noise_psd(noise[1], CARRIER + d) * dt / 2.0)
+            for d in (0.0, detuned)]
+    assert kick[0] > 0.0 and kick[1] == 0.0
+    common = dict(noise=noise, duration=200 * dt, dt=dt, n_realizations=8,
+                  initial_occupations=(100.0, 50.0), record_points=3)
+    pairs = [(0.0, 0.0), (0.0, detuned)]
+    packed = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=pairs,
+                                seed=[5, 6], **common)
+    for d, s, tr in zip(pairs, (5, 6), packed):
+        alone = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=d, seed=s,
+                                   **common)
+        assert np.array_equal(tr.n_bar_1, alone.n_bar_1), d
+        assert np.array_equal(tr.n_bar_2, alone.n_bar_2), d
+
+
+def test_several_points_default_to_the_smallest_step_limit():
+    detunings = [(0.0, 0.0), (0.0, TWO_PI * 2e3)]
+    trs = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=detunings,
+                             seed=[1, 2], duration=1e-3, record_points=2)
+    dt = min(dynamics.envelope_step_limit(TWO_PI * 50.0, CARRIER, d,
+                                          (NO_NOISE, NO_NOISE),
+                                          (NO_COOLING, NO_COOLING), 1e-3)
+             for d in detunings)
+    n_steps = math.ceil(1e-3 / dt - 1e-9)
+    for tr in trs:
+        assert tr.times[-1] == n_steps * dt
+
+
+# ---------------------------------------------------------------------------
+# the shared front end rejects bad numbers, naming the argument
+
+ENVELOPE_BASE = dict(kappa=TWO_PI * 50.0, carrier=CARRIER,
+                     detuning=(0.0, TWO_PI * 100.0), duration=1e-4, seed=3,
+                     n_realizations=3, initial_occupations=(10.0, 5.0),
+                     record_points=3)
+
+
+@pytest.mark.parametrize("argument,value", [
+    ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("duration", math.inf),
+    ("duration", 0.0), ("n_realizations", 0), ("n_realizations", 2.0),
+    ("record_points", 1), ("n_workers", 0), ("seed", -1), ("seed", math.nan),
+    ("initial_occupations", (math.nan, 0.0)),
+    ("initial_occupations", (-1.0, 0.0)), ("kappa", math.nan),
+    ("carrier", math.inf), ("detuning", (math.nan, 0.0))])
+def test_front_end_rejects_bad_numbers(argument, value):
+    # integrate_full calls the same argument ``initial``
+    name = "initial" if argument == "initial_occupations" else argument
+    with pytest.raises(ValueError, match=name):
+        integrate_envelope(**{**ENVELOPE_BASE, argument: value})
+
+
+def test_several_points_need_one_seed_each():
+    pairs = [(0.0, 0.0), (0.0, 10.0), (0.0, 20.0)]
+    for seed in ([1, 2], 7, [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="seed"):
+            integrate_envelope(**{**ENVELOPE_BASE, "detuning": pairs,
+                                  "seed": seed})
+    with pytest.raises(ValueError, match="detuning"):
+        integrate_envelope(**{**ENVELOPE_BASE, "detuning": [(0.0, 1.0, 2.0)]})
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: every numeric argument of both integrators, at each edge
+# value, gives a ValueError or a finite trajectory on at least two records
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
+FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
+              NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
+FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
+FUZZ_CALLS = {
+    "envelope": (integrate_envelope, dict(
+        ENVELOPE_BASE, noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
+        n_workers=1)),
+    "envelope-points": (integrate_envelope, dict(
+        ENVELOPE_BASE, detuning=((0.0, TWO_PI * 100.0), (0.0, -TWO_PI * 50.0)),
+        seed=(3, 4), noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
+        n_workers=1)),
+    "full": (integrate_full, dict(
+        params=PairParams.resonant(calcium_40().mass, TWO_PI * 100e3,
+                                   TWO_PI * 50.0),
+        initial=(10.0, 5.0), noise=(NoiseModel(5e4, TWO_PI * 100e3, 1.0, 300.0),
+                                    FUZZ_NOISE[1]),
+        cooling=FUZZ_COOLING, duration=2e-6, dt=None, seed=3,
+        n_realizations=3, record_points=3, n_workers=1))}
+
+
+def _numeric_leaves(value, path=()):
+    """Paths to every number inside an argument: tuples and dataclasses."""
+    if isinstance(value, (bool, str)) or value is None:
+        return []
+    if isinstance(value, (int, float)):
+        return [path]
+    if isinstance(value, tuple):
+        return [leaf for i, v in enumerate(value)
+                for leaf in _numeric_leaves(v, path + (i,))]
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value)
+                for leaf in _numeric_leaves(getattr(value, f.name),
+                                            path + (f.name,))]
+    return []
+
+
+def _replace(value, path, new):
+    if not path:        # an integer argument gets the integer edge values
+        return int(new) if isinstance(value, int) and math.isfinite(new) \
+            else new
+    head, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return tuple(_replace(v, rest, new) if i == head else v
+                     for i, v in enumerate(value))
+    return dataclasses.replace(
+        value, **{head: _replace(getattr(value, head), rest, new)})
+
+
+def _rejects_or_finite(fn, kwargs, mutations):
+    try:
+        for path, new in mutations:
+            kwargs = {**kwargs,
+                      path[0]: _replace(kwargs[path[0]], path[1:], new)}
+        result = fn(**kwargs)
+    except ValueError:
+        return
+    for tr in result if isinstance(result, list) else [result]:
+        assert tr.times.size >= 2, mutations
+        for arr in (tr.times, tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1,
+                    tr.n_bar_sem_2):
+            assert np.all(np.isfinite(arr)), mutations
+
+
+@pytest.mark.parametrize("call", FUZZ_CALLS)
+def test_fuzzed_numbers_are_rejected_or_give_finite_results(call):
+    fn, base = FUZZ_CALLS[call]
+    leaves = [(name,) + leaf for name, value in base.items()
+              for leaf in _numeric_leaves(value)]
+    leaves += [("dt",)]
+    assert len(leaves) > 20
+    with np.errstate(all="ignore"):
+        for leaf in leaves:
+            for new in EDGE_VALUES:
+                _rejects_or_finite(fn, base, [(leaf, new)])
+        # and a seeded draw of edge values in pairs of arguments
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            picks = rng.choice(len(leaves), 2, replace=False)
+            _rejects_or_finite(fn, base, [
+                (leaves[i], EDGE_VALUES[rng.integers(len(EDGE_VALUES))])
+                for i in picks])

@@ -1,0 +1,140 @@
+"""Golden CLI outputs: every file, stdout line and exit status of a fixed
+set of invocations, frozen in ``data/golden_cli.json``.
+
+Numbers are parsed out of the text and compared at ``rtol=1e-12``, the
+room for platform differences that ``test_draw_layout_is_frozen`` also
+gives; all other text compares exactly. Only the manifest timestamps,
+the report's ``wall time:`` line and the output directory in stdout are
+masked. A change that moves an output on purpose regenerates the file,
+and the diff of the data file is its declared change:
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+"""
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+
+import pytest
+
+from ionwire import cli
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "data", "golden_cli.json")
+SWAP_SHORT = os.path.join(HERE, os.pardir, "perfbench", "scenarios",
+                          "swap_short.scenario")
+
+# (name, IONWIRE_THREADS, argv without --out)
+INVOCATIONS = [
+    ("scan", "1", ["scan", "--ensemble", "16", "--seed", "9", "--svg"]),
+    ("swap", "1", ["swap", "--scenario", SWAP_SHORT, "--svg"]),
+    ("sympathetic-1", "1", ["sympathetic", "--ensemble", "400", "--seed", "42",
+                            "--svg"]),
+    ("sympathetic-2", "2", ["sympathetic", "--ensemble", "400", "--seed", "42",
+                            "--svg"]),
+    ("thermometry", "1", ["thermometry", "--nbar", "182", "--shots", "2000"]),
+] + [(f"{command}-{fmt}", "1", [command, "--format", fmt])
+     for command in ("predict", "rate", "deff") for fmt in ("csv", "json")]
+
+OUT = "<out>"
+_MASKS = (re.compile(r'^(\s*"(?:started|finished)": )".*"', re.M),
+          re.compile(r"^(wall time: ).*$", re.M))
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"(?![\w.])")
+
+
+def _mask(text):
+    for pattern in _MASKS:
+        text = pattern.sub(r"\1<masked>", text)
+    return text
+
+
+def run_invocation(threads, argv):
+    """Exit status, masked stdout and masked written files of one run."""
+    saved = os.environ.get("IONWIRE_THREADS")
+    os.environ["IONWIRE_THREADS"] = threads
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                status = cli.main(argv + ["--out", out])
+            files = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    files[name] = _mask(fh.read())
+    finally:
+        if saved is None:
+            del os.environ["IONWIRE_THREADS"]
+        else:
+            os.environ["IONWIRE_THREADS"] = saved
+    return {"status": status, "stdout": sink.getvalue().replace(out, OUT),
+            "files": files}
+
+
+def _split(text):
+    """(text between numbers, numbers) of ``text``."""
+    return _NUMBER.split(text), [float(x) for x in _NUMBER.findall(text)]
+
+
+def text_mismatch(expected, actual):
+    """None when ``actual`` matches ``expected``, else the first difference."""
+    if expected == actual:
+        return None
+    (words_e, nums_e), (words_a, nums_a) = _split(expected), _split(actual)
+    if words_e != words_a or len(nums_e) != len(nums_a):
+        lines = zip(expected.splitlines(), actual.splitlines())
+        for i, (le, la) in enumerate(lines):
+            if _split(le)[0] != _split(la)[0]:
+                return f"line {i + 1}: {le!r} != {la!r}"
+        return "the number of lines differs"
+    for i, (e, a) in enumerate(zip(nums_e, nums_a)):
+        if not (e == a or math.isclose(e, a, rel_tol=1e-12, abs_tol=0.0)):
+            return f"number {i}: {e!r} != {a!r}"
+    return None
+
+
+def _load_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name,threads,argv", INVOCATIONS,
+                         ids=[case[0] for case in INVOCATIONS])
+def test_cli_output_matches_golden(name, threads, argv):
+    expected = _load_golden()[name]
+    actual = run_invocation(threads, argv)
+    assert actual["status"] == expected["status"]
+    assert text_mismatch(expected["stdout"], actual["stdout"]) is None, \
+        text_mismatch(expected["stdout"], actual["stdout"])
+    assert sorted(actual["files"]) == sorted(expected["files"])
+    for fname, text in expected["files"].items():
+        problem = text_mismatch(text, actual["files"][fname])
+        assert problem is None, f"{fname}: {problem}"
+
+
+def test_text_mismatch_rules():
+    assert text_mismatch("a 1.0 b", "a 1.0000000000000002 b") is None
+    assert text_mismatch("a 1.0 b", "a 1.000000001 b") is not None
+    assert text_mismatch("a 1.0 b", "a 1.0 c") is not None
+    assert text_mismatch("v1 x", "v2 x") is not None
+    assert text_mismatch("1e-3", "0.001") is None
+
+
+def regenerate():
+    golden = {name: run_invocation(threads, argv)
+              for name, threads, argv in INVOCATIONS}
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    regenerate()
