@@ -22,10 +22,13 @@ noise enters only through the frequency dependence of ndot between runs
 (see ``noise_psd``), never within one run.
 
 Every stochastic realization owns a private generator spawned from
-(master seed, realization index). Its draw order is written once: the
-set-up draws in ``_batch_setup``, the chunked per-step draws in
-``_step_loop``. So ensembles are bit-identical regardless of batch size,
-worker count, or scheduling.
+(master seed, realization index): the PCG64 stream of numpy's
+``SeedSequence(seed, spawn_key=(i,))``. The sequences are hashed in bulk,
+a batch's indices at once (``_spawn_states``, tested against numpy), so
+no SeedSequence object is built per realization. The draw order is
+written once: the set-up draws in ``_batch_setup``, the chunked per-step
+draws in ``_step_loop``. So ensembles are bit-identical regardless of
+batch size, worker count, or scheduling.
 
 ``integrate_envelope`` can integrate several points (detuning pairs, each
 with its own seed) in one call. Each point's ensemble is cut into
@@ -40,6 +43,7 @@ are reduced in the same order as when the point runs alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -180,11 +184,95 @@ def noise_psd(model, omega):
 # ---------------------------------------------------------------------------
 # seeding and ensemble plumbing
 
+def _spawn_states(seed, indices):
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=(i,))`` per index.
+
+    Returns ``generate_state(4, np.uint64)`` of each of those sequences as
+    the rows of an (n, 4) uint64 array, computed for all indices at once.
+    numpy's SeedSequence hashes 32-bit words with multipliers that do not
+    depend on the data, so its algorithm (numpy/random/bit_generator.pyx)
+    runs here word by word on arrays over the index, in uint64 masked to
+    32 bits. The entropy is the seed's words, padded to the pool size of 4
+    because a spawn key follows, then the index as one word.
+    """
+    index = np.asarray(indices, dtype=np.uint64)
+    if index.size and int(index.max()) >> 32:
+        raise ValueError("realization indices must be below 2**32")
+    m32 = 0xFFFFFFFF
+    words = []
+    while True:
+        words.append(np.full_like(index, seed & m32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [np.zeros_like(index)] * (4 - len(words)) + [index]
+
+    def hasher(hash_const, mult):
+        # each call advances the hash constant, whatever the value hashed
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * mult & m32
+            value = value * hash_const & m32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return result ^ result >> 16
+
+    # mix_entropy: the pool from the first 4 words, mixed together, then
+    # each further word mixed into every pool word
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    # generate_state(4, np.uint64): 8 32-bit words, cycling over the pool,
+    # in little-endian order, joined arithmetically
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hashmix(pool[k % 4]) for k in range(8)]
+    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)],
+                    axis=1)
+
+
+@functools.cache
+def _seed_row_type():
+    """An ISeedSequence that hands one row of ``_spawn_states`` to PCG64.
+
+    Defined on first use, so that importing this module does not load
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(ISeedSequence):
+        __slots__ = ("row",)
+
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise NotImplementedError("a seed row holds 4 uint64 words")
+            return self.row
+
+    return SeedRow
+
+
 def _spawn_rngs(seed, indices):
     # documented splitting scheme: stream i = SeedSequence(seed, spawn_key=(i,));
-    # adding realizations never perturbs existing ones
-    return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(i),)))
-            for i in indices]
+    # adding realizations never perturbs existing ones. The sequences'
+    # hashes are computed in bulk, and PCG64 seeds itself from each row
+    from numpy.random import PCG64, Generator
+
+    seed_row = _seed_row_type()
+    return [Generator(PCG64(seed_row(row)))
+            for row in _spawn_states(int(seed), indices)]
 
 
 def _count(name, value, least):
@@ -346,13 +434,21 @@ def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
             for r in _spawn_rngs(seed, range(lo, hi))]
     ends = np.cumsum([hi - lo for _seed, _point, lo, hi in segments])
     bounds = list(zip([0, *ends[:-1]], ends))
-    z = np.stack([r.standard_normal(4) for r in rngs])
-    phase = np.stack([r.uniform(0.0, TWO_PI, 2) for r in rngs])
-    jit = np.stack([r.standard_normal(2) for r in rngs])
 
     sigma = np.array([TWO_PI * n.jitter_sigma for n in noise])
     is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
-    offsets = np.where(~is_ou & (sigma > 0), sigma * jit, 0.0)
+    ou_sigma = np.where(is_ou, sigma, 0.0)
+    has_ou = bool(np.any(ou_sigma > 0))
+    # the 2 jitter normals and the 2 OU start normals are consecutive
+    # draws, so one call per generator takes both
+    z = np.empty((len(rngs), 4))
+    phase = np.empty((len(rngs), 2))
+    jit = np.empty((len(rngs), 4 if has_ou else 2))
+    for i, r in enumerate(rngs):
+        r.standard_normal(out=z[i])
+        phase[i] = r.uniform(0.0, TWO_PI, 2)
+        r.standard_normal(out=jit[i])
+    offsets = np.where(~is_ou & (sigma > 0), sigma * jit[:, :2], 0.0)
 
     n_ss = np.array([cooling[0].steady_state_occupation,
                      cooling[1].steady_state_occupation])
@@ -360,24 +456,27 @@ def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
     diffusion = _rows(segments, np.array(ndot) + gamma * n_ss)
 
     ou = None
-    ou_sigma = np.where(is_ou, sigma, 0.0)
-    if np.any(ou_sigma > 0):
+    if has_ou:
         tau = np.array([max(n.jitter_correlation_time, 0.0) for n in noise])
         ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
         ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
-              ou_sigma[None, :] * np.stack([r.standard_normal(2) for r in rngs]))
+              ou_sigma[None, :] * jit[:, 2:])
     return (rngs, bounds, offsets, gamma, diffusion, ou,
             _initial_amplitudes(initial, init_phase, z, phase))
 
 
-def _step_loop(rngs, bounds, n_steps, rec_idx, kick_shape, kicked, ou,
+def _step_loop(rngs, bounds, n_steps, rec_idx, kick_scale, kick_dtype, ou,
                advance, read_out):
     """The step loop of both batch kernels; returns each segment's moments.
 
     Per block of _CHUNK steps each generator draws all of the block's
-    kick normals (``kick_shape`` per step; only where its ``kicked`` row
-    flag is set), then all of its OU normals, into reused (rows, _CHUNK,
-    ...) buffers. Each step updates the OU jitter state, then calls
+    kick normals, then all of its OU normals, into reused (rows, _CHUNK,
+    ...) buffers. A step's kick is (rows, 2) of ``kick_dtype``: one normal
+    per ion when real, a real and an imaginary one when complex. Only
+    generators with a positive entry in their row of ``kick_scale`` (rows,
+    2) draw kicks; then the block is scaled once, in place, by
+    ``kick_scale``, the same products the steps would otherwise take one
+    by one. Each step updates the OU jitter state, then calls
     ``advance(kick, delta_ou)``; ``kick`` is None when no row is kicked,
     and zero in the rows that are not. At each record point (step 0
     included) ``read_out(slot)`` returns the (rows, 2) occupations, whose
@@ -397,7 +496,8 @@ def _step_loop(rngs, bounds, n_steps, rec_idx, kick_shape, kicked, ou,
 
     record(0)                       # the record grid starts at step 0
     block = (len(rngs), min(_CHUNK, n_steps))
-    kicks = np.zeros(block + kick_shape) if np.any(kicked) else None
+    kicked = np.any(kick_scale > 0, axis=1)
+    kicks = np.zeros(block + (2,), kick_dtype) if np.any(kicked) else None
     delta_ou = None
     if ou is not None:
         ou_rho, ou_kick, delta_ou = ou
@@ -406,9 +506,11 @@ def _step_loop(rngs, bounds, n_steps, rec_idx, kick_shape, kicked, ou,
         span = min(_CHUNK, n_steps - start)
         for i, r in enumerate(rngs):
             if kicks is not None and kicked[i]:
-                r.standard_normal(out=kicks[i, :span])
+                r.standard_normal(out=kicks[i, :span].view(float))
             if ou is not None:
                 r.standard_normal(out=ou_draws[i, :span])
+        if kicks is not None:
+            kicks[:, :span] *= kick_scale[:, None, :]
         for k in range(span):
             if ou is not None:
                 delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[:, k]
@@ -466,7 +568,7 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
         if has_drag:
             v *= drag
         if kick is not None:
-            v += sigma_v * kick
+            v += kick
 
     def read_out(j):
         e = energies(x, v)
@@ -478,8 +580,8 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
                 f"unstable step: energy exceeded 1e6x initial at step {rec_idx[j]}")
         return e / (HBAR * w)
 
-    moments = _step_loop(rngs, bounds, n_steps, rec_idx, (2,),
-                         np.any(sigma_v > 0, axis=1), ou, advance, read_out)
+    moments = _step_loop(rngs, bounds, n_steps, rec_idx, sigma_v, float, ou,
+                         advance, read_out)
     return moments, first_x, first_e
 
 
@@ -544,13 +646,12 @@ def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
         nonlocal a
         a = np.einsum('rij,rj->ri', m_step, a)
         if kick is not None:
-            a += kick_size * (kick[:, :, 0] + 1j * kick[:, :, 1])
+            a += kick
         if delta_ou is not None:
             a *= np.exp(-1j * dt * delta_ou)
 
-    moments = _step_loop(rngs, bounds, n_steps, rec_idx, (2, 2),
-                         np.any(kick_size > 0, axis=1), ou, advance,
-                         lambda j: np.abs(a) ** 2)
+    moments = _step_loop(rngs, bounds, n_steps, rec_idx, kick_size, complex,
+                         ou, advance, lambda j: np.abs(a) ** 2)
     return moments, None, None
 
 
@@ -628,9 +729,13 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
     An infinite damping rate hard-clamps n2 at n_ss (the continuously
     cooled ion) and integrates n1 alone.
     """
-    for name, v in (("heat1", heat1), ("heat2", heat2), ("kappa_ex", kappa_ex)):
-        if not (v >= 0):
-            raise ValueError(f"{name} must be >= 0")
+    for name, v in (("n1_0", n1_0), ("n2_0", n2_0), ("heat1", heat1),
+                    ("heat2", heat2), ("kappa_ex", kappa_ex)):
+        if not (0.0 <= v < math.inf):
+            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    if not (0.0 < duration < math.inf):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    record_points = _count("record_points", record_points, 2)
     from scipy.integrate import solve_ivp
 
     times = np.linspace(0.0, duration, record_points)

@@ -105,9 +105,11 @@ def test_all_subcommands_advertise_help(tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    # scipy loads on the first fit or rate-equation solve, not on import
+    # scipy loads on the first fit or rate-equation solve, and numpy.random
+    # on the first ensemble or thermometry draw, not on import
     proc = run_python(["-c", "import sys, ionwire.cli; print(sorted("
-                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                       " or m.split('.')[:2] == ['numpy', 'random']))"],
                       tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

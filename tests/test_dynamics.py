@@ -219,6 +219,71 @@ def test_draw_layout_is_frozen(workers):
             np.testing.assert_allclose(values, frozen, rtol=1e-12, err_msg=name)
 
 
+# the same runs to the bit, as float.hex: a change of how the kicks are
+# scaled, or of how the generators are seeded, that moves any bit of the
+# output fails here even where it stays inside the tolerance above
+FROZEN_BITS = {
+    "full": (["0x1.b27fa37f483d1p+6", "0x1.b3deccdd2f036p+6",
+              "0x1.b31b6b5c5062ap+6"],
+             ["0x1.92e3bcb493610p+5", "0x1.89beecc38a8e3p+5",
+              "0x1.87a8467c2b3adp+5"],
+             ["0x1.d00c91a7cca77p+2", "0x1.d501ea45aa9ccp+2",
+              "0x1.e9a23fc5ba806p+2"],
+             ["0x1.86653591e5a2ep+1", "0x1.7f0ef4a0b0430p+1",
+              "0x1.7e8d7e1396a3ep+1"]),
+    "envelope": (["0x1.b27fa37f483d1p+6", "0x1.e999ec7a2a234p+6",
+                  "0x1.ddd83a80f362ep+6"],
+                 ["0x1.92e3bcb493611p+5", "0x1.3f0bdbbacf621p+5",
+                  "0x1.3d5bdf7cfa044p+5"],
+                 ["0x1.d00c91a7cca78p+2", "0x1.dc6ff55801a11p+2",
+                  "0x1.bab807a087d5ep+2"],
+                 ["0x1.86653591e5a32p+1", "0x1.4f3126ddbb285p+1",
+                  "0x1.46a56c148b077p+1"])}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kick_scaling_is_frozen_bitwise(workers):
+    w = TWO_PI * 100e3
+    common = dict(cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
+                  seed=21, n_realizations=260, record_points=3,
+                  n_workers=workers)
+
+    def noise(f):
+        return (NoiseModel(5e4, f, 1.0, 300.0),
+                NoiseModel(2e4, f, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
+
+    params = PairParams.resonant(calcium_40().mass, w, TWO_PI * 50.0)
+    runs = {"full": integrate_full(params, (100.0, 50.0), noise=noise(w),
+                                   duration=2.2e-4, **common),
+            "envelope": integrate_envelope(
+                TWO_PI * 50.0, CARRIER, noise=noise(CARRIER), duration=2e-3,
+                initial_occupations=(100.0, 50.0), **common)}
+    for name, tr in runs.items():
+        got = (tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1, tr.n_bar_sem_2)
+        for values, frozen in zip(got, FROZEN_BITS[name]):
+            assert [float.hex(float(v)) for v in values] == frozen, name
+
+
+# every generator is numpy's SeedSequence(seed, spawn_key=(i,)) stream,
+# whose seed words are hashed in bulk; a numpy that changes SeedSequence
+# fails here
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**96,
+                                  10**120])
+def test_bulk_spawn_equals_numpy_seed_sequences(seed):
+    indices = [0, 1, 255, 256, 99_999_999]
+    for i, rng in zip(indices, dynamics._spawn_rngs(seed, indices)):
+        ref = np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(i,)))
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, i)
+        assert rng.standard_normal(3).tolist() == \
+            ref.standard_normal(3).tolist(), (seed, i)
+
+
+def test_bulk_spawn_needs_32_bit_indices():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        dynamics._spawn_rngs(1, [2**32])
+
+
 # ---------------------------------------------------------------------------
 # frequency jitter
 
@@ -395,6 +460,19 @@ def test_invariants_reject_nan(field):
         NAN_CALLS[field](math.nan)
 
 
+@pytest.mark.parametrize("argument,value", [
+    ("duration", math.nan), ("duration", math.inf), ("duration", 0.0),
+    ("duration", -1.0), ("record_points", 0), ("record_points", 1),
+    ("record_points", 2.0), ("n1_0", math.inf), ("n2_0", -1.0),
+    ("heat1", math.inf), ("kappa_ex", math.inf)])
+def test_rate_equations_reject_bad_numbers(argument, value):
+    args = dict(n1_0=1000.0, n2_0=182.0, heat1=206e3, heat2=0.0,
+                kappa_ex=132.0, cooling2=CoolingClamp(math.inf, 182.0),
+                duration=1e-3, record_points=11)
+    with pytest.raises(ValueError, match=argument):
+        rate_equation_model(**{**args, argument: value})
+
+
 def test_fixed_point_needs_coupling_and_damping():
     with pytest.raises(ValueError):
         rate_equation_fixed_point(1e3, 0.0, 0.0, CoolingClamp(1e3, 10.0))
@@ -518,8 +596,9 @@ def test_several_points_need_one_seed_each():
 
 
 # ---------------------------------------------------------------------------
-# seeded fuzz: every numeric argument of both integrators, at each edge
-# value, gives a ValueError or a finite trajectory on at least two records
+# seeded fuzz: every numeric argument of both integrators and of the rate
+# equations, at each edge value, gives a ValueError or a finite trajectory
+# on at least two records
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
@@ -539,7 +618,10 @@ FUZZ_CALLS = {
         initial=(10.0, 5.0), noise=(NoiseModel(5e4, TWO_PI * 100e3, 1.0, 300.0),
                                     FUZZ_NOISE[1]),
         cooling=FUZZ_COOLING, duration=2e-6, dt=None, seed=3,
-        n_realizations=3, record_points=3, n_workers=1))}
+        n_realizations=3, record_points=3, n_workers=1)),
+    "rate-equations": (rate_equation_model, dict(
+        n1_0=1000.0, n2_0=182.0, heat1=206e3, heat2=5e3, kappa_ex=132.0,
+        cooling2=CoolingClamp(1e3, 10.0), duration=1e-3, record_points=11))}
 
 
 def _numeric_leaves(value, path=()):
@@ -590,8 +672,11 @@ def test_fuzzed_numbers_are_rejected_or_give_finite_results(call):
     fn, base = FUZZ_CALLS[call]
     leaves = [(name,) + leaf for name, value in base.items()
               for leaf in _numeric_leaves(value)]
-    leaves += [("dt",)]
-    assert len(leaves) > 20
+    if "dt" in base:
+        leaves += [("dt",)]
+        assert len(leaves) > 20
+    else:       # the rate equations: every argument is fuzzed
+        assert len(leaves) == 9
     with np.errstate(all="ignore"):
         for leaf in leaves:
             for new in EDGE_VALUES:
