@@ -48,8 +48,8 @@ class FitResult:
 
     def __post_init__(self):
         for k, v in self.sigmas.items():
-            if v < 0:
-                raise ValueError(f"sigma for {k} must be >= 0")
+            if not (0 <= v < math.inf):
+                raise ValueError(f"sigma for {k} must be finite and >= 0, got {v!r}")
 
     def as_dict(self):
         return {
@@ -79,14 +79,19 @@ class RabiDataset:
         p = np.asarray(self.excitation_probability, float)
         if t.shape != p.shape:
             raise ValueError("times and probabilities must align")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("pulse_times must be finite")
+        if not np.all(np.diff(t) > 0):
             raise ValueError("pulse_times must be strictly increasing")
-        if np.any((p < 0) | (p > 1)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if self.shots_per_point < 1:
-            raise ValueError("shots_per_point must be >= 1")
+        if not np.all((p >= 0) & (p <= 1)):
+            raise ValueError("excitation_probability must lie in [0, 1]")
+        if not (1 <= self.shots_per_point < math.inf):
+            raise ValueError(f"shots_per_point must be finite and >= 1, "
+                             f"got {self.shots_per_point!r}")
+        if not math.isfinite(self.carrier_rabi):
+            raise ValueError(f"carrier_rabi must be finite, got {self.carrier_rabi!r}")
         if not (0 <= self.lamb_dicke < 1):
-            raise ValueError("lamb_dicke must lie in [0, 1)")
+            raise ValueError(f"lamb_dicke must lie in [0, 1), got {self.lamb_dicke!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +108,21 @@ def fit_linear_heating(times, occupations, sigmas=None):
     y = np.asarray(occupations, float)
     if t.size < 3:
         raise ValueError("need at least 3 points for a heating-rate fit")
+    if y.shape != t.shape:
+        raise ValueError("occupations must align with times")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("occupations must be finite")
     if np.ptp(t) == 0:
         raise ValueError("degenerate design matrix: all times equal")
     weighted = sigmas is not None
     if weighted:
         s = np.asarray(sigmas, float)
-        if np.any(s <= 0):
-            raise ValueError("sigmas must be positive")
+        if s.shape != t.shape:
+            raise ValueError("sigmas must align with times")
+        if not np.all((s > 0) & (s < math.inf)):
+            raise ValueError("sigmas must be positive and finite")
         w = 1.0 / s ** 2
     else:
         w = np.ones_like(t)
@@ -168,9 +181,17 @@ def fit_resonance(omegas, rates, sigmas=None):
     y = np.asarray(rates, float)
     if w.size < 6:
         raise ValueError("need at least 6 scan points spanning the peak")
+    if y.shape != w.shape:
+        raise ValueError("rates must align with omegas")
+    if not np.all((w > 0) & (w < math.inf)):
+        raise ValueError("omegas must be positive and finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("rates must be finite")
     s = np.ones_like(y) if sigmas is None else np.asarray(sigmas, float)
-    if np.any(s <= 0):
-        raise ValueError("sigmas must be positive")
+    if s.shape != w.shape:
+        raise ValueError("sigmas must align with omegas")
+    if not np.all((s > 0) & (s < math.inf)):
+        raise ValueError("sigmas must be positive and finite")
     w_ref = float(np.median(w))
 
     span_hz = (w.max() - w.min()) / (2.0 * math.pi)

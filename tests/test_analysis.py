@@ -299,6 +299,46 @@ def test_rabi_dataset_validation():
                         np.array([1e-6, 2e-6]), 100, 0)
 
 
+W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: fit_linear_heating([0, 1, 2, 3], [1, 2, 3, 4], [1, math.nan, 1, 1]),
+     "sigmas"),
+    (lambda: fit_linear_heating([0, 1, 2, 3], [1, 2, 3, 4], [1, math.inf, 1, 1]),
+     "sigmas"),
+    (lambda: fit_linear_heating([0, math.nan, 2, 3], [1, 2, 3, 4]), "times"),
+    (lambda: fit_linear_heating([0, 1, 2, 3], [1, 2, math.inf, 4]),
+     "occupations"),
+    (lambda: fit_linear_heating([0, 1, 2], [1, 2, 3, 4]), "occupations"),
+    (lambda: fit_linear_heating([0, 1, 2], [1, 2, 3], [1, 1]), "sigmas"),
+    (lambda: fit_resonance(W_SCAN, np.ones(8), [1.0] * 7 + [math.nan]),
+     "sigmas"),
+    (lambda: fit_resonance(np.r_[W_SCAN[:7], math.nan], np.ones(8)), "omegas"),
+    (lambda: fit_resonance(W_SCAN, np.r_[np.ones(7), -math.inf]), "rates"),
+    (lambda: fit_resonance(W_SCAN, np.ones(7)), "rates"),
+    (lambda: fit_resonance(W_SCAN, np.ones(8), np.ones(9)), "sigmas"),
+    (lambda: RabiDataset(np.array([1e-6, math.nan]), np.array([0.1, 0.2]), 100,
+                         TWO_PI * 50e3, 0.05), "pulse_times"),
+    (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, math.nan]), 100,
+                         TWO_PI * 50e3, 0.05), "excitation_probability"),
+    (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, 0.2]), math.nan,
+                         TWO_PI * 50e3, 0.05), "shots_per_point"),
+    (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, 0.2]), 100,
+                         math.inf, 0.05), "carrier_rabi"),
+    (lambda: FitResult({"rate": 1.0}, {"rate": math.nan}, 0.0, 1, True, "m",
+                       "wls"), "sigma for rate"),
+], ids=["heating-nan-sigma", "heating-inf-sigma", "heating-nan-time",
+        "heating-inf-occupation", "heating-short-occupations",
+        "heating-short-sigmas", "resonance-nan-sigma", "resonance-nan-omega",
+        "resonance-inf-rate", "resonance-short-rates", "resonance-long-sigmas",
+        "rabi-nan-time", "rabi-nan-probability",
+        "rabi-nan-shots", "rabi-inf-carrier", "fit-result-nan-sigma"])
+def test_fitter_inputs_reject_bad_numbers_naming_the_argument(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # exchange-rate extraction
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -262,6 +263,61 @@ def test_kick_scaling_is_frozen_bitwise(workers):
         got = (tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1, tr.n_bar_sem_2)
         for values, frozen in zip(got, FROZEN_BITS[name]):
             assert [float.hex(float(v)) for v in values] == frozen, name
+
+
+# a one-row full-integrator batch steps on Python floats, a wider one on
+# arrays; realization 0 must come out to the bit the same either way
+W_ONE_ROW = TWO_PI * 100e3
+ONE_ROW_CASES = {
+    "plain": {},
+    "heating, per-shot jitter": dict(noise=(
+        NoiseModel(5e4, W_ONE_ROW, 1.0, 300.0),
+        NoiseModel(2e4, W_ONE_ROW, 1.0, 200.0))),
+    "drag": dict(cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))),
+    "OU jitter": dict(noise=(
+        NO_NOISE, NoiseModel(0.0, 0.0, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ONE_ROW_CASES)
+def test_one_row_verlet_equals_row_zero_of_a_batch(case, workers):
+    params = PairParams.resonant(calcium_40().mass, W_ONE_ROW, TWO_PI * 50.0)
+    runs = [integrate_full(params, (100.0, 50.0), duration=2.2e-4, seed=21,
+                           n_realizations=n, record_points=12,
+                           record_positions=True, n_workers=workers,
+                           **ONE_ROW_CASES[case])
+            for n in (1, 3)]    # 1,100 steps: more than one draw block
+    assert np.array_equal(runs[0].positions, runs[1].positions), case
+    assert np.array_equal(runs[0].energies, runs[1].energies), case
+
+
+# a one-row run with heating, drag, per-shot jitter on ion 1 and OU jitter
+# on ion 2, to the bit as float.hex, frozen from the array step loop
+FROZEN_ONE_ROW = {
+    "n_bar_1": ["0x1.98456b89f3d28p+5", "0x1.0898afca0d914p+6",
+                "0x1.cc3bdc1656643p+5"],
+    "n_bar_2": ["0x1.00f631957e11fp+6", "0x1.033ab3bf3b78cp+6",
+                "0x1.fa124a15192f6p+5"],
+    "positions": ["0x1.108a6cc47d905p-21", "-0x1.49f47f6c50f45p-22",
+                  "0x1.31b226b7695d2p-21", "-0x1.0834263bb4117p-22",
+                  "0x1.216da83680783p-21", "-0x1.d5a6685718c18p-23"],
+    "energies": ["0x1.2e86c2c8631c1p-87", "0x1.57bd1d4a1b4f7p-87",
+                 "0x1.3d0d8f96d83d2p-87"]}
+
+
+def test_one_row_verlet_is_frozen_bitwise():
+    params = PairParams.resonant(calcium_40().mass, W_ONE_ROW, TWO_PI * 50.0)
+    tr = integrate_full(
+        params, (100.0, 50.0),
+        noise=(NoiseModel(5e4, W_ONE_ROW, 1.0, 300.0),
+               NoiseModel(2e4, W_ONE_ROW, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3)),
+        cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
+        duration=2.2e-4, seed=21, n_realizations=1, record_points=3,
+        record_positions=True)
+    for name, frozen in FROZEN_ONE_ROW.items():
+        got = [float.hex(float(v)) for v in np.ravel(getattr(tr, name))]
+        assert got == frozen, name
 
 
 # every generator is numpy's SeedSequence(seed, spawn_key=(i,)) stream,
@@ -598,12 +654,15 @@ def test_several_points_need_one_seed_each():
 # ---------------------------------------------------------------------------
 # seeded fuzz: every numeric argument of both integrators and of the rate
 # equations, at each edge value, gives a ValueError or a finite trajectory
-# on at least two records
+# on at least two records; so does every number given to the fitters and
+# to the fit containers, which must give a ValueError or a result whose
+# every number is finite
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
               NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
 FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
+FUZZ_SCAN = tuple((TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))).tolist())
 FUZZ_CALLS = {
     "envelope": (integrate_envelope, dict(
         ENVELOPE_BASE, noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
@@ -621,11 +680,29 @@ FUZZ_CALLS = {
         n_realizations=3, record_points=3, n_workers=1)),
     "rate-equations": (rate_equation_model, dict(
         n1_0=1000.0, n2_0=182.0, heat1=206e3, heat2=5e3, kappa_ex=132.0,
-        cooling2=CoolingClamp(1e3, 10.0), duration=1e-3, record_points=11))}
+        cooling2=CoolingClamp(1e3, 10.0), duration=1e-3, record_points=11)),
+    "linear-heating": (analysis.fit_linear_heating, dict(
+        times=(0.0, 1.0, 2.0, 3.0), occupations=(1.0, 2.1, 2.9, 4.0),
+        sigmas=(0.1, 0.2, 0.1, 0.3))),
+    "resonance": (analysis.fit_resonance, dict(
+        omegas=FUZZ_SCAN, rates=tuple(analysis.resonance_model(
+            np.array(FUZZ_SCAN), 250e3, 750e3, FUZZ_SCAN[4], 800.0,
+            FUZZ_SCAN[4]).tolist()),
+        sigmas=(15e3,) * len(FUZZ_SCAN))),
+    "rabi-dataset": (analysis.RabiDataset, dict(
+        pulse_times=(1e-6, 2e-6, 3e-6), excitation_probability=(0.1, 0.5, 0.9),
+        shots_per_point=100, carrier_rabi=TWO_PI * 50e3, lamb_dicke=0.05)),
+    "fit-result": (functools.partial(
+        analysis.FitResult, parameters={"rate": 1.0, "intercept": 0.5},
+        residual_norm=0.1, n_iterations=1, converged=True, model_id="m",
+        method="wls"), dict(sigmas={"rate": 0.1, "intercept": 0.2}))}
+# the calls without a dt fuzz every argument; this many numbers each
+FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
+               "rabi-dataset": 9, "fit-result": 2}
 
 
 def _numeric_leaves(value, path=()):
-    """Paths to every number inside an argument: tuples and dataclasses."""
+    """Paths to every number inside an argument: tuples, dicts, dataclasses."""
     if isinstance(value, (bool, str)) or value is None:
         return []
     if isinstance(value, (int, float)):
@@ -633,6 +710,9 @@ def _numeric_leaves(value, path=()):
     if isinstance(value, tuple):
         return [leaf for i, v in enumerate(value)
                 for leaf in _numeric_leaves(v, path + (i,))]
+    if isinstance(value, dict):
+        return [leaf for k, v in value.items()
+                for leaf in _numeric_leaves(v, path + (k,))]
     if dataclasses.is_dataclass(value):
         return [leaf for f in dataclasses.fields(value)
                 for leaf in _numeric_leaves(getattr(value, f.name),
@@ -648,6 +728,9 @@ def _replace(value, path, new):
     if isinstance(value, tuple):
         return tuple(_replace(v, rest, new) if i == head else v
                      for i, v in enumerate(value))
+    if isinstance(value, dict):
+        return {k: _replace(v, rest, new) if k == head else v
+                for k, v in value.items()}
     return dataclasses.replace(
         value, **{head: _replace(getattr(value, head), rest, new)})
 
@@ -660,11 +743,26 @@ def _rejects_or_finite(fn, kwargs, mutations):
         result = fn(**kwargs)
     except ValueError:
         return
+    if not isinstance(result, (list, dynamics.EnsembleTrajectory)):
+        assert np.all(np.isfinite(_numbers(result))), mutations
+        return
     for tr in result if isinstance(result, list) else [result]:
         assert tr.times.size >= 2, mutations
         for arr in (tr.times, tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1,
                     tr.n_bar_sem_2):
             assert np.all(np.isfinite(arr)), mutations
+
+
+def _numbers(value):
+    """Every number inside a fit result or dataset, as one list."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value)
+                for x in _numbers(getattr(value, f.name))]
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, (bool, str)) or value is None:
+        return []
+    return np.ravel(np.asarray(value, float)).tolist()
 
 
 @pytest.mark.parametrize("call", FUZZ_CALLS)
@@ -675,8 +773,8 @@ def test_fuzzed_numbers_are_rejected_or_give_finite_results(call):
     if "dt" in base:
         leaves += [("dt",)]
         assert len(leaves) > 20
-    else:       # the rate equations: every argument is fuzzed
-        assert len(leaves) == 9
+    else:       # the rate equations and the fitters: every argument
+        assert len(leaves) == FUZZ_LEAVES[call]
     with np.errstate(all="ignore"):
         for leaf in leaves:
             for new in EDGE_VALUES:
