@@ -5,17 +5,21 @@ for heating-rate lines, grid-seeded Levenberg-Marquardt for the resonance
 line shape, and a grid-seeded binomial maximum-likelihood fit for Rabi
 thermometry. Every FitResult records the model identifier, the method,
 and the initial guess actually used, so fits are reproducible from their
-serialized form. scipy is imported inside the two fitters that use it,
-so importing this module does not load scipy.
+serialized form. scipy is imported inside the resonance fitter and the
+thermometry fitter's least-squares fallback, so importing this module,
+or a thermometry fit that needs no fallback, does not load scipy.optimize.
 
-The thermometry likelihood evaluates ``rabi_excitation`` about 130 times
-per fit, always at the same eta. Its Laguerre coefficients L_n(eta^2)
-come from an upward recurrence, so the sequence up to any n is a bitwise
-prefix of the sequence up to a larger n at the same x. The module keeps
-one read-only sequence, for the last x (compared by exact equality), and
-slices it; it recomputes only for a new x or a longer truncation. That
-is at most N_MAX_CAP + 1 floats, and every result is bit-identical to
-computing the sequence afresh.
+The thermometry fit evaluates its 24-point seed grid as three batched
+Fock sums, one per seed Omega_0, which stop summing a grid column once
+it cannot hold the least NLL, then takes a few damped Newton steps,
+each one pass of a kernel that returns the excitation curve with its
+first and second derivatives. All of these use the same eta. Their
+Laguerre coefficients L_n(eta^2) come from an upward recurrence, so the
+sequence up to any n is a bitwise prefix of the sequence up to a larger
+n at the same x. The module keeps one read-only sequence, for the last x
+(compared by exact equality), and slices it; it recomputes only for a
+new x or a longer truncation. That is at most N_MAX_CAP + 1 floats, and
+every result is bit-identical to computing the sequence afresh.
 
 Conventions: rates in quanta/s, frequencies in rad/s except fitted
 resonance widths, which are reported in Hz (rms of the Gaussian).
@@ -31,6 +35,10 @@ import numpy as np
 # truncation policy for thermal Fock sums
 N_MAX_CAP = 200_000
 TAIL_TOL = 1e-6
+# the largest n_bar whose thermal tail beyond N_MAX_CAP is < TAIL_TOL
+N_BAR_MAX = 1.0 / math.expm1(-math.log(TAIL_TOL) / (N_MAX_CAP + 1))
+# the largest n_bar a thermometry fit tries, just below that bound
+_N_BAR_TOP = math.nextafter(N_BAR_MAX, 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,13 +93,17 @@ class RabiDataset:
             raise ValueError("pulse_times must be strictly increasing")
         if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("excitation_probability must lie in [0, 1]")
-        if not (1 <= self.shots_per_point < math.inf):
-            raise ValueError(f"shots_per_point must be finite and >= 1, "
-                             f"got {self.shots_per_point!r}")
+        shots = self.shots_per_point
+        if not (1 <= shots < math.inf) or shots != int(shots):
+            raise ValueError(f"shots_per_point must be an integer >= 1, "
+                             f"got {shots!r}")
         if not math.isfinite(self.carrier_rabi):
             raise ValueError(f"carrier_rabi must be finite, got {self.carrier_rabi!r}")
         if not (0 <= self.lamb_dicke < 1):
             raise ValueError(f"lamb_dicke must lie in [0, 1), got {self.lamb_dicke!r}")
+        # the fitters compute on arrays, whatever sequence was given
+        object.__setattr__(self, "pulse_times", t)
+        object.__setattr__(self, "excitation_probability", p)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +319,14 @@ def thermal_weights(n_bar, n_max):
     """Thermal Fock distribution p_n = n^n/(1+n)^(n+1), n = 0..n_max."""
     if not (n_bar >= 0):
         raise ValueError("n_bar must be >= 0")
+    return _thermal_block(n_bar, 0, n_max + 1)
+
+
+def _thermal_block(n_bar, lo, hi):
+    """p_n for n = lo .. hi-1; any slice of thermal_weights, bit for bit."""
     if n_bar == 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    n = np.arange(n_max + 1)
+        return (np.arange(lo, hi) == 0).astype(float)
+    n = np.arange(lo, hi)
     log_p = n * math.log(n_bar / (1.0 + n_bar)) - math.log1p(n_bar)
     return np.exp(log_p)
 
@@ -358,6 +373,8 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
 
 def synthesize_rabi(n_bar, carrier_rabi, lamb_dicke, times, shots, seed):
     """Binomial-sampled synthetic dataset plus a truth manifest."""
+    if not (1 <= shots < math.inf) or shots != int(shots):
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     p = rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     counts = rng.binomial(int(shots), p)
@@ -373,12 +390,241 @@ def synthesize_rabi(n_bar, carrier_rabi, lamb_dicke, times, shots, seed):
     return dataset, manifest
 
 
-def _rabi_nll(dataset, n_bar, omega0):
-    p = rabi_excitation(dataset.pulse_times, n_bar, omega0, dataset.lamb_dicke)
-    p = np.clip(p, 1e-9, 1.0 - 1e-9)
+def _binomial_terms(dataset, p):
+    """The binomial NLL of the counts at probabilities p, clipped to
+    [1e-9, 1 - 1e-9], and its first and second derivatives in each p,
+    which are zero where the clip holds p."""
+    pc = np.clip(p, 1e-9, 1.0 - 1e-9)
     k = np.round(dataset.excitation_probability * dataset.shots_per_point)
     m = dataset.shots_per_point - k
-    return float(-(k * np.log(p) + m * np.log1p(-p)).sum())
+    nll = float(-(k * np.log(pc) + m * np.log1p(-pc)).sum())
+    free = pc == p
+    d1 = np.where(free, m / (1.0 - pc) - k / pc, 0.0)
+    d2 = np.where(free, k / pc ** 2 + m / (1.0 - pc) ** 2, 0.0)
+    return nll, d1, d2
+
+
+def _rabi_nll(dataset, n_bar, omega0):
+    """The thermometry objective; the fit uses its closed-form derivatives."""
+    p = rabi_excitation(dataset.pulse_times, n_bar, omega0, dataset.lamb_dicke)
+    return _binomial_terms(dataset, p)[0]
+
+
+def _thermal_columns(n_bar, lo, hi):
+    """p_n, dp_n/dn_bar and d2p_n/dn_bar2 for n = lo .. hi-1, as columns.
+
+    With q = n_bar/(1+n_bar), p_n = (1-q) q^n and d/dn_bar = (1-q)^2 d/dq,
+    so both derivatives are polynomials in q, finite at n_bar = 0:
+        dp_n  = (1-q)^2 [n (1-q) q^(n-1) - q^n]
+        d2p_n = (1-q)^3 [n (n-1) (1-q)^2 q^(n-2) - 4 n (1-q) q^(n-1) + 2 q^n]
+    The p_n column is the matching slice of thermal_weights, bit for bit.
+    """
+    r = 1.0 / (1.0 + n_bar)
+    q = n_bar / (1.0 + n_bar)
+    n = np.arange(lo, hi)
+    q0, q1, q2 = (q ** np.maximum(n - k, 0) for k in range(3))
+    w = np.empty((hi - lo, 3))
+    w[:, 0] = _thermal_block(n_bar, lo, hi)
+    w[:, 1] = r * r * (n * r * q1 - q0)
+    w[:, 2] = r ** 3 * (n * (n - 1) * (r * r) * q2 - 4.0 * n * r * q1 + 2.0 * q0)
+    return w
+
+
+# Fock terms per block of the derivative kernel: its three (points x 6,000)
+# arrays stay below the one (points x 20,000) array of rabi_excitation
+_DERIV_BLOCK = 6_000
+
+
+def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
+    """P(t) of rabi_excitation and its derivatives in n_bar and u = ln Omega_0.
+
+    Returns P, (dP/dn_bar, dP/du) and (d2P/dn_bar2, d2P/dn_bar du, d2P/du2),
+    each over the pulse times. With phi_n = Omega_n t/2, dphi_n/du = phi_n:
+        dP/du   = sum p_n phi_n sin 2phi_n
+        d2P/du2 = sum p_n (phi_n sin 2phi_n + 2 phi_n^2 cos 2phi_n)
+    and the n_bar derivatives take the weights of _thermal_columns. A block
+    takes one sin and one cos; the rest is in-place products and one matrix
+    product with the block's weight columns per output.
+    """
+    t = np.asarray(times, float)
+    n_top = _truncation(n_bar)
+    x = lamb_dicke ** 2
+    lag = _laguerre_prefix(n_top, x)
+    half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
+    acc = np.zeros((t.size, 6))
+    for lo in range(0, n_top + 1, _DERIV_BLOCK):
+        hi = min(lo + _DERIV_BLOCK, n_top + 1)
+        w = _thermal_columns(n_bar, lo, hi)
+        phase = np.multiply.outer(t, half[lo:hi])
+        s = np.sin(phase)
+        c = np.cos(phase)
+        c *= s
+        np.square(s, out=s)                 # sin^2 phi
+        for k in range(3):
+            acc[:, k] += s @ w[:, k]
+        c *= phase
+        c += c                              # phi sin 2phi
+        for k in range(2):
+            acc[:, 3 + k] += c @ w[:, k]
+        s *= -2.0
+        s += 1.0                            # cos 2phi
+        phase *= phase
+        s *= phase
+        s += s
+        s += c                              # phi sin 2phi + 2 phi^2 cos 2phi
+        acc[:, 5] += s @ w[:, 0]
+    return acc[:, 0], acc[:, [1, 3]].T, acc[:, [2, 4, 5]].T
+
+
+def _nll_derivatives(dataset, n_bar, u):
+    """NLL at (n_bar, u = ln Omega_0), its gradient and Hessian, and the
+    Hessian's Gauss-Newton part sum d2NLL/dP2 dP dP^T, which is never
+    indefinite."""
+    p, dp, d2p = _excitation_derivatives(dataset.pulse_times, n_bar,
+                                         math.exp(u), dataset.lamb_dicke)
+    nll, d1, d2 = _binomial_terms(dataset, p)
+    gauss_newton = (dp * d2) @ dp.T
+    h_nn, h_nu, h_uu = d2p @ d1
+    hess = gauss_newton + np.array([[h_nn, h_nu], [h_nu, h_uu]])
+    return nll, dp @ d1, hess, gauss_newton
+
+
+def _nll_floor(dataset, p, headroom):
+    """A lower bound on the binomial NLL at any probabilities between p and
+    p + headroom: each point's NLL falls, then rises, in its P."""
+    k = np.round(dataset.excitation_probability * dataset.shots_per_point)
+    p_least = k / dataset.shots_per_point
+    return _binomial_terms(dataset, np.clip(p_least, p, p + headroom))[0]
+
+
+def _seed_grid_nll(dataset, nbar_grid, omega_grid):
+    """NLL at every (n_bar, Omega_0) pair of the seed grid, [n_bar, Omega_0],
+    or +inf where the pair cannot have the least NLL of the grid.
+
+    Each Omega_0 takes one sin^2 per Fock block, and one product with that
+    block's columns of every n_bar's p_n (zero beyond its truncation) gives
+    all the excitation curves at that Omega_0. The terms from n = lo on add
+    at most q^lo to each P, q = n_bar/(1+n_bar); a column whose NLL floor
+    over that range lies above the least NLL finished so far is dropped.
+    """
+    t = dataset.pulse_times
+    tops = [_truncation(nb) for nb in nbar_grid]
+    q = [nb / (1.0 + nb) for nb in nbar_grid]
+    x = dataset.lamb_dicke ** 2
+    lag = _laguerre_prefix(max(tops), x)
+    nll = np.full((len(nbar_grid), len(omega_grid)), np.inf)
+    least = math.inf
+    for j, om in enumerate(omega_grid):
+        half = 0.5 * (om * math.exp(-0.5 * x) * lag)
+        p = np.zeros((t.size, len(nbar_grid)))
+        live = range(len(nbar_grid))
+        for lo in range(0, lag.size, 20_000):
+            # twice the remaining mass and 1e-9 of the NLL cover rounding
+            live = [i for i in live if tops[i] >= lo and not _nll_floor(
+                dataset, p[:, i], 2.0 * q[i] ** lo) > least * (1.0 + 1e-9)]
+            if not live:
+                break
+            hi = min(lo + 20_000, max(tops[i] for i in live) + 1)
+            cols = np.zeros((hi - lo, len(live)))
+            for c, i in enumerate(live):
+                end = min(hi, tops[i] + 1)
+                cols[:end - lo, c] = _thermal_block(nbar_grid[i], lo, end)
+            phase = np.multiply.outer(t, half[lo:hi])
+            np.sin(phase, out=phase)
+            np.square(phase, out=phase)
+            p[:, live] += phase @ cols
+            for i in live:
+                if tops[i] < hi:
+                    nll[i, j] = _binomial_terms(dataset, p[:, i])[0]
+                    least = min(least, nll[i, j])
+    return nll
+
+
+def _newton_step(g, hess, gauss_newton, free):
+    """The Newton step on the free coordinates, zero on the others.
+
+    Uses the Hessian where it is positive definite on them, else its
+    Gauss-Newton part; returns (step, whether it is the Hessian's), or
+    (None, False) when neither is positive definite.
+    """
+    idx = np.ix_(free, free)
+    for metric, exact in ((hess, True), (gauss_newton, False)):
+        try:
+            chol = np.linalg.cholesky(metric[idx])
+        except np.linalg.LinAlgError:
+            continue
+        step = np.zeros(2)
+        step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, g[free]))
+        return step, exact
+    return None, False
+
+
+def _newton_mle(dataset, n_bar, omega0):
+    """Damped Newton on the NLL over (n_bar, u = ln Omega_0).
+
+    Every trial keeps 0 <= n_bar <= _N_BAR_TOP. Where n_bar sits on a bound
+    and the gradient or the step points out of the range, n_bar is held
+    and u alone iterates. Where the Hessian is not positive definite its
+    Gauss-Newton part takes its place. Far from the optimum (Newton
+    decrement g.H^-1.g, twice the NLL's predicted fall, above 1e-2) steps
+    backtrack until the NLL falls by the Armijo margin; closer in the full
+    step is taken, as the NLL is quadratic there to well below its
+    rounding, which would stall a line search. The iteration stops when
+    the decrement is below 1e-10 with a positive-definite Hessian:
+    "converged", or "pinned" when n_bar is held at the upper edge. Returns
+    (n_bar, u, nll, hess, iterations, status); status "failed" when a
+    line search or the iteration limit runs out.
+    """
+    x = np.array([n_bar, math.log(omega0)])
+    f, g, hess, gn = _nll_derivatives(dataset, *x)
+    for iterations in range(100):
+        if not (math.isfinite(f) and np.all(np.isfinite(hess))
+                and np.all(np.isfinite(g))):
+            break
+        step, exact = _newton_step(g, hess, gn, [0, 1])
+        # the direction out of the range at a bound: -1 at 0, +1 at the top
+        out = -1.0 if x[0] == 0.0 else 1.0 if x[0] == _N_BAR_TOP else 0.0
+        held = out != 0.0 and (g[0] * out < 0.0 or step is None
+                               or step[0] * out >= 0.0)
+        if held:
+            step, exact = _newton_step(g, hess, gn, [1])
+        if step is None:
+            break
+        decrement = float(-(g @ step))
+        if exact and decrement <= 1e-10:
+            status = "pinned" if held and out > 0.0 else "converged"
+            return x[0], x[1], f, hess, iterations, status
+        # the longest step that keeps n_bar inside [0, _N_BAR_TOP]
+        alpha_max, bound = 1.0, None
+        if x[0] + step[0] < 0.0:
+            alpha_max, bound = x[0] / -step[0], 0.0
+        elif x[0] + step[0] > _N_BAR_TOP:
+            alpha_max, bound = (_N_BAR_TOP - x[0]) / step[0], _N_BAR_TOP
+        alpha = alpha_max
+        for _ in range(60):
+            trial = x + alpha * step
+            if alpha == alpha_max and bound is not None:
+                trial[0] = bound
+            ft, gt, ht, gnt = _nll_derivatives(dataset, *trial)
+            if (exact and decrement < 1e-2 and math.isfinite(ft)) or \
+                    ft <= f - 1e-4 * alpha * decrement:
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, f, g, hess, gn = trial, ft, gt, ht, gnt
+    return x[0], x[1], f, hess, iterations, "failed"
+
+
+def _hessian_sigmas(hess, omega0):
+    """1-sigma of (n_bar, Omega_0) from the NLL Hessian in (n_bar, ln
+    Omega_0); zeros when it is not positive definite."""
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return 0.0, 0.0
+    cov = np.linalg.inv(hess)
+    return math.sqrt(cov[0, 0]), omega0 * math.sqrt(cov[1, 1])
 
 
 def _first_peak_rabi(dataset):
@@ -395,96 +641,69 @@ def _first_peak_rabi(dataset):
 def fit_rabi_nbar(dataset):
     """Maximum-likelihood (n_bar, Omega_0) under binomial shot statistics.
 
-    Grid-seeded Nelder-Mead on (log(n_bar + 1/2), log Omega_0); on
-    optimizer failure falls back to weighted least squares, recorded in
-    the method field. Uncertainties from the numeric Hessian of the NLL.
+    The best of a 24-point grid, evaluated one sin^2 per Fock block and
+    seed Omega_0 (see _seed_grid_nll), seeds a damped Newton iteration on
+    (n_bar, ln Omega_0) that uses the NLL's closed-form gradient and
+    Hessian and keeps 0 <= n_bar < N_BAR_MAX (see _newton_mle). A fit
+    held at that upper edge reports converged False. When the iteration
+    fails, weighted least squares on the probabilities takes over,
+    recorded in the method field. Uncertainties come from the analytic
+    Hessian at the solution.
     """
     omega_seed = dataset.carrier_rabi if dataset.carrier_rabi > 0 \
         else _first_peak_rabi(dataset)
     nbar_grid = [0.1, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0, 4000.0]
     omega_grid = [omega_seed * f for f in (0.9, 1.0, 1.1)]
 
+    grid = _seed_grid_nll(dataset, nbar_grid, omega_grid)
     best = None
-    for nb in nbar_grid:
-        for om in omega_grid:
-            nll = _rabi_nll(dataset, nb, om)
-            if best is None or nll < best[0]:
-                best = (nll, nb, om)
+    for i, nb in enumerate(nbar_grid):
+        for j, om in enumerate(omega_grid):
+            if best is None or grid[i, j] < best[0]:
+                best = (grid[i, j], nb, om)
     guess = {"n_bar": best[1], "carrier_rabi": best[2]}
 
-    def objective(theta):
-        nb = math.exp(theta[0]) - 0.5
-        om = math.exp(theta[1])
-        if nb < 0 or nb > 5e4:
-            return 1e12
-        return _rabi_nll(dataset, nb, om)
-
-    from scipy.optimize import least_squares, minimize
-
-    theta0 = np.array([math.log(best[1] + 0.5), math.log(best[2])])
-    res = minimize(objective, theta0, method="Nelder-Mead",
-                   options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 600})
-
-    if res.success:
-        nb = math.exp(res.x[0]) - 0.5
-        om = math.exp(res.x[1])
-        sig_nb, sig_om = _rabi_sigmas(dataset, nb, om)
+    nb, u, nll, hess, iterations, status = _newton_mle(dataset, best[1], best[2])
+    if status != "failed":
+        om = math.exp(u)
+        sig_nb, sig_om = _hessian_sigmas(hess, om)
         return FitResult(
-            parameters={"n_bar": nb, "carrier_rabi": om},
+            parameters={"n_bar": float(nb), "carrier_rabi": om},
             sigmas={"n_bar": sig_nb, "carrier_rabi": sig_om},
-            residual_norm=float(res.fun),
-            n_iterations=int(res.nit),
-            converged=True,
+            residual_norm=nll,
+            n_iterations=iterations,
+            converged=status == "converged",
             model_id="rabi-thermal P(t) = sum p_n sin^2(Omega_n t/2)",
-            method="mle-binomial-nelder-mead",
+            method="mle-binomial-newton",
             initial_guess=guess)
 
     # WLS fallback on probabilities with binomial sigmas
     p_obs = dataset.excitation_probability
     sig = np.sqrt(np.clip(p_obs * (1 - p_obs), 0.05, None) / dataset.shots_per_point)
 
+    def n_bar_of(theta0):
+        n_bar = math.exp(min(theta0, math.log(_N_BAR_TOP + 0.5))) - 0.5
+        return min(max(n_bar, 0.0), _N_BAR_TOP)
+
     def residuals(theta):
-        nb = max(math.exp(theta[0]) - 0.5, 0.0)
-        om = math.exp(theta[1])
-        p = rabi_excitation(dataset.pulse_times, nb, om, dataset.lamb_dicke)
+        p = rabi_excitation(dataset.pulse_times, n_bar_of(theta[0]),
+                            math.exp(theta[1]), dataset.lamb_dicke)
         return (p - p_obs) / sig
 
+    from scipy.optimize import least_squares
+
+    theta0 = np.array([math.log(best[1] + 0.5), math.log(best[2])])
     res2 = least_squares(residuals, theta0, method="lm", max_nfev=400)
-    nb = max(math.exp(res2.x[0]) - 0.5, 0.0)
+    nb = n_bar_of(res2.x[0])
     om = math.exp(res2.x[1])
-    sig_nb, sig_om = _rabi_sigmas(dataset, nb, om)
+    sig_nb, sig_om = _hessian_sigmas(
+        _nll_derivatives(dataset, nb, res2.x[1])[2], om)
     return FitResult(
         parameters={"n_bar": nb, "carrier_rabi": om},
         sigmas={"n_bar": sig_nb, "carrier_rabi": sig_om},
         residual_norm=float(np.linalg.norm(res2.fun)),
         n_iterations=int(res2.nfev),
-        converged=bool(res2.success),
+        converged=bool(res2.success) and nb < _N_BAR_TOP,
         model_id="rabi-thermal P(t) = sum p_n sin^2(Omega_n t/2)",
         method="wls-fallback",
         initial_guess=guess)
-
-
-def _rabi_sigmas(dataset, n_bar, omega0):
-    """1-sigma from the numeric NLL Hessian; zeros when not positive definite."""
-    h_nb = max(1e-3 * (n_bar + 0.5), 1e-4)
-    h_om = 1e-4 * omega0
-    if h_om ** 2 == 0.0:
-        return 0.0, 0.0   # the step underflows: no curvature to measure
-
-    def nll(nb, om):
-        return _rabi_nll(dataset, max(nb, 0.0), om)
-
-    f0 = nll(n_bar, omega0)
-    d2_nn = (nll(n_bar + h_nb, omega0) - 2 * f0 + nll(n_bar - h_nb, omega0)) / h_nb ** 2
-    d2_oo = (nll(n_bar, omega0 + h_om) - 2 * f0 + nll(n_bar, omega0 - h_om)) / h_om ** 2
-    d2_no = (nll(n_bar + h_nb, omega0 + h_om) - nll(n_bar + h_nb, omega0 - h_om)
-             - nll(n_bar - h_nb, omega0 + h_om) + nll(n_bar - h_nb, omega0 - h_om)) \
-        / (4 * h_nb * h_om)
-    hess = np.array([[d2_nn, d2_no], [d2_no, d2_oo]])
-    try:
-        cov = np.linalg.inv(hess)
-        if cov[0, 0] > 0 and cov[1, 1] > 0:
-            return math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
-    except np.linalg.LinAlgError:
-        pass
-    return 0.0, 0.0

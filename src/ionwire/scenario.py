@@ -441,9 +441,8 @@ OPTION_KEYS = {
              default=(40.0, 50.0, 60.0, 70.0, 80.0, 100.0, 150.0, 200.0),
              positive=True)),
     "thermometry": (
-        # the largest n_bar whose thermal tail beyond N_MAX_CAP is < TAIL_TOL
-        _Key("nbar", "n_bar", default=182.0, minimum=0.0, below=1.0 / math.expm1(
-            -math.log(analysis.TAIL_TOL) / (analysis.N_MAX_CAP + 1))),
+        _Key("nbar", "n_bar", default=182.0, minimum=0.0,
+             below=analysis.N_BAR_MAX),
         # Generator.binomial takes an int64 count
         _Key("shots", "shots", INTEGER, default=200, minimum=1, below=2 ** 63),
         # more points than fitted parameters; Fock blocks hold points x 20,000

@@ -168,35 +168,193 @@ def test_thermometry_ground_state():
     data, _ = synthesize_rabi(0.0, rabi, eta, times, shots=400, seed=12)
     fit = fit_rabi_nbar(data)
     assert fit.parameters["n_bar"] < 1.0
+    # n_bar is held at zero, where the likelihood still falls into the range
+    assert fit.converged and fit.parameters["n_bar"] == 0.0
+    assert fit.n_iterations < 10
+    _, grad, _, _ = analysis._nll_derivatives(
+        data, 0.0, math.log(fit.parameters["carrier_rabi"]))
+    assert grad[0] > 0.0
 
 
 def test_thermometry_fit_at_underflowing_rabi_step():
-    # the Hessian step 1e-4 * Omega_0 squares to zero: sigmas read 0
-    rabi = 2 * math.pi * 1e-300 * 1e3
-    t_pi = math.pi / rabi
-    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 5)
-    data, _ = synthesize_rabi(5.0, rabi, 0.05, times, shots=10, seed=0)
-    fit = fit_rabi_nbar(data)
-    assert fit.sigmas == {"n_bar": 0.0, "carrier_rabi": 0.0}
+    # P depends on Omega_0 t only: at Omega_0 = 2 pi 1e-300 kHz the fit must
+    # give what the same counts give at 2 pi 1 kHz, in relative terms
+    fits = []
+    for rabi in (2 * math.pi * 1e-300 * 1e3, 2 * math.pi * 1e3):
+        t_pi = math.pi / rabi
+        times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 5)
+        data, _ = synthesize_rabi(5.0, rabi, 0.05, times, shots=10, seed=0)
+        fits.append((data, fit_rabi_nbar(data)))
+    (tiny_data, tiny), (data, fit) = fits
+    assert np.array_equal(tiny_data.excitation_probability,
+                          data.excitation_probability)
+    assert tiny.converged and fit.converged
+    for got, want in (
+            (tiny.parameters["n_bar"], fit.parameters["n_bar"]),
+            (tiny.sigmas["n_bar"], fit.sigmas["n_bar"]),
+            (tiny.sigmas["carrier_rabi"] / tiny.parameters["carrier_rabi"],
+             fit.sigmas["carrier_rabi"] / fit.parameters["carrier_rabi"])):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert fit.sigmas["n_bar"] > 0.0
 
 
 def test_thermometry_fit_is_frozen():
-    # frozen from the plain Fock sum (a fresh Laguerre sequence and an
-    # out-of-place sin^2 per block); the cached, in-place kernel keeps them
     rabi, eta = TWO_PI * 50e3, 0.05
     t_pi = math.pi / rabi
     times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 60)
     data, _ = synthesize_rabi(50.0, rabi, eta, times, shots=200, seed=12)
     fit = fit_rabi_nbar(data)
-    assert fit.method == "mle-binomial-nelder-mead"
-    assert fit.n_iterations == 51
-    for got, frozen in ((fit.parameters, {"n_bar": 51.02472921142999,
-                                          "carrier_rabi": 315372.2380570258}),
-                        (fit.sigmas, {"n_bar": 1.5945730051021676,
-                                      "carrier_rabi": 803.0220904189105})):
-        assert got.keys() == frozen.keys()
-        for k in frozen:
-            assert got[k] == pytest.approx(frozen[k], rel=1e-12)
+    assert fit.method == "mle-binomial-newton"
+    assert fit.n_iterations == 5 and fit.converged
+    assert fit.initial_guess == {"n_bar": 80.0, "carrier_rabi": rabi}
+    # the Newton fit, frozen; and the grid-seeded Nelder-Mead search with
+    # a numeric Hessian that it replaced, which found the same optimum
+    newton = ({"n_bar": 51.0247179918461, "carrier_rabi": 315372.24210108485},
+              {"n_bar": 1.5945729836972413, "carrier_rabi": 803.0218703309706})
+    nelder_mead = ({"n_bar": 51.02472921142999,
+                    "carrier_rabi": 315372.2380570258},
+                   {"n_bar": 1.5945730051021676,
+                    "carrier_rabi": 803.0220904189105})
+    for frozen, rel in ((newton, (1e-12, 1e-12)), (nelder_mead, (1e-5, 1e-4))):
+        for got, want, tol in zip((fit.parameters, fit.sigmas), frozen, rel):
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k] == pytest.approx(want[k], rel=tol)
+
+
+def test_fit_keeps_n_bar_below_the_truncation_bound():
+    # the likelihood rises past the largest n_bar the truncation cap allows:
+    # the fit stops there, says it did not converge, and every number is finite
+    rabi = TWO_PI * 50e3
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 20)
+    data, _ = synthesize_rabi(12000.0, rabi, 0.05, times, 200, 2)
+    fit = fit_rabi_nbar(data)
+    assert fit.method == "mle-binomial-newton" and not fit.converged
+    assert 12000.0 < fit.parameters["n_bar"] < analysis.N_BAR_MAX
+    assert math.isfinite(fit.parameters["carrier_rabi"])
+    assert all(math.isfinite(v) for v in fit.sigmas.values())
+
+
+@pytest.mark.parametrize("n_bar,shots", [(0.0, 400), (50.0, 200),
+                                          (1000.0, 2000), (4000.0, 200)])
+def test_seed_grid_matches_the_nll_of_each_pair(n_bar, shots):
+    # the batched grid sums what _rabi_nll sums; a pair it stops summing
+    # must lie above the grid's least NLL, so the seed is the same
+    rabi = TWO_PI * 50e3
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 20)
+    data, _ = synthesize_rabi(n_bar, rabi, 0.05, times, shots, 3)
+    nbar_grid = [0.1, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0, 4000.0]
+    omega_grid = [0.9 * rabi, rabi, 1.1 * rabi]
+    grid = analysis._seed_grid_nll(data, nbar_grid, omega_grid)
+    each = np.array([[analysis._rabi_nll(data, nb, om) for om in omega_grid]
+                     for nb in nbar_grid])
+    summed = np.isfinite(grid)
+    assert np.allclose(grid[summed], each[summed], rtol=1e-12, atol=0.0)
+    assert np.all(each[~summed] > each.min())
+    assert np.argmin(grid) == np.argmin(each)
+    if n_bar < 4000.0:      # the n_bar = 4000 column is cut short
+        assert not summed[-1].any()
+
+
+def test_least_squares_fallback(monkeypatch):
+    # when the Newton iteration fails, weighted least squares takes over,
+    # with the same analytic sigmas and the same range for n_bar
+    monkeypatch.setattr(analysis, "_newton_mle", lambda data, nb, om: (
+        nb, math.log(om), math.nan, None, 0, "failed"))
+    rabi = TWO_PI * 50e3
+    t_pi = math.pi / rabi
+    for n_bar, points, seed in ((50.0, 60, 12), (12000.0, 20, 2)):
+        times = np.linspace(0.05 * t_pi, 6.0 * t_pi, points)
+        data, _ = synthesize_rabi(n_bar, rabi, 0.05, times, 200, seed)
+        fit = fit_rabi_nbar(data)
+        assert fit.method == "wls-fallback"
+        nb, om = fit.parameters["n_bar"], fit.parameters["carrier_rabi"]
+        assert 0.0 <= nb < analysis.N_BAR_MAX
+        hess = analysis._nll_derivatives(data, nb, math.log(om))[2]
+        assert (fit.sigmas["n_bar"], fit.sigmas["carrier_rabi"]) == \
+            analysis._hessian_sigmas(hess, om)
+    assert not fit.converged        # held at the bound
+    assert nb == analysis._N_BAR_TOP
+
+
+# ---------------------------------------------------------------------------
+# the closed-form derivatives of the thermometry NLL
+
+def _derivative_dataset():
+    rabi, eta = TWO_PI * 50e3, 0.05
+    t_pi = math.pi / rabi
+    times = np.linspace(0.05 * t_pi, 6.0 * t_pi, 60)
+    return synthesize_rabi(50.0, rabi, eta, times, shots=200, seed=12)[0]
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.3, 50.0, 182.0, 1000.0, 14000.0])
+def test_derivative_kernel_p_equals_rabi_excitation(n_bar):
+    rabi, eta = TWO_PI * 50e3, 0.05
+    times = np.linspace(1e-7, 60e-6, 60)
+    p, _, _ = analysis._excitation_derivatives(times, n_bar, rabi, eta)
+    assert np.max(np.abs(p - rabi_excitation(times, n_bar, rabi, eta))) \
+        <= 1e-15
+
+
+@pytest.mark.parametrize("n_bar", [0.3, 50.0, 1000.0])
+def test_nll_gradient_and_hessian_match_central_differences(n_bar):
+    # n_bar 1000 sums 20,101 Fock terms, across kernel blocks
+    data = _derivative_dataset()
+    u = math.log(TWO_PI * 50e3 * 1.003)
+    nll, grad, hess, _ = analysis._nll_derivatives(data, n_bar, u)
+    assert nll == pytest.approx(analysis._rabi_nll(data, n_bar, math.exp(u)),
+                                rel=1e-13)
+
+    def f(nb, uu):
+        return analysis._rabi_nll(data, nb, math.exp(uu))
+
+    h_n, h_u = 1e-4 * n_bar, 1e-6
+    numeric = [(f(n_bar + h_n, u) - f(n_bar - h_n, u)) / (2 * h_n),
+               (f(n_bar, u + h_u) - f(n_bar, u - h_u)) / (2 * h_u)]
+    assert grad == pytest.approx(numeric, rel=1e-5)
+    # each Hessian column against differences of the analytic gradient
+    for j, h in enumerate((h_n, h_u)):
+        step = np.eye(2)[j] * h
+        up = analysis._nll_derivatives(data, *(np.array([n_bar, u]) + step))
+        down = analysis._nll_derivatives(data, *(np.array([n_bar, u]) - step))
+        column = (up[1] - down[1]) / (2 * h)
+        assert hess[:, j] == pytest.approx(column, rel=1e-5,
+                                           abs=1e-6 * abs(hess[j, j]))
+
+
+def test_nll_n_bar_derivatives_at_zero_match_one_sided_differences():
+    data = _derivative_dataset()
+    u = math.log(TWO_PI * 50e3)
+    nll, grad, hess, _ = analysis._nll_derivatives(data, 0.0, u)
+    assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+    def f(nb):
+        return analysis._rabi_nll(data, nb, math.exp(u))
+
+    h = 1e-4
+    # second-order forward differences
+    first = (-3 * f(0.0) + 4 * f(h) - f(2 * h)) / (2 * h)
+    second = (2 * f(0.0) - 5 * f(h) + 4 * f(2 * h) - f(3 * h)) / h ** 2
+    assert grad[0] == pytest.approx(first, rel=1e-6)
+    assert hess[0, 0] == pytest.approx(second, rel=1e-4)
+    grad_up = analysis._nll_derivatives(data, h, u)[1]
+    assert hess[1, 0] == pytest.approx((grad_up[1] - grad[1]) / h, rel=1e-3)
+
+
+def test_thermal_columns_match_the_thermal_weights():
+    for n_bar in (0.0, 0.3, 5.0):
+        w = analysis._thermal_columns(n_bar, 0, 400)
+        assert np.array_equal(w[:, 0], thermal_weights(n_bar, 399))
+        # p_n sums to one, so its derivatives sum to zero over the whole sum
+        assert abs(w[:, 1].sum()) < 1e-12 and abs(w[:, 2].sum()) < 1e-12
+    # the closed forms at n_bar = 0: p_0 = 1/(1+n), p_1 = n/(1+n)^2, ...
+    w = analysis._thermal_columns(0.0, 0, 4)
+    assert w[:, 1].tolist() == [-1.0, 1.0, 0.0, 0.0]
+    assert w[:, 2].tolist() == [2.0, -4.0, 2.0, 0.0]
+    block = analysis._thermal_columns(50.0, 1000, 1400)
+    assert np.array_equal(block, analysis._thermal_columns(50.0, 0, 1400)[1000:])
 
 
 def _plain_excitation(times, n_bar, carrier_rabi, lamb_dicke):
@@ -324,6 +482,10 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
                          TWO_PI * 50e3, 0.05), "excitation_probability"),
     (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, 0.2]), math.nan,
                          TWO_PI * 50e3, 0.05), "shots_per_point"),
+    (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, 0.2]), 2.5,
+                         TWO_PI * 50e3, 0.05), "shots_per_point"),
+    (lambda: synthesize_rabi(50.0, TWO_PI * 50e3, 0.05, np.array([1e-6, 2e-6]),
+                             2.5, 0), "shots"),
     (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, 0.2]), 100,
                          math.inf, 0.05), "carrier_rabi"),
     (lambda: FitResult({"rate": 1.0}, {"rate": math.nan}, 0.0, 1, True, "m",
@@ -333,7 +495,8 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
         "heating-short-sigmas", "resonance-nan-sigma", "resonance-nan-omega",
         "resonance-inf-rate", "resonance-short-rates", "resonance-long-sigmas",
         "rabi-nan-time", "rabi-nan-probability",
-        "rabi-nan-shots", "rabi-inf-carrier", "fit-result-nan-sigma"])
+        "rabi-nan-shots", "rabi-fractional-shots",
+        "synthesize-fractional-shots", "rabi-inf-carrier", "fit-result-nan-sigma"])
 def test_fitter_inputs_reject_bad_numbers_naming_the_argument(call, name):
     with pytest.raises(ValueError, match=name):
         call()

@@ -115,6 +115,19 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_thermometry_run_loads_no_scipy_optimize(tmp_path):
+    # the fit is a hand-written Newton iteration; scipy.optimize loads only
+    # for its least-squares fallback
+    out = str(tmp_path / "t")
+    proc = run_python(["-c", "import sys, ionwire.cli; status = ionwire.cli."
+                       f"main(['thermometry', '--out', {out!r}]); print(status,"
+                       " 'scipy.optimize' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    with open(os.path.join(out, "thermometry_fit.json")) as fh:
+        assert json.load(fh)["method"] == "mle-binomial-newton"
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli([], tmp_path).returncode == 2
     assert run_cli(["frobnicate"], tmp_path).returncode == 2
@@ -345,6 +358,19 @@ def test_rejected_options_exit_2_naming_the_flag(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and flag in err, err
     assert not (tmp_path / "o").exists()
     assert read_options("thermometry", {"nbar": "14476"})["n_bar"] == 14476.0
+
+
+def test_n_bar_near_the_truncation_bound_fits_without_error(tmp_path, capsys):
+    # the likelihood keeps rising up to the bound: the fit stops below it
+    # and reports that it did not converge
+    out = tmp_path / "t"
+    status, err = _main(["thermometry", "--nbar", "12000", "--points", "20",
+                         "--shots", "200", "--seed", "2", "--out", str(out)],
+                        capsys)
+    assert status == 0, err
+    fit = json.loads((out / "thermometry_fit.json").read_text())
+    assert fit["converged"] is False
+    assert fit["parameters"]["n_bar"] < 14476.06
 
 
 def test_direct_option_digests_cover_the_validated_values(tmp_path, capsys):

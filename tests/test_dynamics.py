@@ -663,6 +663,12 @@ FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
               NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
 FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
 FUZZ_SCAN = tuple((TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))).tolist())
+
+
+def _fit_rabi_dataset(**fields):
+    return analysis.fit_rabi_nbar(analysis.RabiDataset(**fields))
+
+
 FUZZ_CALLS = {
     "envelope": (integrate_envelope, dict(
         ENVELOPE_BASE, noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
@@ -692,13 +698,17 @@ FUZZ_CALLS = {
     "rabi-dataset": (analysis.RabiDataset, dict(
         pulse_times=(1e-6, 2e-6, 3e-6), excitation_probability=(0.1, 0.5, 0.9),
         shots_per_point=100, carrier_rabi=TWO_PI * 50e3, lamb_dicke=0.05)),
+    "rabi-fit": (_fit_rabi_dataset, dict(
+        pulse_times=(1e-6, 3e-6, 5e-6, 7e-6, 9e-6),
+        excitation_probability=(0.03, 0.18, 0.5, 0.74, 0.94),
+        shots_per_point=100, carrier_rabi=TWO_PI * 50e3, lamb_dicke=0.05)),
     "fit-result": (functools.partial(
         analysis.FitResult, parameters={"rate": 1.0, "intercept": 0.5},
         residual_norm=0.1, n_iterations=1, converged=True, model_id="m",
         method="wls"), dict(sigmas={"rate": 0.1, "intercept": 0.2}))}
 # the calls without a dt fuzz every argument; this many numbers each
 FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
-               "rabi-dataset": 9, "fit-result": 2}
+               "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2}
 
 
 def _numeric_leaves(value, path=()):
