@@ -172,15 +172,53 @@ def fit_linear_heating(times, occupations, sigmas=None):
 # ---------------------------------------------------------------------------
 # resonance line shape
 
-def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref):
-    """1/f-field baseline plus a Gaussian peak, rates in quanta/s."""
-    w_sig = 2.0 * math.pi * width_sigma_hz
-    return a_base * (omega_ref / omega) ** 2 + \
-        b_peak * np.exp(-0.5 * ((omega - center) / w_sig) ** 2)
+def probe_line(offsets, width_sigma_hz, kappa, duration):
+    """Exchange line of a probe, normalized to 1 at zero offset.
+
+    One shot at detuning d moves the fraction P(d) = kappa^2/g^2 sin^2(g T),
+    g^2 = kappa^2 + d^2/4, of the population difference in a probe of
+    duration T; the line is P averaged over Gaussian detuning jitter of
+    rms ``width_sigma_hz``, at ``offsets`` (rad/s) from the line center. The
+    average is a sum over a grid of 16 points per 2 pi/T, out to 128
+    max(kappa, 1/T), beyond which lies about 1% of P's area or less. At
+    kappa = 0 the line is the weak-coupling limit, P / kappa^2.
+    """
+    step = math.pi / (8.0 * duration)
+    reach = 128.0 * max(abs(kappa), 1.0 / duration)
+    d = np.arange(-reach, reach + step, step)
+    # P(d) / (kappa T)^2, which has a limit as kappa -> 0
+    shot = np.sinc(np.sqrt(kappa * kappa + 0.25 * d * d) * duration / math.pi) ** 2
+    # offsets in blocks of about 2^20 Gaussian weights, however long the
+    # probe (the grid grows as kappa T)
+    u = np.append(np.asarray(offsets, float).ravel(), 0.0)
+    w_sig, rows = 2.0 * math.pi * width_sigma_hz, max(1, 2 ** 20 // d.size)
+    line = np.concatenate([
+        np.exp(-0.5 * ((u[i:i + rows, None] - d) / w_sig) ** 2) @ shot
+        for i in range(0, u.size, rows)])
+    return (line[:-1] / line[-1]).reshape(np.shape(offsets))
 
 
-def fit_resonance(omegas, rates, sigmas=None):
+def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref,
+                    probe=None):
+    """1/f-field baseline plus a peak of height b_peak, rates in quanta/s.
+
+    The peak is a Gaussian of rms ``width_sigma_hz``, or, with ``probe``
+    a (kappa, duration) pair, that probe's ``probe_line``.
+    """
+    if probe is None:
+        w_sig = 2.0 * math.pi * width_sigma_hz
+        peak = np.exp(-0.5 * ((omega - center) / w_sig) ** 2)
+    else:
+        peak = probe_line(omega - center, width_sigma_hz, *probe)
+    return a_base * (omega_ref / omega) ** 2 + b_peak * peak
+
+
+def fit_resonance(omegas, rates, sigmas=None, probe=None):
     """Fit ndot(w) = A (w_ref/w)^2 + B exp(-(w-w0)^2 / 2 sigma_w^2).
+
+    With ``probe`` a (kappa, duration) pair the peak is that probe's
+    ``probe_line`` instead, whose sigma_w is the jitter alone: a Gaussian
+    fitted to it also holds the probe's own Fourier width.
 
     w_ref is pinned to the median scan frequency, so A is the baseline
     rate at the scan center. Seeding is a deterministic coarse grid over
@@ -204,6 +242,10 @@ def fit_resonance(omegas, rates, sigmas=None):
         raise ValueError("sigmas must align with omegas")
     if not np.all((s > 0) & (s < math.inf)):
         raise ValueError("sigmas must be positive and finite")
+    if probe is not None and not (math.isfinite(probe[0])
+                                  and 0 < probe[1] < math.inf):
+        raise ValueError("probe needs a finite kappa and a positive, finite "
+                         "duration")
     w_ref = float(np.median(w))
 
     span_hz = (w.max() - w.min()) / (2.0 * math.pi)
@@ -220,7 +262,7 @@ def fit_resonance(omegas, rates, sigmas=None):
     widths = [150.0, 300.0, 600.0, 1200.0]
 
     def residuals(p):
-        return (resonance_model(w, p[0], p[1], p[2], p[3], w_ref) - y) / s
+        return (resonance_model(w, *p, w_ref, probe) - y) / s
 
     best = None
     for c0 in centers:
@@ -246,6 +288,8 @@ def fit_resonance(omegas, rates, sigmas=None):
         dof = max(w.size - 4, 1)
         cov = cov * (2.0 * res.cost / dof)
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    peak = "B*exp(-(w-w0)^2/(2*sw^2))" if probe is None else \
+        "B*line(w-w0), line = <k^2/g^2 sin^2(g T)>_sw normalized at 0, g^2 = k^2 + d^2/4"
 
     return FitResult(
         parameters={"baseline_coeff": float(params[0]),
@@ -260,7 +304,7 @@ def fit_resonance(omegas, rates, sigmas=None):
         residual_norm=math.sqrt(2.0 * res.cost),
         n_iterations=int(res.nfev),
         converged=bool(res.success),
-        model_id="resonance ndot(w) = A*(w_ref/w)^2 + B*exp(-(w-w0)^2/(2*sw^2))",
+        model_id="resonance ndot(w) = A*(w_ref/w)^2 + " + peak,
         method="grid-seeded-lm",
         initial_guess={"baseline_coeff": float(p0[0]), "amplitude": float(p0[1]),
                        "center": float(p0[2]), "width_sigma_hz": float(p0[3])})
@@ -628,14 +672,17 @@ def _hessian_sigmas(hess, omega0):
 
 
 def _first_peak_rabi(dataset):
-    """Crude Omega_0 from the first local maximum of P(t)."""
-    p = dataset.excitation_probability
+    """Crude Omega_0 from the first local maximum of P(t) at t > 0."""
+    positive = dataset.pulse_times > 0
+    if not np.any(positive):
+        raise ValueError("pulse_times needs a positive time to seed carrier_rabi")
+    t, p = dataset.pulse_times[positive], dataset.excitation_probability[positive]
     if p.size >= 3:
         sm = np.convolve(p, np.ones(3) / 3.0, mode="same")
         for i in range(1, sm.size - 1):
             if sm[i] >= sm[i - 1] and sm[i] >= sm[i + 1] and sm[i] > 0.2:
-                return math.pi / dataset.pulse_times[i]
-    return math.pi / dataset.pulse_times[max(p.size // 2 - 1, 0)]
+                return math.pi / t[i]
+    return math.pi / t[max(p.size // 2 - 1, 0)]
 
 
 def fit_rabi_nbar(dataset):

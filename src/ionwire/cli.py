@@ -26,7 +26,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, analysis, circuit, experiments, geometry, svgplot
+from . import (__version__, analysis, circuit, dynamics, experiments, geometry,
+               svgplot)
 from .core import rad_s_to_hz
 from .scenario import (SCHEDULES, ScenarioError, digest, parse_scenario,
                        parse_scenario_text, read_options, scenario_digest)
@@ -202,15 +203,18 @@ def _write_svg(writer, report):
 
 
 def _manifest(writer, args, config_digest, started, scn=None, seed=None,
-              passed=None):
+              passed=None, rng_layout=None):
     """manifest.json; the seed and ensemble size are the ones the run used,
-    taken from ``scn`` when the command runs a scenario."""
+    taken from ``scn`` when the command runs a scenario, and the layout of
+    the integrators' random draws when it runs them."""
     payload = {"tool": "ionwire", "version": __version__,
                "command": args.command, "config_digest": config_digest,
                "seed": seed if scn is None else scn.seed,
                "ensemble": None if scn is None else scn.ensemble_size,
                "started": started, "finished": _now(),
                "outputs": sorted(writer.outputs)}
+    if rng_layout is not None:
+        payload["rng_layout"] = rng_layout
     if passed is not None:
         payload["passed"] = passed
     writer.json("manifest.json", payload)
@@ -264,7 +268,7 @@ def _cmd_report(args, started, kind):
     writer = _Writer(_resolve_outdir(args, scn))
     _write_report(writer, report, args.format, svg=args.svg)
     _manifest(writer, args, report.scenario_digest, started, scn=scn,
-              passed=report.passed)
+              passed=report.passed, rng_layout=dynamics.RNG_LAYOUT)
     print(f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
           f"({writer.outdir})")
     return report.passed

@@ -81,13 +81,14 @@ class TrapSite:
     effective_distance: float
 
     def __post_init__(self):
-        if not (self.vertical_frequency > 0):
-            raise ValueError("vertical_frequency must be positive")
-        if not (self.physical_height > 0):
-            raise ValueError("physical_height must be positive")
+        if not (0 < self.vertical_frequency < math.inf):
+            raise ValueError("vertical_frequency must be positive and finite")
+        if not (0 < self.physical_height < math.inf):
+            raise ValueError("physical_height must be positive and finite")
         # the image-charge geometry always gives D_eff above the physical height
-        if self.effective_distance < self.physical_height:
-            raise ValueError("effective_distance must be >= physical_height")
+        if not (self.physical_height <= self.effective_distance < math.inf):
+            raise ValueError("effective_distance must be finite and "
+                             ">= physical_height")
 
 
 @dataclass(frozen=True)

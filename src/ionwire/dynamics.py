@@ -21,31 +21,26 @@ heats at exactly ndot quanta/s; the 1/f^alpha character of the field
 noise enters only through the frequency dependence of ndot between runs
 (see ``noise_psd``), never within one run.
 
-Every stochastic realization owns a private generator spawned from
-(master seed, realization index): the PCG64 stream of numpy's
-``SeedSequence(seed, spawn_key=(i,))``. The sequences are hashed in bulk,
-a batch's indices at once (``_spawn_states``, tested against numpy), so
-no SeedSequence object is built per realization. The draw order is
-written once: the set-up draws in ``_batch_setup``, the chunked per-step
-draws in ``_step_loop``. So ensembles are bit-identical regardless of
-batch size, worker count, or scheduling.
+Without OU jitter both integrators are linear with constant coefficients
+per realization: a step maps the real state s, (Re a, Im a) of the
+envelope or (x, v) of the Verlet scheme with drag, to T s plus a kick
+drawn from N(0, D). So n steps are exactly T^n s plus one draw from
+N(0, Q_n), Q_n = sum_{k<n} T^k D T^k^T, both built by doubling (Van Loan
+1978, IEEE TAC 23:395): each realization advances one record interval at
+a time, with the stepped integrator's statistics and without its steps.
+The same maps give the exact ensemble means (``exact=True``). OU jitter
+makes T random, so it keeps the step loop.
 
-``integrate_envelope`` can integrate several points (detuning pairs, each
-with its own seed) in one call. Each point's ensemble is cut into
-segments at multiples of _BATCH, and consecutive segments, of one point
-or of several, share a batch of at most _BATCH rows, so a scan of small
-ensembles runs a few wide step loops instead of one narrow loop per
-point. This moves no output bit: every step is row-wise arithmetic, so a
-row's values do not depend on the rows beside it; each segment's
-occupation sums are taken over its own rows; and each point's segments
-are reduced in the same order as when the point runs alone.
-
-A full-integrator batch of one row (a single realization, as in the
-noiseless swap) steps on Python floats rather than on (1, 2) arrays,
-where numpy's per-call cost, not the arithmetic, sets the pace. It does
-the same float64 operations in the same order as the array step, so its
-output is bitwise the array path's.
+Realizations b _BATCH to (b + 1) _BATCH - 1 of a point with seed s are
+segment b. Its generator, ``default_rng(SeedSequence(s, spawn_key=(b,)))``,
+draws full _BATCH-row arrays: the set-up draws, then one per record
+interval, none for a segment without diffusion. Under OU jitter, steps
+c _CHUNK on draw from ``SeedSequence(s, spawn_key=(b, c))`` instead. So a
+realization's numbers depend only on the seed and its index: output is
+bit-identical for any worker count, and adding realizations never moves
+the existing ones.
 """
+
 
 from __future__ import annotations
 
@@ -64,8 +59,12 @@ TWO_PI = 2.0 * math.pi
 
 # fixed internals; changing them changes the RNG draw layout or the order
 # in which the ensemble moments are summed
-_BATCH = 256     # rows per worker batch; ensembles are cut at its multiples
-_CHUNK = 1024    # integration steps per RNG draw block
+_BATCH = 256     # rows per batch and per generator; ensembles are cut at its multiples
+_CHUNK = 1024    # integration steps per RNG draw block under OU jitter
+_NODES = 64      # Gauss-Hermite nodes per jittered ion in the exact means
+# the draw layout, as the manifests record it
+RNG_LAYOUT = (f"SeedSequence(seed, spawn_key=(b,)) per {_BATCH}-realization "
+              f"segment b, (b, c) per {_CHUNK}-step OU chunk c")
 
 JITTER_PER_SHOT = "per_shot_static"
 JITTER_OU = "ornstein_uhlenbeck"
@@ -188,98 +187,7 @@ def noise_psd(model, omega):
 
 
 # ---------------------------------------------------------------------------
-# seeding and ensemble plumbing
-
-def _spawn_states(seed, indices):
-    """PCG64 seed words of ``SeedSequence(seed, spawn_key=(i,))`` per index.
-
-    Returns ``generate_state(4, np.uint64)`` of each of those sequences as
-    the rows of an (n, 4) uint64 array, computed for all indices at once.
-    numpy's SeedSequence hashes 32-bit words with multipliers that do not
-    depend on the data, so its algorithm (numpy/random/bit_generator.pyx)
-    runs here word by word on arrays over the index, in uint64 masked to
-    32 bits. The entropy is the seed's words, padded to the pool size of 4
-    because a spawn key follows, then the index as one word.
-    """
-    index = np.asarray(indices, dtype=np.uint64)
-    if index.size and int(index.max()) >> 32:
-        raise ValueError("realization indices must be below 2**32")
-    m32 = 0xFFFFFFFF
-    words = []
-    while True:
-        words.append(np.full_like(index, seed & m32))
-        seed >>= 32
-        if not seed:
-            break
-    words += [np.zeros_like(index)] * (4 - len(words)) + [index]
-
-    def hasher(hash_const, mult):
-        # each call advances the hash constant, whatever the value hashed
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * mult & m32
-            value = value * hash_const & m32
-            return value ^ value >> 16
-        return hashmix
-
-    def mix(x, y):
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & m32
-        return result ^ result >> 16
-
-    # mix_entropy: the pool from the first 4 words, mixed together, then
-    # each further word mixed into every pool word
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    # generate_state(4, np.uint64): 8 32-bit words, cycling over the pool,
-    # in little-endian order, joined arithmetically
-    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
-    state = [hashmix(pool[k % 4]) for k in range(8)]
-    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)],
-                    axis=1)
-
-
-@functools.cache
-def _seed_row_type():
-    """An ISeedSequence that hands one row of ``_spawn_states`` to PCG64.
-
-    Defined on first use, so that importing this module does not load
-    ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedRow(ISeedSequence):
-        __slots__ = ("row",)
-
-        def __init__(self, row):
-            self.row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise NotImplementedError("a seed row holds 4 uint64 words")
-            return self.row
-
-    return SeedRow
-
-
-def _spawn_rngs(seed, indices):
-    # documented splitting scheme: stream i = SeedSequence(seed, spawn_key=(i,));
-    # adding realizations never perturbs existing ones. The sequences'
-    # hashes are computed in bulk, and PCG64 seeds itself from each row
-    from numpy.random import PCG64, Generator
-
-    seed_row = _seed_row_type()
-    return [Generator(PCG64(seed_row(row)))
-            for row in _spawn_states(int(seed), indices)]
-
+# ensemble plumbing
 
 def _count(name, value, least):
     """``value`` as an int, when it is an integer >= ``least``."""
@@ -289,22 +197,55 @@ def _count(name, value, least):
     return int(value)
 
 
-def _initial_amplitudes(initial_occupations, init_phase, z, phase):
-    """Complex amplitudes a with |a|^2 in quanta units, per init policy."""
-    b = z.shape[0]
-    a = np.empty((b, 2), dtype=complex)
+def _initial_state(initial_occupations, init_phase, z, phase):
+    """Quadratures s = (Re a, Im a) (rows, 4) of the complex amplitudes a,
+    |a|^2 in quanta, per init policy, and their second moments E[s s^T]."""
+    if not all(0.0 <= n0 < math.inf for n0 in initial_occupations):
+        raise ValueError(f"initial occupations must be finite and >= 0, "
+                         f"got {tuple(initial_occupations)!r}")
+    s, mean, var = np.zeros((len(z), 4)), np.zeros(4), np.zeros(4)
     for i in (0, 1):
-        n0 = float(initial_occupations[i])
-        kind = init_phase[i]
+        n0, kind, q = float(initial_occupations[i]), init_phase[i], [i, i + 2]
         if kind == INIT_THERMAL:
-            a[:, i] = math.sqrt(n0 / 2.0) * (z[:, 2 * i] + 1j * z[:, 2 * i + 1])
+            s[:, q] = math.sqrt(n0 / 2.0) * z[:, [2 * i, 2 * i + 1]]
         elif kind == INIT_COHERENT:
-            a[:, i] = math.sqrt(n0) * np.exp(1j * phase[:, i])
+            s[:, q] = math.sqrt(n0) * np.stack(
+                [np.cos(phase[:, i]), np.sin(phase[:, i])], axis=1)
         elif kind == INIT_FIXED:
-            a[:, i] = math.sqrt(n0)
+            s[:, i] = mean[i] = math.sqrt(n0)
         else:
             raise ValueError(f"unknown init policy {kind!r}")
-    return a
+        var[q] = 0.0 if kind == INIT_FIXED else n0 / 2.0
+    return s, np.diag(var) + np.outer(mean, mean)
+
+
+def _rates(noise, cooling, nominal):
+    """The damping rates; the per-shot and the OU jitter rms, rad/s; and
+    the diffusion (points, 2) in quanta/s, heating at each point's
+    ``nominal`` frequencies plus clamp back-action."""
+    gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("the integrators need finite damping rates")
+    sigma = np.array([TWO_PI * n.jitter_sigma for n in noise])
+    is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
+    n_ss = np.array([cooling[0].steady_state_occupation,
+                     cooling[1].steady_state_occupation])
+    ndot = [[noise_psd(noise[i], nom[i]) for i in (0, 1)] for nom in nominal]
+    return (gamma, np.where(is_ou, 0.0, sigma), np.where(is_ou, sigma, 0.0),
+            np.array(ndot) + gamma * n_ss)
+
+
+def _jitter_nodes(sigma):
+    """Gauss-Hermite offsets (k, 2) and weights (k,) averaging over
+    independent N(0, sigma_i^2) offsets; one node where sigma_i is 0."""
+    from numpy.polynomial.hermite import hermgauss
+
+    x, w = hermgauss(_NODES)
+    axes = [(s * math.sqrt(2.0) * x, w / math.sqrt(math.pi)) if s > 0
+            else (np.zeros(1), np.ones(1)) for s in sigma]
+    grid = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
+    return (np.stack([g.ravel() for g in grid], axis=1),
+            np.outer(axes[0][1], axes[1][1]).ravel())
 
 
 def _mean_and_sem(s, s2, n_real):
@@ -355,17 +296,9 @@ def _run_batches(worker, batches, n_workers, extra_args):
             yield from pool.map(worker, window, *extra)
 
 
-def _integrate(kernel, kernel_args, points, duration, dt, dt_max,
-               n_realizations, record_points, n_workers):
-    """Front end shared by both integrators; one EnsembleTrajectory per point.
-
-    ``points`` holds one (seed, point argument) pair per point.
-    ``kernel(segments, *kernel_args, dt, n_steps, rec_idx)`` integrates a
-    batch of (seed, point argument, lo, hi) segments, realizations lo..hi-1
-    of a point each. It returns each segment's occupation sums and sums of
-    squares on the record grid, then the batch's first row's positions
-    and energies or None. Each point's segment sums are added in order.
-    """
+def _grid(duration, dt, dt_max, record_points):
+    """(dt, n_steps, rec_idx) of a run: the step, defaulting to ``dt_max``,
+    the step count and the steps of the record points."""
     if not (0.0 < duration < math.inf):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if dt is None:
@@ -376,35 +309,44 @@ def _integrate(kernel, kernel_args, points, duration, dt, dt_max,
         raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
     if duration < dt:
         raise ValueError("duration must cover at least one step")
-    n_real = _count("n_realizations", n_realizations, 1)
     n_records = _count("record_points", record_points, 2)
-    n_workers = _count("n_workers", n_workers, 1)
-    for seed, _point in points:
-        _count("seed", seed, 0)
     n_steps = int(math.ceil(duration / dt - 1e-9))
     if n_steps > 50_000_000:
         raise ValueError("step budget exceeded; raise dt or shorten duration")
-    rec_idx = np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
+    return dt, n_steps, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
+
+def _integrate(kernel, kernel_args, points, grid, n_realizations, n_workers):
+    """Front end shared by both integrators; one EnsembleTrajectory per point.
+
+    ``points`` holds one (seed, point argument) pair per point, ``grid``
+    the run's (dt, n_steps, rec_idx). ``kernel(segments, *kernel_args,
+    *grid)`` integrates a batch of (seed, point argument, lo, hi)
+    segments, realizations lo..hi-1 of a point each, and returns each
+    segment's occupation sums and sums of squares on the record grid, then
+    the batch's first row's positions and energies or None.
+    """
+    n_real = _count("n_realizations", n_realizations, 1)
+    n_workers = _count("n_workers", n_workers, 1)
+    for seed, _point in points:
+        _count("seed", seed, 0)
     per_point = -(-n_real // _BATCH)      # segments per point
     sums, first, done = [], None, 0
     for moments, x, e in _run_batches(kernel, _pack(points, n_real), n_workers,
-                                      kernel_args + (dt, n_steps, rec_idx)):
+                                      kernel_args + grid):
         if first is None:
             first = (x, e)
-        for s, s2 in moments:
+        for segment in moments:
             if done % per_point == 0:
-                sums.append((s.copy(), s2.copy()))
+                sums.append(segment.copy())
             else:
-                total, total2 = sums[-1]
-                total += s
-                total2 += s2
+                sums[-1] += segment
             done += 1
     trajectories = []
     for p, (s, s2) in enumerate(sums):
         mean, sem = _mean_and_sem(s, s2, n_real)
         trajectories.append(EnsembleTrajectory(
-            times=rec_idx * dt,
+            times=grid[2] * grid[0],
             n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
             n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
             positions=first[0] if p == 0 else None,
@@ -412,54 +354,34 @@ def _integrate(kernel, kernel_args, points, duration, dt, dt_max,
     return trajectories
 
 
-def _rows(segments, values):
-    """Per-segment ``values`` repeated over each segment's rows."""
-    return np.repeat(np.asarray(values, float),
-                     [hi - lo for _seed, _point, lo, hi in segments], axis=0)
-
-
 def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
-    """Set-up shared by both batch kernels, drawing in the fixed order.
+    """Set-up shared by both batch kernels.
 
-    The batch's rows are its segments' realizations, in order. Each
-    generator draws 4 normals (thermal amplitudes), 2 uniform phases and
-    2 jitter normals, then 2 OU start normals when any OU jitter is on.
-    Returns the generators; each segment's row bounds; the per-shot jitter
-    offsets (rows, 2) in rad/s; the damping rates; the diffusion (rows, 2)
-    in quanta/s (heating at each segment's ``nominal`` frequencies plus
-    clamp back-action); the OU jitter state (rho, kick, stationary start)
-    or None; and the initial amplitudes.
+    The batch's rows are its segments' realizations; each segment's
+    generator draws (_BATCH, k) arrays of 4 normals (thermal amplitudes),
+    2 uniform phases, then 2 jitter normals, or 4 under OU jitter. Returns
+    the generators; each segment's row bounds; ``rows(values)``, values
+    per segment repeated over its rows; the jitter offsets (rows, 2) in
+    rad/s; the damping rates; the diffusion (rows, 2) in quanta/s; the OU
+    state (rho, kick, start) or None; and the initial quadratures.
     """
-    if not all(0.0 <= n0 < math.inf for n0 in initial):
-        raise ValueError(f"initial occupations must be finite and >= 0, "
-                         f"got {tuple(initial)!r}")
-    gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("the integrators need finite damping rates")
-    rngs = [r for seed, _point, lo, hi in segments
-            for r in _spawn_rngs(seed, range(lo, hi))]
-    ends = np.cumsum([hi - lo for _seed, _point, lo, hi in segments])
-    bounds = list(zip([0, *ends[:-1]], ends))
+    from numpy.random import SeedSequence, default_rng
 
-    sigma = np.array([TWO_PI * n.jitter_sigma for n in noise])
-    is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
-    ou_sigma = np.where(is_ou, sigma, 0.0)
+    gamma, shot_sigma, ou_sigma, diffusion = _rates(noise, cooling, nominal)
     has_ou = bool(np.any(ou_sigma > 0))
-    # the 2 jitter normals and the 2 OU start normals are consecutive
-    # draws, so one call per generator takes both
-    z = np.empty((len(rngs), 4))
-    phase = np.empty((len(rngs), 2))
-    jit = np.empty((len(rngs), 4 if has_ou else 2))
-    for i, r in enumerate(rngs):
-        r.standard_normal(out=z[i])
-        phase[i] = r.uniform(0.0, TWO_PI, 2)
-        r.standard_normal(out=jit[i])
-    offsets = np.where(~is_ou & (sigma > 0), sigma * jit[:, :2], 0.0)
+    counts = [hi - lo for _seed, _point, lo, hi in segments]
+    rngs = [default_rng(SeedSequence(seed, spawn_key=(lo // _BATCH,)))
+            for seed, _point, lo, _hi in segments]
+    draws = [(r.standard_normal((_BATCH, 4)),
+              r.uniform(0.0, TWO_PI, (_BATCH, 2)),
+              r.standard_normal((_BATCH, 4 if has_ou else 2)))
+             for r in rngs]
+    z, phase, jit = (np.concatenate([d[k][:n] for d, n in zip(draws, counts)])
+                     for k in range(3))
+    ends = np.cumsum(counts)
 
-    n_ss = np.array([cooling[0].steady_state_occupation,
-                     cooling[1].steady_state_occupation])
-    ndot = [[noise_psd(noise[i], nom[i]) for i in (0, 1)] for nom in nominal]
-    diffusion = _rows(segments, np.array(ndot) + gamma * n_ss)
+    def rows(values):
+        return np.repeat(np.asarray(values, float), counts, axis=0)
 
     ou = None
     if has_ou:
@@ -467,184 +389,270 @@ def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
         ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
         ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
               ou_sigma[None, :] * jit[:, 2:])
-    return (rngs, bounds, offsets, gamma, diffusion, ou,
-            _initial_amplitudes(initial, init_phase, z, phase))
+    return (rngs, list(zip([0, *ends[:-1]], ends)), rows,
+            np.where(shot_sigma > 0, shot_sigma * jit[:, :2], 0.0), gamma,
+            rows(diffusion), ou, _initial_state(initial, init_phase, z, phase)[0])
 
 
-def _step_loop(rngs, bounds, n_steps, rec_idx, kick_scale, kick_dtype, ou,
-               advance, read_out):
-    """The step loop of both batch kernels; returns each segment's moments.
+def _recorder(bounds, n_records):
+    """``record(j, n)`` puts the (rows, 2) occupations n and their squares,
+    summed per segment, in slot j of the returned (segments, 2, n_records, 2)."""
+    sums = np.zeros((len(bounds), 2, n_records, 2))
 
-    Per block of _CHUNK steps each generator draws all of the block's
-    kick normals, then all of its OU normals, into reused (rows, _CHUNK,
-    ...) buffers. A step's kick is (rows, 2) of ``kick_dtype``: one normal
-    per ion when real, a real and an imaginary one when complex. Only
-    generators with a positive entry in their row of ``kick_scale`` (rows,
-    2) draw kicks; then the block is scaled once, in place, by
-    ``kick_scale``, the same products the steps would otherwise take one
-    by one. Each step updates the OU jitter state, then calls
-    ``advance(kick, delta_ou)``; ``kick`` is None when no row is kicked,
-    and zero in the rows that are not. At each record point (step 0
-    included) ``read_out(slot)`` returns the (rows, 2) occupations, whose
-    sum and sum of squares are accumulated per slot over each segment's
-    ``bounds``.
-    """
-    slot = {int(k): j for j, k in enumerate(rec_idx)}
-    sum_n = np.zeros((len(bounds), len(rec_idx), 2))
-    sum_n2 = np.zeros((len(bounds), len(rec_idx), 2))
-
-    def record(j):
-        n = read_out(j)
-        n2 = n ** 2
+    def record(j, n):
         for s, (r0, r1) in enumerate(bounds):
-            sum_n[s, j] = n[r0:r1].sum(axis=0)
-            sum_n2[s, j] = n2[r0:r1].sum(axis=0)
+            sums[s, :, j] = n[r0:r1].sum(axis=0), (n[r0:r1] ** 2).sum(axis=0)
+    return record, sums
 
-    record(0)                       # the record grid starts at step 0
-    block = (len(rngs), min(_CHUNK, n_steps))
-    kicked = np.any(kick_scale > 0, axis=1)
-    kicks = np.zeros(block + (2,), kick_dtype) if np.any(kicked) else None
-    delta_ou = None
-    if ou is not None:
-        ou_rho, ou_kick, delta_ou = ou
-        ou_draws = np.empty(block + (2,))
+
+def _diag(v):
+    """Diagonal matrices (rows, k, k) from their diagonals (rows, k)."""
+    return v[:, :, None] * np.eye(v.shape[1])
+
+
+def _power(t, d, n):
+    """T^n and Q_n = sum_{k<n} T^k D T^k^T per row, by doubling, n >= 1:
+    Q_2m = Q_m + T^m Q_m T^m^T, and m more steps after r give
+    T^(r+m) = T^m T^r, Q_(r+m) = T^m Q_r T^m^T + Q_m."""
+    tn = qn = None
+    while True:
+        if n & 1:
+            tn, qn = (t, d) if tn is None else \
+                (t @ tn, t @ qn @ np.swapaxes(t, 1, 2) + d)
+        n >>= 1
+        if not n:
+            return tn, qn
+        d = d + t @ d @ np.swapaxes(t, 1, 2)
+        t = t @ t
+
+
+def _factor(q):
+    """L with L L^T = q per row for symmetric positive semidefinite q (an
+    eigendecomposition of q scaled to unit diagonal); NaN where q is not
+    finite, so that an overflowed map fails the energy check."""
+    out = np.full_like(q, np.nan)
+    ok = np.all(np.isfinite(q), axis=(1, 2))
+    scale = np.sqrt(np.diagonal(q[ok], axis1=1, axis2=2))
+    scale = np.where(scale > 0, scale, 1.0)
+    lam, vec = np.linalg.eigh(q[ok] / scale[:, :, None] / scale[:, None, :])
+    out[ok] = scale[:, :, None] * vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the energy check reports these
+def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
+    """Advance each row a record interval at a time; each segment's moments.
+
+    A row's step map and noise are ``maps(key)`` of its ``key`` row, once
+    per distinct key, with their ``_power`` once per interval length n.
+    The (rows, 4) state takes s <- T^n s + L_n z, L_n L_n^T = Q_n, z the
+    row's part of one (_BATCH, 4) normal draw of its segment's generator,
+    where ``kick_scale`` kicks any row of the segment. ``read_out(j, s)``
+    gives the (rows, 2) occupations at record slot j.
+    """
+    record, moments = _recorder(bounds, len(rec_idx))
+    record(0, read_out(0, s))
+    kicked = [bool(np.any(kick_scale[r0:r1] > 0)) for r0, r1 in bounds]
+    uniq, inv = (key[:1], np.zeros(len(key), int)) if np.all(key == key[0]) \
+        else np.unique(key, axis=0, return_inverse=True)
+    t, d = maps(uniq)
+    inv, powers = inv.reshape(-1), {}
+    for j, n in enumerate(np.diff(rec_idx), 1):
+        if n not in powers:
+            tn, qn = _power(t, d, int(n))
+            powers[n] = tn[inv], _factor(qn)[inv] if any(kicked) else None
+        tn, ln = powers[n]
+        s = np.einsum("rij,rj->ri", tn, s)
+        for r, (r0, r1), k in zip(rngs, bounds, kicked):
+            if k:
+                z = r.standard_normal((_BATCH, 4))[:r1 - r0]
+                s[r0:r1] += np.einsum("rij,rj->ri", ln[r0:r1], z)
+        record(j, read_out(j, s))
+    return moments
+
+
+def _step_loop(segments, bounds, n_steps, rec_idx, kick_scale, ou, advance,
+               read_out):
+    """Both kernels' step loop under OU jitter; each segment's moments.
+
+    Steps c _CHUNK on of segment b of a point with seed s draw from their
+    own generator, ``default_rng(SeedSequence(s, spawn_key=(b, c)))``: one
+    normal array (rows, span, k + 2) holding per step the k kick normals,
+    where ``kick_scale`` (rows, k) kicks any of the segment's rows, then 2
+    OU normals. A generator fills the array row by row, so a segment's
+    first rows draw the same numbers however many rows follow them, and
+    no row is drawn that is not run. Each step updates the OU state, then
+    calls ``advance(kick, delta_ou)``; at each record point (step 0
+    included) ``read_out(slot)`` returns the (rows, 2) occupations.
+    """
+    from numpy.random import SeedSequence, default_rng
+
+    slot = {int(k): j for j, k in enumerate(rec_idx)}
+    record, moments = _recorder(bounds, len(rec_idx))
+    record(0, read_out(0))                  # the record grid starts at step 0
+    k = kick_scale.shape[1]
+    # (steps, rows, k + 2), so that each step's draws lie together
+    draws = np.zeros((min(_CHUNK, n_steps), bounds[-1][1], k + 2))
+    ou_rho, ou_kick, delta_ou = ou
     for start in range(0, n_steps, _CHUNK):
         span = min(_CHUNK, n_steps - start)
-        for i, r in enumerate(rngs):
-            if kicks is not None and kicked[i]:
-                r.standard_normal(out=kicks[i, :span].view(float))
-            if ou is not None:
-                r.standard_normal(out=ou_draws[i, :span])
-        if kicks is not None:
-            kicks[:, :span] *= kick_scale[:, None, :]
-        for k in range(span):
-            if ou is not None:
-                delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * ou_draws[:, k]
-            advance(None if kicks is None else kicks[:, k], delta_ou)
-            if start + k + 1 in slot:
-                record(slot[start + k + 1])
-    return [(sum_n[s], sum_n2[s]) for s in range(len(bounds))]
+        for (seed, _point, lo, _hi), (r0, r1) in zip(segments, bounds):
+            first = 0 if np.any(kick_scale[r0:r1] > 0) else k
+            rng = default_rng(SeedSequence(seed, spawn_key=(lo // _BATCH,
+                                                            start // _CHUNK)))
+            draws[:span, r0:r1, first:] = rng.standard_normal(
+                (r1 - r0, span, k + 2 - first)).transpose(1, 0, 2)
+        kicks = draws[:span, :, :k] * kick_scale
+        for i in range(span):
+            delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * draws[i, :, k:]
+            advance(kicks[i], delta_ou)
+            if start + i + 1 in slot:
+                record(slot[start + i + 1], read_out(slot[start + i + 1]))
+    return moments
+
+
+def _exact(model, noise, cooling, nominal, initial, init_phase, grid):
+    """Exact ensemble means of one point, zero SEM, from the sampled
+    kernels' own step maps: second moments C <- T^n C T^n^T + Q_n per
+    record interval at Gauss-Hermite nodes of the per-shot jitter, their
+    occupations summed with the nodes' weights. ``model(offsets, gamma,
+    diffusion)`` gives the rows' keys, ``maps`` and quadrature scales."""
+    dt, _n_steps, rec_idx = grid
+    gamma, shot_sigma, ou_sigma, diffusion = _rates(noise, cooling, [nominal])
+    if np.any(ou_sigma > 0):
+        raise ValueError("not linear: OU jitter makes the step map random")
+    nodes, weights = _jitter_nodes(shot_sigma)
+    key, maps, scale = model(nodes, gamma, np.repeat(diffusion, len(weights), 0))
+    c = _initial_state(initial, init_phase, np.zeros((0, 4)), np.zeros((0, 2)))[1]
+    c = scale[:, :, None] * c * scale[:, None, :]
+    t, d = maps(key)
+
+    def read_out(c):
+        q = np.diagonal(c, axis1=1, axis2=2) / scale ** 2
+        return weights @ (q[:, :2] + q[:, 2:])
+
+    means, powers = [read_out(c)], {}
+    for n in np.diff(rec_idx):
+        if n not in powers:
+            powers[n] = _power(t, d, int(n))
+        tn, qn = powers[n]
+        c = tn @ c @ np.swapaxes(tn, 1, 2) + qn
+        means.append(read_out(c))
+    means, zeros = np.array(means), np.zeros(len(rec_idx))
+    return EnsembleTrajectory(rec_idx * dt, means[:, 0], means[:, 1], zeros, zeros)
 
 
 # ---------------------------------------------------------------------------
 # full stochastic integrator
 
+def _spring(params, w):
+    # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per row (jitter is
+    # a ~1e-4 effect here)
+    return 2.0 * params.kappa * np.sqrt(params.mass1 * params.mass2 * w[:, 0] * w[:, 1])
+
+
+def _verlet_model(params, dt, offsets, gamma, diffusion):
+    """Per row of jitter ``offsets``: the key (w1, w2, kick1, kick2), the
+    jittered frequencies and the rms velocity kicks; ``maps(keys)``, one
+    Verlet step with drag on s = (x, v) (rows, 4, 4) and its kick
+    covariance; and the scale (rows, 4) from quadratures to s."""
+    m = np.array([params.mass1, params.mass2])
+    w_nom = np.array([params.omega1, params.omega2])
+    w = w_nom[None, :] + offsets                        # (B, 2) rad/s
+    drag = np.exp(-gamma * dt)
+    sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
+
+    def maps(key):
+        # for stiffness K (accel = -K x): x' = A x + dt v,
+        # v' = drag (A v - dt K x + dt^3/4 K^2 x), A = 1 - dt^2/2 K; kicks
+        # act on v only
+        k = _diag(key[:, :2] ** 2)
+        k[:, [0, 1], [1, 0]] = _spring(params, key[:, :2])[:, None] / m
+        a = np.eye(2) - (0.5 * dt * dt) * k
+        t = np.block([[a, np.broadcast_to(dt * np.eye(2), a.shape)],
+                      [drag[:, None] * (0.25 * dt ** 3 * (k @ k) - dt * k),
+                       drag[:, None] * a]])
+        return t, _diag(np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1))
+
+    # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
+    scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
+    return (np.concatenate([w, sigma_v], axis=1), maps,
+            np.concatenate([scale_x, scale_x * w], axis=1))
+
+
 def _full_batch(segments, params, noise, cooling, initial, init_phase,
                 record_first, dt, n_steps, rec_idx):
     m = np.array([params.mass1, params.mass2])
     w_nom = np.array([params.omega1, params.omega2])
-    rngs, bounds, offsets, gamma, diffusion, ou, a = _batch_setup(
-        segments, [w_nom] * len(segments), noise, cooling, initial, init_phase, dt)
-    w = w_nom[None, :] + offsets                        # (B, 2) rad/s
-    w2 = w ** 2
-    # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per realization
-    # (jitter is a ~1e-4 effect here)
-    g = 2.0 * params.kappa * np.sqrt(m[0] * m[1] * w[:, 0] * w[:, 1])
-    g_over_m = g[:, None] / m[None, :]
-    drag = np.exp(-gamma * dt)[None, :]
-    sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
-    has_drag = bool(np.any(gamma > 0))
+    rngs, bounds, _rows, offsets, gamma, diffusion, ou, init = _batch_setup(
+        segments, [w_nom] * len(segments), noise, cooling, initial,
+        init_phase, dt)
+    key, maps, scale = _verlet_model(params, dt, offsets, gamma, diffusion)
+    w, sigma_v, g = key[:, :2], key[:, 2:], _spring(params, key[:, :2])
+    first_x = np.zeros((len(rec_idx), 2)) if record_first else None
+    first_e = np.zeros(len(rec_idx)) if record_first else None
 
-    # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
-    scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
-    x = scale_x * a.real
-    v = scale_x * w * a.imag
-
-    def energies(xx, vv):
-        return 0.5 * m[None, :] * vv ** 2 + 0.5 * m[None, :] * w2 * xx ** 2
-
-    n_rec = len(rec_idx)
-    first_x = np.zeros((n_rec, 2)) if record_first else None
-    first_e = np.zeros(n_rec) if record_first else None
-
-    e0 = energies(x, v)
-    e_ref = max(float(np.max(e0)), HBAR * float(np.max(w)))
-
-    accel = -(w2 * x) - g_over_m * x[:, ::-1]
-
-    def advance(kick, delta_ou):
-        nonlocal x, v, w2, accel
-        if delta_ou is not None:
-            w2 = (w + delta_ou) ** 2
-        x += dt * v + (0.5 * dt * dt) * accel
-        new_accel = -(w2 * x) - g_over_m * x[:, ::-1]
-        v += (0.5 * dt) * (accel + new_accel)
-        accel = new_accel
-        # impulsive drag and diffusion act on v only; accel is untouched
-        if has_drag:
-            v *= drag
-        if kick is not None:
-            v += kick
-
-    def read_out(j):
-        e = energies(x, v)
+    def read_out(j, x, v, w2):
+        e = 0.5 * m[None, :] * v ** 2 + 0.5 * m[None, :] * w2 * x ** 2
         if record_first:
             first_x[j] = x[0]
             first_e[j] = e[0].sum() + g[0] * x[0, 0] * x[0, 1]
-        if np.max(e) > 1e6 * e_ref:
+        if not (np.max(e) <= 1e6 * e_ref):
             raise RuntimeError(
                 f"unstable step: energy exceeded 1e6x initial at step {rec_idx[j]}")
         return e / (HBAR * w)
 
-    step = (advance, read_out)
-    if len(rngs) == 1:
-        # one row: the same float64 operations, in the same order, on
-        # Python floats, which skips numpy's per-call cost on (1, 2)
-        # arrays; each record point rebuilds x, v and w2 for read_out
-        [x0, x1], [v0, v1] = x[0].tolist(), v[0].tolist()
-        [a0, a1], [q0, q1], [w0, w1] = accel[0].tolist(), w2[0].tolist(), w[0].tolist()
-        [gm0, gm1], [d0, d1] = g_over_m[0].tolist(), drag[0].tolist()
-        h_x, h_v = 0.5 * dt * dt, 0.5 * dt
+    s = scale * init
+    x, v, w2 = s[:, :2], s[:, 2:], w ** 2
+    e_ref = max(float(np.max(0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2)),
+                HBAR * float(np.max(w)))
+    if ou is None:
+        moments = _propagate(rngs, bounds, rec_idx, key, maps, sigma_v, s,
+                             lambda j, s: read_out(j, s[:, :2], s[:, 2:], w2))
+        return moments, first_x, first_e
 
-        def advance_row(kick, delta_ou):
-            nonlocal x0, x1, v0, v1, a0, a1, q0, q1
-            if delta_ou is not None:
-                (o0, o1), = delta_ou.tolist()
-                s0, s1 = w0 + o0, w1 + o1
-                q0, q1 = s0 * s0, s1 * s1     # numpy's ** 2 is d * d
-            x0 += dt * v0 + h_x * a0
-            x1 += dt * v1 + h_x * a1
-            n0 = -(q0 * x0) - gm0 * x1
-            n1 = -(q1 * x1) - gm1 * x0
-            v0 += h_v * (a0 + n0)
-            v1 += h_v * (a1 + n1)
-            a0, a1 = n0, n1
-            if has_drag:
-                v0 *= d0
-                v1 *= d1
-            if kick is not None:
-                (k0, k1), = kick.tolist()
-                v0 += k0
-                v1 += k1
+    drag = np.exp(-gamma * dt)
+    g_over_m = g[:, None] / m[None, :]
+    accel = -(w2 * x) - g_over_m * x[:, ::-1]
 
-        def read_out_row(j):
-            nonlocal x, v, w2
-            x, v = np.array([[x0, x1]]), np.array([[v0, v1]])
-            w2 = np.array([[q0, q1]])
-            return read_out(j)
+    def advance(kick, delta_ou):
+        nonlocal w2, accel
+        w2 = (w + delta_ou) ** 2
+        x[:] += dt * v + (0.5 * dt * dt) * accel
+        new_accel = -(w2 * x) - g_over_m * x[:, ::-1]
+        # impulsive drag and diffusion act on v only; accel is untouched
+        v[:] = (v + (0.5 * dt) * (accel + new_accel)) * drag + kick
+        accel = new_accel
 
-        step = (advance_row, read_out_row)
-
-    moments = _step_loop(rngs, bounds, n_steps, rec_idx, sigma_v, float, ou,
-                         *step)
+    moments = _step_loop(segments, bounds, n_steps, rec_idx, sigma_v, ou,
+                         advance, lambda j: read_out(j, x, v, w2))
     return moments, first_x, first_e
 
 
 def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
                    cooling=(NO_COOLING, NO_COOLING), duration=1e-3, dt=None,
                    seed=0, n_realizations=1, init_phase=(INIT_THERMAL, INIT_THERMAL),
-                   record_points=201, record_positions=False, n_workers=1):
+                   record_points=201, record_positions=False, n_workers=1,
+                   exact=False):
     """Velocity-Verlet SDE ensemble; returns an EnsembleTrajectory.
 
     ``initial`` is the (n1, n2) occupation pair, realized per
     ``init_phase``. The step must resolve the fast motion:
-    dt <= 2 pi / (50 max omega).
+    dt <= 2 pi / (50 max omega). ``exact=True`` returns the exact
+    ensemble means of the same scheme instead, with zero SEM and no
+    positions; the seed and the ensemble size are then unused, and OU
+    jitter raises ValueError ("not linear").
     """
-    dt_max = TWO_PI / (50.0 * max(params.omega1, params.omega2))
+    grid = _grid(duration, dt, TWO_PI / (50.0 * max(params.omega1, params.omega2)),
+                 record_points)
+    if exact:
+        return _exact(functools.partial(_verlet_model, params, grid[0]),
+                      noise, cooling, (params.omega1, params.omega2), initial,
+                      init_phase, grid)
     return _integrate(
         _full_batch, (params, noise, cooling, initial, init_phase,
-                      record_positions), [(seed, None)],
-        duration, dt, dt_max, n_realizations, record_points, n_workers)[0]
+                      record_positions), [(seed, None)], grid, n_realizations,
+        n_workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,30 +681,49 @@ def _expm2(a11, a22, a12, dt):
     return m
 
 
+def _envelope_model(kappa, dt, detuning, offsets, gamma, diffusion):
+    """Per row of ``detuning`` plus jitter ``offsets``: the key (d1, d2,
+    kick1, kick2), kicks the rms per quadrature; ``maps(keys)``, the 2x2
+    complex step on s = (Re a, Im a) as a real (rows, 4, 4) block, with
+    circular kicks; and the unit quadrature scale."""
+    def maps(key):
+        m = _expm2(-1j * key[:, 0] - 0.5 * gamma[0],
+                   -1j * key[:, 1] - 0.5 * gamma[1],
+                   -1j * kappa * np.ones(len(key)), dt)
+        return (np.block([[m.real, -m.imag], [m.imag, m.real]]),
+                _diag(np.tile(key[:, 2:], 2) ** 2))
+
+    return (np.concatenate([detuning + offsets, np.sqrt(diffusion * dt / 2.0)],
+                           axis=1), maps, np.ones((len(offsets), 4)))
+
+
 def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
                     init_phase, dt, n_steps, rec_idx):
     # a segment's point argument is its detuning pair; heating is
     # evaluated at each ion's nominal absolute frequency
     detuning = [d for _seed, d, _lo, _hi in segments]
-    rngs, bounds, offsets, gamma, diffusion, ou, a = _batch_setup(
+    rngs, bounds, rows, offsets, gamma, diffusion, ou, init = _batch_setup(
         segments, [[carrier + d[i] for i in (0, 1)] for d in detuning],
         noise, cooling, initial, init_phase, dt)
-    delta = _rows(segments, detuning) + offsets
-    kick_size = np.sqrt(diffusion * dt / 2.0)
-    m_step = _expm2(-1j * delta[:, 0] - 0.5 * gamma[0],
-                    -1j * delta[:, 1] - 0.5 * gamma[1],
-                    -1j * kappa * np.ones(len(rngs)), dt)
+    key, maps, _scale = _envelope_model(kappa, dt, rows(detuning), offsets,
+                                        gamma, diffusion)
+    if ou is None:     # kicks on Re a, then Im a
+        return _propagate(rngs, bounds, rec_idx, key, maps,
+                          np.tile(key[:, 2:], 2), init,
+                          lambda j, s: s[:, :2] ** 2 + s[:, 2:] ** 2), None, None
+    t = maps(key)[0]
+    m, a = t[:, :2, :2] + 1j * t[:, 2:, :2], init[:, :2] + 1j * init[:, 2:]
 
     def advance(kick, delta_ou):
+        # the complex step, then the OU phase exp(-i dt delta_ou)
         nonlocal a
-        a = np.einsum('rij,rj->ri', m_step, a)
-        if kick is not None:
-            a += kick
-        if delta_ou is not None:
-            a *= np.exp(-1j * dt * delta_ou)
+        a = np.einsum("rij,rj->ri", m, a) + kick.view(complex)
+        a *= np.exp(-1j * dt * delta_ou)
 
-    moments = _step_loop(rngs, bounds, n_steps, rec_idx, kick_size, complex,
-                         ou, advance, lambda j: np.abs(a) ** 2)
+    # kicks (Re a1, Im a1, Re a2, Im a2), so that a step's kick views as a
+    moments = _step_loop(segments, bounds, n_steps, rec_idx,
+                         np.repeat(key[:, 2:], 2, axis=1), ou, advance,
+                         lambda j: a.real ** 2 + a.imag ** 2)
     return moments, None, None
 
 
@@ -728,7 +755,7 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
                        duration=1e-3, dt=None, seed=0, n_realizations=1,
                        initial_occupations=(0.0, 0.0),
                        init_phase=(INIT_THERMAL, INIT_THERMAL),
-                       record_points=201, n_workers=1):
+                       record_points=201, n_workers=1, exact=False):
     """Rotating-frame amplitude ensemble; n_i = |a_i|^2.
 
     ``carrier`` is the absolute mode frequency the frame rotates at;
@@ -741,6 +768,7 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
     bit-identical to a one-point call with that point's detuning and seed
     at the same ``dt``. The points share one step grid, so ``dt`` must
     satisfy, and defaults to, the smallest of their step limits.
+    ``exact=True`` returns exact ensemble means, as for ``integrate_full``.
     """
     pairs = np.asarray(detuning, float)
     if pairs.ndim not in (1, 2) or pairs.shape[-1] != 2 or pairs.size == 0:
@@ -752,12 +780,19 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
                          f"({len(pairs)})")
     points = [(s, tuple(map(float, d)))
               for s, d in zip(seeds, pairs if several else [pairs])]
-    dt_max = min(envelope_step_limit(kappa, carrier, d, noise, cooling, duration)
-                 for _s, d in points)
-    trajectories = _integrate(
-        _envelope_batch, (kappa, carrier, noise, cooling, initial_occupations,
-                          init_phase), points,
-        duration, dt, dt_max, n_realizations, record_points, n_workers)
+    grid = _grid(duration, dt, min(
+        envelope_step_limit(kappa, carrier, d, noise, cooling, duration)
+        for _s, d in points), record_points)
+    if exact:
+        trajectories = [_exact(
+            functools.partial(_envelope_model, kappa, grid[0], np.array(d)),
+            noise, cooling, carrier + np.array(d), initial_occupations,
+            init_phase, grid) for _s, d in points]
+    else:
+        trajectories = _integrate(
+            _envelope_batch, (kappa, carrier, noise, cooling,
+                              initial_occupations, init_phase), points, grid,
+            n_realizations, n_workers)
     return trajectories if several else trajectories[0]
 
 

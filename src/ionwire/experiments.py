@@ -223,11 +223,13 @@ def run_resonance_scan(scenario, n_workers=1):
     sems = np.array([max(traj.n_bar_sem_2[-1] / t_probe, 1e-12)
                      for traj in trajectories])
 
-    fit = analysis.fit_resonance(probes, rates, sems)
+    # the probe's own Fourier width is in the line shape, so the fitted
+    # width is the jitter's alone
+    fit = analysis.fit_resonance(probes, rates, sems, probe=(kappa, t_probe))
     p = fit.parameters
     peak_rate = analysis.resonance_model(
         p["center"], p["baseline_coeff"], p["amplitude"], p["center"],
-        p["width_sigma_hz"], p["omega_ref"])
+        p["width_sigma_hz"], p["omega_ref"], (kappa, t_probe))
     sigma_injected = math.hypot(scenario.noise1.jitter_sigma,
                                 scenario.noise2.jitter_sigma)
     width_err = abs(p["width_sigma_hz"] - sigma_injected) / sigma_injected \

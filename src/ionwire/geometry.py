@@ -141,12 +141,12 @@ def sample_field(patch, position):
 
 def effective_distance(patch, height):
     """D_eff(h) = U / |E_z| on the patch center axis at height h."""
-    if np.any(np.asarray(height) <= 0):
-        raise ValueError("height must be positive")
+    h = np.asarray(height, float)
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise ValueError("height must be positive and finite")
     if patch.voltage == 0:
         raise ValueError("degenerate patch: zero voltage gives zero field")
     cx, cy = patch.center
-    h = np.asarray(height, float)
     # lengths far beyond float range overflow the squares to inf, then nan
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, ez = patch_field(patch, (np.full_like(h, cx), np.full_like(h, cy), h))

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from ionwire import analysis
+from ionwire import analysis, dynamics
 from ionwire.analysis import (FitResult, RabiDataset, extract_kappa,
                               fit_linear_heating, fit_rabi_nbar,
                               fit_resonance, laguerre_sequence,
@@ -91,6 +92,49 @@ def test_resonance_flat_data_keeps_amplitude_consistent_with_zero():
     # no peak present: the fitted amplitude may not be significant
     assert fit.parameters["amplitude"] <= 3.0 * fit.sigmas["amplitude"]
     assert fit.parameters["baseline_coeff"] == pytest.approx(250e3, rel=0.05)
+
+
+# the bundled scan's coupling and probe time
+PROBE = (TWO_PI * 59.0, 2e-3)
+
+
+def test_probe_line_noiseless_recovery():
+    w = scan_grid()
+    y = resonance_model(w, 250e3, 750e3, TWO_PI * 1.368e6, 527.0,
+                        float(np.median(w)), PROBE)
+    fit = fit_resonance(w, y, probe=PROBE)
+    assert fit.parameters["baseline_coeff"] == pytest.approx(250e3, rel=1e-6)
+    assert fit.parameters["amplitude"] == pytest.approx(750e3, rel=1e-6)
+    assert fit.parameters["center"] == pytest.approx(TWO_PI * 1.368e6, rel=1e-9)
+    assert fit.parameters["width_sigma_hz"] == pytest.approx(527.0, rel=1e-6)
+    assert fit.converged
+
+
+def test_probe_line_recovers_the_jitter_from_exact_scan_means(scan_scenario):
+    # the bundled scan's exact means: their line is the jitter's Gaussian
+    # averaged over the 2 ms probe's own exchange line, so a Gaussian fit
+    # overstates the jitter by about 10%, while the probe line recovers it
+    s, sched = scan_scenario, scan_scenario.schedule
+    w1, t_probe = s.site1.vertical_frequency, sched.probe_duration
+    probes = np.asarray(sched.probe_frequencies)
+    d_max = float(np.max(np.abs(probes - w1)))
+    noise, cooling = (s.noise1, s.noise2), (s.cooling1, s.cooling2)
+    exact = dynamics.integrate_envelope(
+        s.kappa(), w1, detuning=[(0.0, d) for d in probes - w1], noise=noise,
+        cooling=cooling, duration=t_probe,
+        dt=dynamics.envelope_step_limit(s.kappa(), w1, (d_max, d_max), noise,
+                                        cooling, t_probe),
+        seed=[0] * probes.size,
+        initial_occupations=(sched.hot_occupation, sched.cold_occupation),
+        init_phase=("thermal", "coherent"), record_points=2, exact=True)
+    rates = np.array([(tr.n_bar_2[-1] - sched.cold_occupation) / t_probe
+                      for tr in exact])
+    injected = math.hypot(s.noise1.jitter_sigma, s.noise2.jitter_sigma)
+    width = {probe: fit_resonance(probes, rates, 0.01 * rates, probe)
+             .parameters["width_sigma_hz"] / injected
+             for probe in (None, (s.kappa(), t_probe))}
+    assert width[None] > 1.05
+    assert width[(s.kappa(), t_probe)] == pytest.approx(1.0, abs=0.01)
 
 
 def test_resonance_width_floor_is_grid_spacing():
@@ -476,6 +520,7 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
     (lambda: fit_resonance(W_SCAN, np.r_[np.ones(7), -math.inf]), "rates"),
     (lambda: fit_resonance(W_SCAN, np.ones(7)), "rates"),
     (lambda: fit_resonance(W_SCAN, np.ones(8), np.ones(9)), "sigmas"),
+    (lambda: fit_resonance(W_SCAN, np.ones(8), probe=(math.nan, 2e-3)), "probe"),
     (lambda: RabiDataset(np.array([1e-6, math.nan]), np.array([0.1, 0.2]), 100,
                          TWO_PI * 50e3, 0.05), "pulse_times"),
     (lambda: RabiDataset(np.array([1e-6, 2e-6]), np.array([0.1, math.nan]), 100,
@@ -490,16 +535,32 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
                          math.inf, 0.05), "carrier_rabi"),
     (lambda: FitResult({"rate": 1.0}, {"rate": math.nan}, 0.0, 1, True, "m",
                        "wls"), "sigma for rate"),
+    (lambda: fit_rabi_nbar(RabiDataset(np.array([-1e-6, 0.0]),
+                                       np.array([0.1, 0.2]), 100, 0.0, 0.05)),
+     "pulse_times"),
 ], ids=["heating-nan-sigma", "heating-inf-sigma", "heating-nan-time",
         "heating-inf-occupation", "heating-short-occupations",
         "heating-short-sigmas", "resonance-nan-sigma", "resonance-nan-omega",
         "resonance-inf-rate", "resonance-short-rates", "resonance-long-sigmas",
+        "resonance-nan-probe-kappa",
         "rabi-nan-time", "rabi-nan-probability",
         "rabi-nan-shots", "rabi-fractional-shots",
-        "synthesize-fractional-shots", "rabi-inf-carrier", "fit-result-nan-sigma"])
+        "synthesize-fractional-shots", "rabi-inf-carrier", "fit-result-nan-sigma",
+        "rabi-seed-without-positive-time"])
 def test_fitter_inputs_reject_bad_numbers_naming_the_argument(call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+def test_rabi_seed_skips_a_zero_pulse_time():
+    # without a carrier_rabi the fit seeds Omega_0 from P(t) at t > 0; a
+    # pulse time of 0 once gave an infinite seed and a scipy error
+    data = RabiDataset([0.0, 1e-6, 2e-6], [0.0, 0.1, 0.1], 100, 0.0, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_rabi_nbar(data)
+    numbers = [*fit.parameters.values(), *fit.sigmas.values(), fit.residual_norm]
+    assert np.all(np.isfinite(numbers))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,9 @@ def test_trap_site_validation():
     with pytest.raises(ValueError):
         # the image-charge lever arm can never be shorter than the height
         TrapSite(mhz_to_rad_s(2.0), 60e-6, 30e-6)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="effective_distance"):
+            TrapSite(mhz_to_rad_s(2.0), 60e-6, bad)
 
 
 def test_wire_spec_validation():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ionwire import analysis, dynamics
-from ionwire.core import TWO_PI, calcium_40, mhz_to_rad_s
+from ionwire.core import TWO_PI, TrapSite, calcium_40, mhz_to_rad_s
 from ionwire.dynamics import (NO_COOLING, NO_NOISE, CoolingClamp, NoiseModel,
                               PairParams, integrate_envelope, integrate_full,
                               noise_psd, rate_equation_fixed_point,
                               rate_equation_model)
+from ionwire.geometry import RectPatch, effective_distance
 
 CARRIER = mhz_to_rad_s(1.368)
 
@@ -184,17 +185,18 @@ def test_worker_count_does_not_change_results(workers):
 
 # the RNG draw layout, frozen: both integrators with heating, drag,
 # per-shot jitter on ion 1 and OU jitter on ion 2, over more than one
-# draw block (_CHUNK) and two batches (_BATCH); any change of the draw
-# order moves these values by far more than the tolerance
+# draw block (_CHUNK) and two segments (_BATCH), so both take the OU step
+# loop; any change of the draw order moves these values by far more than
+# the tolerance
 FROZEN_LAYOUT = {
-    "full": ([108.6246471298066, 108.96757836913534, 108.77677673569329],
-             [50.36119977068677, 49.218225028673054, 48.95716568953444],
-             [7.250767148844367, 7.328241889985701, 7.650527899832019],
-             [3.0499636614215637, 2.9926439079868246, 2.9886930080076857]),
-    "envelope": ([108.6246471298066, 122.40031615144909, 119.46116067395698],
-                 [50.361199770686774, 39.88079019494422, 39.66985986364355],
-                 [7.250767148844368, 7.444333396857943, 6.917482287185832],
-                 [3.0499636614215655, 2.61868749453271, 2.5519232845600146])}
+    "full": ([98.53842208609042, 98.55174056658879, 100.22216446837268],
+             [48.06185567720509, 46.00712419574501, 43.368908192966444],
+             [6.100301110464198, 6.1857142926085125, 6.037633280363646],
+             [2.9279912513662065, 2.7603466407531725, 2.582265391358577]),
+    "envelope": ([98.53842208609042, 108.58380170074368, 116.72193904174627],
+                 [48.0618556772051, 39.96893372273416, 38.66145394097274],
+                 [6.100301110464198, 7.346405848752007, 7.475093844639614],
+                 [2.927991251366206, 2.3538611900649853, 2.3068779239853328])}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -224,22 +226,22 @@ def test_draw_layout_is_frozen(workers):
 # scaled, or of how the generators are seeded, that moves any bit of the
 # output fails here even where it stays inside the tolerance above
 FROZEN_BITS = {
-    "full": (["0x1.b27fa37f483d1p+6", "0x1.b3deccdd2f036p+6",
-              "0x1.b31b6b5c5062ap+6"],
-             ["0x1.92e3bcb493610p+5", "0x1.89beecc38a8e3p+5",
-              "0x1.87a8467c2b3adp+5"],
-             ["0x1.d00c91a7cca77p+2", "0x1.d501ea45aa9ccp+2",
-              "0x1.e9a23fc5ba806p+2"],
-             ["0x1.86653591e5a2ep+1", "0x1.7f0ef4a0b0430p+1",
-              "0x1.7e8d7e1396a3ep+1"]),
-    "envelope": (["0x1.b27fa37f483d1p+6", "0x1.e999ec7a2a234p+6",
-                  "0x1.ddd83a80f362ep+6"],
-                 ["0x1.92e3bcb493611p+5", "0x1.3f0bdbbacf621p+5",
-                  "0x1.3d5bdf7cfa044p+5"],
-                 ["0x1.d00c91a7cca78p+2", "0x1.dc6ff55801a11p+2",
-                  "0x1.bab807a087d5ep+2"],
-                 ["0x1.86653591e5a32p+1", "0x1.4f3126ddbb285p+1",
-                  "0x1.46a56c148b077p+1"])}
+    "full": (["0x1.8a27581e8ccf5p+6", "0x1.8a34fb7aa5806p+6",
+              "0x1.90e37f1517f9cp+6"],
+             ["0x1.807eae307557ap+5", "0x1.700e97215de18p+5",
+              "0x1.5af3862380238p+5"],
+             ["0x1.866b55594c8ecp+2", "0x1.8be2be3349d04p+2",
+              "0x1.8268956b19cbbp+2"],
+             ["0x1.76c86ad5cbc5cp+1", "0x1.615309e9d4446p+1",
+              "0x1.4a87ac1ebd264p+1"]),
+    "envelope": (["0x1.8a27581e8ccf5p+6", "0x1.b255d01cf02c5p+6",
+                  "0x1.d2e343fcf805fp+6"],
+                 ["0x1.807eae307557cp+5", "0x1.3fc06052d913fp+5",
+                  "0x1.354aa85d224e5p+5"],
+                 ["0x1.866b55594c8ecp+2", "0x1.d62b836fe21c9p+2",
+                  "0x1.de67f0035083dp+2"],
+                 ["0x1.76c86ad5cbc5bp+1", "0x1.2d4b52cf538d6p+1",
+                  "0x1.2747c69bb0d10p+1"])}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -265,8 +267,8 @@ def test_kick_scaling_is_frozen_bitwise(workers):
             assert [float.hex(float(v)) for v in values] == frozen, name
 
 
-# a one-row full-integrator batch steps on Python floats, a wider one on
-# arrays; realization 0 must come out to the bit the same either way
+# every operation is row-wise, so realization 0 of a full-integrator batch
+# comes out to the bit the same in a batch of one row and of three
 W_ONE_ROW = TWO_PI * 100e3
 ONE_ROW_CASES = {
     "plain": {},
@@ -293,17 +295,17 @@ def test_one_row_verlet_equals_row_zero_of_a_batch(case, workers):
 
 
 # a one-row run with heating, drag, per-shot jitter on ion 1 and OU jitter
-# on ion 2, to the bit as float.hex, frozen from the array step loop
+# on ion 2, to the bit as float.hex
 FROZEN_ONE_ROW = {
-    "n_bar_1": ["0x1.98456b89f3d28p+5", "0x1.0898afca0d914p+6",
-                "0x1.cc3bdc1656643p+5"],
-    "n_bar_2": ["0x1.00f631957e11fp+6", "0x1.033ab3bf3b78cp+6",
-                "0x1.fa124a15192f6p+5"],
-    "positions": ["0x1.108a6cc47d905p-21", "-0x1.49f47f6c50f45p-22",
-                  "0x1.31b226b7695d2p-21", "-0x1.0834263bb4117p-22",
-                  "0x1.216da83680783p-21", "-0x1.d5a6685718c18p-23"],
-    "energies": ["0x1.2e86c2c8631c1p-87", "0x1.57bd1d4a1b4f7p-87",
-                 "0x1.3d0d8f96d83d2p-87"]}
+    "n_bar_1": ["0x1.98456b89f3d29p+5", "0x1.9efcae362d757p+4",
+                "0x1.d6f256b48b3adp+4"],
+    "n_bar_2": ["0x1.00f631957e11fp+6", "0x1.f11f8b60dce83p+5",
+                "0x1.a885d6182c8a1p+5"],
+    "positions": ["0x1.10a8b54052998p-21", "-0x1.49f47f6c50f45p-22",
+                  "0x1.5f2159c4cb1f5p-22", "-0x1.8727c5c3b44aap-22",
+                  "0x1.9b13ad9fdf2edp-22", "-0x1.6b584295e8812p-22"],
+    "energies": ["0x1.2e68fca49f2d8p-87", "0x1.ce20290a1efa4p-88",
+                 "0x1.b0d289ccc82f1p-88"]}
 
 
 def test_one_row_verlet_is_frozen_bitwise():
@@ -320,24 +322,168 @@ def test_one_row_verlet_is_frozen_bitwise():
         assert got == frozen, name
 
 
-# every generator is numpy's SeedSequence(seed, spawn_key=(i,)) stream,
-# whose seed words are hashed in bulk; a numpy that changes SeedSequence
-# fails here
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**96,
-                                  10**120])
-def test_bulk_spawn_equals_numpy_seed_sequences(seed):
-    indices = [0, 1, 255, 256, 99_999_999]
-    for i, rng in zip(indices, dynamics._spawn_rngs(seed, indices)):
-        ref = np.random.default_rng(np.random.SeedSequence(seed,
-                                                           spawn_key=(i,)))
-        assert rng.bit_generator.state == ref.bit_generator.state, (seed, i)
-        assert rng.standard_normal(3).tolist() == \
-            ref.standard_normal(3).tolist(), (seed, i)
+# the seeding contract: each _BATCH-row segment of a point draws from its
+# own generator, so realizations 0-255 give the same segment sums however
+# many realizations follow them, with and without OU jitter (which keeps
+# the step loop)
+@pytest.mark.parametrize("jitter_kind", [dynamics.JITTER_PER_SHOT,
+                                         dynamics.JITTER_OU])
+def test_adding_realizations_keeps_the_first_segment(jitter_kind, monkeypatch):
+    seen = []
+    kernel = dynamics._envelope_batch
+
+    def spy(segments, *args):
+        moments, x, e = kernel(segments, *args)
+        seen.append((segments[0][2:], moments[0]))
+        return moments, x, e
+
+    monkeypatch.setattr(dynamics, "_envelope_batch", spy)
+    for n in (256, 512):
+        integrate_envelope(TWO_PI * 50.0, CARRIER, noise=_packing_noise(jitter_kind),
+                           duration=5.5e-4, dt=5e-7, seed=17, n_realizations=n,
+                           initial_occupations=(100.0, 50.0), record_points=4)
+    (rows_256, sums_256), (rows_512, sums_512) = seen[0], seen[1]
+    assert rows_256 == rows_512 == (0, 256)
+    assert np.array_equal(sums_256, sums_512)
 
 
-def test_bulk_spawn_needs_32_bit_indices():
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        dynamics._spawn_rngs(1, [2**32])
+# ---------------------------------------------------------------------------
+# exact means: C_n = T^n C_0 T^n^T + Q_n from the propagator's own powers
+
+def _verlet_and_envelope_maps():
+    """Two real step maps and step noise covariances (2, 4, 4)."""
+    dt, w, g = 0.05, 1.3, 0.2
+    k = np.array([[w * w, g], [g, w * w * 1.1]])
+    a = np.eye(2) - 0.5 * dt * dt * k
+    verlet = np.block([[a, dt * np.eye(2)],
+                       [0.99 * (0.25 * dt ** 3 * k @ k - dt * k), 0.99 * a]])
+    m = dynamics._expm2(-0.3j - 0.05, 0.2j - 0.01, -0.4j, 1.0)
+    envelope = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    d = np.diag([0.0, 0.0, 0.3, 0.7]), np.diag([0.5, 0.2, 0.5, 0.2])
+    return np.stack([verlet, envelope]), np.stack(d)
+
+
+def test_power_by_doubling_equals_the_direct_sum():
+    t, d = _verlet_and_envelope_maps()
+    for n in range(1, 18):
+        tn, qn = dynamics._power(t, d, n)
+        direct_t = np.linalg.matrix_power(t, n)
+        direct_q = sum(np.linalg.matrix_power(t, k) @ d
+                       @ np.swapaxes(np.linalg.matrix_power(t, k), 1, 2)
+                       for k in range(n))
+        # entries that vanish by symmetry hold rounding only
+        for got, want in ((tn, direct_t), (qn, direct_q)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(),
+                                       err_msg=str(n))
+
+
+def test_exact_means_are_not_defined_for_ou_jitter():
+    with pytest.raises(ValueError, match="not linear"):
+        integrate_envelope(TWO_PI * 50.0, CARRIER, noise=FUZZ_NOISE,
+                           duration=1e-3, exact=True)
+
+
+def _assert_within_4_sem(sampled, sem, exact, label):
+    # a record whose SEM is rounding (a noiseless ion, an exact initial
+    # occupation) must equal the exact mean; every other one is a z-score
+    sampled, sem, exact = (np.ravel(v) for v in (sampled, sem, exact))
+    noisy = sem > 1e-9 * np.abs(exact)
+    z = (sampled[noisy] - exact[noisy]) / sem[noisy]
+    assert np.all(np.abs(z) <= 4.0), (label, z)
+    np.testing.assert_allclose(sampled[~noisy], exact[~noisy], rtol=1e-9,
+                               err_msg=str(label))
+
+
+def _assert_trajectory_matches(sampled, exact, label):
+    np.testing.assert_array_equal(exact.times, sampled.times)
+    assert np.all(exact.n_bar_sem_1 == 0) and np.all(exact.n_bar_sem_2 == 0)
+    for i in (1, 2):
+        _assert_within_4_sem(getattr(sampled, f"n_bar_{i}"),
+                             getattr(sampled, f"n_bar_sem_{i}"),
+                             getattr(exact, f"n_bar_{i}"), (label, i))
+
+
+def test_integrator_pair_matches_exact_means(integrator_pair):
+    omega, kappa = TWO_PI * 100e3, TWO_PI * 11.1
+    common = dict(noise=(NoiseModel(206e3, omega, 1.0, 0.0), NO_NOISE),
+                  cooling=(NO_COOLING, CoolingClamp(1e3, 182.0)),
+                  duration=10e-3, init_phase=("coherent", "coherent"),
+                  record_points=26, exact=True)
+    params = PairParams.resonant(calcium_40().mass, omega, kappa)
+    _assert_trajectory_matches(integrator_pair["full"], integrate_full(
+        params, (1000.0, 182.0), **common), "full")
+    _assert_trajectory_matches(integrator_pair["envelope"], integrate_envelope(
+        kappa, omega, (0.0, 0.0), initial_occupations=(1000.0, 182.0),
+        **common), "envelope")
+
+
+def test_symmetric_heating_matches_exact_means(symmetric_heating_run):
+    omega = TWO_PI * 100e3
+    params = PairParams.resonant(calcium_40().mass, omega, TWO_PI * 200.0)
+    noise = NoiseModel(2000.0, omega, 0.0, 0.0)
+    _assert_trajectory_matches(symmetric_heating_run, integrate_full(
+        params, (0.0, 0.0), noise=(noise, noise), duration=12.5e-3,
+        init_phase=("fixed", "fixed"), record_points=26, exact=True),
+        "symmetric heating")
+
+
+def test_sympathetic_free_branch_matches_exact_means(sympathetic_scenario,
+                                                     sympathetic_report):
+    # the free branch's call, as run_sympathetic makes it
+    s = sympathetic_scenario
+    sampled = sympathetic_report.trajectories["uncoupled"]
+    exact = integrate_envelope(
+        0.0, s.site1.vertical_frequency, noise=(s.noise1, NO_NOISE),
+        duration=2.5 * s.schedule.wait_times[-1],
+        initial_occupations=(s.schedule.initial_hot_occupation,
+                             s.cooling2.steady_state_occupation),
+        init_phase=("coherent", "coherent"), record_points=sampled.times.size,
+        exact=True)
+    _assert_trajectory_matches(sampled, exact, "sympathetic")
+
+
+def test_scan_points_match_exact_means(scan_scenario, scan_report):
+    # the scan's probe call, as run_resonance_scan makes it
+    s, sched = scan_scenario, scan_scenario.schedule
+    table = scan_report.tables["scan"]
+    w1 = s.site1.vertical_frequency
+    deltas = np.asarray(table["omega_rad_s"]) - w1
+    d_max = float(np.max(np.abs(deltas)))
+    noise, cooling = (s.noise1, s.noise2), (s.cooling1, s.cooling2)
+    exact = integrate_envelope(
+        s.kappa(), w1, detuning=[(0.0, d) for d in deltas], noise=noise,
+        cooling=cooling, duration=sched.probe_duration,
+        dt=dynamics.envelope_step_limit(s.kappa(), w1, (d_max, d_max), noise,
+                                        cooling, sched.probe_duration),
+        seed=[0] * deltas.size,
+        initial_occupations=(sched.hot_occupation, sched.cold_occupation),
+        init_phase=("thermal", "coherent"), record_points=2, exact=True)
+    rates = [(tr.n_bar_2[-1] - sched.cold_occupation) / sched.probe_duration
+             for tr in exact]
+    _assert_within_4_sem(table["rate_quanta_per_s"],
+                         table["sigma_quanta_per_s"], rates, "scan")
+
+
+# an unstable step overflows the n-step map to +-inf, and inf times a zero
+# state component is NaN; a NaN energy compares false against any bound,
+# so the record-point check is written to fail on it too
+def test_energy_check_catches_a_nan_state(monkeypatch):
+    powers, power = [], dynamics._power
+
+    def spy(t, d, n):
+        powers.append(power(t, d, n)[0])
+        return powers[-1], power(t, d, n)[1]
+
+    monkeypatch.setattr(dynamics, "_power", spy)
+    # 2 kappa above omega: one normal mode has a negative stiffness
+    params = PairParams.resonant(calcium_40().mass, TWO_PI * 1e6, TWO_PI * 1e6)
+    with pytest.raises(RuntimeError, match="unstable step"):
+        integrate_full(params, (100.0, 0.0), duration=1e-3, record_points=2,
+                       init_phase=("fixed", "fixed"))
+    with np.errstate(invalid="ignore"):
+        state = powers[0][0] @ np.array([1.0, 0.0, 0.0, 0.0])  # x1 only
+    assert np.isinf(powers[0]).any() and np.isnan(state).any()
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +800,9 @@ def test_several_points_need_one_seed_each():
 # ---------------------------------------------------------------------------
 # seeded fuzz: every numeric argument of both integrators and of the rate
 # equations, at each edge value, gives a ValueError or a finite trajectory
-# on at least two records; so does every number given to the fitters and
-# to the fit containers, which must give a ValueError or a result whose
-# every number is finite
+# on at least two records; so does every number given to the fitters, to
+# the fit containers, to a trap site and to the effective distance, which
+# must give a ValueError or a result whose every number is finite
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
@@ -705,10 +851,16 @@ FUZZ_CALLS = {
     "fit-result": (functools.partial(
         analysis.FitResult, parameters={"rate": 1.0, "intercept": 0.5},
         residual_norm=0.1, n_iterations=1, converged=True, model_id="m",
-        method="wls"), dict(sigmas={"rate": 0.1, "intercept": 0.2}))}
+        method="wls"), dict(sigmas={"rate": 0.1, "intercept": 0.2})),
+    "trap-site": (TrapSite, dict(vertical_frequency=CARRIER,
+                                 physical_height=60e-6,
+                                 effective_distance=130e-6)),
+    "effective-distance": (effective_distance, dict(
+        patch=RectPatch.centered_square(120e-6), height=60e-6))}
 # the calls without a dt fuzz every argument; this many numbers each
 FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
-               "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2}
+               "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2,
+               "trap-site": 3, "effective-distance": 6}
 
 
 def _numeric_leaves(value, path=()):

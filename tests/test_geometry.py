@@ -137,6 +137,9 @@ def test_geometry_error_paths():
         patch_field(PADDLE, (0.0, 0.0, -10e-6))
     with pytest.raises(ValueError):
         effective_distance(PADDLE, 0.0)
+    for bad in (math.nan, math.inf, np.array([40e-6, math.nan])):
+        with pytest.raises(ValueError, match="height"):
+            effective_distance(PADDLE, bad)
 
 
 def test_effective_distance_rejects_nonfinite_field():
