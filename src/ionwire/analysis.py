@@ -5,9 +5,8 @@ for heating-rate lines, grid-seeded Levenberg-Marquardt for the resonance
 line shape, and a grid-seeded binomial maximum-likelihood fit for Rabi
 thermometry. Every FitResult records the model identifier, the method,
 and the initial guess actually used, so fits are reproducible from their
-serialized form. scipy is imported inside the resonance fitter and the
-thermometry fitter's least-squares fallback, so importing this module,
-or a thermometry fit that needs no fallback, does not load scipy.optimize.
+serialized form. scipy is imported inside the resonance fitter only, so
+importing this module, or a thermometry fit, does not load scipy.
 
 The thermometry fit evaluates its 24-point seed grid as three batched
 Fock sums, one per seed Omega_0, which stop summing a grid column once
@@ -343,8 +342,9 @@ def laguerre_sequence(n_max, x):
     return np.array(out[:n_max + 1])
 
 
-# (x, read-only L_0(x) .. L_m(x)) of the last rabi_excitation call; it is
-# replaced as one tuple, so no reader pairs one x with another's sequence
+# (x, read-only L_0(x) .. L_m(x)) of the last _fock_phases call, which all
+# three Fock-sum kernels make; it is replaced as one tuple, so no reader
+# pairs one x with another's sequence
 _laguerre_kept = (None, np.empty(0))
 
 
@@ -388,27 +388,36 @@ def _truncation(n_bar):
     return n
 
 
-def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
-    """Thermal carrier flopping P(t) = sum_n p_n sin^2(Omega_n t / 2).
+def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
+    """(lo, hi, phase) per Fock block n = lo .. hi-1 up to n_top, phase a
+    fresh array of Omega_n t/2 over the float array t, with
+    Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
 
-    Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2). Evaluated in Fock blocks
-    to bound memory at high n_bar; each block's phases are built, passed
-    through sin and squared in one array. Scaling Omega_n by the exact
-    factor 1/2 before the product with t gives the same phases as halving
-    t * Omega_n, except where that product is subnormal (its square is 0
-    either way) or overflows.
+    Blocks of ``block`` terms bound memory at high n_bar; ``end(lo)``, if
+    given, ends block lo at the n it returns, or stops the sum at n <= lo.
+    Scaling Omega_n by the exact factor 1/2 before the product with t gives
+    the same phases as halving t * Omega_n, except where that product is
+    subnormal (its sin^2 is 0 either way) or overflows.
     """
-    t = np.asarray(times, float)
-    n_top = _truncation(n_bar)
     x = lamb_dicke ** 2
     lag = _laguerre_prefix(n_top, x)
     half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
+    for lo in range(0, n_top + 1, block):
+        hi = min(lo + block, n_top + 1 if end is None else end(lo))
+        if hi <= lo:
+            return
+        yield lo, hi, np.multiply.outer(t, half[lo:hi])
+
+
+def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
+    """Thermal carrier flopping P(t) = sum_n p_n sin^2(Omega_n t / 2),
+    Omega_n as in _fock_phases."""
+    t = np.asarray(times, float)
+    n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
-    block = 20_000
-    for lo in range(0, n_top + 1, block):
-        hi = min(lo + block, n_top + 1)
-        phase = np.multiply.outer(t, half[lo:hi])
+    for lo, hi, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top,
+                                      20_000):
         np.sin(phase, out=phase)
         np.square(phase, out=phase)
         out += phase @ p_n[lo:hi]
@@ -491,15 +500,10 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
     product with the block's weight columns per output.
     """
     t = np.asarray(times, float)
-    n_top = _truncation(n_bar)
-    x = lamb_dicke ** 2
-    lag = _laguerre_prefix(n_top, x)
-    half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
     acc = np.zeros((t.size, 6))
-    for lo in range(0, n_top + 1, _DERIV_BLOCK):
-        hi = min(lo + _DERIV_BLOCK, n_top + 1)
+    for lo, hi, phase in _fock_phases(t, carrier_rabi, lamb_dicke,
+                                      _truncation(n_bar), _DERIV_BLOCK):
         w = _thermal_columns(n_bar, lo, hi)
-        phase = np.multiply.outer(t, half[lo:hi])
         s = np.sin(phase)
         c = np.cos(phase)
         c *= s
@@ -554,26 +558,26 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
     t = dataset.pulse_times
     tops = [_truncation(nb) for nb in nbar_grid]
     q = [nb / (1.0 + nb) for nb in nbar_grid]
-    x = dataset.lamb_dicke ** 2
-    lag = _laguerre_prefix(max(tops), x)
     nll = np.full((len(nbar_grid), len(omega_grid)), np.inf)
     least = math.inf
+
+    def live_end(lo):
+        # drop the columns that cannot win from block lo on; twice the
+        # remaining mass and 1e-9 of the NLL cover rounding
+        nonlocal live
+        live = [i for i in live if tops[i] >= lo and not _nll_floor(
+            dataset, p[:, i], 2.0 * q[i] ** lo) > least * (1.0 + 1e-9)]
+        return max((tops[i] + 1 for i in live), default=0)
+
     for j, om in enumerate(omega_grid):
-        half = 0.5 * (om * math.exp(-0.5 * x) * lag)
         p = np.zeros((t.size, len(nbar_grid)))
         live = range(len(nbar_grid))
-        for lo in range(0, lag.size, 20_000):
-            # twice the remaining mass and 1e-9 of the NLL cover rounding
-            live = [i for i in live if tops[i] >= lo and not _nll_floor(
-                dataset, p[:, i], 2.0 * q[i] ** lo) > least * (1.0 + 1e-9)]
-            if not live:
-                break
-            hi = min(lo + 20_000, max(tops[i] for i in live) + 1)
+        for lo, hi, phase in _fock_phases(t, om, dataset.lamb_dicke,
+                                          max(tops), 20_000, live_end):
             cols = np.zeros((hi - lo, len(live)))
             for c, i in enumerate(live):
                 end = min(hi, tops[i] + 1)
                 cols[:end - lo, c] = _thermal_block(nbar_grid[i], lo, end)
-            phase = np.multiply.outer(t, half[lo:hi])
             np.sin(phase, out=phase)
             np.square(phase, out=phase)
             p[:, live] += phase @ cols
@@ -662,7 +666,9 @@ def _newton_mle(dataset, n_bar, omega0):
 
 def _hessian_sigmas(hess, omega0):
     """1-sigma of (n_bar, Omega_0) from the NLL Hessian in (n_bar, ln
-    Omega_0); zeros when it is not positive definite."""
+    Omega_0); zeros when it is not finite or not positive definite."""
+    if not np.all(np.isfinite(hess)):
+        return 0.0, 0.0
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
@@ -692,10 +698,9 @@ def fit_rabi_nbar(dataset):
     seed Omega_0 (see _seed_grid_nll), seeds a damped Newton iteration on
     (n_bar, ln Omega_0) that uses the NLL's closed-form gradient and
     Hessian and keeps 0 <= n_bar < N_BAR_MAX (see _newton_mle). A fit
-    held at that upper edge reports converged False. When the iteration
-    fails, weighted least squares on the probabilities takes over,
-    recorded in the method field. Uncertainties come from the analytic
-    Hessian at the solution.
+    held at that upper edge, or whose iteration fails, reports converged
+    False with the last iterate. Uncertainties come from the analytic
+    Hessian there.
     """
     omega_seed = dataset.carrier_rabi if dataset.carrier_rabi > 0 \
         else _first_peak_rabi(dataset)
@@ -711,46 +716,14 @@ def fit_rabi_nbar(dataset):
     guess = {"n_bar": best[1], "carrier_rabi": best[2]}
 
     nb, u, nll, hess, iterations, status = _newton_mle(dataset, best[1], best[2])
-    if status != "failed":
-        om = math.exp(u)
-        sig_nb, sig_om = _hessian_sigmas(hess, om)
-        return FitResult(
-            parameters={"n_bar": float(nb), "carrier_rabi": om},
-            sigmas={"n_bar": sig_nb, "carrier_rabi": sig_om},
-            residual_norm=nll,
-            n_iterations=iterations,
-            converged=status == "converged",
-            model_id="rabi-thermal P(t) = sum p_n sin^2(Omega_n t/2)",
-            method="mle-binomial-newton",
-            initial_guess=guess)
-
-    # WLS fallback on probabilities with binomial sigmas
-    p_obs = dataset.excitation_probability
-    sig = np.sqrt(np.clip(p_obs * (1 - p_obs), 0.05, None) / dataset.shots_per_point)
-
-    def n_bar_of(theta0):
-        n_bar = math.exp(min(theta0, math.log(_N_BAR_TOP + 0.5))) - 0.5
-        return min(max(n_bar, 0.0), _N_BAR_TOP)
-
-    def residuals(theta):
-        p = rabi_excitation(dataset.pulse_times, n_bar_of(theta[0]),
-                            math.exp(theta[1]), dataset.lamb_dicke)
-        return (p - p_obs) / sig
-
-    from scipy.optimize import least_squares
-
-    theta0 = np.array([math.log(best[1] + 0.5), math.log(best[2])])
-    res2 = least_squares(residuals, theta0, method="lm", max_nfev=400)
-    nb = n_bar_of(res2.x[0])
-    om = math.exp(res2.x[1])
-    sig_nb, sig_om = _hessian_sigmas(
-        _nll_derivatives(dataset, nb, res2.x[1])[2], om)
+    om = math.exp(u)
+    sig_nb, sig_om = _hessian_sigmas(hess, om)
     return FitResult(
-        parameters={"n_bar": nb, "carrier_rabi": om},
+        parameters={"n_bar": float(nb), "carrier_rabi": om},
         sigmas={"n_bar": sig_nb, "carrier_rabi": sig_om},
-        residual_norm=float(np.linalg.norm(res2.fun)),
-        n_iterations=int(res2.nfev),
-        converged=bool(res2.success) and nb < _N_BAR_TOP,
+        residual_norm=nll,
+        n_iterations=iterations,
+        converged=status == "converged",
         model_id="rabi-thermal P(t) = sum p_n sin^2(Omega_n t/2)",
-        method="wls-fallback",
+        method="mle-binomial-newton",
         initial_guess=guess)

@@ -90,18 +90,23 @@ def wire_coupling_rate(species, site1, site2, wire):
     return (math.pi / 2.0) * q2_over_m / (w * wire.capacitance * d1 * d2)
 
 
+def _check_positive(name, value):
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def coulomb_coupling_rate(species, omega, separation):
     """Free-space dipole-dipole exchange rate q^2/(4 pi eps0 m omega r^3)."""
-    if not (separation > 0):
-        raise ValueError("separation must be positive")
+    _check_positive("omega", omega)
+    _check_positive("separation", separation)
     q2_over_m = species.charge ** 2 / species.mass
     return q2_over_m / (4.0 * math.pi * CONST.vacuum_permittivity * omega * separation ** 3)
 
 
 def crossover_radius(species, omega, kappa):
     """Separation where the free-space rate equals a given wire rate."""
-    if not (kappa > 0):
-        raise ValueError("kappa must be positive")
+    _check_positive("omega", omega)
+    _check_positive("kappa", kappa)
     q2_over_m = species.charge ** 2 / species.mass
     return (q2_over_m / (4.0 * math.pi * CONST.vacuum_permittivity * omega * kappa)) ** (1.0 / 3.0)
 

@@ -43,10 +43,10 @@ class IonSpecies:
     label: str = ""
 
     def __post_init__(self):
-        if self.charge_number == 0:
-            raise ValueError("charge_number must be nonzero")
-        if not (self.mass_number > 0):
-            raise ValueError("mass_number must be positive")
+        if not (self.charge_number != 0 and math.isfinite(self.charge_number)):
+            raise ValueError("charge_number must be nonzero and finite")
+        if not (0 < self.mass_number < math.inf):
+            raise ValueError("mass_number must be positive and finite")
 
     @property
     def charge(self):
@@ -105,10 +105,15 @@ class WireSpec:
     resistance: float = 0.0   # ohm
 
     def __post_init__(self):
-        if not (self.capacitance > 0):
-            raise ValueError("capacitance must be positive")
-        if not (self.center_separation > self.paddle_side):
-            raise ValueError("center_separation must exceed paddle_side")
+        if not (0 < self.capacitance < math.inf):
+            raise ValueError("capacitance must be positive and finite")
+        if not (0 < self.paddle_side < math.inf):
+            raise ValueError("paddle_side must be positive and finite")
+        if not (self.paddle_side < self.center_separation < math.inf):
+            raise ValueError("center_separation must be finite and exceed "
+                             "paddle_side")
+        if not (0 <= self.resistance < math.inf):
+            raise ValueError("resistance must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

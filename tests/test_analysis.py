@@ -302,25 +302,33 @@ def test_seed_grid_matches_the_nll_of_each_pair(n_bar, shots):
         assert not summed[-1].any()
 
 
-def test_least_squares_fallback(monkeypatch):
-    # when the Newton iteration fails, weighted least squares takes over,
-    # with the same analytic sigmas and the same range for n_bar
-    monkeypatch.setattr(analysis, "_newton_mle", lambda data, nb, om: (
-        nb, math.log(om), math.nan, None, 0, "failed"))
+def test_failed_newton_iteration_returns_its_last_iterate(monkeypatch):
+    # with no usable step the iteration fails at its seed; the fit reports
+    # that iterate as not converged, with the sigmas of its Hessian
+    monkeypatch.setattr(analysis, "_newton_step", lambda *args: (None, False))
     rabi = TWO_PI * 50e3
     t_pi = math.pi / rabi
     for n_bar, points, seed in ((50.0, 60, 12), (12000.0, 20, 2)):
         times = np.linspace(0.05 * t_pi, 6.0 * t_pi, points)
         data, _ = synthesize_rabi(n_bar, rabi, 0.05, times, 200, seed)
         fit = fit_rabi_nbar(data)
-        assert fit.method == "wls-fallback"
-        nb, om = fit.parameters["n_bar"], fit.parameters["carrier_rabi"]
-        assert 0.0 <= nb < analysis.N_BAR_MAX
-        hess = analysis._nll_derivatives(data, nb, math.log(om))[2]
+        nb, om = fit.initial_guess["n_bar"], fit.initial_guess["carrier_rabi"]
+        assert analysis._newton_mle(data, nb, om)[-1] == "failed"
+        assert fit.method == "mle-binomial-newton" and not fit.converged
+        assert fit.n_iterations == 0
+        nll, _, hess, _ = analysis._nll_derivatives(data, nb, math.log(om))
+        om = math.exp(math.log(om))
+        assert fit.parameters == {"n_bar": nb, "carrier_rabi": om}
+        assert fit.residual_norm == nll
         assert (fit.sigmas["n_bar"], fit.sigmas["carrier_rabi"]) == \
             analysis._hessian_sigmas(hess, om)
-    assert not fit.converged        # held at the bound
-    assert nb == analysis._N_BAR_TOP
+
+
+@pytest.mark.parametrize("hess", [np.full((2, 2), math.nan),
+                                  np.array([[math.inf, 0.0], [0.0, 1.0]]),
+                                  np.array([[1.0, 2.0], [2.0, 1.0]])])
+def test_hessian_sigmas_are_zero_unless_finite_and_positive_definite(hess):
+    assert analysis._hessian_sigmas(hess, TWO_PI * 50e3) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

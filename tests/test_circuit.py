@@ -168,3 +168,21 @@ def test_circuit_invariants_enforced():
         coulomb_coupling_rate(calcium_40(), mhz_to_rad_s(2.0), -1e-6)
     with pytest.raises(ValueError):
         crossover_radius(calcium_40(), mhz_to_rad_s(2.0), 0.0)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("omega", lambda: crossover_radius(calcium_40(), -1e7, 10.0)),
+    ("omega", lambda: crossover_radius(calcium_40(), math.inf, 10.0)),
+    ("kappa", lambda: crossover_radius(calcium_40(), 1e7, math.inf)),
+    ("omega", lambda: coulomb_coupling_rate(calcium_40(), math.nan, 1e-3)),
+    ("separation", lambda: coulomb_coupling_rate(calcium_40(), 1e7, math.inf)),
+    ("center_separation", lambda: WireSpec(30e-15, 120e-6, math.inf)),
+    ("capacitance", lambda: WireSpec(math.inf, 120e-6, 620e-6)),
+    ("paddle_side", lambda: WireSpec(30e-15, -1.0, 620e-6)),
+    ("resistance", lambda: WireSpec(30e-15, 120e-6, 620e-6, math.nan)),
+    ("resistance", lambda: WireSpec(30e-15, 120e-6, 620e-6, -1.0)),
+    ("mass_number", lambda: IonSpecies(1, math.inf)),
+    ("charge_number", lambda: IonSpecies(math.nan, 40.0))])
+def test_bad_numbers_are_rejected_naming_the_argument(name, call):
+    with pytest.raises(ValueError, match=name):
+        call()

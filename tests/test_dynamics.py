@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ionwire import analysis, dynamics
-from ionwire.core import TWO_PI, TrapSite, calcium_40, mhz_to_rad_s
+from ionwire import analysis, circuit, dynamics
+from ionwire.core import (TWO_PI, IonSpecies, TrapSite, WireSpec, calcium_40,
+                          mhz_to_rad_s)
 from ionwire.dynamics import (NO_COOLING, NO_NOISE, CoolingClamp, NoiseModel,
                               PairParams, integrate_envelope, integrate_full,
                               noise_psd, rate_equation_fixed_point,
@@ -801,8 +802,9 @@ def test_several_points_need_one_seed_each():
 # seeded fuzz: every numeric argument of both integrators and of the rate
 # equations, at each edge value, gives a ValueError or a finite trajectory
 # on at least two records; so does every number given to the fitters, to
-# the fit containers, to a trap site and to the effective distance, which
-# must give a ValueError or a result whose every number is finite
+# the fit containers, to the species, trap site and wire, to the effective
+# distance and to the coupling rates, which must give a ValueError or a
+# result whose every number is finite
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
@@ -856,11 +858,25 @@ FUZZ_CALLS = {
                                  physical_height=60e-6,
                                  effective_distance=130e-6)),
     "effective-distance": (effective_distance, dict(
-        patch=RectPatch.centered_square(120e-6), height=60e-6))}
+        patch=RectPatch.centered_square(120e-6), height=60e-6)),
+    "ion-species": (IonSpecies, dict(charge_number=1, mass_number=40.0)),
+    "wire-spec": (WireSpec, dict(capacitance=30e-15, paddle_side=120e-6,
+                                 center_separation=620e-6, resistance=1.0)),
+    "coulomb": (circuit.coulomb_coupling_rate, dict(
+        species=calcium_40(), omega=CARRIER, separation=620e-6)),
+    "crossover": (circuit.crossover_radius, dict(
+        species=calcium_40(), omega=CARRIER, kappa=TWO_PI * 11.1)),
+    "enhancement": (circuit.enhancement_report, dict(
+        species=calcium_40(),
+        site1=TrapSite(CARRIER, 50e-6, 110e-6),
+        site2=TrapSite(CARRIER, 70e-6, 140e-6),
+        wire=WireSpec(30e-15, 120e-6, 620e-6)))}
 # the calls without a dt fuzz every argument; this many numbers each
 FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
                "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2,
-               "trap-site": 3, "effective-distance": 6}
+               "trap-site": 3, "effective-distance": 6, "ion-species": 2,
+               "wire-spec": 4, "coulomb": 4, "crossover": 4,
+               "enhancement": 12}
 
 
 def _numeric_leaves(value, path=()):
