@@ -4,10 +4,8 @@ Exit codes are a contract: 0 success, 1 expectation-band failure,
 2 usage or configuration error, 3 any other failure (a crash, reported in
 one line on stderr). All computation happens in the library
 modules; this layer owns argument parsing, the master seed, output
-paths, and atomic writes. Only two environment overrides exist,
-IONWIRE_OUT (output directory) and IONWIRE_THREADS (the number of
-worker processes in the pool that integrates ensemble batches; results
-are identical for any count); every physical parameter must come from
+paths, and atomic writes. Only one environment override exists,
+IONWIRE_OUT (output directory); every physical parameter must come from
 the scenario file or flags so runs stay auditable. Flags are read and
 checked like scenario keys (``scenario.read_options``), naming the flag.
 """
@@ -250,21 +248,12 @@ def _resolve_outdir(args, scn=None):
     return "ionwire-out"
 
 
-def _n_workers():
-    value = os.environ.get("IONWIRE_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ScenarioError("invalid", f"IONWIRE_THREADS must be an integer, "
-                            f"got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns whether its expectation bands passed, or None
 
 def _cmd_report(args, started, kind):
     scn = _load_scenario(args, kind.bundled)
-    report = getattr(experiments, kind.runner)(scn, n_workers=_n_workers())
+    report = getattr(experiments, kind.runner)(scn)
     writer = _Writer(_resolve_outdir(args, scn))
     _write_report(writer, report, args.format, svg=args.svg)
     _manifest(writer, args, report.scenario_digest, started, scn=scn,

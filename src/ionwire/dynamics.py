@@ -37,17 +37,15 @@ draws full _BATCH-row arrays: the set-up draws, then one per record
 interval, none for a segment without diffusion. Under OU jitter, steps
 c _CHUNK on draw from ``SeedSequence(s, spawn_key=(b, c))`` instead. So a
 realization's numbers depend only on the seed and its index: output is
-bit-identical for any worker count, and adding realizations never moves
-the existing ones.
+the same whatever the batch packing or ensemble size, and adding
+realizations never moves the existing ones.
 """
 
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,24 +276,6 @@ def _pack(points, n_real):
     yield batch
 
 
-def _run_batches(worker, batches, n_workers, extra_args):
-    """Yield ``worker(segments, *extra_args)`` per batch, in order.
-
-    A pool starts only for two batches or more, with a worker per batch
-    up to ``n_workers``, and takes one batch per worker at a time, so the
-    batches held in memory stay few however many there are.
-    """
-    head = list(itertools.islice(batches, n_workers))
-    batches = itertools.chain(head, batches)
-    extra = [itertools.repeat(arg) for arg in extra_args]
-    if len(head) <= 1:
-        yield from map(worker, batches, *extra)
-        return
-    with ProcessPoolExecutor(max_workers=len(head)) as pool:
-        while window := list(itertools.islice(batches, len(head))):
-            yield from pool.map(worker, window, *extra)
-
-
 def _grid(duration, dt, dt_max, record_points):
     """(dt, n_steps, rec_idx) of a run: the step, defaulting to ``dt_max``,
     the step count and the steps of the record points."""
@@ -316,24 +296,22 @@ def _grid(duration, dt, dt_max, record_points):
     return dt, n_steps, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
 
-def _integrate(kernel, kernel_args, points, grid, n_realizations, n_workers):
+def _integrate(kernel, points, grid, n_realizations):
     """Front end shared by both integrators; one EnsembleTrajectory per point.
 
     ``points`` holds one (seed, point argument) pair per point, ``grid``
-    the run's (dt, n_steps, rec_idx). ``kernel(segments, *kernel_args,
-    *grid)`` integrates a batch of (seed, point argument, lo, hi)
-    segments, realizations lo..hi-1 of a point each, and returns each
-    segment's occupation sums and sums of squares on the record grid, then
-    the batch's first row's positions and energies or None.
+    the run's (dt, n_steps, rec_idx). ``kernel(segments)`` integrates a
+    batch of (seed, point argument, lo, hi) segments, realizations lo..hi-1
+    of a point each, and returns each segment's occupation sums and sums of
+    squares on the record grid, then the batch's first row's positions and
+    energies or None. Batches run one at a time, in order.
     """
     n_real = _count("n_realizations", n_realizations, 1)
-    n_workers = _count("n_workers", n_workers, 1)
     for seed, _point in points:
         _count("seed", seed, 0)
     per_point = -(-n_real // _BATCH)      # segments per point
     sums, first, done = [], None, 0
-    for moments, x, e in _run_batches(kernel, _pack(points, n_real), n_workers,
-                                      kernel_args + grid):
+    for moments, x, e in map(kernel, _pack(points, n_real)):
         if first is None:
             first = (x, e)
         for segment in moments:
@@ -632,8 +610,7 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
 def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
                    cooling=(NO_COOLING, NO_COOLING), duration=1e-3, dt=None,
                    seed=0, n_realizations=1, init_phase=(INIT_THERMAL, INIT_THERMAL),
-                   record_points=201, record_positions=False, n_workers=1,
-                   exact=False):
+                   record_points=201, record_positions=False, exact=False):
     """Velocity-Verlet SDE ensemble; returns an EnsembleTrajectory.
 
     ``initial`` is the (n1, n2) occupation pair, realized per
@@ -650,9 +627,9 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
                       noise, cooling, (params.omega1, params.omega2), initial,
                       init_phase, grid)
     return _integrate(
-        _full_batch, (params, noise, cooling, initial, init_phase,
-                      record_positions), [(seed, None)], grid, n_realizations,
-        n_workers)[0]
+        lambda segments: _full_batch(segments, params, noise, cooling, initial,
+                                     init_phase, record_positions, *grid),
+        [(seed, None)], grid, n_realizations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +732,7 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
                        duration=1e-3, dt=None, seed=0, n_realizations=1,
                        initial_occupations=(0.0, 0.0),
                        init_phase=(INIT_THERMAL, INIT_THERMAL),
-                       record_points=201, n_workers=1, exact=False):
+                       record_points=201, exact=False):
     """Rotating-frame amplitude ensemble; n_i = |a_i|^2.
 
     ``carrier`` is the absolute mode frequency the frame rotates at;
@@ -790,9 +767,10 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
             init_phase, grid) for _s, d in points]
     else:
         trajectories = _integrate(
-            _envelope_batch, (kappa, carrier, noise, cooling,
-                              initial_occupations, init_phase), points, grid,
-            n_realizations, n_workers)
+            lambda segments: _envelope_batch(
+                segments, kappa, carrier, noise, cooling, initial_occupations,
+                init_phase, *grid),
+            points, grid, n_realizations)
     return trajectories if several else trajectories[0]
 
 

@@ -183,7 +183,7 @@ def _point_seed(master, idx):
                .generate_state(1, np.uint64)[0])
 
 
-def run_resonance_scan(scenario, n_workers=1):
+def run_resonance_scan(scenario):
     """Heating-rate spectroscopy of the cold ion across the resonance."""
     t0 = time.perf_counter()
     sched = scenario.schedule
@@ -215,7 +215,7 @@ def run_resonance_scan(scenario, n_workers=1):
         n_realizations=scenario.ensemble_size,
         initial_occupations=(sched.hot_occupation, sched.cold_occupation),
         init_phase=(dynamics.INIT_THERMAL, dynamics.INIT_COHERENT),
-        record_points=2, n_workers=n_workers)
+        record_points=2)
     # two-point gain over the probe; the coherent-phase cold prep makes
     # n2(0) exact so the SEM of the gain is the SEM of the endpoint
     rates = np.array([(traj.n_bar_2[-1] - sched.cold_occupation) / t_probe
@@ -284,7 +284,7 @@ def run_resonance_scan(scenario, n_workers=1):
 # ---------------------------------------------------------------------------
 # sympathetic heating-rate reduction
 
-def run_sympathetic(scenario, n_workers=1):
+def run_sympathetic(scenario):
     """Uncoupled vs clamped-coupled hot-ion heating, plus rate extraction."""
     t0 = time.perf_counter()
     sched = scenario.schedule
@@ -311,7 +311,7 @@ def run_sympathetic(scenario, n_workers=1):
         n_realizations=scenario.ensemble_size,
         initial_occupations=(n1_0, n_ss),
         init_phase=(dynamics.INIT_COHERENT, dynamics.INIT_COHERENT),
-        record_points=n_rec, n_workers=n_workers)
+        record_points=n_rec)
 
     # branch B: incoherent exchange against a hard-clamped cold ion
     heat1 = dynamics.noise_psd(scenario.noise1, w1)
@@ -393,7 +393,7 @@ def run_sympathetic(scenario, n_workers=1):
 # ---------------------------------------------------------------------------
 # noiseless swap demonstration
 
-def run_swap_demo(scenario, n_workers=1):
+def run_swap_demo(scenario):
     """Full-SDE resonant energy exchange with the envelope cross-check."""
     t0 = time.perf_counter()
     sched = scenario.schedule

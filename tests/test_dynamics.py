@@ -147,19 +147,19 @@ def test_normal_mode_spectrum(long_noiseless_run):
 # ---------------------------------------------------------------------------
 # determinism
 
-def small_full(seed, n_workers=1):
+def small_full(seed):
     params = PairParams.resonant(calcium_40().mass, TWO_PI * 100e3, TWO_PI * 50.0)
     noise = NoiseModel(5e4, TWO_PI * 100e3, 1.0, 0.0)
     return integrate_full(params, (100.0, 0.0), noise=(noise, NO_NOISE),
                           duration=1e-3, seed=seed, n_realizations=8,
-                          record_points=11, n_workers=n_workers)
+                          record_points=11)
 
 
-def small_envelope(seed, n_workers=1):
+def small_envelope(seed):
     noise = NoiseModel(5e4, CARRIER, 1.0, 300.0)
     return integrate_envelope(TWO_PI * 50.0, CARRIER, noise=(noise, NO_NOISE),
                               duration=2e-3, seed=seed, n_realizations=16,
-                              record_points=11, n_workers=n_workers)
+                              record_points=11)
 
 
 def test_seed_determinism_bitwise():
@@ -172,16 +172,6 @@ def test_seed_determinism_bitwise():
     assert np.array_equal(c.n_bar_2, d.n_bar_2)
     assert not np.array_equal(a.n_bar_1, small_full(6).n_bar_1)
     assert not np.array_equal(c.n_bar_1, small_envelope(6).n_bar_1)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_worker_count_does_not_change_results(workers):
-    base_f, base_e = small_full(5), small_envelope(5)
-    alt_f, alt_e = small_full(5, workers), small_envelope(5, workers)
-    assert np.array_equal(base_f.n_bar_1, alt_f.n_bar_1)
-    assert np.array_equal(base_f.n_bar_sem_2, alt_f.n_bar_sem_2)
-    assert np.array_equal(base_e.n_bar_1, alt_e.n_bar_1)
-    assert np.array_equal(base_e.n_bar_sem_2, alt_e.n_bar_sem_2)
 
 
 # the RNG draw layout, frozen: both integrators with heating, drag,
@@ -200,12 +190,11 @@ FROZEN_LAYOUT = {
                  [2.927991251366206, 2.3538611900649853, 2.3068779239853328])}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_draw_layout_is_frozen(workers):
+def test_draw_layout_is_frozen():
     w = TWO_PI * 100e3
     cooling = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
     common = dict(cooling=cooling, seed=21, n_realizations=260,
-                  record_points=3, n_workers=workers)
+                  record_points=3)
 
     def noise(f):
         return (NoiseModel(5e4, f, 1.0, 300.0),
@@ -245,12 +234,10 @@ FROZEN_BITS = {
                   "0x1.2747c69bb0d10p+1"])}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_kick_scaling_is_frozen_bitwise(workers):
+def test_kick_scaling_is_frozen_bitwise():
     w = TWO_PI * 100e3
     common = dict(cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
-                  seed=21, n_realizations=260, record_points=3,
-                  n_workers=workers)
+                  seed=21, n_realizations=260, record_points=3)
 
     def noise(f):
         return (NoiseModel(5e4, f, 1.0, 300.0),
@@ -282,14 +269,12 @@ ONE_ROW_CASES = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ONE_ROW_CASES)
-def test_one_row_verlet_equals_row_zero_of_a_batch(case, workers):
+def test_one_row_verlet_equals_row_zero_of_a_batch(case):
     params = PairParams.resonant(calcium_40().mass, W_ONE_ROW, TWO_PI * 50.0)
     runs = [integrate_full(params, (100.0, 50.0), duration=2.2e-4, seed=21,
                            n_realizations=n, record_points=12,
-                           record_positions=True, n_workers=workers,
-                           **ONE_ROW_CASES[case])
+                           record_positions=True, **ONE_ROW_CASES[case])
             for n in (1, 3)]    # 1,100 steps: more than one draw block
     assert np.array_equal(runs[0].positions, runs[1].positions), case
     assert np.array_equal(runs[0].energies, runs[1].energies), case
@@ -699,20 +684,18 @@ def _packing_noise(jitter_kind):
                        0.5e-3 if jitter_kind == dynamics.JITTER_OU else 0.0))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("ensemble,n_points,jitter_kind", [
     (64, 5, dynamics.JITTER_OU),     # 4 points per batch, then 1
     (100, 3, dynamics.JITTER_OU),    # 2 points per batch, 56 rows free
     (300, 3, dynamics.JITTER_OU),    # each point split at _BATCH
     (100, 3, dynamics.JITTER_PER_SHOT)])
-def test_packed_points_equal_one_point_calls(ensemble, n_points, jitter_kind,
-                                             workers):
+def test_packed_points_equal_one_point_calls(ensemble, n_points, jitter_kind):
     common = dict(noise=_packing_noise(jitter_kind),
                   cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
                   duration=5.5e-4, dt=5e-7, n_realizations=ensemble,
                   initial_occupations=(100.0, 50.0),
-                  init_phase=("thermal", "coherent"), record_points=4,
-                  n_workers=workers)                      # 1,100 steps
+                  init_phase=("thermal", "coherent"),
+                  record_points=4)                        # 1,100 steps
     detunings = [(0.0, TWO_PI * 400.0 * (p - 1)) for p in range(n_points)]
     seeds = [31 + 7 * p for p in range(n_points)]
     packed = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=detunings,
@@ -777,7 +760,7 @@ ENVELOPE_BASE = dict(kappa=TWO_PI * 50.0, carrier=CARRIER,
 @pytest.mark.parametrize("argument,value", [
     ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("duration", math.inf),
     ("duration", 0.0), ("n_realizations", 0), ("n_realizations", 2.0),
-    ("record_points", 1), ("n_workers", 0), ("seed", -1), ("seed", math.nan),
+    ("record_points", 1), ("seed", -1), ("seed", math.nan),
     ("initial_occupations", (math.nan, 0.0)),
     ("initial_occupations", (-1.0, 0.0)), ("kappa", math.nan),
     ("carrier", math.inf), ("detuning", (math.nan, 0.0))])
@@ -819,19 +802,17 @@ def _fit_rabi_dataset(**fields):
 
 FUZZ_CALLS = {
     "envelope": (integrate_envelope, dict(
-        ENVELOPE_BASE, noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
-        n_workers=1)),
+        ENVELOPE_BASE, noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None)),
     "envelope-points": (integrate_envelope, dict(
         ENVELOPE_BASE, detuning=((0.0, TWO_PI * 100.0), (0.0, -TWO_PI * 50.0)),
-        seed=(3, 4), noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None,
-        n_workers=1)),
+        seed=(3, 4), noise=FUZZ_NOISE, cooling=FUZZ_COOLING, dt=None)),
     "full": (integrate_full, dict(
         params=PairParams.resonant(calcium_40().mass, TWO_PI * 100e3,
                                    TWO_PI * 50.0),
         initial=(10.0, 5.0), noise=(NoiseModel(5e4, TWO_PI * 100e3, 1.0, 300.0),
                                     FUZZ_NOISE[1]),
         cooling=FUZZ_COOLING, duration=2e-6, dt=None, seed=3,
-        n_realizations=3, record_points=3, n_workers=1)),
+        n_realizations=3, record_points=3)),
     "rate-equations": (rate_equation_model, dict(
         n1_0=1000.0, n2_0=182.0, heat1=206e3, heat2=5e3, kappa_ex=132.0,
         cooling2=CoolingClamp(1e3, 10.0), duration=1e-3, record_points=11)),
