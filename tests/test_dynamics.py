@@ -544,6 +544,25 @@ def test_rate_equation_fixed_point():
     assert tr.n_bar_2[-1] == pytest.approx(n2, rel=1e-4)
 
 
+def test_rate_equation_long_time_limit_is_the_fixed_point():
+    # e^(lam t) -> 0 and t phi1(lam t) -> -1/lam, so the closed form's late
+    # values are -A^-1 b, which rate_equation_fixed_point writes out
+    clamp = CoolingClamp(1e3, 10.0)
+    n1, n2 = rate_equation_fixed_point(206e3, 5e3, 132.0, clamp)
+    tr = rate_equation_model(1000.0, 182.0, 206e3, 5e3, 132.0, clamp, 1e3, 2)
+    assert tr.n_bar_1[-1] == pytest.approx(n1, rel=1e-13)
+    assert tr.n_bar_2[-1] == pytest.approx(n2, rel=1e-13)
+
+
+def test_hard_clamp_is_the_scalar_exponential():
+    clamp = CoolingClamp(math.inf, 182.0)
+    tr = rate_equation_model(1000.0, 182.0, 206e3, 0.0, 132.0, clamp, 25e-3, 11)
+    n_inf = 182.0 + 206e3 / 132.0
+    expected = n_inf + (1000.0 - n_inf) * np.exp(-132.0 * tr.times)
+    np.testing.assert_allclose(tr.n_bar_1, expected, rtol=1e-13)
+    assert np.all(tr.n_bar_2 == 182.0)
+
+
 def test_exchange_rate_round_trip():
     clamp = CoolingClamp(math.inf, 182.0)
     free = rate_equation_model(1000.0, 182.0, 206e3, 0.0, 0.0, clamp, 10e-3, 11)
