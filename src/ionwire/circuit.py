@@ -87,7 +87,10 @@ def wire_coupling_rate(species, site1, site2, wire):
     q2_over_m = species.charge ** 2 / species.mass
     d1 = site1.effective_distance
     d2 = site2.effective_distance
-    return (math.pi / 2.0) * q2_over_m / (w * wire.capacitance * d1 * d2)
+    denominator = w * wire.capacitance * d1 * d2
+    rate = (math.pi / 2.0) * q2_over_m / denominator if denominator > 0 else 0.0
+    _check_positive(f"the rate at capacitance {wire.capacitance!r} F", rate)
+    return rate
 
 
 def _check_positive(name, value):

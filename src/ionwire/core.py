@@ -43,9 +43,10 @@ class IonSpecies:
     label: str = ""
 
     def __post_init__(self):
-        if not (self.charge_number != 0 and math.isfinite(self.charge_number)):
+        # on the SI values too, which a subnormal number underflows to 0
+        if not (self.charge != 0 and math.isfinite(self.charge_number)):
             raise ValueError("charge_number must be nonzero and finite")
-        if not (0 < self.mass_number < math.inf):
+        if not (0 < self.mass_number < math.inf and self.mass > 0):
             raise ValueError("mass_number must be positive and finite")
 
     @property

@@ -799,8 +799,7 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
     record_points = _count("record_points", record_points, 2)
 
     times = np.linspace(0.0, duration, record_points)
-    gamma = cooling2.damping_rate
-    n_ss = cooling2.steady_state_occupation
+    gamma, n_ss = cooling2.damping_rate, cooling2.steady_state_occupation
     if math.isinf(gamma):
         a, b, n0 = [[-kappa_ex]], [heat1 + kappa_ex * n_ss], [n1_0]
     else:
@@ -808,14 +807,11 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
         b, n0 = [heat1, heat2 + gamma * n_ss], [n1_0, n2_0]
     lam, v = np.linalg.eigh(np.array(a, float))
     z = np.outer(times, lam)
-    nonzero = np.where(z == 0.0, 1.0, z)
-    phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / nonzero)
+    phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / np.where(z == 0.0, 1.0, z))
     n = (np.exp(z) * (v.T @ n0) + times[:, None] * phi1 * (v.T @ b)) @ v.T
-    n1 = n[:, 0]
-    n2 = n[:, 1] if n.shape[1] == 2 else np.full_like(n1, n_ss)
-    zeros = np.zeros_like(n1)
-    return EnsembleTrajectory(times=times, n_bar_1=n1, n_bar_2=n2,
-                              n_bar_sem_1=zeros, n_bar_sem_2=zeros)
+    n2 = n[:, 1] if len(b) == 2 else np.full(record_points, float(n_ss))
+    zeros = np.zeros(record_points)
+    return EnsembleTrajectory(times, n[:, 0], n2, zeros, zeros)
 
 
 def rate_equation_fixed_point(heat1, heat2, kappa_ex, cooling2):

@@ -34,6 +34,9 @@ class RectPatch:
     voltage: float = 1.0
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max", "voltage"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.x_min < self.x_max):
             raise ValueError("x_min must be < x_max")
         if not (self.y_min < self.y_max):
@@ -41,6 +44,8 @@ class RectPatch:
 
     @classmethod
     def centered_square(cls, side, voltage=1.0):
+        if not (0.0 < side < np.inf):
+            raise ValueError(f"side must be positive and finite, got {side!r}")
         h = 0.5 * side
         return cls(-h, h, -h, h, voltage)
 

@@ -186,3 +186,20 @@ def test_circuit_invariants_enforced():
 def test_bad_numbers_are_rejected_naming_the_argument(name, call):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("name,call", [
+    # the rate's denominator underflows to zero, or overflows to inf
+    ("capacitance", lambda: wire_coupling_rate(
+        calcium_40(), site_at(60e-6, 2.0), site_at(60e-6, 2.0),
+        WireSpec(5e-324, 120e-6, 620e-6))),
+    ("capacitance", lambda: enhancement_report(
+        calcium_40(), site_at(60e-6, 2.0), site_at(60e-6, 2.0),
+        WireSpec(1e308, 120e-6, 620e-6))),
+    # a subnormal number underflows to a zero charge or mass in SI units
+    ("charge_number", lambda: IonSpecies(5e-324, 40.0)),
+    ("mass_number", lambda: IonSpecies(1, 5e-324))])
+def test_numbers_out_of_float_range_are_rejected_naming_the_argument(name,
+                                                                      call):
+    with pytest.raises(ValueError, match=name):
+        call()

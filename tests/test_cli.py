@@ -105,8 +105,8 @@ def test_all_subcommands_advertise_help(tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    # scipy loads on the first fit or rate-equation solve, and numpy.random
-    # on the first ensemble or thermometry draw, not on import
+    # scipy loads on the first resonance fit, and numpy.random on the
+    # first ensemble or thermometry draw, not on import
     proc = run_python(["-c", "import sys, ionwire.cli; print(sorted("
                        "m for m in sys.modules if m.split('.')[0] == 'scipy'"
                        " or m.split('.')[:2] == ['numpy', 'random']))"],
@@ -115,18 +115,24 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_thermometry_run_loads_no_scipy_optimize(tmp_path):
-    # the fit is a hand-written Newton iteration, so a thermometry run
-    # loads no scipy module at all
+@pytest.mark.parametrize("argv", [
+    ["thermometry"], ["sympathetic", "--ensemble", "400", "--seed", "42"]],
+    ids=["thermometry", "sympathetic"])
+def test_run_loads_no_scipy_and_no_process_pool(argv, tmp_path):
+    # the thermometry fit is a hand-written Newton iteration and the rate
+    # equations a closed form, so neither run loads any scipy module; the
+    # ensembles run in this process, so none loads a process pool
     out = str(tmp_path / "t")
     proc = run_python(["-c", "import sys, ionwire.cli; status = ionwire.cli."
-                       f"main(['thermometry', '--out', {out!r}]); print(status,"
-                       " [m for m in sys.modules if m.split('.')[0] =="
-                       " 'scipy'])"], tmp_path)
+                       f"main({argv + ['--out', out]!r}); print(status, [m for"
+                       " m in sys.modules if m.split('.')[0] in ('scipy',"
+                       " 'multiprocessing') or m == 'concurrent.futures."
+                       "process'])"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
-    with open(os.path.join(out, "thermometry_fit.json")) as fh:
-        assert json.load(fh)["method"] == "mle-binomial-newton"
+    if argv[0] == "thermometry":
+        with open(os.path.join(out, "thermometry_fit.json")) as fh:
+            assert json.load(fh)["method"] == "mle-binomial-newton"
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -268,6 +274,21 @@ def test_crash_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ionwire: RuntimeError: unstable step")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_subnormal_wire_capacitance_exits_2(tmp_path):
+    # 5e-309 fF is 5e-324 F, so the rate's denominator underflows to zero
+    from importlib import resources
+    text = resources.files("ionwire").joinpath(
+        "data", "sympathetic_benchmark.scenario").read_text(encoding="utf-8")
+    scn = tmp_path / "subnormal.scenario"
+    scn.write_text(text.replace("capacitance_ff = 30", "capacitance_ff = 5e-309"))
+    proc = run_cli(["rate", "--scenario", str(scn),
+                    "--out", str(tmp_path / "r")], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "capacitance" in proc.stderr
 
 
 def test_band_failure_exits_1(tmp_path):

@@ -809,6 +809,9 @@ def test_several_points_need_one_seed_each():
 # result whose every number is finite
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
+# and, for the wire's entries, a subnormal, which underflows the coupling
+# rate's denominator, or a charge or mass in SI units, to zero
+EXTRA_EDGE_VALUES = {"wire-spec": (5e-324,), "enhancement": (5e-324,)}
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
               NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
 FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
@@ -857,6 +860,8 @@ FUZZ_CALLS = {
     "trap-site": (TrapSite, dict(vertical_frequency=CARRIER,
                                  physical_height=60e-6,
                                  effective_distance=130e-6)),
+    "rect-patch": (RectPatch, dict(x_min=-60e-6, x_max=60e-6, y_min=-60e-6,
+                                   y_max=60e-6, voltage=1.0)),
     "effective-distance": (effective_distance, dict(
         patch=RectPatch.centered_square(120e-6), height=60e-6)),
     "ion-species": (IonSpecies, dict(charge_number=1, mass_number=40.0)),
@@ -874,8 +879,8 @@ FUZZ_CALLS = {
 # the calls without a dt fuzz every argument; this many numbers each
 FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
                "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2,
-               "trap-site": 3, "effective-distance": 6, "ion-species": 2,
-               "wire-spec": 4, "coulomb": 4, "crossover": 4,
+               "trap-site": 3, "rect-patch": 5, "effective-distance": 6,
+               "ion-species": 2, "wire-spec": 4, "coulomb": 4, "crossover": 4,
                "enhancement": 12}
 
 
@@ -955,7 +960,7 @@ def test_fuzzed_numbers_are_rejected_or_give_finite_results(call):
         assert len(leaves) == FUZZ_LEAVES[call]
     with np.errstate(all="ignore"):
         for leaf in leaves:
-            for new in EDGE_VALUES:
+            for new in EDGE_VALUES + EXTRA_EDGE_VALUES.get(call, ()):
                 _rejects_or_finite(fn, base, [(leaf, new)])
         # and a seeded draw of edge values in pairs of arguments
         rng = np.random.default_rng(2024)

@@ -142,6 +142,20 @@ def test_geometry_error_paths():
             effective_distance(PADDLE, bad)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("side", lambda: RectPatch.centered_square(math.inf)),
+    ("side", lambda: RectPatch.centered_square(math.nan)),
+    ("voltage", lambda: RectPatch.centered_square(120e-6, math.nan)),
+    ("voltage", lambda: RectPatch(-1.0, 1.0, -1.0, 1.0, math.nan)),
+    ("x_min", lambda: RectPatch(-math.inf, 1.0, -1.0, 1.0)),
+    ("x_max", lambda: RectPatch(-1.0, math.inf, -1.0, 1.0)),
+    ("y_min", lambda: RectPatch(-1.0, 1.0, math.nan, 1.0)),
+    ("y_max", lambda: RectPatch(-1.0, 1.0, -1.0, math.inf))])
+def test_rect_patch_rejects_nonfinite_numbers_naming_the_argument(name, call):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_effective_distance_rejects_nonfinite_field():
     # lengths far beyond float range overflow the field's squares to nan
     with warnings.catch_warnings():

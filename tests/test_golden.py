@@ -28,7 +28,9 @@ GOLDEN = os.path.join(HERE, "data", "golden_cli.json")
 SWAP_SHORT = os.path.join(HERE, os.pardir, "perfbench", "scenarios",
                           "swap_short.scenario")
 
-# (name, IONWIRE_THREADS, argv without --out)
+# (name, IONWIRE_THREADS, argv without --out); ionwire reads no such
+# variable, and the sympathetic-2 row checks that a leftover
+# IONWIRE_THREADS=2, which perfbench sets, changes nothing
 INVOCATIONS = [
     ("scan", "1", ["scan", "--ensemble", "16", "--seed", "9", "--svg"]),
     ("swap", "1", ["swap", "--scenario", SWAP_SHORT, "--svg"]),
