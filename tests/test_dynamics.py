@@ -779,7 +779,8 @@ ENVELOPE_BASE = dict(kappa=TWO_PI * 50.0, carrier=CARRIER,
 @pytest.mark.parametrize("argument,value", [
     ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("duration", math.inf),
     ("duration", 0.0), ("n_realizations", 0), ("n_realizations", 2.0),
-    ("record_points", 1), ("seed", -1), ("seed", math.nan),
+    ("record_points", 1), ("record_points", 2.5), ("seed", -1),
+    ("seed", math.nan),
     ("initial_occupations", (math.nan, 0.0)),
     ("initial_occupations", (-1.0, 0.0)), ("kappa", math.nan),
     ("carrier", math.inf), ("detuning", (math.nan, 0.0))])
