@@ -31,6 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_range
+from .dynamics import _count
+
 # truncation policy for thermal Fock sums
 N_MAX_CAP = 200_000
 TAIL_TOL = 1e-6
@@ -55,8 +58,7 @@ class FitResult:
 
     def __post_init__(self):
         for k, v in self.sigmas.items():
-            if not (0 <= v < math.inf):
-                raise ValueError(f"sigma for {k} must be finite and >= 0, got {v!r}")
+            check_range(f"sigma for {k}", v, ge=0)
 
     def as_dict(self):
         return {
@@ -82,24 +84,16 @@ class RabiDataset:
     lamb_dicke: float
 
     def __post_init__(self):
-        t = np.asarray(self.pulse_times, float)
+        t = check_range("pulse_times", np.asarray(self.pulse_times, float))
         p = np.asarray(self.excitation_probability, float)
         if t.shape != p.shape:
             raise ValueError("times and probabilities must align")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("pulse_times must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValueError("pulse_times must be strictly increasing")
-        if not np.all((p >= 0) & (p <= 1)):
-            raise ValueError("excitation_probability must lie in [0, 1]")
-        shots = self.shots_per_point
-        if not (1 <= shots < math.inf) or shots != int(shots):
-            raise ValueError(f"shots_per_point must be an integer >= 1, "
-                             f"got {shots!r}")
-        if not math.isfinite(self.carrier_rabi):
-            raise ValueError(f"carrier_rabi must be finite, got {self.carrier_rabi!r}")
-        if not (0 <= self.lamb_dicke < 1):
-            raise ValueError(f"lamb_dicke must lie in [0, 1), got {self.lamb_dicke!r}")
+        check_range("excitation_probability", p, ge=0, le=1)
+        _count("shots_per_point", self.shots_per_point, 1)
+        check_range("carrier_rabi", self.carrier_rabi)
+        check_range("lamb_dicke", self.lamb_dicke, ge=0, lt=1)
         # the fitters compute on arrays, whatever sequence was given
         object.__setattr__(self, "pulse_times", t)
         object.__setattr__(self, "excitation_probability", p)
@@ -115,16 +109,12 @@ def fit_linear_heating(times, occupations, sigmas=None):
     without, ordinary least squares with the covariance scaled by the
     reduced chi-square (standard OLS errors).
     """
-    t = np.asarray(times, float)
-    y = np.asarray(occupations, float)
+    t = check_range("times", np.asarray(times, float))
+    y = check_range("occupations", np.asarray(occupations, float))
     if t.size < 3:
         raise ValueError("need at least 3 points for a heating-rate fit")
     if y.shape != t.shape:
         raise ValueError("occupations must align with times")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("occupations must be finite")
     if np.ptp(t) == 0:
         raise ValueError("degenerate design matrix: all times equal")
     weighted = sigmas is not None
@@ -132,9 +122,7 @@ def fit_linear_heating(times, occupations, sigmas=None):
         s = np.asarray(sigmas, float)
         if s.shape != t.shape:
             raise ValueError("sigmas must align with times")
-        if not np.all((s > 0) & (s < math.inf)):
-            raise ValueError("sigmas must be positive and finite")
-        w = 1.0 / s ** 2
+        w = 1.0 / check_range("sigmas", s, gt=0) ** 2
     else:
         w = np.ones_like(t)
 
@@ -226,25 +214,19 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
     collapse below the grid spacing; a spike narrower than one scan step
     is unidentifiable and would otherwise swallow a single noise point.
     """
-    w = np.asarray(omegas, float)
-    y = np.asarray(rates, float)
-    if w.size < 6:
-        raise ValueError("need at least 6 scan points spanning the peak")
+    w = check_range("omegas", np.asarray(omegas, float), gt=0)
+    y = check_range("rates", np.asarray(rates, float))
+    if w.size < 6 or np.ptp(w) == 0:
+        raise ValueError("omegas need at least 6 scan points, not all equal")
     if y.shape != w.shape:
         raise ValueError("rates must align with omegas")
-    if not np.all((w > 0) & (w < math.inf)):
-        raise ValueError("omegas must be positive and finite")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("rates must be finite")
     s = np.ones_like(y) if sigmas is None else np.asarray(sigmas, float)
     if s.shape != w.shape:
         raise ValueError("sigmas must align with omegas")
-    if not np.all((s > 0) & (s < math.inf)):
-        raise ValueError("sigmas must be positive and finite")
-    if probe is not None and not (math.isfinite(probe[0])
-                                  and 0 < probe[1] < math.inf):
-        raise ValueError("probe needs a finite kappa and a positive, finite "
-                         "duration")
+    check_range("sigmas", s, gt=0)
+    if probe is not None:
+        check_range("probe kappa", probe[0])
+        check_range("probe duration", probe[1], gt=0)
     w_ref = float(np.median(w))
 
     span_hz = (w.max() - w.min()) / (2.0 * math.pi)
@@ -317,6 +299,10 @@ def extract_kappa(rate_uncoupled, rate_coupled, n1, n2):
 
     Report layers divide by 2 pi for Hz display.
     """
+    check_range("rate_uncoupled", rate_uncoupled)
+    check_range("rate_coupled", rate_coupled)
+    check_range("n1", n1, ge=0)
+    check_range("n2", n2, ge=0)
     if n1 == n2:
         raise ValueError("extraction formula singular at n1 = n2")
     return (rate_uncoupled - rate_coupled) / (n1 - n2)
@@ -331,9 +317,8 @@ def laguerre_sequence(n_max, x):
     Plain float64 is safe for x >= 0: |L_n(x)| <= exp(x/2), so carrier
     couplings can never overflow however deep the thermal sum goes.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = float(x)
+    check_range("n_max", n_max, ge=0)
+    x = float(check_range("x", x, ge=0))
     out = [1.0, 1.0 - x]
     prev, cur = out
     for n in range(1, n_max):
@@ -361,8 +346,7 @@ def _laguerre_prefix(n_max, x):
 
 def thermal_weights(n_bar, n_max):
     """Thermal Fock distribution p_n = n^n/(1+n)^(n+1), n = 0..n_max."""
-    if not (n_bar >= 0):
-        raise ValueError("n_bar must be >= 0")
+    check_range("n_bar", n_bar, ge=0)
     return _thermal_block(n_bar, 0, n_max + 1)
 
 
@@ -376,16 +360,9 @@ def _thermal_block(n_bar, lo, hi):
 
 
 def _truncation(n_bar):
-    if not (n_bar >= 0):
-        raise ValueError("n_bar must be >= 0")
-    n = int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
-    if n_bar > 0:
-        tail = (n_bar / (1.0 + n_bar)) ** (n + 1)
-        if tail >= TAIL_TOL:
-            raise ValueError(
-                f"thermal tail {tail:.2e} above {TAIL_TOL} at N_max={n}; "
-                "n_bar too large for the truncation cap")
-    return n
+    # below N_BAR_MAX the thermal tail beyond the truncation is < TAIL_TOL
+    check_range("n_bar", n_bar, ge=0, lt=N_BAR_MAX)
+    return int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
 
 
 def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
@@ -412,7 +389,9 @@ def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
 def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     """Thermal carrier flopping P(t) = sum_n p_n sin^2(Omega_n t / 2),
     Omega_n as in _fock_phases."""
-    t = np.asarray(times, float)
+    t = check_range("times", np.asarray(times, float))
+    check_range("carrier_rabi", carrier_rabi)
+    check_range("lamb_dicke", lamb_dicke, ge=0, lt=1)
     n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
@@ -426,8 +405,7 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
 
 def synthesize_rabi(n_bar, carrier_rabi, lamb_dicke, times, shots, seed):
     """Binomial-sampled synthetic dataset plus a truth manifest."""
-    if not (1 <= shots < math.inf) or shots != int(shots):
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    shots = _count("shots", shots, 1)
     p = rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     counts = rng.binomial(int(shots), p)

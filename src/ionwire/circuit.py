@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CONST
+from .core import CONST, check_range
 
 # resonant-formula validity window for the two site frequencies
 RESONANCE_REL_TOL = 1e-3
@@ -89,27 +89,22 @@ def wire_coupling_rate(species, site1, site2, wire):
     d2 = site2.effective_distance
     denominator = w * wire.capacitance * d1 * d2
     rate = (math.pi / 2.0) * q2_over_m / denominator if denominator > 0 else 0.0
-    _check_positive(f"the rate at capacitance {wire.capacitance!r} F", rate)
-    return rate
-
-
-def _check_positive(name, value):
-    if not (0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return check_range(f"the rate at capacitance {wire.capacitance!r} F", rate,
+                       gt=0)
 
 
 def coulomb_coupling_rate(species, omega, separation):
     """Free-space dipole-dipole exchange rate q^2/(4 pi eps0 m omega r^3)."""
-    _check_positive("omega", omega)
-    _check_positive("separation", separation)
+    check_range("omega", omega, gt=0)
+    check_range("separation", separation, gt=0)
     q2_over_m = species.charge ** 2 / species.mass
     return q2_over_m / (4.0 * math.pi * CONST.vacuum_permittivity * omega * separation ** 3)
 
 
 def crossover_radius(species, omega, kappa):
     """Separation where the free-space rate equals a given wire rate."""
-    _check_positive("omega", omega)
-    _check_positive("kappa", kappa)
+    check_range("omega", omega, gt=0)
+    check_range("kappa", kappa, gt=0)
     q2_over_m = species.charge ** 2 / species.mass
     return (q2_over_m / (4.0 * math.pi * CONST.vacuum_permittivity * omega * kappa)) ** (1.0 / 3.0)
 

@@ -10,7 +10,10 @@ means, never integers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +37,34 @@ CA40_MASS_NUMBER = 39.9625909
 ELECTRON_MASS_NUMBER = 5.48579909065e-4
 
 
+_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
+    """``value``, a number or an array, if each entry lies within the
+    bounds, at most one a side: ``ge`` and ``le`` inclusive, ``gt`` and
+    ``lt`` strict. NaN never does, nor does +-inf unless a bound admits it
+    (``le=math.inf`` or ``ge=-math.inf``). Else ValueError ``<name> must
+    be ..., got <value>``, naming an array's first bad entry and its index.
+    """
+    # a side without a bound has the strict infinite one, which fails +-inf
+    low = (">=", ge) if ge is not None else (">", -math.inf if gt is None else gt)
+    high = ("<=", le) if le is not None else ("<", math.inf if lt is None else lt)
+    v = value if isinstance(value, (int, float)) else np.asarray(value, float)
+    ok = _HOLDS[low[0]](v, low[1]) & _HOLDS[high[0]](v, high[1])
+    if ok is True or ok is not False and ok.all():
+        return value
+    need = [f"{op} {float(b)!r}".removesuffix(".0") for op, b in (low, high)
+            if math.isfinite(b)]
+    if low == (">", -math.inf) or high == ("<", math.inf):
+        need.insert(0, "finite")
+    v = np.asarray(value, float)
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), v.shape))
+    at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+    raise ValueError(f"{name} must be {' and '.join(need) or 'a number'}, "
+                     f"got {float(v[index])!r}{at}")
+
+
 @dataclass(frozen=True)
 class IonSpecies:
     """Charged particle: charge in units of e, mass in units of u."""
@@ -43,11 +74,10 @@ class IonSpecies:
     label: str = ""
 
     def __post_init__(self):
-        # on the SI values too, which a subnormal number underflows to 0
-        if not (self.charge != 0 and math.isfinite(self.charge_number)):
-            raise ValueError("charge_number must be nonzero and finite")
-        if not (0 < self.mass_number < math.inf and self.mass > 0):
-            raise ValueError("mass_number must be positive and finite")
+        # on the SI values, which a subnormal number underflows to 0
+        check_range(f"charge_number {self.charge_number!r} in C",
+                    abs(self.charge), gt=0)
+        check_range(f"mass_number {self.mass_number!r} in kg", self.mass, gt=0)
 
     @property
     def charge(self):
@@ -82,14 +112,11 @@ class TrapSite:
     effective_distance: float
 
     def __post_init__(self):
-        if not (0 < self.vertical_frequency < math.inf):
-            raise ValueError("vertical_frequency must be positive and finite")
-        if not (0 < self.physical_height < math.inf):
-            raise ValueError("physical_height must be positive and finite")
+        check_range("vertical_frequency", self.vertical_frequency, gt=0)
+        check_range("physical_height", self.physical_height, gt=0)
         # the image-charge geometry always gives D_eff above the physical height
-        if not (self.physical_height <= self.effective_distance < math.inf):
-            raise ValueError("effective_distance must be finite and "
-                             ">= physical_height")
+        check_range("effective_distance", self.effective_distance,
+                    ge=self.physical_height)
 
 
 @dataclass(frozen=True)
@@ -106,68 +133,43 @@ class WireSpec:
     resistance: float = 0.0   # ohm
 
     def __post_init__(self):
-        if not (0 < self.capacitance < math.inf):
-            raise ValueError("capacitance must be positive and finite")
-        if not (0 < self.paddle_side < math.inf):
-            raise ValueError("paddle_side must be positive and finite")
-        if not (self.paddle_side < self.center_separation < math.inf):
-            raise ValueError("center_separation must be finite and exceed "
-                             "paddle_side")
-        if not (0 <= self.resistance < math.inf):
-            raise ValueError("resistance must be finite and >= 0")
+        check_range("capacitance", self.capacitance, gt=0)
+        check_range("paddle_side", self.paddle_side, gt=0)
+        check_range("center_separation", self.center_separation,
+                    gt=self.paddle_side)
+        check_range("resistance", self.resistance, ge=0)
 
 
 # ---------------------------------------------------------------------------
 # conversions
 
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def quanta_to_energy(n_bar, omega):
     """Mean oscillator energy (n_bar + 1/2) * hbar * omega in J."""
-    _check_finite("n_bar", n_bar)
-    _check_finite("omega", omega)
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    check_range("n_bar", n_bar, ge=0)
+    check_range("omega", omega, gt=0)
     return (n_bar + 0.5) * CONST.reduced_planck * omega
 
 
 def energy_to_quanta(energy, omega):
     """Inverse of quanta_to_energy; rejects energies below the zero point."""
-    _check_finite("energy", energy)
-    _check_finite("omega", omega)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    check_range("omega", omega, gt=0)
     zero_point = 0.5 * CONST.reduced_planck * omega
     # tiny negative slack absorbs round-trip rounding at n_bar = 0
-    if energy < zero_point * (1.0 - 1e-12):
-        raise ValueError("energy below zero-point, unphysical")
+    check_range("energy", energy, ge=zero_point * (1.0 - 1e-12))
     return energy / (CONST.reduced_planck * omega) - 0.5
 
 
 def quanta_to_temperature(n_bar, omega):
     """Exact Bose relation T = hbar*omega / (k_B ln(1 + 1/n_bar))."""
-    _check_finite("n_bar", n_bar)
-    _check_finite("omega", omega)
-    if n_bar <= 0:
-        raise ValueError("temperature undefined at n_bar = 0 in the Bose form")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    check_range("n_bar", n_bar, gt=0)
+    check_range("omega", omega, gt=0)
     return CONST.reduced_planck * omega / (CONST.boltzmann * math.log1p(1.0 / n_bar))
 
 
 def temperature_to_quanta(temperature, omega):
     """Bose occupation n_bar = 1/(exp(hbar*omega/k_B T) - 1)."""
-    _check_finite("temperature", temperature)
-    _check_finite("omega", omega)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    check_range("temperature", temperature, gt=0)
+    check_range("omega", omega, gt=0)
     x = CONST.reduced_planck * omega / (CONST.boltzmann * temperature)
     return 1.0 / math.expm1(x)
 

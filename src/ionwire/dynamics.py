@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONST
+from .core import CONST, check_range
 
 HBAR = CONST.reduced_planck
 TWO_PI = 2.0 * math.pi
@@ -92,20 +92,21 @@ class NoiseModel:
     jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.heating_rate_at_reference < math.inf):
-            raise ValueError("heating_rate_at_reference must be finite and >= 0")
-        if self.heating_rate_at_reference > 0 \
-                and not (0 < self.reference_frequency < math.inf):
-            raise ValueError("reference_frequency required with nonzero heating")
-        if not (0.0 <= self.spectral_exponent <= 2.0):
-            raise ValueError("spectral_exponent must lie in [0, 2]")
-        if not (0 <= self.jitter_sigma < math.inf):
-            raise ValueError("jitter_sigma must be finite and >= 0")
+        check_range("heating_rate_at_reference", self.heating_rate_at_reference,
+                    ge=0)
+        check_range("reference_frequency", self.reference_frequency, ge=0)
+        if self.heating_rate_at_reference > 0:
+            check_range("reference_frequency with nonzero heating",
+                        self.reference_frequency, gt=0)
+        check_range("spectral_exponent", self.spectral_exponent, ge=0, le=2)
+        check_range("jitter_sigma", self.jitter_sigma, ge=0)
         if self.jitter_kind not in (JITTER_PER_SHOT, JITTER_OU):
             raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
-        if self.jitter_kind == JITTER_OU and self.jitter_sigma > 0 \
-                and not (self.jitter_correlation_time > 0):
-            raise ValueError("OU jitter needs a positive correlation time")
+        check_range("jitter_correlation_time", self.jitter_correlation_time,
+                    ge=0)
+        if self.jitter_kind == JITTER_OU and self.jitter_sigma > 0:
+            check_range("jitter_correlation_time of OU jitter",
+                        self.jitter_correlation_time, gt=0)
 
 
 NO_NOISE = NoiseModel()
@@ -119,10 +120,9 @@ class CoolingClamp:
     steady_state_occupation: float = 0.0
 
     def __post_init__(self):
-        if not (self.damping_rate >= 0):
-            raise ValueError("damping_rate must be >= 0")
-        if not (0 <= self.steady_state_occupation < math.inf):
-            raise ValueError("steady_state_occupation must be finite and >= 0")
+        check_range("damping_rate", self.damping_rate, ge=0, le=math.inf)
+        check_range("steady_state_occupation", self.steady_state_occupation,
+                    ge=0)
 
 
 NO_COOLING = CoolingClamp()
@@ -139,12 +139,9 @@ class PairParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.mass1 < math.inf and 0 < self.mass2 < math.inf):
-            raise ValueError("masses must be positive and finite")
-        if not (0 < self.omega1 < math.inf and 0 < self.omega2 < math.inf):
-            raise ValueError("frequencies must be positive and finite")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
+        for name in ("mass1", "mass2", "omega1", "omega2"):
+            check_range(name, getattr(self, name), gt=0)
+        check_range("kappa", self.kappa)
 
     @classmethod
     def resonant(cls, mass, omega, kappa):
@@ -177,8 +174,7 @@ def noise_psd(model, omega):
     The exponent is alpha + 1 because the quanta rate carries one extra
     1/omega beyond the field PSD.
     """
-    if not (omega > 0):
-        raise ValueError("omega must be positive")
+    check_range("omega", omega, gt=0)
     if model.heating_rate_at_reference == 0:
         return 0.0
     return model.heating_rate_at_reference * \
@@ -199,9 +195,7 @@ def _count(name, value, least):
 def _initial_state(initial_occupations, init_phase, z, phase):
     """Quadratures s = (Re a, Im a) (rows, 4) of the complex amplitudes a,
     |a|^2 in quanta, per init policy, and their second moments E[s s^T]."""
-    if not all(0.0 <= n0 < math.inf for n0 in initial_occupations):
-        raise ValueError(f"initial occupations must be finite and >= 0, "
-                         f"got {tuple(initial_occupations)!r}")
+    check_range("initial occupations", initial_occupations, ge=0)
     s, mean, var = np.zeros((len(z), 4)), np.zeros(4), np.zeros(4)
     for i in (0, 1):
         n0, kind, q = float(initial_occupations[i]), init_phase[i], [i, i + 2]
@@ -280,16 +274,12 @@ def _pack(points, n_real):
 def _grid(duration, dt, dt_max, record_points):
     """(dt, n_steps, rec_idx) of a run: the step, defaulting to ``dt_max``,
     the step count and the steps of the record points."""
-    if not (0.0 < duration < math.inf):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if dt is None:
         dt = dt_max
-    if not (0.0 < dt < math.inf):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    check_range("dt", dt, gt=0)
     if dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
-    if duration < dt:
-        raise ValueError("duration must cover at least one step")
+    check_range("duration", duration, ge=dt)    # at least one step
     n_records = _count("record_points", record_points, 2)
     n_steps = int(math.ceil(duration / dt - 1e-9))
     if n_steps > 50_000_000:
@@ -530,6 +520,21 @@ def _spring(params, w):
     return 2.0 * params.kappa * np.sqrt(params.mass1 * params.mass2 * w[:, 0] * w[:, 1])
 
 
+def _accel(x, w2, g_over_m):
+    """Acceleration (rows, 2) of the coupled ions at positions x."""
+    return -(w2 * x) - g_over_m * x[:, ::-1]
+
+
+def _verlet_step(x, v, accel, w2, g_over_m, dt, drag, kick):
+    """One velocity-Verlet step of the (rows, 2) x and v, in place, with
+    the squared frequencies w2 at its end; drag and the kick act on v only.
+    Returns the acceleration at the new x."""
+    x += dt * v + (0.5 * dt * dt) * accel
+    new_accel = _accel(x, w2, g_over_m)
+    v[:] = (v + (0.5 * dt) * (accel + new_accel)) * drag + kick
+    return new_accel
+
+
 def _verlet_model(params, dt, offsets, gamma, diffusion):
     """Per row of jitter ``offsets``: the key (w1, w2, kick1, kick2), the
     jittered frequencies and the rms velocity kicks; ``maps(keys)``, one
@@ -542,16 +547,14 @@ def _verlet_model(params, dt, offsets, gamma, diffusion):
     sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
 
     def maps(key):
-        # for stiffness K (accel = -K x): x' = A x + dt v,
-        # v' = drag (A v - dt K x + dt^3/4 K^2 x), A = 1 - dt^2/2 K; kicks
-        # act on v only
-        k = _diag(key[:, :2] ** 2)
-        k[:, [0, 1], [1, 0]] = _spring(params, key[:, :2])[:, None] / m
-        a = np.eye(2) - (0.5 * dt * dt) * k
-        t = np.block([[a, np.broadcast_to(dt * np.eye(2), a.shape)],
-                      [drag[:, None] * (0.25 * dt ** 3 * (k @ k) - dt * k),
-                       drag[:, None] * a]])
-        return t, _diag(np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1))
+        # the step's images of the four unit states are the map's columns
+        w2 = np.repeat(key[:, :2] ** 2, 4, axis=0)
+        g_over_m = np.repeat(_spring(params, key[:, :2])[:, None] / m, 4, 0)
+        s = np.tile(np.eye(4), (len(key), 1))
+        x, v = s[:, :2], s[:, 2:]
+        _verlet_step(x, v, _accel(x, w2, g_over_m), w2, g_over_m, dt, drag, 0.0)
+        return (s.reshape(-1, 4, 4).transpose(0, 2, 1),
+                _diag(np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1)))
 
     # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
     scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
@@ -592,16 +595,12 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
 
     drag = np.exp(-gamma * dt)
     g_over_m = g[:, None] / m[None, :]
-    accel = -(w2 * x) - g_over_m * x[:, ::-1]
+    accel = _accel(x, w2, g_over_m)
 
     def advance(kick, delta_ou):
         nonlocal w2, accel
         w2 = (w + delta_ou) ** 2
-        x[:] += dt * v + (0.5 * dt * dt) * accel
-        new_accel = -(w2 * x) - g_over_m * x[:, ::-1]
-        # impulsive drag and diffusion act on v only; accel is untouched
-        v[:] = (v + (0.5 * dt) * (accel + new_accel)) * drag + kick
-        accel = new_accel
+        accel = _verlet_step(x, v, accel, w2, g_over_m, dt, drag, kick)
 
     moments = _step_loop(segments, bounds, n_steps, rec_idx, sigma_v, ou,
                          advance, lambda j: read_out(j, x, v, w2))
@@ -711,14 +710,10 @@ def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
     sigma the angular jitter of each ion. All slow rates must sit far below
     the carrier.
     """
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa!r}")
-    if not (0.0 < carrier < math.inf):
-        raise ValueError(f"carrier must be positive and finite, got {carrier!r}")
-    if not all(math.isfinite(d) for d in detuning):
-        raise ValueError(f"detuning must be finite, got {tuple(detuning)!r}")
-    if not (0.0 < duration < math.inf):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    check_range("kappa", kappa)
+    check_range("carrier", carrier, gt=0)
+    check_range("detuning", detuning)
+    check_range("duration", duration, gt=0)
     sig = [TWO_PI * n.jitter_sigma for n in noise]
     rates = [abs(kappa)] + [abs(d) + 5.0 * s for d, s in zip(detuning, sig)] + \
         [c.damping_rate for c in cooling if np.isfinite(c.damping_rate)]
@@ -792,10 +787,8 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
     """
     for name, v in (("n1_0", n1_0), ("n2_0", n2_0), ("heat1", heat1),
                     ("heat2", heat2), ("kappa_ex", kappa_ex)):
-        if not (0.0 <= v < math.inf):
-            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-    if not (0.0 < duration < math.inf):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+        check_range(name, v, ge=0)
+    check_range("duration", duration, gt=0)
     record_points = _count("record_points", record_points, 2)
 
     times = np.linspace(0.0, duration, record_points)
@@ -816,10 +809,11 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
 
 def rate_equation_fixed_point(heat1, heat2, kappa_ex, cooling2):
     """Closed-form steady state of the 2x2 linear system (finite clamp)."""
-    gamma = cooling2.damping_rate
+    check_range("heat1", heat1, ge=0)
+    check_range("heat2", heat2, ge=0)
+    check_range("kappa_ex", kappa_ex, gt=0)
+    gamma = check_range("damping_rate", cooling2.damping_rate, gt=0)
     n_ss = cooling2.steady_state_occupation
-    if kappa_ex <= 0 or gamma <= 0 or math.isinf(gamma):
-        raise ValueError("fixed point needs positive finite kappa_ex and gamma")
     n2 = n_ss + (heat1 + heat2) / gamma
     n1 = n2 + heat1 / kappa_ex
     return n1, n2

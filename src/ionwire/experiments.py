@@ -198,19 +198,13 @@ def run_resonance_scan(scenario):
     deltas = probes - w1
     t_probe = sched.probe_duration
 
-    # one global step for every point so rates are comparable across the
-    # scan: the step rule at the largest detuning, for both ions
-    d_max = np.max(np.abs(deltas))
-    dt = dynamics.envelope_step_limit(
-        kappa, w1, (d_max, d_max), (scenario.noise1, scenario.noise2),
-        (scenario.cooling1, scenario.cooling2), t_probe)
-
-    # every probe point in one call; each keeps its own seed
+    # every probe point in one call, on one step grid (the smallest of the
+    # points' step limits); each keeps its own seed
     trajectories = dynamics.integrate_envelope(
         kappa=kappa, carrier=w1, detuning=[(0.0, float(d)) for d in deltas],
         noise=(scenario.noise1, scenario.noise2),
         cooling=(scenario.cooling1, scenario.cooling2),
-        duration=t_probe, dt=dt,
+        duration=t_probe,
         seed=[_point_seed(scenario.seed, i) for i in range(probes.size)],
         n_realizations=scenario.ensemble_size,
         initial_occupations=(sched.hot_occupation, sched.cold_occupation),

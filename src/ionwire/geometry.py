@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_range
+
 
 @dataclass(frozen=True)
 class RectPatch:
@@ -34,19 +36,14 @@ class RectPatch:
     voltage: float = 1.0
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max", "voltage"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.x_min < self.x_max):
-            raise ValueError("x_min must be < x_max")
-        if not (self.y_min < self.y_max):
-            raise ValueError("y_min must be < y_max")
+        for name in ("x_min", "y_min", "voltage"):
+            check_range(name, getattr(self, name))
+        check_range("x_max", self.x_max, gt=self.x_min)
+        check_range("y_max", self.y_max, gt=self.y_min)
 
     @classmethod
     def centered_square(cls, side, voltage=1.0):
-        if not (0.0 < side < np.inf):
-            raise ValueError(f"side must be positive and finite, got {side!r}")
-        h = 0.5 * side
+        h = 0.5 * check_range("side", side, gt=0)
         return cls(-h, h, -h, h, voltage)
 
     @property
@@ -70,9 +67,10 @@ def _corner_offsets(patch, x, y):
     return xi, eta
 
 
-def _require_above_plane(z):
-    if np.any(np.asarray(z) <= 0):
-        raise ValueError("solution valid only above the plane, need z > 0")
+def _coordinates(position):
+    """x, y, z as finite float arrays, z > 0: fields hold above the plane."""
+    x, y, z = (np.asarray(c, float) for c in position)
+    return check_range("x", x), check_range("y", y), check_range("z", z, gt=0)
 
 
 def patch_solid_angle(patch, position):
@@ -81,9 +79,7 @@ def patch_solid_angle(patch, position):
     Signed four-corner sum; sign (-1)^(i+j) pairs opposite corners so the
     sum telescopes to the subtended angle. Array-broadcastable.
     """
-    x, y, z = position
-    _require_above_plane(z)
-    x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
+    x, y, z = _coordinates(position)
     xi, eta = _corner_offsets(patch, x, y)
     omega = 0.0
     for i in (0, 1):
@@ -107,9 +103,7 @@ def patch_field(patch, position):
     differences survive, so the expressions are accurate to machine
     precision everywhere above the plane.
     """
-    x, y, z = position
-    _require_above_plane(z)
-    x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
+    x, y, z = _coordinates(position)
     xi, eta = _corner_offsets(patch, x, y)
     pref = patch.voltage / (2.0 * np.pi)
     ex = 0.0
@@ -146,9 +140,7 @@ def sample_field(patch, position):
 
 def effective_distance(patch, height):
     """D_eff(h) = U / |E_z| on the patch center axis at height h."""
-    h = np.asarray(height, float)
-    if not np.all((h > 0) & np.isfinite(h)):
-        raise ValueError("height must be positive and finite")
+    h = np.asarray(check_range("height", height, gt=0), float)
     if patch.voltage == 0:
         raise ValueError("degenerate patch: zero voltage gives zero field")
     cx, cy = patch.center

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, circuit, dynamics
-from .core import (IonSpecies, TrapSite, WireSpec, hz_to_rad_s, mhz_to_rad_s,
-                   rad_s_to_hz, rad_s_to_mhz)
+from .core import (IonSpecies, TrapSite, WireSpec, check_range, hz_to_rad_s,
+                   mhz_to_rad_s, rad_s_to_hz, rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
 SCHEDULE_SCAN = "resonance_scan"
@@ -43,12 +43,18 @@ class ScheduleResonanceScan:
     kind: str = SCHEDULE_SCAN
 
     def __post_init__(self):
-        if len(self.probe_frequencies) < 2:
-            raise ValueError("scan needs at least two probe frequencies")
-        if not (self.probe_duration > 0):
-            raise ValueError("probe_duration must be positive")
-        if self.hot_occupation <= self.cold_occupation:
-            raise ValueError("hot ion must start hotter than the cold ion")
+        # the resonance fit needs 6 points spread over the line
+        if len(self.probe_frequencies) < 6:
+            raise ValueError(f"probe_frequencies needs at least 6 values, "
+                             f"got {len(self.probe_frequencies)}")
+        check_range("probe_frequencies", self.probe_frequencies, gt=0)
+        if np.ptp(self.probe_frequencies) == 0:
+            raise ValueError("probe_frequencies must span a nonzero range")
+        check_range("probe_duration", self.probe_duration, gt=0)
+        check_range("cold_occupation", self.cold_occupation, ge=0)
+        # the hot ion starts hotter than the cold ion
+        check_range("hot_occupation", self.hot_occupation,
+                    gt=self.cold_occupation)
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,11 @@ class ScheduleSympathetic:
     def __post_init__(self):
         if len(self.wait_times) < 3:
             raise ValueError("need at least three wait times to fit a slope")
+        check_range("wait_times", self.wait_times, ge=0)
         if np.any(np.diff(self.wait_times) <= 0):
             raise ValueError("wait_times must be strictly increasing")
+        check_range("initial_hot_occupation", self.initial_hot_occupation,
+                    ge=0)
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,8 @@ class ScheduleSwap:
     def __post_init__(self):
         if len(self.initial_occupations) != 2:
             raise ValueError("initial_quanta needs exactly two values")
-        if not (self.duration > 0):
-            raise ValueError("duration must be positive")
+        check_range("initial_occupations", self.initial_occupations, ge=0)
+        check_range("duration", self.duration, gt=0)
 
 
 @dataclass(frozen=True)
@@ -97,11 +106,10 @@ class Scenario:
     output_dir: str = ""            # default landing spot; CLI --out wins
 
     def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        dynamics._count("ensemble_size", self.ensemble_size, 1)
         # zero is allowed: a decoupled run is the null experiment
-        if self.kappa_override is not None and self.kappa_override < 0:
-            raise ValueError("kappa_override must be >= 0 when given")
+        if self.kappa_override is not None:
+            check_range("kappa_override", self.kappa_override, ge=0)
 
     def kappa(self):
         """Exchange rate in rad/s: explicit override or circuit prediction."""
@@ -297,7 +305,7 @@ _RUN_KEYS = _RUN_OPTIONS + (
 _GRID_KEYS = (
     _Key("center_mhz", "center", minimum=0.0),
     _Key("span_khz", "span", minimum=0.0),
-    _Key("points", "points", INTEGER, minimum=2))
+    _Key("points", "points", INTEGER, minimum=6))
 
 
 class _Section:
@@ -417,7 +425,7 @@ SCHEDULES = {
         "run_resonance_scan", "scan", "scan_benchmark"),
     SCHEDULE_SYMPATHETIC: ScheduleKind(
         ScheduleSympathetic,
-        (_Key("wait_ms", "wait_times", LIST, units=_MS),
+        (_Key("wait_ms", "wait_times", LIST, units=_MS, minimum=0.0),
          _Key("initial_hot_quanta", "initial_hot_occupation", minimum=0.0)),
         "run_sympathetic", "sympathetic", "sympathetic_benchmark"),
     SCHEDULE_SWAP: ScheduleKind(

@@ -546,6 +546,7 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
     (lambda: fit_rabi_nbar(RabiDataset(np.array([-1e-6, 0.0]),
                                        np.array([0.1, 0.2]), 100, 0.0, 0.05)),
      "pulse_times"),
+    (lambda: fit_resonance(np.full(8, W_SCAN[0]), np.ones(8)), "omegas"),
 ], ids=["heating-nan-sigma", "heating-inf-sigma", "heating-nan-time",
         "heating-inf-occupation", "heating-short-occupations",
         "heating-short-sigmas", "resonance-nan-sigma", "resonance-nan-omega",
@@ -554,7 +555,7 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
         "rabi-nan-time", "rabi-nan-probability",
         "rabi-nan-shots", "rabi-fractional-shots",
         "synthesize-fractional-shots", "rabi-inf-carrier", "fit-result-nan-sigma",
-        "rabi-seed-without-positive-time"])
+        "rabi-seed-without-positive-time", "resonance-equal-omegas"])
 def test_fitter_inputs_reject_bad_numbers_naming_the_argument(call, name):
     with pytest.raises(ValueError, match=name):
         call()

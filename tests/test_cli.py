@@ -291,6 +291,29 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
     assert "capacitance" in proc.stderr
 
 
+@pytest.mark.parametrize("command,old,new,named", [
+    ("scan", "center_mhz = 1.368\nspan_khz = 6\npoints = 9",
+     "frequencies_mhz = 1.366,1.367,1.368,1.369,1.370", "probe_frequencies"),
+    ("scan", "center_mhz = 1.368\nspan_khz = 6\npoints = 9",
+     "frequencies_mhz = " + ",".join(["1.368"] * 6), "probe_frequencies"),
+    ("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1",
+     "wait_ms")], ids=["five-frequencies", "equal-frequencies",
+                       "negative-waits"])
+def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
+                                                       named, tmp_path,
+                                                       capsys):
+    from importlib import resources
+    text = NULL_SCAN if command == "scan" else resources.files("ionwire") \
+        .joinpath("data", "sympathetic_benchmark.scenario").read_text()
+    assert old in text
+    scn = tmp_path / "bad.scenario"
+    scn.write_text(text.replace(old, new))
+    status, err = _main([command, "--scenario", str(scn),
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 2, err
+    assert len(err.splitlines()) == 1 and named in err, err
+
+
 def test_band_failure_exits_1(tmp_path):
     scn = tmp_path / "null.scenario"
     scn.write_text(NULL_SCAN)

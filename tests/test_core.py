@@ -6,7 +6,7 @@ import pytest
 
 from ionwire import core
 from ionwire.core import (CONST, IonSpecies, TrapSite, WireSpec, calcium_40,
-                          electron, energy_to_quanta, hz_to_rad_s,
+                          check_range, electron, energy_to_quanta, hz_to_rad_s,
                           mhz_to_rad_s, per_s_to_quanta_per_ms,
                           quanta_to_energy, quanta_to_temperature,
                           rad_s_to_hz, rad_s_to_mhz, temperature_to_quanta)
@@ -108,6 +108,42 @@ def test_quanta_energy_domain_errors():
         quanta_to_temperature(0.0, w)
     with pytest.raises(ValueError):
         temperature_to_quanta(-0.1, w)
+
+
+# the one argument check: NaN always fails, +-inf fails unless a bound
+# admits it, each bound inclusive (ge, le) or strict (gt, lt), and an
+# array's message names its first bad entry and that entry's index
+@pytest.mark.parametrize("value,bounds,message", [
+    (math.nan, {}, "x must be finite, got nan"),
+    (math.inf, {}, "x must be finite, got inf"),
+    (-math.inf, {}, "x must be finite, got -inf"),
+    (-1.0, {"ge": 0}, "x must be finite and >= 0, got -1.0"),
+    (0.0, {"gt": 0}, "x must be finite and > 0, got 0.0"),
+    (2.5, {"le": 2}, "x must be finite and <= 2, got 2.5"),
+    (1.0, {"lt": 1}, "x must be finite and < 1, got 1.0"),
+    (math.nan, {"ge": 0, "lt": 1}, "x must be >= 0 and < 1, got nan"),
+    # +inf admitted by its bound, NaN and -inf still not
+    (math.nan, {"ge": 0, "le": math.inf}, "x must be >= 0, got nan"),
+    (-math.inf, {"ge": 0, "le": math.inf}, "x must be >= 0, got -inf"),
+    (math.inf, {"ge": -math.inf, "le": 2}, "x must be <= 2, got inf"),
+    (np.array([[1.0, 2.0], [math.nan, -1.0]]), {"ge": 0},
+     "x must be finite and >= 0, got nan at index (1, 0)"),
+    (np.array([0.5, -1.0, math.inf]), {"gt": 0},
+     "x must be finite and > 0, got -1.0 at index 1"),
+])
+def test_check_range_rejects_naming_the_first_bad_entry(value, bounds,
+                                                        message):
+    with pytest.raises(ValueError) as err:
+        check_range("x", value, **bounds)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value,bounds", [
+    (-1e308, {}), (0.0, {"ge": 0}), (5e-324, {"gt": 0}), (2.0, {"le": 2}),
+    (0.999, {"lt": 1}), (math.inf, {"ge": 0, "le": math.inf}),
+    (-math.inf, {"ge": -math.inf}), (np.full((2, 3), 0.5), {"gt": 0, "lt": 1})])
+def test_check_range_returns_values_within_the_bounds(value, bounds):
+    assert check_range("x", value, **bounds) is value
 
 
 def test_constants_table_lists_codata_values():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ionwire import analysis, circuit, dynamics
+from ionwire import analysis, circuit, dynamics, geometry
 from ionwire.core import (TWO_PI, IonSpecies, TrapSite, WireSpec, calcium_40,
                           mhz_to_rad_s)
 from ionwire.dynamics import (NO_COOLING, NO_NOISE, CoolingClamp, NoiseModel,
@@ -13,6 +13,8 @@ from ionwire.dynamics import (NO_COOLING, NO_NOISE, CoolingClamp, NoiseModel,
                               noise_psd, rate_equation_fixed_point,
                               rate_equation_model)
 from ionwire.geometry import RectPatch, effective_distance
+from ionwire.scenario import ScheduleResonanceScan, ScheduleSympathetic
+from conftest import load_bundled
 
 CARRIER = mhz_to_rad_s(1.368)
 
@@ -174,47 +176,11 @@ def test_seed_determinism_bitwise():
     assert not np.array_equal(c.n_bar_1, small_envelope(6).n_bar_1)
 
 
-# the RNG draw layout, frozen: both integrators with heating, drag,
-# per-shot jitter on ion 1 and OU jitter on ion 2, over more than one
-# draw block (_CHUNK) and two segments (_BATCH), so both take the OU step
-# loop; any change of the draw order moves these values by far more than
-# the tolerance
-FROZEN_LAYOUT = {
-    "full": ([98.53842208609042, 98.55174056658879, 100.22216446837268],
-             [48.06185567720509, 46.00712419574501, 43.368908192966444],
-             [6.100301110464198, 6.1857142926085125, 6.037633280363646],
-             [2.9279912513662065, 2.7603466407531725, 2.582265391358577]),
-    "envelope": ([98.53842208609042, 108.58380170074368, 116.72193904174627],
-                 [48.0618556772051, 39.96893372273416, 38.66145394097274],
-                 [6.100301110464198, 7.346405848752007, 7.475093844639614],
-                 [2.927991251366206, 2.3538611900649853, 2.3068779239853328])}
-
-
-def test_draw_layout_is_frozen():
-    w = TWO_PI * 100e3
-    cooling = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
-    common = dict(cooling=cooling, seed=21, n_realizations=260,
-                  record_points=3)
-
-    def noise(f):
-        return (NoiseModel(5e4, f, 1.0, 300.0),
-                NoiseModel(2e4, f, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
-
-    params = PairParams.resonant(calcium_40().mass, w, TWO_PI * 50.0)
-    runs = {"full": integrate_full(params, (100.0, 50.0), noise=noise(w),
-                                   duration=2.2e-4, **common),      # 1,100 steps
-            "envelope": integrate_envelope(
-                TWO_PI * 50.0, CARRIER, noise=noise(CARRIER), duration=2e-3,
-                initial_occupations=(100.0, 50.0), **common)}      # 1,885 steps
-    for name, tr in runs.items():
-        got = (tr.n_bar_1, tr.n_bar_2, tr.n_bar_sem_1, tr.n_bar_sem_2)
-        for values, frozen in zip(got, FROZEN_LAYOUT[name]):
-            np.testing.assert_allclose(values, frozen, rtol=1e-12, err_msg=name)
-
-
-# the same runs to the bit, as float.hex: a change of how the kicks are
-# scaled, or of how the generators are seeded, that moves any bit of the
-# output fails here even where it stays inside the tolerance above
+# the RNG draw layout and the kick scaling, frozen to the bit as float.hex:
+# both integrators with heating, drag, per-shot jitter on ion 1 and OU
+# jitter on ion 2, over more than one draw block (_CHUNK) and two segments
+# (_BATCH), so both take the OU step loop; a change of the draw order, of
+# how the kicks are scaled or of how the generators are seeded fails here
 FROZEN_BITS = {
     "full": (["0x1.8a27581e8ccf5p+6", "0x1.8a34fb7aa5806p+6",
               "0x1.90e37f1517f9cp+6"],
@@ -806,8 +772,9 @@ def test_several_points_need_one_seed_each():
 # equations, at each edge value, gives a ValueError or a finite trajectory
 # on at least two records; so does every number given to the fitters, to
 # the fit containers, to the species, trap site and wire, to the effective
-# distance and to the coupling rates, which must give a ValueError or a
-# result whose every number is finite
+# distance and to the coupling rates, to the thermometry model, to the patch
+# fields, to the rate extraction, to the schedules and to the scenario,
+# which must give a ValueError or a result whose every number is finite
 
 EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 # and, for the wire's entries, a subnormal, which underflows the coupling
@@ -817,6 +784,8 @@ FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
               NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
 FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
 FUZZ_SCAN = tuple((TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))).tolist())
+FUZZ_POSITION = dict(patch=RectPatch.centered_square(120e-6),
+                     position=(10e-6, -5e-6, 60e-6))
 
 
 def _fit_rabi_dataset(**fields):
@@ -839,6 +808,15 @@ FUZZ_CALLS = {
     "rate-equations": (rate_equation_model, dict(
         n1_0=1000.0, n2_0=182.0, heat1=206e3, heat2=5e3, kappa_ex=132.0,
         cooling2=CoolingClamp(1e3, 10.0), duration=1e-3, record_points=11)),
+    "fixed-point": (rate_equation_fixed_point, dict(
+        heat1=206e3, heat2=5e3, kappa_ex=132.0,
+        cooling2=CoolingClamp(1e3, 10.0))),
+    # no heating and per-shot jitter: the reference frequency and the
+    # correlation time are unused, and must be numbers all the same
+    "noise-model": (NoiseModel, dict(
+        heating_rate_at_reference=0.0, reference_frequency=CARRIER,
+        spectral_exponent=1.0, jitter_sigma=300.0,
+        jitter_correlation_time=0.0)),
     "linear-heating": (analysis.fit_linear_heating, dict(
         times=(0.0, 1.0, 2.0, 3.0), occupations=(1.0, 2.1, 2.9, 4.0),
         sigmas=(0.1, 0.2, 0.1, 0.3))),
@@ -876,13 +854,32 @@ FUZZ_CALLS = {
         species=calcium_40(),
         site1=TrapSite(CARRIER, 50e-6, 110e-6),
         site2=TrapSite(CARRIER, 70e-6, 140e-6),
-        wire=WireSpec(30e-15, 120e-6, 620e-6)))}
+        wire=WireSpec(30e-15, 120e-6, 620e-6))),
+    "rabi-excitation": (analysis.rabi_excitation, dict(
+        times=(1e-6, 2e-6, 3e-6), n_bar=5.0, carrier_rabi=TWO_PI * 50e3,
+        lamb_dicke=0.05)),
+    "laguerre": (analysis.laguerre_sequence, dict(n_max=50, x=0.0025)),
+    "patch-potential": (geometry.patch_potential, FUZZ_POSITION),
+    "patch-field": (geometry.patch_field, FUZZ_POSITION),
+    "extract-kappa": (analysis.extract_kappa, dict(
+        rate_uncoupled=206e3, rate_coupled=102e3, n1=1000.0, n2=182.0)),
+    "sympathetic-schedule": (ScheduleSympathetic, dict(
+        wait_times=(0.0, 1e-3, 2e-3), initial_hot_occupation=1000.0)),
+    "scan-schedule": (ScheduleResonanceScan, dict(
+        probe_frequencies=FUZZ_SCAN, probe_duration=2e-3, hot_occupation=1e4,
+        cold_occupation=200.0)),
+    "scenario": (functools.partial(dataclasses.replace,
+                                   load_bundled("scan_benchmark")),
+                 dict(kappa_override=TWO_PI * 59.0, ensemble_size=200))}
 # the calls without a dt fuzz every argument; this many numbers each
 FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
                "rabi-dataset": 9, "rabi-fit": 13, "fit-result": 2,
                "trap-site": 3, "rect-patch": 5, "effective-distance": 6,
                "ion-species": 2, "wire-spec": 4, "coulomb": 4, "crossover": 4,
-               "enhancement": 12}
+               "enhancement": 12, "rabi-excitation": 6, "laguerre": 2,
+               "patch-potential": 8, "patch-field": 8, "extract-kappa": 4,
+               "sympathetic-schedule": 4, "scan-schedule": 11, "scenario": 2,
+               "fixed-point": 5, "noise-model": 5}
 
 
 def _numeric_leaves(value, path=()):

@@ -1,12 +1,12 @@
 """Golden CLI outputs: every file, stdout line and exit status of a fixed
 set of invocations, frozen in ``data/golden_cli.json``.
 
-Numbers are parsed out of the text and compared at ``rtol=1e-12``, the
-room for platform differences that ``test_draw_layout_is_frozen`` also
-gives; all other text compares exactly. Only the manifest timestamps,
-the report's ``wall time:`` line and the output directory in stdout are
-masked. A change that moves an output on purpose regenerates the file,
-and the diff of the data file is its declared change:
+Numbers are parsed out of the text and compared at ``rtol=1e-12``, room
+for platform differences; all other text compares exactly. Only the
+manifest timestamps, the report's ``wall time:`` line and the output
+directory in stdout are masked. A change that moves an output on purpose
+regenerates the file, and the diff of the data file is its declared
+change:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """

@@ -294,6 +294,32 @@ def test_scan_schedule_requires_hot_above_cold():
     assert err.value.kind == KIND_INVALID
 
 
+_SCAN_GRID = "center_mhz = 1.990\nspan_khz = 6\npoints = 9"
+
+
+# a bad scan or wait grid is reported at its schedule key, or, for an
+# explicit frequency list, names the schedule field it fills
+@pytest.mark.parametrize("text,key,words", [
+    (_with_scan_schedule(SCAN_SCHEDULE.replace(
+        _SCAN_GRID, "frequencies_mhz = 1.988,1.989,1.990,1.991,1.992")), "",
+     "probe_frequencies needs at least 6 values, got 5"),
+    (_with_scan_schedule(SCAN_SCHEDULE.replace(
+        _SCAN_GRID, "frequencies_mhz = " + ",".join(["1.990"] * 6))), "",
+     "probe_frequencies must span a nonzero range"),
+    (_with_scan_schedule(SCAN_SCHEDULE.replace("points = 9", "points = 5")),
+     "points", "must be >= 6"),
+    (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1"),
+     "wait_ms", "must be >= 0")],
+    ids=["five-frequencies", "equal-frequencies", "five-points",
+         "negative-waits"])
+def test_bad_scan_and_wait_grids_are_located(text, key, words):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.kind == KIND_INVALID
+    assert (err.value.section, err.value.key) == ("schedule", key)
+    assert words in str(err.value)
+
+
 def test_scan_grid_overflow_is_located():
     assert parse_scenario_text(_with_scan_schedule(SCAN_SCHEDULE))
     text = _with_scan_schedule(SCAN_SCHEDULE.replace("center_mhz = 1.990",
