@@ -1,12 +1,12 @@
 """Model fitting and measurement emulation.
 
 Fitters here are deliberately small: closed-form weighted least squares
-for heating-rate lines, grid-seeded Levenberg-Marquardt for the resonance
-line shape, and a grid-seeded binomial maximum-likelihood fit for Rabi
-thermometry. Every FitResult records the model identifier, the method,
-and the initial guess actually used, so fits are reproducible from their
-serialized form. scipy is imported inside the resonance fitter only, so
-importing this module, or a thermometry fit, does not load scipy.
+for heating-rate lines, grid-seeded bounded Levenberg-Marquardt on an
+analytic Jacobian for the resonance line shape, and a grid-seeded
+binomial maximum-likelihood fit for Rabi thermometry. Every FitResult
+records the model identifier, the method, and the initial guess actually
+used, so fits are reproducible from their serialized form. All of them
+are numpy alone.
 
 The thermometry fit evaluates its 24-point seed grid as three batched
 Fock sums, one per seed Omega_0, which stop summing a grid column once
@@ -170,6 +170,22 @@ def probe_line(offsets, width_sigma_hz, kappa, duration):
     max(kappa, 1/T), beyond which lies about 1% of P's area or less. At
     kappa = 0 the line is the weak-coupling limit, P / kappa^2.
     """
+    check_range("offsets", offsets)
+    check_range("width_sigma_hz", width_sigma_hz, gt=0)
+    check_range("kappa", kappa)
+    check_range("duration", duration, gt=0)
+    return _probe_terms(offsets, width_sigma_hz, kappa, duration)[0].reshape(
+        np.shape(offsets))
+
+
+def _probe_terms(offsets, width_sigma_hz, kappa, duration):
+    """probe_line at ``offsets``, flattened, and its derivatives in the
+    offset u and in width_sigma_hz, all from one pass over the weights.
+
+    With z = (u - d)/w, w = 2 pi width_sigma_hz and G = exp(-z^2/2), the
+    sums S_k(u) = sum_d G z^k P(d) give the line S_0, dS_0/du = -S_1/w and
+    dS_0/dw = S_2/w; the row u = 0 normalizes, by the quotient rule.
+    """
     step = math.pi / (8.0 * duration)
     reach = 128.0 * max(abs(kappa), 1.0 / duration)
     d = np.arange(-reach, reach + step, step)
@@ -179,10 +195,19 @@ def probe_line(offsets, width_sigma_hz, kappa, duration):
     # probe (the grid grows as kappa T)
     u = np.append(np.asarray(offsets, float).ravel(), 0.0)
     w_sig, rows = 2.0 * math.pi * width_sigma_hz, max(1, 2 ** 20 // d.size)
-    line = np.concatenate([
-        np.exp(-0.5 * ((u[i:i + rows, None] - d) / w_sig) ** 2) @ shot
-        for i in range(0, u.size, rows)])
-    return (line[:-1] / line[-1]).reshape(np.shape(offsets))
+    sums = []
+    for i in range(0, u.size, rows):
+        z = (u[i:i + rows, None] - d) / w_sig
+        g = np.exp(-0.5 * z ** 2)
+        sums.append([g @ shot])
+        for _ in range(2):
+            g *= z
+            sums[-1].append(g @ shot)
+    s = np.concatenate(sums, axis=1)
+    line = s[0, :-1] / s[0, -1]
+    norm = w_sig * s[0, -1]
+    return line, -s[1, :-1] / norm, \
+        2.0 * math.pi * (s[2, :-1] - line * s[2, -1]) / norm
 
 
 def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref,
@@ -192,12 +217,129 @@ def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref,
     The peak is a Gaussian of rms ``width_sigma_hz``, or, with ``probe``
     a (kappa, duration) pair, that probe's ``probe_line``.
     """
+    check_range("width_sigma_hz", width_sigma_hz, gt=0)
     if probe is None:
         w_sig = 2.0 * math.pi * width_sigma_hz
         peak = np.exp(-0.5 * ((omega - center) / w_sig) ** 2)
     else:
         peak = probe_line(omega - center, width_sigma_hz, *probe)
     return a_base * (omega_ref / omega) ** 2 + b_peak * peak
+
+
+def _resonance_terms(p, omega, rates, sigmas, omega_ref, probe):
+    """The residuals (resonance_model - rates)/sigmas at p = (a_base,
+    b_peak, center, width_sigma_hz), and their Jacobian in p."""
+    base = (omega_ref / omega) ** 2
+    if probe is None:
+        w_sig = 2.0 * math.pi * p[3]
+        z = (omega - p[2]) / w_sig
+        line = np.exp(-0.5 * z ** 2)
+        d_offset = -line * z / w_sig
+        d_width = 2.0 * math.pi * line * z * z / w_sig
+    else:
+        line, d_offset, d_width = _probe_terms(omega - p[2], p[3], *probe)
+    jac = np.column_stack([base, line, -p[1] * d_offset, p[1] * d_width])
+    return (p[0] * base + p[1] * line - rates) / sigmas, jac / sigmas[:, None]
+
+
+def _trust_step(jac, r, radius):
+    """The Levenberg-Marquardt step p that minimizes |r + jac p| subject to
+    |p| <= radius (Moré 1978), and whether lam sits at its floor, which
+    for a nonsingular jac^T jac is the undamped Gauss-Newton step.
+
+    On the eigenvectors of jac^T jac, p(lam) = -(jac^T jac + lam)^-1 jac^T r
+    is a sum of terms. lam is 0 where that Gauss-Newton step exists and
+    fits within 1.1 radius; else Newton's method on 1/|p(lam)| = 1/radius,
+    which is concave in lam, brings |p| to within 10% of the radius. A
+    singular jac^T jac takes lam above zero and at least 1e-12 of its
+    largest eigenvalue.
+    """
+    e, v = np.linalg.eigh(jac.T @ jac)
+    e = np.maximum(e, 0.0)
+    a = v.T @ (jac.T @ r)
+    floor = 0.0 if e[0] > 1e-12 * e[-1] else 1e-12 * e[-1] + 1e-300
+    lam = floor
+    for _ in range(30):
+        q = a / (e + lam)
+        n = math.sqrt(q @ q)
+        if n <= 1.1 * radius and (lam == floor or n >= 0.9 * radius):
+            break
+        lam = max(lam + (n / radius - 1.0) * n * n / (q @ (q / (e + lam))),
+                  floor)
+    return -(v @ q), lam == floor
+
+
+def _bounded_lm(evaluate, x, lo, hi, scale):
+    """Minimize half the sum of squares of the residuals over the box
+    [lo, hi] by Levenberg-Marquardt, from x inside it.
+
+    ``evaluate(x)`` returns the residuals and their Jacobian. The trust
+    region is |dx / scale| <= radius, starting at |x / scale|, with Moré's
+    (1978) radius rule: a trial whose cost falls by less than a quarter of
+    the predicted fall shrinks it by the factor that minimizes the
+    quadratic through the cost, its slope and the trial's cost, kept in
+    [0.1, 0.5]; one that falls by three quarters, or a Gauss-Newton step,
+    sets it to twice the step. A trial is taken if its cost falls by 1e-4
+    of the predicted fall. A parameter on a bound is held there while the
+    gradient or the step points out of the box; a step that would cross a
+    bound stops on it. The fit converges when the step is below 1e-12 of
+    |x / scale|, or when a trial's actual and predicted falls are both
+    below 1e-12 of the cost. Returns (x, residuals, Jacobian, evaluations,
+    converged); converged is False when 200 evaluations run out.
+    """
+    r, jac = evaluate(x)
+    cost = 0.5 * (r @ r)
+    radius = float(np.linalg.norm(x / scale)) or 1.0
+    for evaluations in range(1, 200):
+        js = jac * scale
+        g = js.T @ r
+        out = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))
+        free = g * out >= 0.0
+        while True:
+            if cost == 0.0 or not free.any():
+                return x, r, jac, evaluations, True
+            p = np.zeros_like(x)
+            p[free], undamped = _trust_step(js[:, free], r, radius)
+            leaving = p * out > 0.0
+            if not leaving.any():
+                break
+            free &= ~leaving
+        # the longest step along p within the box, ending on a bound
+        dx = p * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(dx < 0.0, (lo - x) / dx,
+                            np.where(dx > 0.0, (hi - x) / dx, np.inf))
+        k = int(np.argmin(room))
+        alpha = min(1.0, float(room[k]))
+        length = alpha * math.sqrt(p @ p)
+        if length <= 1e-12 * (1e-12 + float(np.linalg.norm(x / scale))):
+            return x, r, jac, evaluations, True
+        trial = np.clip(x + alpha * dx, lo, hi)
+        if alpha < 1.0:
+            trial[k] = lo[k] if dx[k] < 0.0 else hi[k]
+        model = r + js @ (alpha * p)
+        predicted = cost - 0.5 * (model @ model)
+        r_t, jac_t = evaluate(trial)
+        cost_t = 0.5 * (r_t @ r_t)
+        if math.isnan(cost_t):
+            cost_t = math.inf
+        actual = cost - cost_t
+        rho = actual / predicted if predicted > 0.0 else -1.0
+        if rho <= 0.25:
+            slope = alpha * (g @ p)
+            shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope + actual)
+            if not shrink >= 0.1 or cost_t > 100.0 * cost:
+                shrink = 0.1
+            radius = shrink * min(radius, 10.0 * length)
+        elif undamped or rho >= 0.75:
+            radius = 2.0 * length
+        done = abs(actual) <= 1e-12 * cost and predicted <= 1e-12 * cost \
+            and rho <= 2.0
+        if rho >= 1e-4:
+            x, r, jac, cost = trial, r_t, jac_t, cost_t
+        if done:
+            return x, r, jac, evaluations + 1, True
+    return x, r, jac, evaluations + 1, False
 
 
 def fit_resonance(omegas, rates, sigmas=None, probe=None):
@@ -209,10 +351,12 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
 
     w_ref is pinned to the median scan frequency, so A is the baseline
     rate at the scan center. Seeding is a deterministic coarse grid over
-    candidate centers and widths, refined by bounded trust-region least
-    squares. A and B are constrained nonnegative and the width cannot
-    collapse below the grid spacing; a spike narrower than one scan step
-    is unidentifiable and would otherwise swallow a single noise point.
+    candidate centers and widths, refined by bounded Levenberg-Marquardt
+    (see _bounded_lm) on the model's analytic Jacobian. A and B are
+    constrained nonnegative and the width cannot collapse below the grid
+    spacing; a spike narrower than one scan step is unidentifiable and
+    would otherwise swallow a single noise point. n_iterations counts the
+    evaluations of the model with its Jacobian.
     """
     w = check_range("omegas", np.asarray(omegas, float), gt=0)
     y = check_range("rates", np.asarray(rates, float))
@@ -242,32 +386,30 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
     centers = [float(w[np.argmax(y)]), w_ref]
     widths = [150.0, 300.0, 600.0, 1200.0]
 
-    def residuals(p):
-        return (resonance_model(w, *p, w_ref, probe) - y) / s
+    def terms(p):
+        return _resonance_terms(p, w, y, s, w_ref, probe)
 
     best = None
     for c0 in centers:
         for w0 in widths:
             p = np.clip(np.array([a0, b0, c0, w0]), lo, hi)
-            sse = float(np.sum(residuals(p) ** 2))
+            sse = float(np.sum(terms(p)[0] ** 2))
             if best is None or sse < best[0]:
                 best = (sse, p)
     p0 = best[1]
+    if not math.isfinite(best[0]):
+        raise ValueError("rates / sigmas overflow the residuals at the seed")
 
     scale = np.array([max(a0, 1.0), max(b0, 1.0), w_ref, 500.0])
-    from scipy.optimize import least_squares
-
-    res = least_squares(residuals, p0, bounds=(lo, hi), method="trf",
-                        x_scale=scale, xtol=1e-12, ftol=1e-12, max_nfev=800)
-    params = res.x.copy()
+    params, r, jac, evaluations, converged = _bounded_lm(terms, p0, lo, hi,
+                                                         scale)
 
     # covariance from the Jacobian at the solution; pinv guards the
     # unidentifiable zero-amplitude corner
-    jtj = res.jac.T @ res.jac
-    cov = np.linalg.pinv(jtj)
+    cov = np.linalg.pinv(jac.T @ jac)
     if sigmas is None:
         dof = max(w.size - 4, 1)
-        cov = cov * (2.0 * res.cost / dof)
+        cov = cov * (float(r @ r) / dof)
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     peak = "B*exp(-(w-w0)^2/(2*sw^2))" if probe is None else \
         "B*line(w-w0), line = <k^2/g^2 sin^2(g T)>_sw normalized at 0, g^2 = k^2 + d^2/4"
@@ -282,9 +424,9 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
                 "amplitude": float(sig[1]),
                 "center": float(sig[2]),
                 "width_sigma_hz": float(sig[3])},
-        residual_norm=math.sqrt(2.0 * res.cost),
-        n_iterations=int(res.nfev),
-        converged=bool(res.success),
+        residual_norm=math.sqrt(float(r @ r)),
+        n_iterations=evaluations,
+        converged=converged,
         model_id="resonance ndot(w) = A*(w_ref/w)^2 + " + peak,
         method="grid-seeded-lm",
         initial_guess={"baseline_coeff": float(p0[0]), "amplitude": float(p0[1]),

@@ -107,6 +107,7 @@ class Scenario:
 
     def __post_init__(self):
         dynamics._count("ensemble_size", self.ensemble_size, 1)
+        dynamics._count("seed", self.seed, 0)
         # zero is allowed: a decoupled run is the null experiment
         if self.kappa_override is not None:
             check_range("kappa_override", self.kappa_override, ge=0)

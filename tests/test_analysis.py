@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.special import eval_laguerre
 
-from ionwire import analysis, dynamics
+from ionwire import analysis, dynamics, experiments
 from ionwire.analysis import (FitResult, RabiDataset, extract_kappa,
                               fit_linear_heating, fit_rabi_nbar,
                               fit_resonance, laguerre_sequence,
@@ -151,6 +153,118 @@ def test_resonance_needs_enough_points():
     y = np.full(5, 1.0)
     with pytest.raises(ValueError):
         fit_resonance(w, y)
+
+
+# ---------------------------------------------------------------------------
+# the resonance fit against scipy's trust-region least squares, which it
+# replaced, called with the arguments it used to get
+
+RESONANCE_NAMES = ("baseline_coeff", "amplitude", "center", "width_sigma_hz")
+
+
+def _scipy_resonance_fit(w, y, s, probe, fit):
+    """scipy's least_squares from the fit's own seed, with its old bounds,
+    scales and tolerances."""
+    w_ref, span = fit.parameters["omega_ref"], w.max() - w.min()
+    spacing_hz = float(np.median(np.diff(np.sort(w)))) / TWO_PI
+    a0 = float(np.median(np.sort(y)[:max(w.size // 3, 2)]))
+    b0 = max(float(y.max() - a0), 1e-3 * max(a0, 1.0))
+    return least_squares(
+        lambda p: (resonance_model(w, *p, w_ref, probe) - y) / s,
+        [fit.initial_guess[n] for n in RESONANCE_NAMES],
+        bounds=([0.0, 0.0, w.min() - span, 0.5 * spacing_hz],
+                [np.inf, np.inf, w.max() + span, 10.0 * span / TWO_PI]),
+        method="trf", x_scale=[max(a0, 1.0), max(b0, 1.0), w_ref, 500.0],
+        xtol=1e-12, ftol=1e-12, max_nfev=800)
+
+
+def assert_matches_scipy(omegas, rates, sigmas=None, probe=None):
+    """The fit's cost is at most scipy's x (1 + 1e-9), it converges where
+    scipy does, and where both reach a minimum above the rounding of the
+    rates with a peak, the parameters agree to 1e-3 of their sigmas."""
+    w, y = np.asarray(omegas, float), np.asarray(rates, float)
+    s = np.ones_like(y) if sigmas is None else np.asarray(sigmas, float)
+    fit = fit_resonance(w, y, sigmas, probe)
+    ref = _scipy_resonance_fit(w, y, s, probe, fit)
+    # the cost of an error of 8 ulp in every rate
+    floor = 0.5 * float(np.sum((8.0 * np.finfo(float).eps * y / s) ** 2))
+    assert 0.5 * fit.residual_norm ** 2 <= ref.cost * (1.0 + 1e-9) + floor
+    assert fit.converged or not ref.success
+    if ref.success and ref.cost > floor and fit.parameters["amplitude"] > 0:
+        for k, name in enumerate(RESONANCE_NAMES):
+            assert abs(fit.parameters[name] - ref.x[k]) \
+                <= 1e-3 * fit.sigmas[name], name
+    return fit
+
+
+def _synthetic_line(kind):
+    """(omegas, rates, sigmas, probe) of a line the fits above take."""
+    w = scan_grid()
+    w_ref = float(np.median(w))
+    if kind in ("gaussian", "probe-line"):
+        probe = PROBE if kind == "probe-line" else None
+        return w, resonance_model(w, 250e3, 750e3, TWO_PI * 1.368e6, 527.0,
+                                  w_ref, probe), None, probe
+    if kind.startswith("noisy-"):
+        y = resonance_model(w, 250e3, 750e3, TWO_PI * 1.368e6,
+                            float(kind[6:]), w_ref)
+        return w, y + np.random.default_rng(7).normal(0.0, 15e3, w.size), \
+            np.full(w.size, 15e3), None
+    # a baseline alone, with and without noise
+    noise = 0.0 if kind == "flat-noiseless" else 10e3
+    y = 250e3 * (w_ref / w) ** 2
+    return w, y + np.random.default_rng(2).normal(0.0, noise, w.size), \
+        np.full(w.size, 10e3), None
+
+
+@pytest.mark.parametrize("line", ["gaussian", "probe-line", "noisy-200",
+                                  "noisy-500", "noisy-1000", "flat",
+                                  "flat-noiseless"])
+def test_resonance_fit_matches_scipy_on_synthetic_lines(line):
+    fit = assert_matches_scipy(*_synthetic_line(line))
+    if line == "flat-noiseless":
+        # the amplitude sits on its bound
+        assert fit.parameters["amplitude"] == 0.0
+        assert fit.residual_norm == 0.0
+
+
+def test_resonance_fit_matches_scipy_on_scan_datasets(scan_scenario,
+                                                      scan_report):
+    # ten scans of perfbench size, 31 points x 64 realizations, and the
+    # bundled scan's 1,200
+    probe = (scan_scenario.kappa(), scan_scenario.schedule.probe_duration)
+    reports = [experiments.run_resonance_scan(dataclasses.replace(
+        scan_scenario, seed=seed, ensemble_size=64)) for seed in range(1, 11)]
+    for rep in reports + [scan_report]:
+        table = rep.tables["scan"]
+        fit = assert_matches_scipy(table["omega_rad_s"],
+                                   table["rate_quanta_per_s"],
+                                   table["sigma_quanta_per_s"], probe)
+        assert fit.as_dict() == rep.fits["resonance"].as_dict()
+
+
+@pytest.mark.parametrize("probe", [None, PROBE], ids=["gaussian", "probe-line"])
+def test_resonance_jacobian_matches_central_differences(probe):
+    w = scan_grid()
+    w_ref = float(np.median(w))
+    rates, sigmas = np.zeros_like(w), np.full(w.size, 15e3)
+    p = np.array([250e3, 750e3, TWO_PI * 1.3682e6, 527.0])
+    r, jac = analysis._resonance_terms(p, w, rates, sigmas, w_ref, probe)
+    assert np.array_equal(
+        r, resonance_model(w, *p, w_ref, probe) / sigmas)
+    # steps of 1e-4 of each parameter's scale; central differences err by
+    # O(h^2), here below 1e-6 of the column's largest entry
+    for k, h in enumerate(1e-4 * np.array([250e3, 750e3, TWO_PI * 527.0,
+                                           527.0])):
+        up, down = p.copy(), p.copy()
+        up[k] += h
+        down[k] -= h
+        numeric = (analysis._resonance_terms(up, w, rates, sigmas, w_ref,
+                                             probe)[0] -
+                   analysis._resonance_terms(down, w, rates, sigmas, w_ref,
+                                             probe)[0]) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - numeric)) \
+            <= 1e-6 * np.max(np.abs(jac[:, k])), RESONANCE_NAMES[k]
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +661,10 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
                                        np.array([0.1, 0.2]), 100, 0.0, 0.05)),
      "pulse_times"),
     (lambda: fit_resonance(np.full(8, W_SCAN[0]), np.ones(8)), "omegas"),
+    (lambda: analysis.probe_line([0.0, 100.0], 0.0, 300.0, 2e-3),
+     "width_sigma_hz"),
+    (lambda: resonance_model(W_SCAN, 1.0, 1.0, W_SCAN[4], math.nan, W_SCAN[4]),
+     "width_sigma_hz"),
 ], ids=["heating-nan-sigma", "heating-inf-sigma", "heating-nan-time",
         "heating-inf-occupation", "heating-short-occupations",
         "heating-short-sigmas", "resonance-nan-sigma", "resonance-nan-omega",
@@ -555,7 +673,8 @@ W_SCAN = TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))
         "rabi-nan-time", "rabi-nan-probability",
         "rabi-nan-shots", "rabi-fractional-shots",
         "synthesize-fractional-shots", "rabi-inf-carrier", "fit-result-nan-sigma",
-        "rabi-seed-without-positive-time", "resonance-equal-omegas"])
+        "rabi-seed-without-positive-time", "resonance-equal-omegas",
+        "probe-line-zero-width", "resonance-model-nan-width"])
 def test_fitter_inputs_reject_bad_numbers_naming_the_argument(call, name):
     with pytest.raises(ValueError, match=name):
         call()

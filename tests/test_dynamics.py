@@ -825,6 +825,9 @@ FUZZ_CALLS = {
             np.array(FUZZ_SCAN), 250e3, 750e3, FUZZ_SCAN[4], 800.0,
             FUZZ_SCAN[4]).tolist()),
         sigmas=(15e3,) * len(FUZZ_SCAN))),
+    "probe-line": (analysis.probe_line, dict(
+        offsets=(0.0, TWO_PI * 300.0, -TWO_PI * 800.0), width_sigma_hz=527.0,
+        kappa=TWO_PI * 59.0, duration=2e-3)),
     "rabi-dataset": (analysis.RabiDataset, dict(
         pulse_times=(1e-6, 2e-6, 3e-6), excitation_probability=(0.1, 0.5, 0.9),
         shots_per_point=100, carrier_rabi=TWO_PI * 50e3, lamb_dicke=0.05)),
@@ -879,7 +882,7 @@ FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
                "enhancement": 12, "rabi-excitation": 6, "laguerre": 2,
                "patch-potential": 8, "patch-field": 8, "extract-kappa": 4,
                "sympathetic-schedule": 4, "scan-schedule": 11, "scenario": 2,
-               "fixed-point": 5, "noise-model": 5}
+               "fixed-point": 5, "noise-model": 5, "probe-line": 6}
 
 
 def _numeric_leaves(value, path=()):

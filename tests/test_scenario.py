@@ -366,6 +366,17 @@ def test_replace_supports_null_coupling():
         dataclasses.replace(scn, kappa_override=-1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "7", True])
+def test_replace_rejects_a_seed_the_file_format_cannot_hold(seed):
+    # the parser takes an integer >= 0 only, so the record does too: a
+    # serialized scenario always parses back
+    scn = parse_scenario_text(BASE)
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(scn, seed=seed)
+    big = dataclasses.replace(scn, seed=10 ** 30)
+    assert parse_scenario_text(serialize_scenario(big)).seed == 10 ** 30
+
+
 # ---------------------------------------------------------------------------
 # seeded fuzzing of the bundled scenario texts
 
