@@ -508,15 +508,15 @@ def _truncation(n_bar):
 
 
 def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
-    """(lo, hi, phase) per Fock block n = lo .. hi-1 up to n_top, phase a
-    fresh array of Omega_n t/2 over the float array t, with
-    Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
+    """(lo, hi, rate, phase) per Fock block n = lo .. hi-1 up to n_top: rate
+    the block's Omega_n/2 and phase a fresh array of Omega_n t/2 over the
+    float array t, with Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
 
     Blocks of ``block`` terms bound memory at high n_bar; ``end(lo)``, if
     given, ends block lo at the n it returns, or stops the sum at n <= lo.
     Scaling Omega_n by the exact factor 1/2 before the product with t gives
     the same phases as halving t * Omega_n, except where that product is
-    subnormal (its sin^2 is 0 either way) or overflows.
+    subnormal (its sin^2 and tan^2 are 0 either way) or overflows.
     """
     x = lamb_dicke ** 2
     lag = _laguerre_prefix(n_top, x)
@@ -525,7 +525,7 @@ def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
         hi = min(lo + block, n_top + 1 if end is None else end(lo))
         if hi <= lo:
             return
-        yield lo, hi, np.multiply.outer(t, half[lo:hi])
+        yield lo, hi, half[lo:hi], np.multiply.outer(t, half[lo:hi])
 
 
 def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
@@ -537,8 +537,8 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
-    for lo, hi, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top,
-                                      20_000):
+    for lo, hi, _, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top,
+                                         20_000):
         np.sin(phase, out=phase)
         np.square(phase, out=phase)
         out += phase @ p_n[lo:hi]
@@ -603,8 +603,9 @@ def _thermal_columns(n_bar, lo, hi):
     return w
 
 
-# Fock terms per block of the derivative kernel: its three (points x 6,000)
-# arrays stay below the one (points x 20,000) array of rabi_excitation
+# Fock terms per block of both fit kernels: the derivative kernel's three
+# (points x 6,000) arrays stay below the one (points x 20,000) array of
+# rabi_excitation, and the seed grid drops losing columns block by block
 _DERIV_BLOCK = 6_000
 
 
@@ -616,31 +617,34 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
         dP/du   = sum p_n phi_n sin 2phi_n
         d2P/du2 = sum p_n (phi_n sin 2phi_n + 2 phi_n^2 cos 2phi_n)
     and the n_bar derivatives take the weights of _thermal_columns. A block
-    takes one sin and one cos; the rest is in-place products and one matrix
-    product with the block's weight columns per output.
+    takes one tan: with tau = tan phi and d = 1 + tau^2, sin^2 phi = tau^2/d,
+    sin 2phi = 2 tau/d and cos 2phi = 1 - 2 sin^2 phi. The phi factors go
+    into the weight columns as phi_n = a g_n, a = t h and g_n = Omega_n/(2h)
+    for the block's largest |Omega_n|/2 = h (1 if all are 0), so neither
+    a^2 nor g_n^2 can overflow; the rest is four in-place passes and two
+    matrix products.
     """
     t = np.asarray(times, float)
     acc = np.zeros((t.size, 6))
-    for lo, hi, phase in _fock_phases(t, carrier_rabi, lamb_dicke,
-                                      _truncation(n_bar), _DERIV_BLOCK):
+    for lo, hi, rate, phase in _fock_phases(t, carrier_rabi, lamb_dicke,
+                                            _truncation(n_bar), _DERIV_BLOCK):
+        h = np.max(np.abs(rate)) or 1.0
+        a, g = t * h, rate / h
         w = _thermal_columns(n_bar, lo, hi)
-        s = np.sin(phase)
-        c = np.cos(phase)
-        c *= s
-        np.square(s, out=s)                 # sin^2 phi
-        for k in range(3):
-            acc[:, k] += s @ w[:, k]
-        c *= phase
-        c += c                              # phi sin 2phi
-        for k in range(2):
-            acc[:, 3 + k] += c @ w[:, k]
-        s *= -2.0
-        s += 1.0                            # cos 2phi
-        phase *= phase
-        s *= phase
-        s += s
-        s += c                              # phi sin 2phi + 2 phi^2 cos 2phi
-        acc[:, 5] += s @ w[:, 0]
+        wg = w[:, :2] * g[:, None]
+        tau = np.tan(phase, out=phase)
+        s = np.square(tau)
+        d = s + 1.0
+        s /= d                              # sin^2 phi
+        tau /= d                            # sin 2phi / 2
+        # sum sin^2 phi times p_n, dp_n, d2p_n and p_n g_n^2
+        sq = s @ np.column_stack((w, wg[:, 0] * g))
+        # sum phi sin 2phi times p_n and dp_n
+        sin2 = (2.0 * a)[:, None] * (tau @ wg)
+        acc[:, :3] += sq[:, :3]
+        acc[:, 3:5] += sin2
+        # sum p_n (phi sin 2phi + 2 phi^2 cos 2phi)
+        acc[:, 5] += sin2[:, 0] + 2.0 * a * a * (wg[:, 0] @ g - 2.0 * sq[:, 3])
     return acc[:, 0], acc[:, [1, 3]].T, acc[:, [2, 4, 5]].T
 
 
@@ -669,11 +673,12 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
     """NLL at every (n_bar, Omega_0) pair of the seed grid, [n_bar, Omega_0],
     or +inf where the pair cannot have the least NLL of the grid.
 
-    Each Omega_0 takes one sin^2 per Fock block, and one product with that
-    block's columns of every n_bar's p_n (zero beyond its truncation) gives
-    all the excitation curves at that Omega_0. The terms from n = lo on add
-    at most q^lo to each P, q = n_bar/(1+n_bar); a column whose NLL floor
-    over that range lies above the least NLL finished so far is dropped.
+    Each Omega_0 takes one tan per Fock block, sin^2 = tan^2/(1 + tan^2),
+    and one product with that block's columns of every n_bar's p_n (zero
+    beyond its truncation) gives all the excitation curves at that Omega_0.
+    The terms from n = lo on add at most q^lo to each P, q = n_bar/(1+n_bar);
+    a column whose NLL floor over that range lies above the least NLL
+    finished so far is dropped.
     """
     t = dataset.pulse_times
     tops = [_truncation(nb) for nb in nbar_grid]
@@ -692,14 +697,16 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
     for j, om in enumerate(omega_grid):
         p = np.zeros((t.size, len(nbar_grid)))
         live = range(len(nbar_grid))
-        for lo, hi, phase in _fock_phases(t, om, dataset.lamb_dicke,
-                                          max(tops), 20_000, live_end):
+        for lo, hi, _, phase in _fock_phases(t, om, dataset.lamb_dicke,
+                                             max(tops), _DERIV_BLOCK,
+                                             live_end):
             cols = np.zeros((hi - lo, len(live)))
             for c, i in enumerate(live):
                 end = min(hi, tops[i] + 1)
                 cols[:end - lo, c] = _thermal_block(nbar_grid[i], lo, end)
-            np.sin(phase, out=phase)
+            np.tan(phase, out=phase)
             np.square(phase, out=phase)
+            phase /= phase + 1.0            # sin^2 = tan^2/(1 + tan^2)
             p[:, live] += phase @ cols
             for i in live:
                 if tops[i] < hi:
@@ -814,7 +821,7 @@ def _first_peak_rabi(dataset):
 def fit_rabi_nbar(dataset):
     """Maximum-likelihood (n_bar, Omega_0) under binomial shot statistics.
 
-    The best of a 24-point grid, evaluated one sin^2 per Fock block and
+    The best of a 24-point grid, evaluated one tan per Fock block and
     seed Omega_0 (see _seed_grid_nll), seeds a damped Newton iteration on
     (n_bar, ln Omega_0) that uses the NLL's closed-form gradient and
     Hessian and keeps 0 <= n_bar < N_BAR_MAX (see _newton_mle). A fit
@@ -822,6 +829,8 @@ def fit_rabi_nbar(dataset):
     False with the last iterate. Uncertainties come from the analytic
     Hessian there.
     """
+    # at eta = 0 every Omega_n is Omega_0, so P(t) does not depend on n_bar
+    check_range("lamb_dicke", dataset.lamb_dicke, gt=0, lt=1)
     omega_seed = dataset.carrier_rabi if dataset.carrier_rabi > 0 \
         else _first_peak_rabi(dataset)
     nbar_grid = [0.1, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0, 4000.0]

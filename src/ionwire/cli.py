@@ -326,7 +326,10 @@ def _cmd_thermometry(args, started):
         nbar, rabi, opts["lamb_dicke"], times, opts["shots"], opts["seed"])
     fit = analysis.fit_rabi_nbar(dataset)
     n_fit = fit.parameters["n_bar"]
-    rel = abs(n_fit - nbar) / nbar if nbar > 0 else n_fit
+    err = abs(n_fit - nbar)
+    # at n_bar 0, or one so small that the ratio overflows, the absolute one
+    rel = 100 * err / nbar if nbar > 0 else math.inf
+    off = f"{rel:.2f}% off" if math.isfinite(rel) else f"off by {err:.4g}"
 
     writer = _Writer(_resolve_outdir(args))
     _table(writer, "thermometry_data", "rabi",
@@ -339,7 +342,7 @@ def _cmd_thermometry(args, started):
     _manifest(writer, args, digest(opts), started, seed=opts["seed"])
     sig = fit.sigmas.get("n_bar", float("nan"))
     print(f"injected n_bar {nbar:g}, fitted {n_fit:.4g} "
-          f"+- {sig:.2g} ({100 * rel:.2f}% off), method {fit.method}")
+          f"+- {sig:.2g} ({off}), method {fit.method}")
 
 
 _COMMANDS = {"predict": _cmd_predict, "rate": _cmd_rate, "deff": _cmd_deff,

@@ -455,11 +455,14 @@ OPTION_KEYS = {
         # Generator.binomial takes an int64 count
         _Key("shots", "shots", INTEGER, default=200, minimum=1, below=2 ** 63),
         # more points than fitted parameters; Fock blocks hold points x 20,000
+        # floats in rabi_excitation and three points x 6,000 in the fit
         _Key("points", "points", INTEGER, default=60, minimum=3, below=1000),
         _Key("rabi-khz", "carrier_rabi",
              units=(lambda f: 2 * math.pi * f * 1e3, None), default=50.0,
              positive=True),
-        _Key("lamb-dicke", "lamb_dicke", default=0.05, minimum=0.0, below=1.0),
+        # at 0 every Omega_n is Omega_0 and P(t) holds no n_bar to fit
+        _Key("lamb-dicke", "lamb_dicke", default=0.05, below=1.0,
+             positive=True),
         _Key("seed", "seed", INTEGER, default=0, minimum=0)),
     **{kind.command: _RUN_OPTIONS for kind in SCHEDULES.values()},
 }

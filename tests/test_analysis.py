@@ -563,6 +563,117 @@ def test_rabi_excitation_is_independent_of_call_order(monkeypatch):
                                   expected[c])
 
 
+def _pole_and_zero_times(rabi):
+    """Pulse times whose phases rabi t/2 are 0 and the floats nearest to
+    k pi and (k + 1/2) pi, with both float neighbours of each, k up to
+    318,309 (phases to 1e6); rabi/2 is a power of two, so each phase is
+    exactly the float chosen."""
+    half = 0.5 * rabi
+    assert math.frexp(half)[0] == 0.5
+    phases = [0.0]
+    for k in (1, 2, 3, 7, 100, 12345, 318309):
+        for target in (k * math.pi, (k + 0.5) * math.pi):
+            phases += [math.nextafter(target, -math.inf), target,
+                       math.nextafter(target, math.inf)]
+    return np.array(sorted(phases)) / half
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 1000.0])
+def test_tangent_kernels_at_the_poles_and_zeros_of_tan(n_bar):
+    # at eta = 0 every Omega_n is Omega_0, so the phase of every Fock term
+    # is rabi t/2: tan is largest or smallest on each one
+    rabi = 2.0 ** 18
+    times = _pole_and_zero_times(rabi)
+    data, _ = synthesize_rabi(n_bar, rabi, 0.0, times, 2000, 5)
+    omega_grid = [0.9 * rabi, rabi, 1.1 * rabi]
+    nbar_grid = [0.1, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0, 4000.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, dp, d2p = analysis._excitation_derivatives(times, n_bar, rabi, 0.0)
+        grid = analysis._seed_grid_nll(data, nbar_grid, omega_grid)
+        assert np.max(np.abs(p - rabi_excitation(times, n_bar, rabi, 0.0))) \
+            <= 1e-15
+        each = [[analysis._binomial_terms(
+            data, rabi_excitation(times, nb, om, 0.0))[:2] for om in omega_grid]
+            for nb in nbar_grid]
+    assert np.all(np.isfinite(dp)) and np.all(np.isfinite(d2p))
+    nll = np.array([[e[0] for e in row] for row in each])
+    # a P next to its clip at 1 - 1e-9 (the n_bar 4000 truncation leaves
+    # 2e-9 of the mass out) makes the NLL ill-conditioned in P: allow what
+    # a change of 1e-15 in each P moves it by, beyond 1e-12 of the NLL
+    slack = np.array([[1e-15 * np.abs(e[1]).sum() for e in row]
+                      for row in each])
+    summed = np.isfinite(grid)
+    assert summed[:, 1].any()
+    assert np.all(np.abs(grid - nll)[summed]
+                  <= (1e-12 * nll + slack)[summed])
+
+
+def test_derivative_kernel_where_every_rabi_rate_underflows():
+    # Omega_n/2 is 0 for every n at a carrier of 5e-324 rad/s, which a
+    # dataset may hold: P and its derivatives are 0, without a warning
+    times = np.linspace(1e-7, 60e-6, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, dp, d2p = analysis._excitation_derivatives(times, 50.0, 5e-324,
+                                                      0.05)
+    assert not (p.any() or dp.any() or d2p.any())
+
+
+def _sine_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
+    """The derivative kernel written with sin and cos of the phases in
+    20,000-term blocks, from a fresh Laguerre sequence."""
+    t = np.asarray(times, float)
+    n_top = analysis._truncation(n_bar)
+    x = lamb_dicke ** 2
+    omega_n = carrier_rabi * math.exp(-0.5 * x) * laguerre_sequence(n_top, x)
+    acc = np.zeros((6, t.size))
+    for lo in range(0, n_top + 1, 20_000):
+        hi = min(lo + 20_000, n_top + 1)
+        phi = 0.5 * np.outer(t, omega_n[lo:hi])
+        w = analysis._thermal_columns(n_bar, lo, hi)
+        s, c = np.sin(phi), np.cos(phi)
+        phi_sin = 2.0 * phi * s * c                 # phi sin 2phi
+        acc[:3] += (s * s @ w).T
+        acc[3:5] += (phi_sin @ w[:, :2]).T
+        acc[5] += (phi_sin + 2.0 * phi * phi * (c * c - s * s)) @ w[:, 0]
+    return acc[0], acc[[1, 3]], acc[[2, 4, 5]]
+
+
+def test_fit_matches_a_fit_on_the_sine_derivative_kernel(monkeypatch):
+    # each n_bar, point count and shot count once; n_bar 12000 sums 240,101
+    # Fock terms, where the tangent kernel's rounding moved the fit most
+    rabi = TWO_PI * 50e3
+    t_pi = math.pi / rabi
+    cases = [(0.0, 60, 2000, 12), (50.0, 60, 200, 12), (1000.0, 20, 2000, 3),
+             (12000.0, 20, 200, 0)]
+    for n_bar, points, shots, seed in cases:
+        times = np.linspace(0.05 * t_pi, 6.0 * t_pi, points)
+        data, _ = synthesize_rabi(n_bar, rabi, 0.05, times, shots, seed)
+        fit = fit_rabi_nbar(data)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_excitation_derivatives", _sine_derivatives)
+            sine = fit_rabi_nbar(data)
+        assert fit.initial_guess == sine.initial_guess
+        assert (fit.n_iterations, fit.converged) == \
+            (sine.n_iterations, sine.converged)
+        for got, want in ((fit.parameters, sine.parameters),
+                          (fit.sigmas, sine.sigmas)):
+            for k in want:
+                assert got[k] == pytest.approx(want[k], rel=1e-9, abs=1e-12)
+        assert fit.residual_norm == pytest.approx(sine.residual_norm,
+                                                  rel=1e-13)
+
+
+def test_fit_rejects_a_zero_lamb_dicke_parameter():
+    # at eta = 0 every Omega_n is Omega_0, so P(t) holds no n_bar to fit
+    rabi = TWO_PI * 50e3
+    times = np.linspace(1e-6, 60e-6, 20)
+    data, _ = synthesize_rabi(182.0, rabi, 0.0, times, 200, 0)
+    with pytest.raises(ValueError, match="lamb_dicke must be > 0"):
+        fit_rabi_nbar(data)
+
+
 def _plain_laguerre(n_max, x):
     """The recurrence written into a numpy array, element by element."""
     out = np.empty(n_max + 1)

@@ -423,6 +423,33 @@ def test_n_bar_near_the_truncation_bound_fits_without_error(tmp_path, capsys):
     assert fit["parameters"]["n_bar"] < 14476.06
 
 
+def test_zero_lamb_dicke_exits_2_naming_the_flag(tmp_path, capsys):
+    # at eta = 0 every Omega_n is Omega_0: P(t) holds no n_bar to fit
+    status, err = _main(["thermometry", *_SMALL_THERMOMETRY, "--lamb-dicke=0",
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 2, err
+    assert len(err.splitlines()) == 1 and "--lamb-dicke" in err, err
+    assert "must be > 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nbar", ["0", "1e-320"])
+def test_thermometry_gives_the_absolute_offset_where_no_relative_one_exists(
+        nbar, tmp_path, capsys):
+    out = tmp_path / "t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.main(["thermometry", "--nbar", nbar, "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert status == 0
+    n_fit = json.loads((out / "thermometry_fit.json").read_text()) \
+        ["parameters"]["n_bar"]
+    # the fit lands above 0, so n_fit / n_bar is undefined or overflows
+    assert n_fit > 1.0
+    assert "%" not in stdout
+    assert f"(off by {abs(n_fit - float(nbar)):.4g})" in stdout
+
+
 def test_direct_option_digests_cover_the_validated_values(tmp_path, capsys):
     def config_digest(*argv):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
