@@ -833,6 +833,14 @@ def fit_rabi_nbar(dataset):
     check_range("lamb_dicke", dataset.lamb_dicke, gt=0, lt=1)
     omega_seed = dataset.carrier_rabi if dataset.carrier_rabi > 0 \
         else _first_peak_rabi(dataset)
+    # at n_bar = 0, dP/dn_bar = sin^2(Omega_1 t/2) - sin^2(Omega_0 t/2); it
+    # is 0 at every pulse time where eta is so small that Omega_1 rounds to
+    # Omega_0, and the fit would report n_bar 0 +- 0 as converged
+    if not np.any(_excitation_derivatives(dataset.pulse_times, 0.0, omega_seed,
+                                          dataset.lamb_dicke)[1][0]):
+        raise ValueError(f"lamb_dicke {dataset.lamb_dicke!r} is too small: "
+                         f"dP/dn_bar is 0 at every pulse time, so P(t) holds "
+                         f"no n_bar to fit")
     nbar_grid = [0.1, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0, 4000.0]
     omega_grid = [omega_seed * f for f in (0.9, 1.0, 1.1)]
 

@@ -324,7 +324,12 @@ def _cmd_thermometry(args, started):
     times = np.linspace(0.05 * t_pi, 6.0 * t_pi, opts["points"])
     dataset, truth = analysis.synthesize_rabi(
         nbar, rabi, opts["lamb_dicke"], times, opts["shots"], opts["seed"])
-    fit = analysis.fit_rabi_nbar(dataset)
+    try:
+        fit = analysis.fit_rabi_nbar(dataset)
+    except ValueError as exc:
+        # the options are checked; what the fit still refuses is an eta
+        # too small for P(t) to depend on n_bar
+        raise ValueError(f"--lamb-dicke: {exc}") from None
     n_fit = fit.parameters["n_bar"]
     err = abs(n_fit - nbar)
     # at n_bar 0, or one so small that the ratio overflows, the absolute one

@@ -40,11 +40,39 @@ ELECTRON_MASS_NUMBER = 5.48579909065e-4
 _HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
+class RangeError(ValueError):
+    """The ValueError of ``check_range``. It keeps the checked name, the
+    bounds and the bad entry, so that ``restate`` can word it again under
+    another name and in other units."""
+
+    def __init__(self, name, low, high, value, index):
+        self.name, self.low, self.high = name, low, high
+        self.value, self.index = value, index
+        super().__init__(self.restate(name))
+
+    def restate(self, name, convert=None):
+        """``<name> must be ..., got <value>``. With ``convert`` the bounds
+        and the value pass through it and show 12 significant digits, which
+        hides the rounding of a round trip through other units."""
+        def show(x):
+            return repr(float(x)) if convert is None else \
+                f"{float(convert(x)):.12g}"
+
+        need = [f"{op} {show(b)}".removesuffix(".0")
+                for op, b in (self.low, self.high) if math.isfinite(b)]
+        if self.low == (">", -math.inf) or self.high == ("<", math.inf):
+            need.insert(0, "finite")
+        index = self.index
+        at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+        return (f"{name} must be {' and '.join(need) or 'a number'}, "
+                f"got {show(self.value)}{at}")
+
+
 def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
     """``value``, a number or an array, if each entry lies within the
     bounds, at most one a side: ``ge`` and ``le`` inclusive, ``gt`` and
     ``lt`` strict. NaN never does, nor does +-inf unless a bound admits it
-    (``le=math.inf`` or ``ge=-math.inf``). Else ValueError ``<name> must
+    (``le=math.inf`` or ``ge=-math.inf``). Else RangeError ``<name> must
     be ..., got <value>``, naming an array's first bad entry and its index.
     """
     # a side without a bound has the strict infinite one, which fails +-inf
@@ -54,15 +82,9 @@ def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
     ok = _HOLDS[low[0]](v, low[1]) & _HOLDS[high[0]](v, high[1])
     if ok is True or ok is not False and ok.all():
         return value
-    need = [f"{op} {float(b)!r}".removesuffix(".0") for op, b in (low, high)
-            if math.isfinite(b)]
-    if low == (">", -math.inf) or high == ("<", math.inf):
-        need.insert(0, "finite")
     v = np.asarray(value, float)
     index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), v.shape))
-    at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
-    raise ValueError(f"{name} must be {' and '.join(need) or 'a number'}, "
-                     f"got {float(v[index])!r}{at}")
+    raise RangeError(name, low, high, float(v[index]), index)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,11 @@ c _CHUNK on draw from ``SeedSequence(s, spawn_key=(b, c))`` instead. So a
 realization's numbers depend only on the seed and its index: output is
 the same whatever the batch packing or ensemble size, and adding
 realizations never moves the existing ones.
+
+A batch holds consecutive segments, of one point or of several. Where
+neither ion has jitter, a point's rows share one step map, built once
+per batch, and a batch holds up to _WIDE rows; with jitter every row has
+its own map, and a batch holds _BATCH rows, which bounds its memory.
 """
 
 
@@ -58,7 +63,9 @@ TWO_PI = 2.0 * math.pi
 
 # fixed internals; changing them changes the RNG draw layout or the order
 # in which the ensemble moments are summed
-_BATCH = 256     # rows per batch and per generator; ensembles are cut at its multiples
+_BATCH = 256     # rows per generator; ensembles are cut at its multiples
+_WIDE = 8 * _BATCH   # rows per batch where no ion has jitter, else _BATCH;
+                     # it bounds a batch's memory and moves no output
 _CHUNK = 1024    # integration steps per RNG draw block under OU jitter
 _NODES = 64      # Gauss-Hermite nodes per jittered ion in the exact means
 # the draw layout, as the manifests record it
@@ -252,18 +259,18 @@ def _mean_and_sem(s, s2, n_real):
     return mean, sem
 
 
-def _pack(points, n_real):
+def _pack(points, n_real, cap):
     """Yield batches of (seed, point argument, lo, hi) segments, in order.
 
     Each point's realizations are cut at multiples of _BATCH; consecutive
     segments, of one point or of several, share a batch while it holds at
-    most _BATCH rows.
+    most ``cap`` rows.
     """
     batch, rows = [], 0
     for seed, point in points:
         for lo in range(0, n_real, _BATCH):
             hi = min(lo + _BATCH, n_real)
-            if rows + hi - lo > _BATCH:
+            if rows + hi - lo > cap:
                 yield batch
                 batch, rows = [], 0
             batch.append((seed, point, lo, hi))
@@ -287,7 +294,7 @@ def _grid(duration, dt, dt_max, record_points):
     return dt, n_steps, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
 
-def _integrate(kernel, points, grid, n_realizations):
+def _integrate(kernel, points, grid, n_realizations, noise):
     """Front end shared by both integrators; one EnsembleTrajectory per point.
 
     ``points`` holds one (seed, point argument) pair per point, ``grid``
@@ -295,14 +302,18 @@ def _integrate(kernel, points, grid, n_realizations):
     batch of (seed, point argument, lo, hi) segments, realizations lo..hi-1
     of a point each, and returns each segment's occupation sums and sums of
     squares on the record grid, then the batch's first row's positions and
-    energies or None. Batches run one at a time, in order.
+    energies or None. Batches run one at a time, in order. Without jitter
+    on either ion (``noise``) a point's rows share one step map, which
+    ``_propagate`` builds once per batch, so a batch holds up to _WIDE rows;
+    with jitter every row has its own map and a batch holds _BATCH rows.
     """
     n_real = _count("n_realizations", n_realizations, 1)
     for seed, _point in points:
         _count("seed", seed, 0)
+    cap = _WIDE if all(n.jitter_sigma == 0 for n in noise) else _BATCH
     per_point = -(-n_real // _BATCH)      # segments per point
     sums, first, done = [], None, 0
-    for moments, x, e in map(kernel, _pack(points, n_real)):
+    for moments, x, e in map(kernel, _pack(points, n_real, cap)):
         if first is None:
             first = (x, e)
         for segment in moments:
@@ -365,12 +376,22 @@ def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
 
 def _recorder(bounds, n_records):
     """``record(j, n)`` puts the (rows, 2) occupations n and their squares,
-    summed per segment, in slot j of the returned (segments, 2, n_records, 2)."""
+    summed per segment, in slot j of the returned (segments, 2, n_records, 2).
+    A run of k consecutive segments of one size is summed as one (k, size,
+    2) block, which adds each segment's rows in the order of its own slice."""
     sums = np.zeros((len(bounds), 2, n_records, 2))
+    runs = []       # [first segment, segments, first row, rows per segment]
+    for s, (r0, r1) in enumerate(bounds):
+        if runs and runs[-1][3] == r1 - r0:
+            runs[-1][1] += 1
+        else:
+            runs.append([s, 1, r0, r1 - r0])
 
     def record(j, n):
-        for s, (r0, r1) in enumerate(bounds):
-            sums[s, :, j] = n[r0:r1].sum(axis=0), (n[r0:r1] ** 2).sum(axis=0)
+        for s, k, r, size in runs:
+            block = n[r:r + k * size].reshape(k, size, 2)
+            sums[s:s + k, 0, j] = block.sum(axis=1)
+            sums[s:s + k, 1, j] = (block ** 2).sum(axis=1)
     return record, sums
 
 
@@ -413,29 +434,40 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
     """Advance each row a record interval at a time; each segment's moments.
 
     A row's step map and noise are ``maps(key)`` of its ``key`` row, once
-    per distinct key, with their ``_power`` once per interval length n.
-    The (rows, 4) state takes s <- T^n s + L_n z, L_n L_n^T = Q_n, z the
-    row's part of one (_BATCH, 4) normal draw of its segment's generator,
-    where ``kick_scale`` kicks any row of the segment. ``read_out(j, s)``
-    gives the (rows, 2) occupations at record slot j.
+    per distinct key, with their ``_power`` once per interval length n;
+    where every row has one key they share its arrays. The (rows, 4) state
+    takes s <- T^n s + L_n z, L_n L_n^T = Q_n. A segment is kicked where
+    ``kick_scale`` kicks any of its rows: z stacks one (_BATCH, 4) normal
+    draw of each kicked segment's generator, cut to its rows, and the
+    other segments' rows take no kick term. ``read_out(j, s)`` gives the
+    (rows, 2) occupations at record slot j.
     """
     record, moments = _recorder(bounds, len(rec_idx))
     record(0, read_out(0, s))
     kicked = [bool(np.any(kick_scale[r0:r1] > 0)) for r0, r1 in bounds]
+    rows = slice(None) if all(kicked) else np.flatnonzero(
+        np.repeat(kicked, [r1 - r0 for r0, r1 in bounds]))
     uniq, inv = (key[:1], np.zeros(len(key), int)) if np.all(key == key[0]) \
         else np.unique(key, axis=0, return_inverse=True)
     t, d = maps(uniq)
     inv, powers = inv.reshape(-1), {}
+
+    def spread(a, idx):
+        # a row per key to a row per entry of idx; a view for a single key
+        return np.broadcast_to(a, (len(idx), 4, 4)) if len(a) == 1 else a[idx]
+
     for j, n in enumerate(np.diff(rec_idx), 1):
         if n not in powers:
             tn, qn = _power(t, d, int(n))
-            powers[n] = tn[inv], _factor(qn)[inv] if any(kicked) else None
+            powers[n] = (spread(tn, inv),
+                         spread(_factor(qn), inv[rows]) if any(kicked) else None)
         tn, ln = powers[n]
         s = np.einsum("rij,rj->ri", tn, s)
-        for r, (r0, r1), k in zip(rngs, bounds, kicked):
-            if k:
-                z = r.standard_normal((_BATCH, 4))[:r1 - r0]
-                s[r0:r1] += np.einsum("rij,rj->ri", ln[r0:r1], z)
+        if ln is not None:
+            z = np.concatenate([r.standard_normal((_BATCH, 4))[:r1 - r0]
+                                for r, (r0, r1), k in zip(rngs, bounds, kicked)
+                                if k])
+            s[rows] += np.einsum("rij,rj->ri", ln, z)
         record(j, read_out(j, s))
     return moments
 
@@ -629,7 +661,7 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
     return _integrate(
         lambda segments: _full_batch(segments, params, noise, cooling, initial,
                                      init_phase, record_positions, *grid),
-        [(seed, None)], grid, n_realizations)[0]
+        [(seed, None)], grid, n_realizations, noise)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +798,7 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
             lambda segments: _envelope_batch(
                 segments, kappa, carrier, noise, cooling, initial_occupations,
                 init_phase, *grid),
-            points, grid, n_realizations)
+            points, grid, n_realizations, noise)
     return trajectories if several else trajectories[0]
 
 

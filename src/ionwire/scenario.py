@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, circuit, dynamics
-from .core import (IonSpecies, TrapSite, WireSpec, check_range, hz_to_rad_s,
-                   mhz_to_rad_s, rad_s_to_hz, rad_s_to_mhz)
+from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_range,
+                   hz_to_rad_s, mhz_to_rad_s, rad_s_to_hz, rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
 SCHEDULE_SCAN = "resonance_scan"
@@ -51,10 +51,11 @@ class ScheduleResonanceScan:
         if np.ptp(self.probe_frequencies) == 0:
             raise ValueError("probe_frequencies must span a nonzero range")
         check_range("probe_duration", self.probe_duration, gt=0)
-        check_range("cold_occupation", self.cold_occupation, ge=0)
-        # the hot ion starts hotter than the cold ion
-        check_range("hot_occupation", self.hot_occupation,
-                    gt=self.cold_occupation)
+        # the hot ion starts hotter than the cold ion; the cold occupation
+        # is checked against it, so a cold one raised too far is named
+        check_range("hot_occupation", self.hot_occupation, gt=0)
+        check_range("cold_occupation", self.cold_occupation, ge=0,
+                    lt=self.hot_occupation)
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ _COUPLING_KEYS = (
     _Key("kappa_hz", "kappa_override", units=(hz_to_rad_s, rad_s_to_hz),
          minimum=0.0, auto=True),)
 _RUN_OPTIONS = (      # also the --ensemble and --seed overrides
-    # the ensemble runs as ensemble / 256 batches, all listed before the first
+    # a bound on the run's length; batches are made one at a time as they run
     _Key("ensemble", "ensemble_size", INTEGER, minimum=1, below=10 ** 8),
     _Key("seed", "seed", INTEGER, minimum=0))
 _RUN_KEYS = _RUN_OPTIONS + (
@@ -305,7 +306,7 @@ _RUN_KEYS = _RUN_OPTIONS + (
 # read only where frequencies_mhz is absent, and never written
 _GRID_KEYS = (
     _Key("center_mhz", "center", minimum=0.0),
-    _Key("span_khz", "span", minimum=0.0),
+    _Key("span_khz", "span", minimum=0.0, positive=True),
     _Key("points", "points", INTEGER, minimum=6))
 
 
@@ -315,10 +316,20 @@ class _Section:
         self.lineno = lineno
         self.entries = dict(entries)
         self.path = path
+        self.origin = {}    # field -> (key, file key, line) of the last read
 
     def read(self, keys, prefix=""):
-        """Field name -> SI value for ``prefix`` + each key, in table order."""
-        return {key.field: self._value(key, prefix + key.name) for key in keys}
+        """Field name -> SI value for ``prefix`` + each key, in table order;
+        notes which file key and line gave each field, if one did."""
+        values = {}
+        for key in keys:
+            name = prefix + key.name
+            if name in self.entries:
+                self.origin[key.field] = (key, name, self.entries[name][1])
+            else:
+                self.origin.pop(key.field, None)
+            values[key.field] = self._value(key, name)
+        return values
 
     def _value(self, key, name):
         text = None
@@ -369,12 +380,13 @@ class _Section:
         if key.kind != INTEGER and not np.all(
                 np.isfinite(si) | (key.inf & np.isinf(si))):
             raise error(KIND_UNIT, not_finite)
+        got = "" if text is None else f", got {text}"
         if key.minimum is not None and np.any(value < key.minimum):
-            raise error(KIND_INVALID, f"must be >= {key.minimum}")
+            raise error(KIND_INVALID, f"must be >= {key.minimum}{got}")
         if key.below is not None and np.any(value >= key.below):
-            raise error(KIND_INVALID, f"must be < {key.below}")
+            raise error(KIND_INVALID, f"must be < {key.below}{got}")
         if key.positive and np.any(si <= 0):
-            raise error(KIND_INVALID, "must be > 0")
+            raise error(KIND_INVALID, f"must be > 0{got}")
         return si
 
     def finish(self):
@@ -385,14 +397,24 @@ class _Section:
 
     @contextlib.contextmanager
     def checked(self):
-        """Report an invariant failure inside as a diagnostic at this section."""
+        """Report an invariant failure inside as a diagnostic: a failed range
+        check of a field that a file key gave at that key's line, restated
+        under the key's name and in its units; any other at this section."""
         try:
             yield
         except ScenarioError:
             raise
         except ValueError as exc:
-            raise ScenarioError(KIND_INVALID, str(exc), self.path, self.lineno,
-                                self.name)
+            # a range check's name is its field, then any qualifier
+            field = exc.name.split(" ")[0] if isinstance(exc, RangeError) else None
+            if field not in self.origin:
+                raise ScenarioError(KIND_INVALID, str(exc), self.path,
+                                    self.lineno, self.name)
+            key, name, lineno = self.origin[field]
+            raise ScenarioError(
+                KIND_INVALID, exc.restate(name + exc.name[len(field):],
+                                          key.units[1]),
+                self.path, lineno, self.name, name)
 
 
 # ---------------------------------------------------------------------------

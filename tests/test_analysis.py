@@ -674,6 +674,17 @@ def test_fit_rejects_a_zero_lamb_dicke_parameter():
         fit_rabi_nbar(data)
 
 
+@pytest.mark.parametrize("eta", [1e-9, 1e-200])
+def test_fit_rejects_a_lamb_dicke_parameter_that_leaves_p_flat(eta):
+    # Omega_1 rounds to Omega_0, so dP/dn_bar is exactly 0 at every pulse
+    # time: the fit used to report n_bar 0 +- 0 as converged
+    rabi = TWO_PI * 50e3
+    times = np.linspace(1e-6, 60e-6, 20)
+    data, _ = synthesize_rabi(182.0, rabi, eta, times, 200, 0)
+    with pytest.raises(ValueError, match="dP/dn_bar is 0 at every pulse time"):
+        fit_rabi_nbar(data)
+
+
 def _plain_laguerre(n_max, x):
     """The recurrence written into a numpy array, element by element."""
     out = np.empty(n_max + 1)

@@ -433,6 +433,26 @@ def test_zero_lamb_dicke_exits_2_naming_the_flag(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("eta", ["1e-9", "1e-200"])
+def test_lamb_dicke_too_small_for_p_to_hold_n_bar_exits_2(eta, tmp_path,
+                                                          capsys):
+    # positive, but Omega_1 rounds to Omega_0: dP/dn_bar is 0 everywhere
+    status, err = _main(["thermometry", "--lamb-dicke", eta,
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 2, err
+    assert len(err.splitlines()) == 1 and "--lamb-dicke" in err, err
+    assert "dP/dn_bar is 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_small_lamb_dicke_still_fits_with_its_large_sigma(tmp_path, capsys):
+    status, err = _main(["thermometry", "--lamb-dicke", "1e-5",
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 0, err
+    fit = json.loads((tmp_path / "o" / "thermometry_fit.json").read_text())
+    assert fit["sigmas"]["n_bar"] > 1e3
+
+
 @pytest.mark.parametrize("nbar", ["0", "1e-320"])
 def test_thermometry_gives_the_absolute_offset_where_no_relative_one_exists(
         nbar, tmp_path, capsys):

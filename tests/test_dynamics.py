@@ -277,26 +277,91 @@ def test_one_row_verlet_is_frozen_bitwise():
 # the seeding contract: each _BATCH-row segment of a point draws from its
 # own generator, so realizations 0-255 give the same segment sums however
 # many realizations follow them, with and without OU jitter (which keeps
-# the step loop)
-@pytest.mark.parametrize("jitter_kind", [dynamics.JITTER_PER_SHOT,
-                                         dynamics.JITTER_OU])
+# the step loop), and without jitter, where the first segment shares a
+# batch with the next seven
+@pytest.mark.parametrize("jitter_kind", [
+    dynamics.JITTER_PER_SHOT, dynamics.JITTER_OU,
+    pytest.param(None, id="no_jitter")])
 def test_adding_realizations_keeps_the_first_segment(jitter_kind, monkeypatch):
     seen = []
     kernel = dynamics._envelope_batch
 
     def spy(segments, *args):
         moments, x, e = kernel(segments, *args)
-        seen.append((segments[0][2:], moments[0]))
+        seen.append((segments[0][2:], len(segments), moments[0]))
         return moments, x, e
 
     monkeypatch.setattr(dynamics, "_envelope_batch", spy)
-    for n in (256, 512):
+    larger = 512 if jitter_kind else 2560
+    for n in (256, larger):
         integrate_envelope(TWO_PI * 50.0, CARRIER, noise=_packing_noise(jitter_kind),
                            duration=5.5e-4, dt=5e-7, seed=17, n_realizations=n,
                            initial_occupations=(100.0, 50.0), record_points=4)
-    (rows_256, sums_256), (rows_512, sums_512) = seen[0], seen[1]
-    assert rows_256 == rows_512 == (0, 256)
-    assert np.array_equal(sums_256, sums_512)
+    (rows_256, _, sums_256), (rows_more, width, sums_more) = seen[0], seen[1]
+    assert rows_256 == rows_more == (0, 256)
+    assert width == (1 if jitter_kind else dynamics._WIDE // dynamics._BATCH)
+    assert np.array_equal(sums_256, sums_more)
+
+
+# without jitter a batch holds up to _WIDE rows; its trajectories equal
+# those of _BATCH-row batches to the bit, with a partial last segment and
+# with segments of unequal sizes in one batch
+@pytest.mark.parametrize("ensemble,n_points", [(2100, 1), (300, 3)],
+                         ids=["partial_segment", "unequal_segments"])
+def test_wide_batches_equal_narrow_ones(ensemble, n_points, monkeypatch):
+    common = dict(noise=_packing_noise(None),
+                  cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
+                  n_realizations=ensemble, record_points=4)
+    detunings = [(0.0, TWO_PI * 400.0 * (p - 1)) for p in range(n_points)]
+    seeds = [31 + 7 * p for p in range(n_points)]
+    params = PairParams.resonant(calcium_40().mass, CARRIER, TWO_PI * 50.0)
+    widths, propagate = [], dynamics._propagate
+
+    def spy(*args):
+        widths.append(len(args[1]))     # segments in the batch
+        return propagate(*args)
+
+    def runs():
+        widths.clear()
+        envelope = integrate_envelope(
+            TWO_PI * 50.0, CARRIER, detuning=detunings, seed=seeds,
+            duration=5.5e-4, dt=5e-7, initial_occupations=(100.0, 50.0),
+            init_phase=("thermal", "coherent"), **common)
+        full = integrate_full(params, (100.0, 50.0), duration=2.2e-5,
+                              seed=seeds[0], record_positions=True, **common)
+        return [*envelope, full], list(widths)
+
+    monkeypatch.setattr(dynamics, "_propagate", spy)
+    wide, wide_widths = runs()
+    monkeypatch.setattr(dynamics, "_WIDE", dynamics._BATCH)
+    narrow, narrow_widths = runs()
+    assert len(wide_widths) < len(narrow_widths)
+    assert sum(wide_widths) == sum(narrow_widths)
+    for a, b in zip(wide, narrow):
+        for name in ("times", "n_bar_1", "n_bar_2", "n_bar_sem_1",
+                     "n_bar_sem_2", "positions", "energies"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# a batch's working set is bounded by _WIDE: it does not grow with the
+# ensemble
+def test_batch_memory_does_not_grow_with_the_ensemble():
+    import tracemalloc
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            integrate_envelope(
+                0.0, CARRIER, noise=(NoiseModel(5e4, CARRIER, 1.0), NO_NOISE),
+                duration=2.5e-3, seed=3, n_realizations=n,
+                initial_occupations=(1000.0, 0.0),
+                init_phase=("coherent", "coherent"), record_points=26)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)         # the first call imports numpy.random
+    assert peak(20_000) <= 1.2 * peak(2_048)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +729,10 @@ def test_unknown_init_policy_rejected():
 # several probe points in one call
 
 def _packing_noise(jitter_kind):
+    """Heating on both ions; per-shot jitter on ion 1 and ``jitter_kind``
+    jitter on ion 2, or no jitter where ``jitter_kind`` is None."""
+    if jitter_kind is None:
+        return (NoiseModel(5e4, CARRIER, 1.0), NoiseModel(2e4, CARRIER, 1.0))
     return (NoiseModel(5e4, CARRIER, 1.0, 300.0),
             NoiseModel(2e4, CARRIER, 1.0, 200.0, jitter_kind,
                        0.5e-3 if jitter_kind == dynamics.JITTER_OU else 0.0))

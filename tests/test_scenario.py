@@ -265,7 +265,7 @@ def test_invariant_violation_diagnostics():
     assert err4.value.kind == KIND_INVALID
     assert err4.value.section == "site1"
 
-    # every batch of the ensemble is listed before the first one runs
+    # the ensemble is bounded below 10**8 realizations
     assert parse_scenario_text(BASE.replace(
         "ensemble = 200", "ensemble = 99999999")).ensemble_size == 10 ** 8 - 1
     with pytest.raises(ScenarioError) as err5:
@@ -295,6 +295,49 @@ def test_scan_schedule_requires_hot_above_cold():
 
 
 _SCAN_GRID = "center_mhz = 1.990\nspan_khz = 6\npoints = 9"
+
+
+# a record's failed range check is reported at the line of the file key
+# that gave the value, under that key's name and in its units
+@pytest.mark.parametrize("old,new,section,words", [
+    ("cold_quanta = 200", "cold_quanta = 20000", "schedule",
+     "cold_quanta must be >= 0 and < 10000, got 20000.0"),
+    ("span_khz = 6", "span_khz = 0", "schedule", "must be > 0, got 0"),
+    ("probe_ms = 2", "probe_ms = 0", "schedule",
+     "probe_ms must be finite and > 0, got 0"),
+    ("separation_um = 620", "separation_um = 100", "wire",
+     "separation_um must be finite and > 120, got 100"),
+    (_SCAN_GRID, "frequencies_mhz = 1.988,-1.989,1.990,1.991,1.992,1.993",
+     "schedule", "frequencies_mhz must be finite and > 0, got -1.989 at index 1"),
+    ("site1_reference_mhz = 1.990", "site1_reference_mhz = 0", "noise",
+     "site1_reference_mhz with nonzero heating must be finite and > 0, "
+     "got 0")],
+    ids=["cold_above_hot", "zero_span", "zero_probe", "wire_separation",
+         "negative_frequency", "zero_reference"])
+def test_record_errors_are_located_at_the_key_that_gave_the_value(
+        old, new, section, words):
+    text = _with_scan_schedule(SCAN_SCHEDULE).replace(old, new, 1)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, path="s.scenario")
+    key = new.partition(" = ")[0]
+    line = text.splitlines().index(new) + 1
+    assert err.value.kind == KIND_INVALID
+    assert (err.value.section, err.value.key, err.value.line) == \
+        (section, key, line)
+    assert str(err.value) == f"s.scenario:{line}: [invalid] {section}.{key}: {words}"
+
+
+def test_record_errors_from_a_defaulted_key_stay_at_the_section():
+    # site2's reference frequency takes its default, 0: no line gave it,
+    # and site1's key must not be blamed for it
+    text = BASE.replace("site2_heating_quanta_per_ms = 0\n"
+                        "site2_reference_mhz = 1.990\n",
+                        "site2_heating_quanta_per_ms = 5\n")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert (err.value.section, err.value.key) == ("noise", "")
+    assert err.value.line == text.splitlines().index("[noise]") + 1
+    assert "reference_frequency with nonzero heating" in str(err.value)
 
 
 # a bad scan or wait grid is reported at its schedule key, or, for an
