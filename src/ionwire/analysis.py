@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_range
-from .dynamics import _count
+from .core import check_count, check_range
 
 # truncation policy for thermal Fock sums
 N_MAX_CAP = 200_000
@@ -91,7 +90,7 @@ class RabiDataset:
         if not np.all(np.diff(t) > 0):
             raise ValueError("pulse_times must be strictly increasing")
         check_range("excitation_probability", p, ge=0, le=1)
-        _count("shots_per_point", self.shots_per_point, 1)
+        check_count("shots_per_point", self.shots_per_point, 1)
         check_range("carrier_rabi", self.carrier_rabi)
         check_range("lamb_dicke", self.lamb_dicke, ge=0, lt=1)
         # the fitters compute on arrays, whatever sequence was given
@@ -547,7 +546,7 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
 
 def synthesize_rabi(n_bar, carrier_rabi, lamb_dicke, times, shots, seed):
     """Binomial-sampled synthetic dataset plus a truth manifest."""
-    shots = _count("shots", shots, 1)
+    shots = check_count("shots", shots, 1)
     p = rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     counts = rng.binomial(int(shots), p)

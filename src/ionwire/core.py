@@ -54,9 +54,9 @@ class RangeError(ValueError):
         """``<name> must be ..., got <value>``. With ``convert`` the bounds
         and the value pass through it and show 12 significant digits, which
         hides the rounding of a round trip through other units."""
-        def show(x):
-            return repr(float(x)) if convert is None else \
-                f"{float(convert(x)):.12g}"
+        def show(x):        # an int as it is
+            return repr(x if isinstance(x, int) else float(x)) \
+                if convert is None else f"{float(convert(x)):.12g}"
 
         need = [f"{op} {show(b)}".removesuffix(".0")
                 for op, b in (self.low, self.high) if math.isfinite(b)]
@@ -73,7 +73,8 @@ def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
     bounds, at most one a side: ``ge`` and ``le`` inclusive, ``gt`` and
     ``lt`` strict. NaN never does, nor does +-inf unless a bound admits it
     (``le=math.inf`` or ``ge=-math.inf``). Else RangeError ``<name> must
-    be ..., got <value>``, naming an array's first bad entry and its index.
+    be ..., got <value>``, naming an array's first bad entry and its index;
+    a Python int stays exact, even one too large for a float.
     """
     # a side without a bound has the strict infinite one, which fails +-inf
     low = (">=", ge) if ge is not None else (">", -math.inf if gt is None else gt)
@@ -82,9 +83,17 @@ def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
     ok = _HOLDS[low[0]](v, low[1]) & _HOLDS[high[0]](v, high[1])
     if ok is True or ok is not False and ok.all():
         return value
-    v = np.asarray(value, float)
+    if ok is False:
+        raise RangeError(name, low, high, value, ())
     index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), v.shape))
     raise RangeError(name, low, high, float(v[index]), index)
+
+
+def check_count(name, value, least):
+    """``value`` as an int, when it is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return check_range(name, int(value), ge=least)
 
 
 @dataclass(frozen=True)
@@ -96,10 +105,13 @@ class IonSpecies:
     label: str = ""
 
     def __post_init__(self):
-        # on the SI values, which a subnormal number underflows to 0
-        check_range(f"charge_number {self.charge_number!r} in C",
-                    abs(self.charge), gt=0)
-        check_range(f"mass_number {self.mass_number!r} in kg", self.mass, gt=0)
+        # either sign; bounded so that the charge in C is a float
+        check_range("charge_number magnitude", abs(self.charge_number), gt=0,
+                    le=1e308)
+        check_range("mass_number", self.mass_number, gt=0)
+        # and on the SI values, which a subnormal number underflows to 0
+        check_range("charge_number in C", abs(self.charge), gt=0)
+        check_range("mass_number in kg", self.mass, gt=0)
 
     @property
     def charge(self):

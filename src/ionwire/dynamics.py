@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONST, check_range
+from .core import CONST, check_count, check_range
 
 HBAR = CONST.reduced_planck
 TWO_PI = 2.0 * math.pi
@@ -99,18 +99,18 @@ class NoiseModel:
     jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
+        check_range("jitter_correlation_time", self.jitter_correlation_time,
+                    ge=0)
         check_range("heating_rate_at_reference", self.heating_rate_at_reference,
                     ge=0)
         check_range("reference_frequency", self.reference_frequency, ge=0)
+        check_range("spectral_exponent", self.spectral_exponent, ge=0, le=2)
+        check_range("jitter_sigma", self.jitter_sigma, ge=0)
         if self.heating_rate_at_reference > 0:
             check_range("reference_frequency with nonzero heating",
                         self.reference_frequency, gt=0)
-        check_range("spectral_exponent", self.spectral_exponent, ge=0, le=2)
-        check_range("jitter_sigma", self.jitter_sigma, ge=0)
         if self.jitter_kind not in (JITTER_PER_SHOT, JITTER_OU):
             raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
-        check_range("jitter_correlation_time", self.jitter_correlation_time,
-                    ge=0)
         if self.jitter_kind == JITTER_OU and self.jitter_sigma > 0:
             check_range("jitter_correlation_time of OU jitter",
                         self.jitter_correlation_time, gt=0)
@@ -190,14 +190,6 @@ def noise_psd(model, omega):
 
 # ---------------------------------------------------------------------------
 # ensemble plumbing
-
-def _count(name, value, least):
-    """``value`` as an int, when it is an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
 
 def _initial_state(initial_occupations, init_phase, z, phase):
     """Quadratures s = (Re a, Im a) (rows, 4) of the complex amplitudes a,
@@ -287,7 +279,7 @@ def _grid(duration, dt, dt_max, record_points):
     if dt > dt_max * (1.0 + 1e-9):
         raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
     check_range("duration", duration, ge=dt)    # at least one step
-    n_records = _count("record_points", record_points, 2)
+    n_records = check_count("record_points", record_points, 2)
     n_steps = int(math.ceil(duration / dt - 1e-9))
     if n_steps > 50_000_000:
         raise ValueError("step budget exceeded; raise dt or shorten duration")
@@ -307,9 +299,9 @@ def _integrate(kernel, points, grid, n_realizations, noise):
     ``_propagate`` builds once per batch, so a batch holds up to _WIDE rows;
     with jitter every row has its own map and a batch holds _BATCH rows.
     """
-    n_real = _count("n_realizations", n_realizations, 1)
+    n_real = check_count("n_realizations", n_realizations, 1)
     for seed, _point in points:
-        _count("seed", seed, 0)
+        check_count("seed", seed, 0)
     cap = _WIDE if all(n.jitter_sigma == 0 for n in noise) else _BATCH
     per_point = -(-n_real // _BATCH)      # segments per point
     sums, first, done = [], None, 0
@@ -821,7 +813,7 @@ def rate_equation_model(n1_0, n2_0, heat1, heat2, kappa_ex, cooling2,
                     ("heat2", heat2), ("kappa_ex", kappa_ex)):
         check_range(name, v, ge=0)
     check_range("duration", duration, gt=0)
-    record_points = _count("record_points", record_points, 2)
+    record_points = check_count("record_points", record_points, 2)
 
     times = np.linspace(0.0, duration, record_points)
     gamma, n_ss = cooling2.damping_rate, cooling2.steady_state_occupation

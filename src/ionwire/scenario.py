@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, circuit, dynamics
-from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_range,
-                   hz_to_rad_s, mhz_to_rad_s, rad_s_to_hz, rad_s_to_mhz)
+from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_count,
+                   check_range, hz_to_rad_s, mhz_to_rad_s, rad_s_to_hz,
+                   rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
 SCHEDULE_SCAN = "resonance_scan"
@@ -43,19 +44,20 @@ class ScheduleResonanceScan:
     kind: str = SCHEDULE_SCAN
 
     def __post_init__(self):
-        # the resonance fit needs 6 points spread over the line
-        if len(self.probe_frequencies) < 6:
-            raise ValueError(f"probe_frequencies needs at least 6 values, "
-                             f"got {len(self.probe_frequencies)}")
+        # each field's range, in key order, before the shape of the values
         check_range("probe_frequencies", self.probe_frequencies, gt=0)
-        if np.ptp(self.probe_frequencies) == 0:
-            raise ValueError("probe_frequencies must span a nonzero range")
         check_range("probe_duration", self.probe_duration, gt=0)
         # the hot ion starts hotter than the cold ion; the cold occupation
         # is checked against it, so a cold one raised too far is named
         check_range("hot_occupation", self.hot_occupation, gt=0)
         check_range("cold_occupation", self.cold_occupation, ge=0,
                     lt=self.hot_occupation)
+        # the resonance fit needs 6 points spread over the line
+        if len(self.probe_frequencies) < 6:
+            raise ValueError(f"probe_frequencies needs at least 6 values, "
+                             f"got {len(self.probe_frequencies)}")
+        if np.ptp(self.probe_frequencies) == 0:
+            raise ValueError("probe_frequencies must span a nonzero range")
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,13 @@ class ScheduleSympathetic:
     kind: str = SCHEDULE_SYMPATHETIC
 
     def __post_init__(self):
-        if len(self.wait_times) < 3:
-            raise ValueError("need at least three wait times to fit a slope")
         check_range("wait_times", self.wait_times, ge=0)
-        if np.any(np.diff(self.wait_times) <= 0):
-            raise ValueError("wait_times must be strictly increasing")
         check_range("initial_hot_occupation", self.initial_hot_occupation,
                     ge=0)
+        if len(self.wait_times) < 3:
+            raise ValueError("need at least three wait times to fit a slope")
+        if np.any(np.diff(self.wait_times) <= 0):
+            raise ValueError("wait_times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,10 @@ class ScheduleSwap:
     kind: str = SCHEDULE_SWAP
 
     def __post_init__(self):
-        if len(self.initial_occupations) != 2:
-            raise ValueError("initial_quanta needs exactly two values")
         check_range("initial_occupations", self.initial_occupations, ge=0)
         check_range("duration", self.duration, gt=0)
+        if len(self.initial_occupations) != 2:
+            raise ValueError("initial_quanta needs exactly two values")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ class Scenario:
     output_dir: str = ""            # default landing spot; CLI --out wins
 
     def __post_init__(self):
-        dynamics._count("ensemble_size", self.ensemble_size, 1)
-        dynamics._count("seed", self.seed, 0)
+        check_count("ensemble_size", self.ensemble_size, 1)
+        check_count("seed", self.seed, 0)
         # zero is allowed: a decoupled run is the null experiment
         if self.kappa_override is not None:
             check_range("kappa_override", self.kappa_override, ge=0)
@@ -212,21 +214,19 @@ def _fmt(value):
 @dataclass(frozen=True)
 class _Key:
     """One ``key = value`` line of a section and the dataclass field it
-    fills. ``default`` is in file units, or a function of the section that
-    returns them; None makes the key required. ``minimum`` and ``below``
-    (exclusive) bound the value as written; the finiteness check and
-    ``positive`` apply to the SI value, so they catch an over- or underflow."""
+    fills: it parses the text and converts it to SI units, and the record
+    the field goes into judges the value. ``default`` is in file units, or a
+    function of the section that returns them; None makes the key required.
+    ``bounds`` judges a value that no record checked in its section does: a
+    scan grid key, a run option, the coupling override, a command's flag."""
 
     name: str
     field: str
     kind: str = NUMBER
     units: tuple = (None, None)   # (to SI, from SI); None keeps the value
     default: object = None
-    minimum: float = None
-    below: float = None
-    positive: bool = False        # the SI value must be > 0
+    bounds: dict = None           # check_range keywords on the SI value
     auto: bool = False            # ``auto`` reads as None
-    inf: bool = False             # +-inf passes the finiteness check
     choices: dict = None          # text kinds: file text -> field value
 
     def write(self, value):
@@ -267,47 +267,45 @@ def _scan_grid(sc):
 _SPECIES_KEYS = (
     _Key("label", "label", TEXT),
     _Key("charge_number", "charge_number", INTEGER),
-    _Key("mass_u", "mass_number", minimum=0.0))
+    _Key("mass_u", "mass_number"))
 _WIRE_KEYS = (
-    _Key("capacitance_ff", "capacitance", units=_scaled(1e-15, 1e15),
-         minimum=0.0),
-    _Key("paddle_um", "paddle_side", units=_UM, minimum=0.0),
-    _Key("separation_um", "center_separation", units=_UM, minimum=0.0),
-    _Key("resistance_ohm", "resistance", default=0.0, minimum=0.0))
+    _Key("capacitance_ff", "capacitance", units=_scaled(1e-15, 1e15)),
+    _Key("paddle_um", "paddle_side", units=_UM),
+    _Key("separation_um", "center_separation", units=_UM),
+    _Key("resistance_ohm", "resistance", default=0.0))
 _SITE_KEYS = (
-    _Key("frequency_mhz", "vertical_frequency", units=_MHZ, minimum=0.0),
-    _Key("height_um", "physical_height", units=_UM, minimum=0.0),
+    _Key("frequency_mhz", "vertical_frequency", units=_MHZ),
+    _Key("height_um", "physical_height", units=_UM),
     _Key("deff_um", "effective_distance", units=_UM, auto=True))
 _NOISE_KEYS = (         # after a site prefix
     _Key("jitter_kind", "jitter_kind", TEXT, default="per_shot",
          choices={"per_shot": dynamics.JITTER_PER_SHOT,
                   "ou": dynamics.JITTER_OU}),
     _Key("jitter_correlation_ms", "jitter_correlation_time", units=_MS,
-         default=0.0, minimum=0.0),
+         default=0.0),
     _Key("heating_quanta_per_ms", "heating_rate_at_reference",
-         units=_scaled(1e3, 1e-3), minimum=0.0),
-    _Key("reference_mhz", "reference_frequency", units=_MHZ, default=0.0,
-         minimum=0.0),
+         units=_scaled(1e3, 1e-3)),
+    _Key("reference_mhz", "reference_frequency", units=_MHZ, default=0.0),
     _Key("spectral_exponent", "spectral_exponent", default=1.0),
-    _Key("jitter_sigma_hz", "jitter_sigma", minimum=0.0))
+    _Key("jitter_sigma_hz", "jitter_sigma"))
 _COOLING_KEYS = (       # after a site prefix
-    _Key("damping_per_s", "damping_rate", minimum=0.0, inf=True),
-    _Key("target_quanta", "steady_state_occupation", minimum=0.0))
-_COUPLING_KEYS = (
+    _Key("damping_per_s", "damping_rate"),
+    _Key("target_quanta", "steady_state_occupation"))
+_COUPLING_KEYS = (      # the Scenario record is checked under [run]
     _Key("kappa_hz", "kappa_override", units=(hz_to_rad_s, rad_s_to_hz),
-         minimum=0.0, auto=True),)
+         bounds=dict(ge=0), auto=True),)
 _RUN_OPTIONS = (      # also the --ensemble and --seed overrides
     # a bound on the run's length; batches are made one at a time as they run
-    _Key("ensemble", "ensemble_size", INTEGER, minimum=1, below=10 ** 8),
-    _Key("seed", "seed", INTEGER, minimum=0))
+    _Key("ensemble", "ensemble_size", INTEGER, bounds=dict(ge=1, lt=10 ** 8)),
+    _Key("seed", "seed", INTEGER, bounds=dict(ge=0)))
 _RUN_KEYS = _RUN_OPTIONS + (
     _Key("label", "label", TEXT, default=""),
     _Key("output_dir", "output_dir", TEXT, default=""))
 # read only where frequencies_mhz is absent, and never written
 _GRID_KEYS = (
-    _Key("center_mhz", "center", minimum=0.0),
-    _Key("span_khz", "span", minimum=0.0, positive=True),
-    _Key("points", "points", INTEGER, minimum=6))
+    _Key("center_mhz", "center", bounds=dict(ge=0)),
+    _Key("span_khz", "span", bounds=dict(gt=0)),
+    _Key("points", "points", INTEGER, bounds=dict(ge=6)))
 
 
 class _Section:
@@ -328,7 +326,10 @@ class _Section:
                 self.origin[key.field] = (key, name, self.entries[name][1])
             else:
                 self.origin.pop(key.field, None)
-            values[key.field] = self._value(key, name)
+            values[key.field] = value = self._value(key, name)
+            if key.bounds and value is not None:
+                with self.checked():
+                    check_range(key.field, value, **key.bounds)
         return values
 
     def _value(self, key, name):
@@ -355,17 +356,16 @@ class _Section:
                             f"{sorted(key.choices)}, got {value!r}")
             return key.choices[value]
 
-        not_finite = "value must be finite"
         if text is None:
             value = key.default(self) if callable(key.default) else key.default
         elif key.kind == LIST:
-            not_finite = f"expected comma-separated finite numbers, got {text!r}"
             try:
                 value = [float(tok) for tok in text.split(",") if tok.strip()]
             except ValueError:
                 value = []
             if not value:      # unparsable or empty
-                raise error(KIND_UNIT, not_finite)
+                raise error(KIND_UNIT, f"expected comma-separated numbers, "
+                            f"got {text!r}")
         else:
             try:
                 value = int(text) if key.kind == INTEGER else float(text)
@@ -374,20 +374,9 @@ class _Section:
                             f"of the key suffix, got {text!r}")
         if key.kind == LIST:
             value = np.array(value, float)
+        # a value that overflows in SI is judged as the inf it becomes
         with np.errstate(over="ignore"):
-            si = value if key.units[0] is None else key.units[0](value)
-        # after the conversion, so a value that overflows in SI is caught
-        if key.kind != INTEGER and not np.all(
-                np.isfinite(si) | (key.inf & np.isinf(si))):
-            raise error(KIND_UNIT, not_finite)
-        got = "" if text is None else f", got {text}"
-        if key.minimum is not None and np.any(value < key.minimum):
-            raise error(KIND_INVALID, f"must be >= {key.minimum}{got}")
-        if key.below is not None and np.any(value >= key.below):
-            raise error(KIND_INVALID, f"must be < {key.below}{got}")
-        if key.positive and np.any(si <= 0):
-            raise error(KIND_INVALID, f"must be > 0{got}")
-        return si
+            return value if key.units[0] is None else key.units[0](value)
 
     def finish(self):
         if self.entries:
@@ -398,22 +387,27 @@ class _Section:
     @contextlib.contextmanager
     def checked(self):
         """Report an invariant failure inside as a diagnostic: a failed range
-        check of a field that a file key gave at that key's line, restated
-        under the key's name and in its units; any other at this section."""
+        check of a field that a key gave at that key's line, restated under
+        the key's name and in its units; any other at this section. A range
+        check failed by a value that is no number is a unit error."""
         try:
             yield
         except ScenarioError:
             raise
         except ValueError as exc:
+            ranged = isinstance(exc, RangeError)
+            # nan, or an infinity where the range admits none, is no number
+            kind = KIND_UNIT if ranged and not (exc.value == exc.value and (
+                abs(exc.value) < math.inf or (">=", -math.inf) == exc.low
+                or ("<=", math.inf) == exc.high)) else KIND_INVALID
             # a range check's name is its field, then any qualifier
-            field = exc.name.split(" ")[0] if isinstance(exc, RangeError) else None
+            field = exc.name.split(" ")[0] if ranged else None
             if field not in self.origin:
-                raise ScenarioError(KIND_INVALID, str(exc), self.path,
-                                    self.lineno, self.name)
+                raise ScenarioError(kind, str(exc), self.path, self.lineno,
+                                    self.name)
             key, name, lineno = self.origin[field]
             raise ScenarioError(
-                KIND_INVALID, exc.restate(name + exc.name[len(field):],
-                                          key.units[1]),
+                kind, exc.restate(name + exc.name[len(field):], key.units[1]),
                 self.path, lineno, self.name, name)
 
 
@@ -442,20 +436,20 @@ SCHEDULES = {
         ScheduleResonanceScan,
         (_Key("frequencies_mhz", "probe_frequencies", LIST, units=_MHZ,
               default=_scan_grid),
-         _Key("probe_ms", "probe_duration", units=_MS, minimum=0.0),
-         _Key("hot_quanta", "hot_occupation", minimum=0.0),
-         _Key("cold_quanta", "cold_occupation", minimum=0.0)),
+         _Key("probe_ms", "probe_duration", units=_MS),
+         _Key("hot_quanta", "hot_occupation"),
+         _Key("cold_quanta", "cold_occupation")),
         "run_resonance_scan", "scan", "scan_benchmark"),
     SCHEDULE_SYMPATHETIC: ScheduleKind(
         ScheduleSympathetic,
-        (_Key("wait_ms", "wait_times", LIST, units=_MS, minimum=0.0),
-         _Key("initial_hot_quanta", "initial_hot_occupation", minimum=0.0)),
+        (_Key("wait_ms", "wait_times", LIST, units=_MS),
+         _Key("initial_hot_quanta", "initial_hot_occupation")),
         "run_sympathetic", "sympathetic", "sympathetic_benchmark"),
     SCHEDULE_SWAP: ScheduleKind(
         ScheduleSwap,
         (_Key("initial_quanta", "initial_occupations", LIST,
               units=(_pair, None), default=(1000.0, 0.0)),
-         _Key("duration_ms", "duration", units=_MS, minimum=0.0)),
+         _Key("duration_ms", "duration", units=_MS)),
         "run_swap_demo", "swap", "swap_benchmark"),
 }
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
@@ -467,25 +461,25 @@ _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 OPTION_KEYS = {
     "deff": (
         _Key("paddle-um", "paddle_side", units=_UM, default=120.0,
-             positive=True),
+             bounds=dict(gt=0)),
         _Key("heights-um", "heights", LIST, units=_UM,
              default=(40.0, 50.0, 60.0, 70.0, 80.0, 100.0, 150.0, 200.0),
-             positive=True)),
+             bounds=dict(gt=0))),
     "thermometry": (
-        _Key("nbar", "n_bar", default=182.0, minimum=0.0,
-             below=analysis.N_BAR_MAX),
+        _Key("nbar", "n_bar", default=182.0,
+             bounds=dict(ge=0, lt=analysis.N_BAR_MAX)),
         # Generator.binomial takes an int64 count
-        _Key("shots", "shots", INTEGER, default=200, minimum=1, below=2 ** 63),
+        _Key("shots", "shots", INTEGER, default=200, bounds=dict(ge=1, lt=2**63)),
         # more points than fitted parameters; Fock blocks hold points x 20,000
         # floats in rabi_excitation and three points x 6,000 in the fit
-        _Key("points", "points", INTEGER, default=60, minimum=3, below=1000),
+        _Key("points", "points", INTEGER, default=60, bounds=dict(ge=3, lt=1000)),
         _Key("rabi-khz", "carrier_rabi",
-             units=(lambda f: 2 * math.pi * f * 1e3, None), default=50.0,
-             positive=True),
+             units=(lambda f: 2 * math.pi * f * 1e3,
+                    lambda w: w / (2 * math.pi * 1e3)),
+             default=50.0, bounds=dict(gt=0)),
         # at 0 every Omega_n is Omega_0 and P(t) holds no n_bar to fit
-        _Key("lamb-dicke", "lamb_dicke", default=0.05, below=1.0,
-             positive=True),
-        _Key("seed", "seed", INTEGER, default=0, minimum=0)),
+        _Key("lamb-dicke", "lamb_dicke", default=0.05, bounds=dict(gt=0, lt=1)),
+        _Key("seed", "seed", INTEGER, default=0, bounds=dict(ge=0))),
     **{kind.command: _RUN_OPTIONS for kind in SCHEDULES.values()},
 }
 
@@ -506,12 +500,13 @@ def read_options(command, values):
 
 def _trap_site(wire, **fields):
     """TrapSite; ``deff_um = auto`` takes the effective distance of a square
-    patch the size of the wire's paddle."""
-    if fields["effective_distance"] is None:
-        patch = RectPatch.centered_square(wire.paddle_side)
-        fields["effective_distance"] = float(
-            effective_distance(patch, fields["physical_height"]))
-    return TrapSite(**fields)
+    patch the size of the wire's paddle, once the site has checked the height."""
+    if fields["effective_distance"] is not None:
+        return TrapSite(**fields)
+    site = TrapSite(**{**fields, "effective_distance": fields["physical_height"]})
+    patch = RectPatch.centered_square(wire.paddle_side)
+    return dataclasses.replace(site, effective_distance=float(
+        effective_distance(patch, site.physical_height)))
 
 
 def parse_scenario_text(text, path="<scenario>"):

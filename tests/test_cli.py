@@ -208,8 +208,8 @@ def test_seed_repeatability_is_byte_identical(tmp_path):
     assert any(n.endswith(".svg") for n in csvs), "expected an svg plot"
     for name in csvs:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    ja = json.load(open(outs[0] / "sympathetic_fit_uncoupled.json"))
-    jb = json.load(open(outs[1] / "sympathetic_fit_uncoupled.json"))
+    ja = json.loads((outs[0] / "sympathetic_fit_uncoupled.json").read_text())
+    jb = json.loads((outs[1] / "sympathetic_fit_uncoupled.json").read_text())
     assert ja == jb
 
 
@@ -261,9 +261,9 @@ def test_thermometry_round_trip_cli(tmp_path):
     proc = run_cli(["thermometry", "--nbar", "182", "--seed", "12",
                     "--out", str(out)], tmp_path, check=0)
     assert "fitted" in proc.stdout
-    fit = json.load(open(out / "thermometry_fit.json"))
+    fit = json.loads((out / "thermometry_fit.json").read_text())
     assert abs(fit["parameters"]["n_bar"] - 182.0) / 182.0 < 0.10
-    truth = json.load(open(out / "thermometry_truth.json"))
+    truth = json.loads((out / "thermometry_truth.json").read_text())
     assert truth["n_bar_true"] == 182.0 and truth["seed"] == 12
 
 
@@ -339,7 +339,8 @@ def test_scan_precision_scales_with_ensemble(tmp_path):
         out = tmp_path / f"e{n}"
         run_cli(["scan", "--scenario", "scan_benchmark", "--ensemble", str(n),
                  "--seed", "42", "--out", str(out)], tmp_path, check=0)
-        fits[n] = json.load(open(out / "resonance_scan_fit_resonance.json"))
+        fits[n] = json.loads(
+            (out / "resonance_scan_fit_resonance.json").read_text())
     w50 = fits[50]["parameters"]["width_sigma_hz"]
     w400 = fits[400]["parameters"]["width_sigma_hz"]
     s50 = fits[50]["sigmas"]["width_sigma_hz"]

@@ -146,6 +146,18 @@ def test_check_range_returns_values_within_the_bounds(value, bounds):
     assert check_range("x", value, **bounds) is value
 
 
+def test_check_range_keeps_an_int_exact():
+    # an int beyond the float range is compared and reported as it is
+    big = 10 ** 400
+    with pytest.raises(ValueError) as err:
+        check_range("x", -big, ge=0)
+    assert err.value.value == -big
+    assert str(err.value) == f"x must be finite and >= 0, got {-big}"
+    assert check_range("x", big, ge=0) is big
+    with pytest.raises(ValueError, match=r"^n must be >= 1 and < 3, got 5$"):
+        check_range("n", 5, ge=1, lt=3)
+
+
 def test_constants_table_lists_codata_values():
     # docs/constants.md is the checked-in table of the constants in use
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ionwire import circuit
+from ionwire import circuit, scenario
 from ionwire.core import TWO_PI
 from ionwire.scenario import (KIND_INVALID, KIND_MISSING, KIND_UNIT,
-                              KIND_UNKNOWN, ScenarioError, canonical_dict,
-                              parse_scenario_text, scenario_digest,
+                              KIND_UNKNOWN, TEXT, ScenarioError,
+                              canonical_dict, parse_scenario_text,
+                              read_options, scenario_digest,
                               serialize_scenario)
 
 from conftest import load_bundled
@@ -302,7 +303,8 @@ _SCAN_GRID = "center_mhz = 1.990\nspan_khz = 6\npoints = 9"
 @pytest.mark.parametrize("old,new,section,words", [
     ("cold_quanta = 200", "cold_quanta = 20000", "schedule",
      "cold_quanta must be >= 0 and < 10000, got 20000.0"),
-    ("span_khz = 6", "span_khz = 0", "schedule", "must be > 0, got 0"),
+    ("span_khz = 6", "span_khz = 0", "schedule",
+     "span_khz must be finite and > 0, got 0.0"),
     ("probe_ms = 2", "probe_ms = 0", "schedule",
      "probe_ms must be finite and > 0, got 0"),
     ("separation_um = 620", "separation_um = 100", "wire",
@@ -311,9 +313,17 @@ _SCAN_GRID = "center_mhz = 1.990\nspan_khz = 6\npoints = 9"
      "schedule", "frequencies_mhz must be finite and > 0, got -1.989 at index 1"),
     ("site1_reference_mhz = 1.990", "site1_reference_mhz = 0", "noise",
      "site1_reference_mhz with nonzero heating must be finite and > 0, "
-     "got 0")],
+     "got 0"),
+    ("mass_u = 39.9625909", "mass_u = -1", "species",
+     "mass_u must be finite and > 0, got -1.0"),
+    ("capacitance_ff = 30", "capacitance_ff = -1", "wire",
+     "capacitance_ff must be finite and > 0, got -1"),
+    # once a crash: the charge in C overflowed converting the int to a float
+    ("charge_number = 1", "charge_number = 1" + "0" * 400, "species",
+     f"charge_number magnitude must be > 0 and <= 1e+308, got {10 ** 400}")],
     ids=["cold_above_hot", "zero_span", "zero_probe", "wire_separation",
-         "negative_frequency", "zero_reference"])
+         "negative_frequency", "zero_reference", "negative_mass",
+         "negative_capacitance", "huge_charge"])
 def test_record_errors_are_located_at_the_key_that_gave_the_value(
         old, new, section, words):
     text = _with_scan_schedule(SCAN_SCHEDULE).replace(old, new, 1)
@@ -325,6 +335,78 @@ def test_record_errors_are_located_at_the_key_that_gave_the_value(
     assert (err.value.section, err.value.key, err.value.line) == \
         (section, key, line)
     assert str(err.value) == f"s.scenario:{line}: [invalid] {section}.{key}: {words}"
+
+
+def _numeric_keys():
+    """Section -> file names of the numeric keys of every ``_Key`` table."""
+    def names(keys, prefixes=("",)):
+        return {p + k.name for p in prefixes for k in keys if k.kind != TEXT}
+
+    site = scenario._SITE_PREFIXES
+    return {"species": names(scenario._SPECIES_KEYS),
+            "wire": names(scenario._WIRE_KEYS),
+            "site1": names(scenario._SITE_KEYS),
+            "site2": names(scenario._SITE_KEYS),
+            "noise": names(scenario._NOISE_KEYS, site),
+            "cooling": names(scenario._COOLING_KEYS, site),
+            "coupling": names(scenario._COUPLING_KEYS),
+            "schedule": names(scenario._GRID_KEYS).union(
+                *(names(kind.keys) for kind in scenario.SCHEDULES.values())),
+            "run": names(scenario._RUN_KEYS)}
+
+
+def test_every_numeric_key_reports_a_bad_value_at_its_own_line():
+    # each key's value is judged by a record or by the key's own bounds,
+    # and either way the diagnostic stays at the key that gave the value
+    from importlib import resources
+    numeric = _numeric_keys()
+    walked = set()
+    for name in FROZEN_DIGESTS:
+        text = resources.files("ionwire.data").joinpath(
+            name + ".scenario").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        section = ""
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line.strip("[]")
+            key = line.partition("=")[0].strip()
+            if line.startswith("#") or key not in numeric.get(section, ()):
+                continue
+            walked.add((section, key))
+            # a negative charge number is an electron's; 0 is no charge
+            bad = "0" if key == "charge_number" else "-1"
+            for value, kind in (("nan", KIND_UNIT), (bad, KIND_INVALID)):
+                mutated = "\n".join(lines[:i] + [f"{key} = {value}"]
+                                    + lines[i + 1:])
+                with pytest.raises(ScenarioError) as err:
+                    parse_scenario_text(mutated)
+                assert (err.value.kind, err.value.section, err.value.key,
+                        err.value.line) == (kind, section, key, i + 1), \
+                    (name, key, value, str(err.value))
+                # a range failure's message starts with the key's name
+                named = "" if kind == KIND_UNIT else key
+                assert f"{section}.{key}: {named}" in str(err.value)
+    # every table gave keys to walk
+    assert {section for section, _ in walked} == set(numeric)
+    # the coupling override is checked where the Scenario record is, under
+    # [run], but its bad value stays at its own key
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(BASE.replace("kappa_hz = 11.1", "kappa_hz = -3"))
+    assert (err.value.section, err.value.key, err.value.line) == \
+        ("coupling", "kappa_hz", BASE.splitlines().index("kappa_hz = 11.1") + 1)
+    assert "kappa_hz must be finite and >= 0, got -3" in str(err.value)
+
+
+@pytest.mark.parametrize("command", sorted(scenario.OPTION_KEYS))
+def test_every_numeric_option_reports_a_bad_value_naming_its_flag(command):
+    for key in scenario.OPTION_KEYS[command]:
+        for value, kind in (("nan", KIND_UNIT), ("-1", KIND_INVALID)):
+            with pytest.raises(ScenarioError) as err:
+                read_options(command, {key.name.replace("-", "_"): value})
+            flag = f"--{key.name}"
+            assert (err.value.kind, err.value.key) == (kind, flag)
+            named = "" if kind == KIND_UNIT else flag
+            assert f"{flag}: {named}" in str(err.value)
 
 
 def test_record_errors_from_a_defaulted_key_stay_at_the_section():
@@ -350,9 +432,9 @@ def test_record_errors_from_a_defaulted_key_stay_at_the_section():
         _SCAN_GRID, "frequencies_mhz = " + ",".join(["1.990"] * 6))), "",
      "probe_frequencies must span a nonzero range"),
     (_with_scan_schedule(SCAN_SCHEDULE.replace("points = 9", "points = 5")),
-     "points", "must be >= 6"),
+     "points", "points must be finite and >= 6, got 5"),
     (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1"),
-     "wait_ms", "must be >= 0")],
+     "wait_ms", "wait_ms must be finite and >= 0, got -3 at index 0")],
     ids=["five-frequencies", "equal-frequencies", "five-points",
          "negative-waits"])
 def test_bad_scan_and_wait_grids_are_located(text, key, words):
