@@ -18,6 +18,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from importlib import resources
@@ -86,12 +87,7 @@ def _csv_cell(value):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if value != value:
-        return "nan"
-    if value in (math.inf, -math.inf):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
+    return repr(float(value))     # nan, inf and -inf included
 
 
 def _json_safe(value):
@@ -203,14 +199,19 @@ def _write_svg(writer, report):
 def _manifest(writer, args, config_digest, started, scn=None, seed=None,
               passed=None, rng_layout=None):
     """manifest.json; the seed and ensemble size are the ones the run used,
-    taken from ``scn`` when the command runs a scenario, and the layout of
-    the integrators' random draws when it runs them."""
+    taken from ``scn`` when the command runs a scenario, the layout of the
+    integrators' random draws when it runs them, and the versions of python
+    and numpy, and of scipy where something loaded it."""
     payload = {"tool": "ionwire", "version": __version__,
                "command": args.command, "config_digest": config_digest,
                "seed": seed if scn is None else scn.seed,
                "ensemble": None if scn is None else scn.ensemble_size,
                "started": started, "finished": _now(),
-               "outputs": sorted(writer.outputs)}
+               "outputs": sorted(writer.outputs),
+               "versions": {"python": platform.python_version(),
+                            "numpy": np.__version__}}
+    if "scipy" in sys.modules:      # no command loads it
+        payload["versions"]["scipy"] = sys.modules["scipy"].__version__
     if rng_layout is not None:
         payload["rng_layout"] = rng_layout
     if passed is not None:

@@ -29,8 +29,12 @@ drawn from N(0, D). So n steps are exactly T^n s plus one draw from
 N(0, Q_n), Q_n = sum_{k<n} T^k D T^k^T, both built by doubling (Van Loan
 1978, IEEE TAC 23:395): each realization advances one record interval at
 a time, with the stepped integrator's statistics and without its steps.
-The same maps give the exact ensemble means (``exact=True``). OU jitter
-makes T random, so it keeps the step loop.
+The states of consecutive record points are read out (occupations, and
+the energy check of the Verlet scheme) and summed into the ensemble
+moments together, once per block of up to _WIDE row-records: a one-row
+run does so once, a batch of 2,048 rows once per record point. The same
+maps give the exact ensemble means (``exact=True``). OU jitter makes T
+random, so it keeps the step loop, which records each point alone.
 
 Realizations b _BATCH to (b + 1) _BATCH - 1 of a point with seed s are
 segment b. Its generator, ``default_rng(SeedSequence(s, spawn_key=(b,)))``,
@@ -64,8 +68,9 @@ TWO_PI = 2.0 * math.pi
 # fixed internals; changing them changes the RNG draw layout or the order
 # in which the ensemble moments are summed
 _BATCH = 256     # rows per generator; ensembles are cut at its multiples
-_WIDE = 8 * _BATCH   # rows per batch where no ion has jitter, else _BATCH;
-                     # it bounds a batch's memory and moves no output
+_WIDE = 8 * _BATCH   # rows per batch where no ion has jitter, else _BATCH,
+                     # and row-records per read-out block; it bounds a
+                     # batch's memory and moves no output
 _CHUNK = 1024    # integration steps per RNG draw block under OU jitter
 _NODES = 64      # Gauss-Hermite nodes per jittered ion in the exact means
 # the draw layout, as the manifests record it
@@ -367,10 +372,11 @@ def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
 
 
 def _recorder(bounds, n_records):
-    """``record(j, n)`` puts the (rows, 2) occupations n and their squares,
-    summed per segment, in slot j of the returned (segments, 2, n_records, 2).
-    A run of k consecutive segments of one size is summed as one (k, size,
-    2) block, which adds each segment's rows in the order of its own slice."""
+    """``record(j, n)`` puts the (k, rows, 2) occupations n of record slots
+    j..j+k-1 and their squares, summed per segment, in those slots of the
+    returned (segments, 2, n_records, 2). A run of m consecutive segments
+    of one size is summed as one (k, m, size, 2) block, which adds each
+    segment's rows in the order of its own slice."""
     sums = np.zeros((len(bounds), 2, n_records, 2))
     runs = []       # [first segment, segments, first row, rows per segment]
     for s, (r0, r1) in enumerate(bounds):
@@ -380,10 +386,11 @@ def _recorder(bounds, n_records):
             runs.append([s, 1, r0, r1 - r0])
 
     def record(j, n):
-        for s, k, r, size in runs:
-            block = n[r:r + k * size].reshape(k, size, 2)
-            sums[s:s + k, 0, j] = block.sum(axis=1)
-            sums[s:s + k, 1, j] = (block ** 2).sum(axis=1)
+        slots = slice(j, j + len(n))
+        for s, m, r, size in runs:
+            block = n[:, r:r + m * size].reshape(len(n), m, size, 2)
+            sums[s:s + m, 0, slots] = block.sum(axis=2).swapaxes(0, 1)
+            sums[s:s + m, 1, slots] = (block ** 2).sum(axis=2).swapaxes(0, 1)
     return record, sums
 
 
@@ -431,11 +438,20 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
     takes s <- T^n s + L_n z, L_n L_n^T = Q_n. A segment is kicked where
     ``kick_scale`` kicks any of its rows: z stacks one (_BATCH, 4) normal
     draw of each kicked segment's generator, cut to its rows, and the
-    other segments' rows take no kick term. ``read_out(j, s)`` gives the
-    (rows, 2) occupations at record slot j.
+    other segments' rows take no kick term. The states of a block of
+    max(1, _WIDE // rows) consecutive record slots, at most _WIDE
+    row-records, are read out and recorded together: ``read_out(j,
+    states)`` gives the (k, rows, 2) occupations of the (k, rows, 4)
+    states at slots j..j+k-1.
     """
     record, moments = _recorder(bounds, len(rec_idx))
-    record(0, read_out(0, s))
+    block = max(1, _WIDE // len(s))
+
+    def flush(j, states):
+        # a block of one is a view of its state, not a copy
+        states = states[0][None] if len(states) == 1 else np.stack(states)
+        record(j, read_out(j, states))
+
     kicked = [bool(np.any(kick_scale[r0:r1] > 0)) for r0, r1 in bounds]
     rows = slice(None) if all(kicked) else np.flatnonzero(
         np.repeat(kicked, [r1 - r0 for r0, r1 in bounds]))
@@ -448,7 +464,11 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
         # a row per key to a row per entry of idx; a view for a single key
         return np.broadcast_to(a, (len(idx), 4, 4)) if len(a) == 1 else a[idx]
 
+    states, first = [s], 0      # the block's states and its first slot
     for j, n in enumerate(np.diff(rec_idx), 1):
+        if len(states) == block:
+            flush(first, states)
+            states, first = [], j
         if n not in powers:
             tn, qn = _power(t, d, int(n))
             powers[n] = (spread(tn, inv),
@@ -460,7 +480,8 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
                                 for r, (r0, r1), k in zip(rngs, bounds, kicked)
                                 if k])
             s[rows] += np.einsum("rij,rj->ri", ln, z)
-        record(j, read_out(j, s))
+        states.append(s)
+    flush(first, states)
     return moments
 
 
@@ -476,7 +497,7 @@ def _step_loop(segments, bounds, n_steps, rec_idx, kick_scale, ou, advance,
     first rows draw the same numbers however many rows follow them, and
     no row is drawn that is not run. Each step updates the OU state, then
     calls ``advance(kick, delta_ou)``; at each record point (step 0
-    included) ``read_out(slot)`` returns the (rows, 2) occupations.
+    included) ``read_out(slot)`` returns the (1, rows, 2) occupations.
     """
     from numpy.random import SeedSequence, default_rng
 
@@ -599,13 +620,17 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
     first_e = np.zeros(len(rec_idx)) if record_first else None
 
     def read_out(j, x, v, w2):
-        e = 0.5 * m[None, :] * v ** 2 + 0.5 * m[None, :] * w2 * x ** 2
+        # the occupations (k, rows, 2) at slots j..j+k-1 of the (k, rows, 2)
+        # positions and velocities, once their energies pass the check
+        e = 0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2
         if record_first:
-            first_x[j] = x[0]
-            first_e[j] = e[0].sum() + g[0] * x[0, 0] * x[0, 1]
-        if not (np.max(e) <= 1e6 * e_ref):
-            raise RuntimeError(
-                f"unstable step: energy exceeded 1e6x initial at step {rec_idx[j]}")
+            first_x[j:j + len(x)] = x[:, 0]
+            first_e[j:j + len(x)] = e[:, 0].sum(axis=1) + \
+                g[0] * x[:, 0, 0] * x[:, 0, 1]
+        bad = np.flatnonzero(~(e.max(axis=(1, 2)) <= 1e6 * e_ref))
+        if bad.size:
+            raise RuntimeError(f"unstable step: energy exceeded 1e6x initial "
+                               f"at step {rec_idx[j + bad[0]]}")
         return e / (HBAR * w)
 
     s = scale * init
@@ -614,7 +639,7 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
                 HBAR * float(np.max(w)))
     if ou is None:
         moments = _propagate(rngs, bounds, rec_idx, key, maps, sigma_v, s,
-                             lambda j, s: read_out(j, s[:, :2], s[:, 2:], w2))
+                             lambda j, s: read_out(j, s[..., :2], s[..., 2:], w2))
         return moments, first_x, first_e
 
     drag = np.exp(-gamma * dt)
@@ -627,7 +652,7 @@ def _full_batch(segments, params, noise, cooling, initial, init_phase,
         accel = _verlet_step(x, v, accel, w2, g_over_m, dt, drag, kick)
 
     moments = _step_loop(segments, bounds, n_steps, rec_idx, sigma_v, ou,
-                         advance, lambda j: read_out(j, x, v, w2))
+                         advance, lambda j: read_out(j, x[None], v[None], w2))
     return moments, first_x, first_e
 
 
@@ -711,7 +736,7 @@ def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
     if ou is None:     # kicks on Re a, then Im a
         return _propagate(rngs, bounds, rec_idx, key, maps,
                           np.tile(key[:, 2:], 2), init,
-                          lambda j, s: s[:, :2] ** 2 + s[:, 2:] ** 2), None, None
+                          lambda j, s: s[..., :2] ** 2 + s[..., 2:] ** 2), None, None
     t = maps(key)[0]
     m, a = t[:, :2, :2] + 1j * t[:, 2:, :2], init[:, :2] + 1j * init[:, 2:]
 
@@ -724,7 +749,7 @@ def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
     # kicks (Re a1, Im a1, Re a2, Im a2), so that a step's kick views as a
     moments = _step_loop(segments, bounds, n_steps, rec_idx,
                          np.repeat(key[:, 2:], 2, axis=1), ou, advance,
-                         lambda j: a.real ** 2 + a.imag ** 2)
+                         lambda j: (a.real ** 2 + a.imag ** 2)[None])
     return moments, None, None
 
 

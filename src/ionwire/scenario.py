@@ -71,7 +71,8 @@ class ScheduleSympathetic:
         check_range("initial_hot_occupation", self.initial_hot_occupation,
                     ge=0)
         if len(self.wait_times) < 3:
-            raise ValueError("need at least three wait times to fit a slope")
+            raise ValueError(f"wait_times needs at least 3 values to fit a "
+                             f"slope, got {len(self.wait_times)}")
         if np.any(np.diff(self.wait_times) <= 0):
             raise ValueError("wait_times must be strictly increasing")
 
@@ -86,7 +87,8 @@ class ScheduleSwap:
         check_range("initial_occupations", self.initial_occupations, ge=0)
         check_range("duration", self.duration, gt=0)
         if len(self.initial_occupations) != 2:
-            raise ValueError("initial_quanta needs exactly two values")
+            raise ValueError(f"initial_occupations needs exactly two values, "
+                             f"got {len(self.initial_occupations)}")
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,9 @@ _RUN_KEYS = _RUN_OPTIONS + (
 _GRID_KEYS = (
     _Key("center_mhz", "center", bounds=dict(ge=0)),
     _Key("span_khz", "span", bounds=dict(gt=0)),
-    _Key("points", "points", INTEGER, bounds=dict(ge=6)))
+    # the scan runs every point x ensemble: 999 points at the bundled 1,200
+    # realizations take 17 s, against 0.6 s for its 31
+    _Key("points", "points", INTEGER, bounds=dict(ge=6, lt=1000)))
 
 
 class _Section:
@@ -386,10 +390,11 @@ class _Section:
 
     @contextlib.contextmanager
     def checked(self):
-        """Report an invariant failure inside as a diagnostic: a failed range
-        check of a field that a key gave at that key's line, restated under
-        the key's name and in its units; any other at this section. A range
-        check failed by a value that is no number is a unit error."""
+        """Report an invariant failure inside as a diagnostic. One whose
+        message starts with a field that a key gave is reported at that
+        key's line, a failed range check restated under the key's name and
+        in its units; any other at this section. A range check failed by a
+        value that is no number is a unit error."""
         try:
             yield
         except ScenarioError:
@@ -400,15 +405,17 @@ class _Section:
             kind = KIND_UNIT if ranged and not (exc.value == exc.value and (
                 abs(exc.value) < math.inf or (">=", -math.inf) == exc.low
                 or ("<=", math.inf) == exc.high)) else KIND_INVALID
-            # a range check's name is its field, then any qualifier
-            field = exc.name.split(" ")[0] if ranged else None
+            # a diagnostic on a field starts with its name; a range check's
+            # name may go on with a qualifier
+            field = str(exc).split(" ")[0]
             if field not in self.origin:
                 raise ScenarioError(kind, str(exc), self.path, self.lineno,
                                     self.name)
             key, name, lineno = self.origin[field]
-            raise ScenarioError(
-                kind, exc.restate(name + exc.name[len(field):], key.units[1]),
-                self.path, lineno, self.name, name)
+            message = exc.restate(name + exc.name[len(field):], key.units[1]) \
+                if ranged else str(exc)
+            raise ScenarioError(kind, message, self.path, lineno, self.name,
+                                name)
 
 
 # ---------------------------------------------------------------------------

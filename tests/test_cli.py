@@ -115,6 +115,23 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_manifest_records_the_library_versions(tmp_path, monkeypatch):
+    import platform
+    import types
+
+    import numpy as np
+    # a fresh run loads no scipy, so its manifest names python and numpy
+    run_cli(["deff", "--out", str(tmp_path / "fresh")], tmp_path, check=0)
+    assert read_manifest(tmp_path / "fresh")["versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__}
+    # scipy's version is recorded where something loaded scipy
+    monkeypatch.setitem(sys.modules, "scipy",
+                        types.SimpleNamespace(__version__="0.0-loaded"))
+    assert cli.main(["deff", "--out", str(tmp_path / "loaded")]) == 0
+    assert read_manifest(tmp_path / "loaded")["versions"]["scipy"] == \
+        "0.0-loaded"
+
+
 @pytest.mark.parametrize("argv,statuses", [
     (["thermometry"], ("0",)),
     (["sympathetic", "--ensemble", "400", "--seed", "42"], ("0",)),
@@ -302,8 +319,11 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
     ("scan", "center_mhz = 1.368\nspan_khz = 6\npoints = 9",
      "frequencies_mhz = " + ",".join(["1.368"] * 6), "probe_frequencies"),
     ("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1",
-     "wait_ms")], ids=["five-frequencies", "equal-frequencies",
-                       "negative-waits"])
+     "wait_ms"),
+    # one point above the bound, not a grid too large to build
+    ("scan", "points = 9", "points = 1000", "schedule.points")],
+    ids=["five-frequencies", "equal-frequencies", "negative-waits",
+         "points-above-bound"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):

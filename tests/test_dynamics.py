@@ -274,6 +274,87 @@ def test_one_row_verlet_is_frozen_bitwise():
         assert got == frozen, name
 
 
+# read-out and recording run once per block of up to _WIDE row-records;
+# blocks of one record slot give the same numbers to the bit. Jitter caps
+# a batch at _BATCH rows whatever _WIDE is; without it the cap is _WIDE,
+# so there a 300-realization point fills a 300-row batch of blocks of one
+def _block_runs(n_points, jitter):
+    noise = (NoiseModel(5e4, CARRIER, 1.0, 300.0 * jitter),
+             NoiseModel(2e4, CARRIER, 1.0, 200.0 * jitter))
+    return integrate_envelope(
+        TWO_PI * 50.0, CARRIER, detuning=[(0.0, TWO_PI * 400.0 * p)
+                                          for p in range(n_points)],
+        noise=noise, cooling=(CoolingClamp(400.0, 20.0), NO_COOLING),
+        duration=5.5e-4, dt=5e-7, seed=list(range(5, 5 + n_points)),
+        n_realizations=300, initial_occupations=(100.0, 50.0), record_points=21)
+
+
+BLOCK_CASES = {     # a run of trajectories, and the _WIDE of blocks of one
+    **{f"full, {n} rows": (functools.partial(
+        integrate_full, PairParams.resonant(calcium_40().mass, W_ONE_ROW,
+                                            TWO_PI * 50.0),
+        (100.0, 50.0), duration=2.2e-4, seed=21, n_realizations=n,
+        record_points=101, record_positions=True, **ONE_ROW_CASES[
+            "heating, per-shot jitter"], **ONE_ROW_CASES["drag"]), 1)
+       for n in (1, 3)},
+    "envelope, 1 row, 1,001 records": (functools.partial(
+        integrate_envelope, TWO_PI * 11.1, CARRIER, duration=0.2,
+        initial_occupations=(1000.0, 0.0), init_phase=("fixed", "fixed"),
+        record_points=1001), 1),
+    "envelope, 3 points x 300, jitter": (
+        functools.partial(_block_runs, 3, 1.0), 1),
+    "envelope, 3 points x 300, no jitter": (
+        functools.partial(_block_runs, 3, 0.0), 300),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_recording_is_bitwise_the_same(case, monkeypatch):
+    run, wide = BLOCK_CASES[case]
+    recorder, blocks = dynamics._recorder, []
+
+    def spy(*args):
+        record, sums = recorder(*args)
+
+        def counted(j, n):
+            blocks.append(len(n))
+            record(j, n)
+        return counted, sums
+
+    def bits():
+        runs = run()
+        return [[float.hex(float(v)) for v in np.ravel(getattr(tr, name))]
+                for tr in (runs if isinstance(runs, list) else [runs])
+                for name in ("n_bar_1", "n_bar_2", "n_bar_sem_1",
+                             "n_bar_sem_2", "positions", "energies")
+                if getattr(tr, name) is not None]
+
+    monkeypatch.setattr(dynamics, "_recorder", spy)
+    blocked = bits()
+    assert max(blocks) > 1, case
+    blocks.clear()
+    monkeypatch.setattr(dynamics, "_WIDE", wide)
+    assert bits() == blocked, case
+    assert set(blocks) == {1}, case
+
+
+# the energy check runs once per block and names the step of the first
+# record slot that fails: slot 94 of 1,001, in the middle of the one
+# block of a one-row run, of its second block at _WIDE = 50, and alone in
+# its block at _WIDE = 1, where the check runs once per slot
+@pytest.mark.parametrize("wide", [dynamics._WIDE, 50, 1])
+def test_unstable_step_is_located_inside_a_block(wide, monkeypatch):
+    monkeypatch.setattr(dynamics, "_WIDE", wide)
+    # 2 kappa just above omega: energy grows by 1e6 in 470 steps
+    params = PairParams.resonant(calcium_40().mass, TWO_PI * 1e6,
+                                 TWO_PI * 0.51e6)
+    with pytest.raises(RuntimeError) as err:
+        integrate_full(params, (100.0, 0.0), duration=1e-4, record_points=1001,
+                       init_phase=("fixed", "fixed"))
+    assert str(err.value) == \
+        "unstable step: energy exceeded 1e6x initial at step 470"
+
+
 # the seeding contract: each _BATCH-row segment of a point draws from its
 # own generator, so realizations 0-255 give the same segment sums however
 # many realizations follow them, with and without OU jitter (which keeps

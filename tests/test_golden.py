@@ -3,10 +3,10 @@ set of invocations, frozen in ``data/golden_cli.json``.
 
 Numbers are parsed out of the text and compared at ``rtol=1e-12``, room
 for platform differences; all other text compares exactly. Only the
-manifest timestamps, the report's ``wall time:`` line and the output
-directory in stdout are masked. A change that moves an output on purpose
-regenerates the file, and the diff of the data file is its declared
-change:
+manifest timestamps and library versions, the report's ``wall time:``
+line and the output directory in stdout are masked. A change that moves
+an output on purpose regenerates the file, and the diff of the data file
+is its declared change:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -44,7 +44,10 @@ INVOCATIONS = [
 
 OUT = "<out>"
 _MASKS = (re.compile(r'^(\s*"(?:started|finished)": )".*"', re.M),
-          re.compile(r"^(wall time: ).*$", re.M))
+          re.compile(r"^(wall time: ).*$", re.M),
+          # the manifest's library versions differ between machines, and
+          # scipy's is there only where a test loaded scipy
+          re.compile(r'^(\s*"versions": )\{[^}]*\}', re.M))
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"(?![\w.])")
 

@@ -422,26 +422,39 @@ def test_record_errors_from_a_defaulted_key_stay_at_the_section():
     assert "reference_frequency with nonzero heating" in str(err.value)
 
 
-# a bad scan or wait grid is reported at its schedule key, or, for an
-# explicit frequency list, names the schedule field it fills
+# a bad scan or wait grid, or swap pair, is reported at the line of the
+# schedule key that gave it, a check that is not a range check too
 @pytest.mark.parametrize("text,key,words", [
     (_with_scan_schedule(SCAN_SCHEDULE.replace(
-        _SCAN_GRID, "frequencies_mhz = 1.988,1.989,1.990,1.991,1.992")), "",
-     "probe_frequencies needs at least 6 values, got 5"),
+        _SCAN_GRID, "frequencies_mhz = 1.988,1.989,1.990,1.991,1.992")),
+     "frequencies_mhz", "probe_frequencies needs at least 6 values, got 5"),
     (_with_scan_schedule(SCAN_SCHEDULE.replace(
-        _SCAN_GRID, "frequencies_mhz = " + ",".join(["1.990"] * 6))), "",
-     "probe_frequencies must span a nonzero range"),
+        _SCAN_GRID, "frequencies_mhz = " + ",".join(["1.990"] * 6))),
+     "frequencies_mhz", "probe_frequencies must span a nonzero range"),
     (_with_scan_schedule(SCAN_SCHEDULE.replace("points = 9", "points = 5")),
-     "points", "points must be finite and >= 6, got 5"),
+     "points", "points must be >= 6 and < 1000, got 5"),
     (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1"),
-     "wait_ms", "wait_ms must be finite and >= 0, got -3 at index 0")],
+     "wait_ms", "wait_ms must be finite and >= 0, got -3 at index 0"),
+    (_with_scan_schedule(SCAN_SCHEDULE.replace("points = 9", "points = 1000")),
+     "points", "points must be >= 6 and < 1000, got 1000"),
+    (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,2,1"),
+     "wait_ms", "wait_times must be strictly increasing"),
+    (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,1"),
+     "wait_ms", "wait_times needs at least 3 values to fit a slope, got 2"),
+    (_with_scan_schedule("kind = swap_demo\ninitial_quanta = 1,2,3\n"
+                         "duration_ms = 45"),
+     "initial_quanta", "initial_occupations needs exactly two values, got 3")],
     ids=["five-frequencies", "equal-frequencies", "five-points",
-         "negative-waits"])
+         "negative-waits", "points-above-bound", "unordered-waits",
+         "two-waits", "three-initial-quanta"])
 def test_bad_scan_and_wait_grids_are_located(text, key, words):
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text)
     assert err.value.kind == KIND_INVALID
     assert (err.value.section, err.value.key) == ("schedule", key)
+    assert err.value.line == next(
+        i for i, line in enumerate(text.splitlines(), start=1)
+        if line.startswith(key + " = "))
     assert words in str(err.value)
 
 
