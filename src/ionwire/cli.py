@@ -8,6 +8,8 @@ paths, and atomic writes. Only one environment override exists,
 IONWIRE_OUT (output directory); every physical parameter must come from
 the scenario file or flags so runs stay auditable. Flags are read and
 checked like scenario keys (``scenario.read_options``), naming the flag.
+Tables go out a column at a time, each given as {column name: values};
+a float cell is the ``repr`` of its value.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ class _Writer:
         self.outputs.append(name)
         return path
 
-    def csv(self, name, table_id, columns, rows):
+    def csv(self, name, table_id, table):
+        # a float array's cells are each value's repr, as from _csv_cell
+        cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
+                 and col.dtype.kind == "f" else map(_csv_cell, col)
+                 for col in table.values()]
         lines = [f"# ionwire csv schema v{CSV_SCHEMA_VERSION} table={table_id}",
-                 ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+                 ",".join(table), *map(",".join, zip(*cells))]
         return self._emit(name, "\n".join(lines) + "\n")
 
     def json(self, name, payload):
@@ -107,20 +111,15 @@ def _json_safe(value):
     return value
 
 
-def _table(writer, name, table_id, columns, rows, fmt):
+def _table(writer, name, table_id, table, fmt):
+    """Write ``table``, {column name: values}, as CSV or as JSON rows."""
     if fmt == "json":
-        payload = [{c: _json_safe(v) for c, v in zip(columns, row)}
-                   for row in rows]
+        rows = zip(*map(_json_safe, table.values()))
         writer.json(name + ".json", {"schema": f"ionwire.{table_id}.v1",
-                                     "rows": payload})
+                                     "rows": [dict(zip(table, row))
+                                              for row in rows]})
     else:
-        writer.csv(name + ".csv", table_id, columns, rows)
-
-
-def _trajectory_rows(traj):
-    return [(t, n1, s1, n2, s2) for t, n1, s1, n2, s2 in
-            zip(traj.times, traj.n_bar_1, traj.n_bar_sem_1,
-                traj.n_bar_2, traj.n_bar_sem_2)]
+        writer.csv(name + ".csv", table_id, table)
 
 
 def _report_markdown(report):
@@ -147,26 +146,25 @@ def _report_markdown(report):
 
 
 def _write_report(writer, report, fmt, svg=False):
-    headline_rows = [(h.name, h.value, h.unit,
-                      "" if h.band is None else h.band[0],
-                      "" if h.band is None else h.band[1],
-                      h.source, "" if h.passed is None else h.passed)
-                     for h in report.headline]
-    _table(writer, f"{report.name}_headline", "headline",
-           ("name", "value", "unit", "band_lo", "band_hi", "source", "passed"),
-           headline_rows, fmt)
+    hs = report.headline
+    _table(writer, f"{report.name}_headline", "headline", {
+        "name": [h.name for h in hs], "value": [h.value for h in hs],
+        "unit": [h.unit for h in hs],
+        "band_lo": ["" if h.band is None else h.band[0] for h in hs],
+        "band_hi": ["" if h.band is None else h.band[1] for h in hs],
+        "source": [h.source for h in hs],
+        "passed": ["" if h.passed is None else h.passed for h in hs]}, fmt)
     for name, traj in report.trajectories.items():
         _table(writer, f"{report.name}_{name}_trajectory", "trajectory",
-               ("time_s", "n_bar_1", "sem_1", "n_bar_2", "sem_2"),
-               _trajectory_rows(traj), fmt)
+               {"time_s": traj.times, "n_bar_1": traj.n_bar_1,
+                "sem_1": traj.n_bar_sem_1, "n_bar_2": traj.n_bar_2,
+                "sem_2": traj.n_bar_sem_2}, fmt)
     for name, fit in report.fits.items():
         writer.json(f"{report.name}_fit_{name}.json", fit.as_dict())
     for name, tab in report.tables.items():
         if isinstance(tab, dict) and all(isinstance(v, np.ndarray)
                                          for v in tab.values()):
-            cols = list(tab)
-            rows = list(zip(*(tab[c] for c in cols)))
-            _table(writer, f"{report.name}_{name}", name, cols, rows, fmt)
+            _table(writer, f"{report.name}_{name}", name, tab, fmt)
         else:
             writer.json(f"{report.name}_{name}.json", _json_safe(tab))
     writer.text(f"{report.name}_report.md", _report_markdown(report))
@@ -235,7 +233,8 @@ def _load_scenario(args, default_bundled):
     else:
         scn = parse_scenario(name)
     # --seed and --ensemble, where given, replace the scenario's own
-    return dataclasses.replace(scn, **read_options(args.command, vars(args)))
+    return read_options(args.command, vars(args),
+                        lambda **opts: dataclasses.replace(scn, **opts))
 
 
 def _resolve_outdir(args, scn=None):
@@ -270,8 +269,7 @@ def _cmd_predict(args, started):
     _write_report(writer, report, args.format, svg=False)
     rows = report.tables["rows"]
     _table(writer, "prediction_rows", "prediction",
-           ("case", "kappa_hz"),
-           [(r["case"], r["kappa_hz"]) for r in rows], args.format)
+           {c: [r[c] for r in rows] for c in ("case", "kappa_hz")}, args.format)
     _manifest(writer, args, report.scenario_digest, started,
               passed=report.passed)
     for h in report.headline:
@@ -289,20 +287,22 @@ def _cmd_rate(args, started):
                                       scn.wire)
     lc1 = circuit.circuit_equivalent(scn.species, scn.site1)
     lc2 = circuit.circuit_equivalent(scn.species, scn.site2)
-    rows = [
-        ("kappa_wire_hz", rad_s_to_hz(pred.kappa)),
-        ("kappa_scenario_hz", rad_s_to_hz(scn.kappa())),
-        ("coulomb_rate_hz", rad_s_to_hz(pred.coulomb_rate)),
-        ("enhancement_ratio", pred.enhancement_ratio),
-        ("site1_inductance_h", lc1.inductance),
-        ("site1_capacitance_f", lc1.capacitance),
-        ("site2_inductance_h", lc2.inductance),
-        ("site2_capacitance_f", lc2.capacitance),
-    ]
+    values = {
+        "kappa_wire_hz": rad_s_to_hz(pred.kappa),
+        "kappa_scenario_hz": rad_s_to_hz(scn.kappa()),
+        "coulomb_rate_hz": rad_s_to_hz(pred.coulomb_rate),
+        "enhancement_ratio": pred.enhancement_ratio,
+        "site1_inductance_h": lc1.inductance,
+        "site1_capacitance_f": lc1.capacitance,
+        "site2_inductance_h": lc2.inductance,
+        "site2_capacitance_f": lc2.capacitance,
+    }
     writer = _Writer(_resolve_outdir(args, scn))
-    _table(writer, "rate", "rate", ("quantity", "value"), rows, args.format)
+    _table(writer, "rate", "rate", {"quantity": list(values),
+                                    "value": list(values.values())},
+           args.format)
     _manifest(writer, args, scenario_digest(scn), started, scn=scn)
-    for name, value in rows:
+    for name, value in values.items():
         print(f"{name:24s} {value:.6g}")
 
 
@@ -310,12 +310,13 @@ def _cmd_deff(args, started):
     opts = read_options(args.command, vars(args))
     table = geometry.effective_distance_table(opts["paddle_side"],
                                               opts["heights"])
-    rows = [(h * 1e6, d * 1e6) for h, d in table]
+    h_um, d_um = table.T * 1e6
     writer = _Writer(_resolve_outdir(args))
-    _table(writer, "deff", "deff", ("height_um", "deff_um"), rows, args.format)
+    _table(writer, "deff", "deff", {"height_um": h_um, "deff_um": d_um},
+           args.format)
     _manifest(writer, args, digest(opts), started)
-    for h_um, d_um in rows:
-        print(f"height {h_um:8.2f} um   deff {d_um:8.2f} um")
+    for h, d in zip(h_um, d_um):
+        print(f"height {h:8.2f} um   deff {d:8.2f} um")
 
 
 def _cmd_thermometry(args, started):
@@ -339,10 +340,10 @@ def _cmd_thermometry(args, started):
 
     writer = _Writer(_resolve_outdir(args))
     _table(writer, "thermometry_data", "rabi",
-           ("pulse_time_s", "excitation_probability", "shots"),
-           [(t, p, dataset.shots_per_point)
-            for t, p in zip(dataset.pulse_times,
-                            dataset.excitation_probability)], args.format)
+           {"pulse_time_s": dataset.pulse_times,
+            "excitation_probability": dataset.excitation_probability,
+            "shots": [dataset.shots_per_point] * len(dataset.pulse_times)},
+           args.format)
     writer.json("thermometry_fit.json", fit.as_dict())
     writer.json("thermometry_truth.json", _json_safe(truth))
     _manifest(writer, args, digest(opts), started, seed=opts["seed"])

@@ -111,7 +111,8 @@ class Scenario:
     output_dir: str = ""            # default landing spot; CLI --out wins
 
     def __post_init__(self):
-        check_count("ensemble_size", self.ensemble_size, 1)
+        check_count("ensemble_size", self.ensemble_size,
+                    SCHEDULES[self.schedule.kind].least_ensemble)
         check_count("seed", self.seed, 0)
         # zero is allowed: a decoupled run is the null experiment
         if self.kappa_override is not None:
@@ -434,6 +435,8 @@ class ScheduleKind:
     runner: str         # name of its run_* function in ``experiments``
     command: str        # CLI subcommand
     bundled: str        # default bundled scenario
+    # a fit that weights by the ensemble's standard error needs two
+    least_ensemble: int = 2
 
 
 # keyed by the ``kind`` value of the [schedule] section; runners are named,
@@ -457,7 +460,7 @@ SCHEDULES = {
         (_Key("initial_quanta", "initial_occupations", LIST,
               units=(_pair, None), default=(1000.0, 0.0)),
          _Key("duration_ms", "duration", units=_MS)),
-        "run_swap_demo", "swap", "swap_benchmark"),
+        "run_swap_demo", "swap", "swap_benchmark", least_ensemble=1),
 }
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 
@@ -491,15 +494,20 @@ OPTION_KEYS = {
 }
 
 
-def read_options(command, values):
-    """Field name -> SI value of each option of ``command`` given, or with a
-    default; ``values`` maps argparse destinations to text, None if absent."""
+def read_options(command, values, make=dict):
+    """``make`` of field name -> SI value of each option of ``command``
+    given, or with a default; ``values`` maps argparse destinations to text,
+    None if absent. A failure of ``make`` that starts with a field an option
+    gave names that option's flag."""
     keys = OPTION_KEYS.get(command, ())
     given = {f"--{k.name}": (values[k.name.replace("-", "_")], 0) for k in keys
              if values.get(k.name.replace("-", "_")) is not None}
-    return _Section("", 0, given, "<command line>").read(
+    section = _Section("", 0, given, "<command line>")
+    fields = section.read(
         [k for k in keys if k.default is not None or f"--{k.name}" in given],
         "--")
+    with section.checked():
+        return make(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Tiny SVG line plots (path elements only, no renderer dependency).
 
 Convenience output for eyeballing trajectories and scans; never a source
-of truth. Numbers are formatted to fixed precision so identical inputs
-yield identical bytes.
+of truth. Each series is mapped to pixels with numpy, whole arrays at a
+time, and its path points are formatted at ``.2f`` (ticks at ``.1f``), so
+identical inputs yield identical bytes.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
@@ -37,15 +40,14 @@ def _fmt(x):
 
 def line_plot(series, title="", xlabel="", ylabel="", width=640, height=420):
     """series: iterable of (label, xs, ys) or (label, xs, ys, yerr)."""
-    series = [tuple(s) for s in series]
-    xs_all = [float(x) for s in series for x in s[1]]
-    ys_all = [float(y) for s in series for y in s[2]]
-    for s in series:
-        if len(s) > 3 and s[3] is not None:
-            ys_all += [float(y) + float(e) for y, e in zip(s[2], s[3])]
-            ys_all += [float(y) - float(e) for y, e in zip(s[2], s[3])]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    series = [(s[0], np.asarray(s[1], float), np.asarray(s[2], float),
+               None if len(s) < 4 or s[3] is None else np.asarray(s[3], float))
+              for s in series]
+    xs_all = np.concatenate([xs for _, xs, _, _ in series])
+    ys_all = np.concatenate([y for _, _, ys, e in series for y in
+                             ((ys,) if e is None else (ys, ys + e, ys - e))])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -95,21 +97,17 @@ def line_plot(series, title="", xlabel="", ylabel="", width=640, height=420):
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 {x0} {y0:.1f})">{ylabel}</text>')
 
-    for i, s in enumerate(series):
-        label, xs, ys = s[0], s[1], s[2]
-        yerr = s[3] if len(s) > 3 else None
+    for i, (label, xs, ys, yerr) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{'M' if j == 0 else 'L'}{px(float(x)):.2f} "
-                       f"{py(float(y)):.2f}"
-                       for j, (x, y) in enumerate(zip(xs, ys)))
-        out.append(f'<path d="{pts}" fill="none" stroke="{color}" '
+        xp = px(xs).tolist()
+        pts = " L".join(map("{:.2f} {:.2f}".format, xp, py(ys).tolist()))
+        out.append(f'<path d="M{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if yerr is not None:
-            for x, y, e in zip(xs, ys, yerr):
-                xp, lo, hi = px(float(x)), py(float(y) - float(e)), \
-                    py(float(y) + float(e))
-                out.append(f'<path d="M{xp:.2f} {lo:.2f} V{hi:.2f}" '
-                           f'stroke="{color}" stroke-width="1"/>')
+            bar = (f'<path d="M{{:.2f}} {{:.2f}} V{{:.2f}}" stroke="{color}" '
+                   f'stroke-width="1"/>')
+            out += map(bar.format, xp, py(ys - yerr).tolist(),
+                       py(ys + yerr).tolist())
         ty = _MARGIN_T + 14 + 16 * i
         tx = _MARGIN_L + plot_w - 8
         out.append(f'<text x="{tx}" y="{ty}" text-anchor="end" '

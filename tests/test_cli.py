@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -337,6 +338,27 @@ def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                          "--out", str(tmp_path / "o")], capsys)
     assert status == 2, err
     assert len(err.splitlines()) == 1 and named in err, err
+
+
+@pytest.mark.parametrize("command", ["scan", "sympathetic"])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_an_ensemble_of_one_exits_2_naming_the_key(command, source, tmp_path,
+                                                   capsys):
+    # one realization has no standard error for the fits to weight by
+    from importlib import resources
+    bundled = {"scan": "scan_benchmark", "sympathetic": "sympathetic_benchmark"}
+    text = resources.files("ionwire").joinpath(
+        "data", bundled[command] + ".scenario").read_text(encoding="utf-8")
+    one = tmp_path / "one.scenario"
+    one.write_text(re.sub(r"(?m)^ensemble = \d+$", "ensemble = 1", text))
+    argv, named = {"file": (["--scenario", str(one)], "] run.ensemble: "),
+                   "flag": (["--ensemble", "1"], "] --ensemble: ")}[source]
+    status, err = _main([command, *argv, "--out", str(tmp_path / "o")],
+                        capsys)
+    assert status == 2, err
+    assert len(err.splitlines()) == 1 and named in err, err
+    assert "must be finite and >= 2, got 1" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_band_failure_exits_1(tmp_path):

@@ -6,7 +6,8 @@ for platform differences; all other text compares exactly. Only the
 manifest timestamps and library versions, the report's ``wall time:``
 line and the output directory in stdout are masked. A change that moves
 an output on purpose regenerates the file, and the diff of the data file
-is its declared change:
+is its declared change. Regenerating keeps each stdout and file text that
+still matches, so noise inside the tolerance shows no diff:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -130,8 +131,36 @@ def test_text_mismatch_rules():
     assert text_mismatch("1e-3", "0.001") is None
 
 
+def merge(old, new):
+    """The run ``new``, keeping each stdout and file text of the frozen run
+    ``old`` that it matches."""
+    def keep(before, after):
+        unmoved = before is not None and text_mismatch(before, after) is None
+        return before if unmoved else after
+
+    return {"status": new["status"],
+            "stdout": keep(old.get("stdout"), new["stdout"]),
+            "files": {name: keep(old.get("files", {}).get(name), text)
+                      for name, text in new["files"].items()}}
+
+
+def test_merge_keeps_only_the_text_that_has_not_moved():
+    old = {"status": 0, "stdout": "n_bar 183.56538624034138\n",
+           "files": {"a.csv": "x\n0.1\n", "b.csv": "y\n2.0\n",
+                     "gone.csv": "z\n"}}
+    new = {"status": 1, "stdout": "n_bar 183.56538624034084\n",
+           "files": {"a.csv": "x\n0.10000000000000002\n", "b.csv": "y\n2.5\n",
+                     "new.csv": "w\n"}}
+    assert merge(old, new) == {
+        "status": 1, "stdout": "n_bar 183.56538624034138\n",
+        "files": {"a.csv": "x\n0.1\n", "b.csv": "y\n2.5\n",
+                  "new.csv": "w\n"}}
+    assert merge({}, new) == new
+
+
 def regenerate():
-    golden = {name: run_invocation(threads, argv)
+    old = _load_golden() if os.path.exists(GOLDEN) else {}
+    golden = {name: merge(old.get(name, {}), run_invocation(threads, argv))
               for name, threads, argv in INVOCATIONS}
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:

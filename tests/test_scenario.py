@@ -504,6 +504,17 @@ def test_replace_supports_null_coupling():
         dataclasses.replace(scn, kappa_override=-1.0)
 
 
+def test_scan_and_sympathetic_records_need_two_realizations():
+    # their fits weight each point by the ensemble's standard error
+    for name in ("scan_benchmark", "sympathetic_benchmark"):
+        scn = load_bundled(name)
+        with pytest.raises(ValueError, match="ensemble_size must be .*>= 2"):
+            dataclasses.replace(scn, ensemble_size=1)
+        assert dataclasses.replace(scn, ensemble_size=2).ensemble_size == 2
+    # the noiseless swap runs a single trajectory
+    assert load_bundled("swap_benchmark").ensemble_size == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "7", True])
 def test_replace_rejects_a_seed_the_file_format_cannot_hold(seed):
     # the parser takes an integer >= 0 only, so the record does too: a
