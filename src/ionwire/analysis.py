@@ -1,12 +1,12 @@
 """Model fitting and measurement emulation.
 
 Fitters here are deliberately small: closed-form weighted least squares
-for heating-rate lines, grid-seeded bounded Levenberg-Marquardt on an
-analytic Jacobian for the resonance line shape, and a grid-seeded
-binomial maximum-likelihood fit for Rabi thermometry. Every FitResult
-records the model identifier, the method, and the initial guess actually
-used, so fits are reproducible from their serialized form. All of them
-are numpy alone.
+for heating-rate lines, a grid-seeded variable-projection fit of the
+resonance line shape, and a grid-seeded binomial maximum-likelihood fit
+for Rabi thermometry; one bounded damped Newton serves both. Every
+FitResult records the model identifier, the method, and the initial
+guess actually used, so fits are reproducible from their serialized
+form. All of them are numpy alone.
 
 The thermometry fit evaluates its 24-point seed grid as three batched
 Fock sums, one per seed Omega_0, which stop summing a grid column once
@@ -173,23 +173,31 @@ def probe_line(offsets, width_sigma_hz, kappa, duration):
     check_range("width_sigma_hz", width_sigma_hz, gt=0)
     check_range("kappa", kappa)
     check_range("duration", duration, gt=0)
-    return _probe_terms(offsets, width_sigma_hz, kappa, duration)[0].reshape(
+    return _line_terms(offsets, width_sigma_hz, (kappa, duration))[0].reshape(
         np.shape(offsets))
 
 
-def _probe_terms(offsets, width_sigma_hz, kappa, duration):
-    """probe_line at ``offsets``, flattened, and its derivatives in the
-    offset u and in width_sigma_hz, all from one pass over the weights.
+def _line_terms(offsets, width_sigma_hz, probe):
+    """The peak's line at ``offsets`` (rad/s) from its center, flattened,
+    and its derivatives in the offset u and the width s = width_sigma_hz:
+    (line, d_u, d_s, d_uu, d_us, d_ss).
 
-    With z = (u - d)/w, w = 2 pi width_sigma_hz and G = exp(-z^2/2), the
-    sums S_k(u) = sum_d G z^k P(d) give the line S_0, dS_0/du = -S_1/w and
-    dS_0/dw = S_2/w; the row u = 0 normalizes, by the quotient rule.
+    The line is the shot line P(d) of probe_line, or a point mass at d = 0
+    for the Gaussian peak, averaged over Gaussian jitter. With w = 2 pi s,
+    z = (u - d)/w and G = exp(-z^2/2), the sums S_k(u) = sum_d G z^k P(d)
+    give the line S_0 and, as dS_k/du = (k S_k-1 - S_k+1)/w and dS_k/dw =
+    (S_k+2 - k S_k)/w, its derivatives; the row u = 0 normalizes them.
     """
-    step = math.pi / (8.0 * duration)
-    reach = 128.0 * max(abs(kappa), 1.0 / duration)
-    d = np.arange(-reach, reach + step, step)
-    # P(d) / (kappa T)^2, which has a limit as kappa -> 0
-    shot = np.sinc(np.sqrt(kappa * kappa + 0.25 * d * d) * duration / math.pi) ** 2
+    if probe is None:
+        d, shot = np.zeros(1), np.ones(1)
+    else:
+        kappa, duration = probe
+        step = math.pi / (8.0 * duration)
+        reach = 128.0 * max(abs(kappa), 1.0 / duration)
+        d = np.arange(-reach, reach + step, step)
+        # P(d) / (kappa T)^2, which has a limit as kappa -> 0
+        shot = np.sinc(np.sqrt(kappa * kappa + 0.25 * d * d) * duration
+                       / math.pi) ** 2
     # offsets in blocks of about 2^20 Gaussian weights, however long the
     # probe (the grid grows as kappa T)
     u = np.append(np.asarray(offsets, float).ravel(), 0.0)
@@ -199,14 +207,18 @@ def _probe_terms(offsets, width_sigma_hz, kappa, duration):
         z = (u[i:i + rows, None] - d) / w_sig
         g = np.exp(-0.5 * z ** 2)
         sums.append([g @ shot])
-        for _ in range(2):
+        for _ in range(4):
             g *= z
             sums[-1].append(g @ shot)
     s = np.concatenate(sums, axis=1)
-    line = s[0, :-1] / s[0, -1]
-    norm = w_sig * s[0, -1]
-    return line, -s[1, :-1] / norm, \
-        2.0 * math.pi * (s[2, :-1] - line * s[2, -1]) / norm
+    # the sums over S_0(0), at the offsets and at u = 0; d/ds = w/s d/dw
+    s, n = s[:, :-1] / s[0, -1], s[:, -1] / s[0, -1]
+    line, d_u = s[0], -s[1] / w_sig
+    d_s = (s[2] - line * n[2]) / width_sigma_hz
+    d_us = ((2.0 * s[1] - s[3]) / w_sig - d_u * n[2]) / width_sigma_hz
+    d_ss = ((s[4] - 3.0 * s[2] - line * (n[4] - 3.0 * n[2])) / width_sigma_hz
+            - 2.0 * d_s * n[2]) / width_sigma_hz
+    return line, d_u, d_s, (s[2] - s[0]) / w_sig ** 2, d_us, d_ss
 
 
 def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref,
@@ -217,128 +229,49 @@ def resonance_model(omega, a_base, b_peak, center, width_sigma_hz, omega_ref,
     a (kappa, duration) pair, that probe's ``probe_line``.
     """
     check_range("width_sigma_hz", width_sigma_hz, gt=0)
-    if probe is None:
-        w_sig = 2.0 * math.pi * width_sigma_hz
-        peak = np.exp(-0.5 * ((omega - center) / w_sig) ** 2)
-    else:
-        peak = probe_line(omega - center, width_sigma_hz, *probe)
+    peak = probe_line(omega - center, width_sigma_hz, *probe) \
+        if probe is not None else _line_terms(
+            omega - center, width_sigma_hz, None)[0].reshape(np.shape(omega))
     return a_base * (omega_ref / omega) ** 2 + b_peak * peak
 
 
 def _resonance_terms(p, omega, rates, sigmas, omega_ref, probe):
     """The residuals (resonance_model - rates)/sigmas at p = (a_base,
-    b_peak, center, width_sigma_hz), and their Jacobian in p."""
+    b_peak, center, width_sigma_hz), and their Jacobian in p followed by
+    their second derivatives in center^2, center width and width^2."""
     base = (omega_ref / omega) ** 2
-    if probe is None:
-        w_sig = 2.0 * math.pi * p[3]
-        z = (omega - p[2]) / w_sig
-        line = np.exp(-0.5 * z ** 2)
-        d_offset = -line * z / w_sig
-        d_width = 2.0 * math.pi * line * z * z / w_sig
-    else:
-        line, d_offset, d_width = _probe_terms(omega - p[2], p[3], *probe)
-    jac = np.column_stack([base, line, -p[1] * d_offset, p[1] * d_width])
+    line, d_u, d_s, d_uu, d_us, d_ss = _line_terms(omega - p[2], p[3], probe)
+    jac = np.column_stack([base, line, -p[1] * d_u, p[1] * d_s,
+                           p[1] * d_uu, -p[1] * d_us, p[1] * d_ss])
     return (p[0] * base + p[1] * line - rates) / sigmas, jac / sigmas[:, None]
 
 
-def _trust_step(jac, r, radius):
-    """The Levenberg-Marquardt step p that minimizes |r + jac p| subject to
-    |p| <= radius (Moré 1978), and whether lam sits at its floor, which
-    for a nonsingular jac^T jac is the undamped Gauss-Newton step.
+def _nonneg_pair(base, line, y, sigmas):
+    """The (a, b) >= 0 that minimize |(a base + b line - y) / sigmas|.
 
-    On the eigenvectors of jac^T jac, p(lam) = -(jac^T jac + lam)^-1 jac^T r
-    is a sum of terms. lam is 0 where that Gauss-Newton step exists and
-    fits within 1.1 radius; else Newton's method on 1/|p(lam)| = 1/radius,
-    which is concave in lam, brings |p| to within 10% of the radius. A
-    singular jac^T jac takes lam above zero and at least 1e-12 of its
-    largest eigenvalue.
+    That is the unconstrained least-squares solution if both are >= 0,
+    else the better one-column fit, clipped at 0. Each candidate is solved
+    from the normal equations, then refined once on its residual, as they
+    square the condition number; the least cost picks one, which in exact
+    arithmetic is the same choice.
     """
-    e, v = np.linalg.eigh(jac.T @ jac)
-    e = np.maximum(e, 0.0)
-    a = v.T @ (jac.T @ r)
-    floor = 0.0 if e[0] > 1e-12 * e[-1] else 1e-12 * e[-1] + 1e-300
-    lam = floor
-    for _ in range(30):
-        q = a / (e + lam)
-        n = math.sqrt(q @ q)
-        if n <= 1.1 * radius and (lam == floor or n >= 0.9 * radius):
-            break
-        lam = max(lam + (n / radius - 1.0) * n * n / (q @ (q / (e + lam))),
-                  floor)
-    return -(v @ q), lam == floor
+    cols = np.column_stack((base, line)) / sigmas[:, None]
+    (bb, bl), (_, ll) = (cols.T @ cols).tolist()
+    det = bb * ll - bl * bl
+    # the inverse normal matrices of the fits by a alone, b alone and both
+    inv = np.zeros((3, 2, 2))
+    inv[0, 0, 0], inv[1, 1, 1] = (1.0 / p if p > 0.0 else 0.0 for p in (bb, ll))
+    if det > 0.0:
+        inv[2] = [[ll / det, -bl / det], [-bl / det, bb / det]]
 
+    def residuals(coef):
+        return (coef[:, :1] * base + coef[:, 1:] * line - y) / sigmas
 
-def _bounded_lm(evaluate, x, lo, hi, scale):
-    """Minimize half the sum of squares of the residuals over the box
-    [lo, hi] by Levenberg-Marquardt, from x inside it.
-
-    ``evaluate(x)`` returns the residuals and their Jacobian. The trust
-    region is |dx / scale| <= radius, starting at |x / scale|, with Moré's
-    (1978) radius rule: a trial whose cost falls by less than a quarter of
-    the predicted fall shrinks it by the factor that minimizes the
-    quadratic through the cost, its slope and the trial's cost, kept in
-    [0.1, 0.5]; one that falls by three quarters, or a Gauss-Newton step,
-    sets it to twice the step. A trial is taken if its cost falls by 1e-4
-    of the predicted fall. A parameter on a bound is held there while the
-    gradient or the step points out of the box; a step that would cross a
-    bound stops on it. The fit converges when the step is below 1e-12 of
-    |x / scale|, or when a trial's actual and predicted falls are both
-    below 1e-12 of the cost. Returns (x, residuals, Jacobian, evaluations,
-    converged); converged is False when 200 evaluations run out.
-    """
-    r, jac = evaluate(x)
-    cost = 0.5 * (r @ r)
-    radius = float(np.linalg.norm(x / scale)) or 1.0
-    for evaluations in range(1, 200):
-        js = jac * scale
-        g = js.T @ r
-        out = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))
-        free = g * out >= 0.0
-        while True:
-            if cost == 0.0 or not free.any():
-                return x, r, jac, evaluations, True
-            p = np.zeros_like(x)
-            p[free], undamped = _trust_step(js[:, free], r, radius)
-            leaving = p * out > 0.0
-            if not leaving.any():
-                break
-            free &= ~leaving
-        # the longest step along p within the box, ending on a bound
-        dx = p * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(dx < 0.0, (lo - x) / dx,
-                            np.where(dx > 0.0, (hi - x) / dx, np.inf))
-        k = int(np.argmin(room))
-        alpha = min(1.0, float(room[k]))
-        length = alpha * math.sqrt(p @ p)
-        if length <= 1e-12 * (1e-12 + float(np.linalg.norm(x / scale))):
-            return x, r, jac, evaluations, True
-        trial = np.clip(x + alpha * dx, lo, hi)
-        if alpha < 1.0:
-            trial[k] = lo[k] if dx[k] < 0.0 else hi[k]
-        model = r + js @ (alpha * p)
-        predicted = cost - 0.5 * (model @ model)
-        r_t, jac_t = evaluate(trial)
-        cost_t = 0.5 * (r_t @ r_t)
-        if math.isnan(cost_t):
-            cost_t = math.inf
-        actual = cost - cost_t
-        rho = actual / predicted if predicted > 0.0 else -1.0
-        if rho <= 0.25:
-            slope = alpha * (g @ p)
-            shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope + actual)
-            if not shrink >= 0.1 or cost_t > 100.0 * cost:
-                shrink = 0.1
-            radius = shrink * min(radius, 10.0 * length)
-        elif undamped or rho >= 0.75:
-            radius = 2.0 * length
-        done = abs(actual) <= 1e-12 * cost and predicted <= 1e-12 * cost \
-            and rho <= 2.0
-        if rho >= 1e-4:
-            x, r, jac, cost = trial, r_t, jac_t, cost_t
-        if done:
-            return x, r, jac, evaluations + 1, True
-    return x, r, jac, evaluations + 1, False
+    coef = inv @ (y / sigmas @ cols)
+    coef -= np.einsum("kij,kj->ki", inv, residuals(coef) @ cols)
+    coef[:2] = np.maximum(coef[:2], 0.0)
+    cost = np.sum(residuals(coef) ** 2, axis=1)
+    return coef[np.argmin(np.where(coef.min(axis=1) < 0.0, np.inf, cost))]
 
 
 def fit_resonance(omegas, rates, sigmas=None, probe=None):
@@ -349,13 +282,14 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
     fitted to it also holds the probe's own Fourier width.
 
     w_ref is pinned to the median scan frequency, so A is the baseline
-    rate at the scan center. Seeding is a deterministic coarse grid over
-    candidate centers and widths, refined by bounded Levenberg-Marquardt
-    (see _bounded_lm) on the model's analytic Jacobian. A and B are
-    constrained nonnegative and the width cannot collapse below the grid
-    spacing; a spike narrower than one scan step is unidentifiable and
-    would otherwise swallow a single noise point. n_iterations counts the
-    evaluations of the model with its Jacobian.
+    rate at the scan center. The fit is by variable projection (Golub &
+    Pereyra 1973): the best A, B >= 0 at each center and width have a
+    closed form (see _nonneg_pair), and thermometry's bounded damped
+    Newton (see _bounded_newton) minimizes the cost left over the center
+    and width, from the best of a coarse grid of both. The width cannot
+    collapse below half the grid spacing: a spike narrower than one scan
+    step is unidentifiable and would swallow a single noise point.
+    n_iterations counts the Newton iterations.
     """
     w = check_range("omegas", np.asarray(omegas, float), gt=0)
     y = check_range("rates", np.asarray(rates, float))
@@ -374,62 +308,76 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
 
     span_hz = (w.max() - w.min()) / (2.0 * math.pi)
     spacing_hz = float(np.median(np.diff(np.sort(w)))) / (2.0 * math.pi)
-    lo = np.array([0.0, 0.0, w.min() - (w.max() - w.min()),
-                   0.5 * spacing_hz])
-    hi = np.array([np.inf, np.inf, w.max() + (w.max() - w.min()),
-                   10.0 * span_hz])
+    lo = np.array([w.min() - (w.max() - w.min()), 0.5 * spacing_hz])
+    hi = np.array([w.max() + (w.max() - w.min()), 10.0 * span_hz])
 
-    third = max(w.size // 3, 2)
-    a0 = float(np.median(np.sort(y)[:third]))
-    b0 = max(float(y.max() - a0), 1e-3 * max(a0, 1.0))
-    centers = [float(w[np.argmax(y)]), w_ref]
-    widths = [150.0, 300.0, 600.0, 1200.0]
+    def project(x):
+        # A, B >= 0 at center and width x, the residuals and the Jacobian
+        key = x.tobytes()
+        if key not in memo:
+            jac = _resonance_terms(np.array([0.0, 1.0, *x]), w, y,
+                                   np.ones_like(y), w_ref, probe)[1]
+            a, b = _nonneg_pair(jac[:, 0], jac[:, 1], y, s)
+            jac[:, 2:] *= b
+            memo[key] = (a, b, (a * jac[:, 0] + b * jac[:, 1] - y) / s,
+                         jac / s[:, None])
+        return memo[key]
 
-    def terms(p):
-        return _resonance_terms(p, w, y, s, w_ref, probe)
+    def reduced(x):
+        a, b, r, jac = project(x)
+        if b == 0.0:
+            # the cost does not depend on the center and width near here
+            return 0.5 * (r @ r) / scale, np.zeros(2), np.eye(2), np.eye(2)
+        # the Hessian of the cost left, less the moves of the coefficients
+        # not held at 0, whose line column itself moves with x; and, as its
+        # Gauss-Newton part, Kaufman's (1975) projected metric
+        phi, jx = (jac[:, :2] if a > 0.0 else jac[:, 1:2]), jac[:, 2:4]
+        gram, m = phi.T @ phi, phi.T @ jx
+        proj = jx - phi @ np.linalg.solve(gram, m)
+        m[-1] += jx.T @ r / b
+        cc, cs, ss = jac[:, 4:].T @ r
+        hess = jx.T @ jx + [[cc, cs], [cs, ss]] - m.T @ np.linalg.solve(gram, m)
+        return 0.5 * (r @ r) / scale, jx.T @ r / scale, hess / scale, \
+            proj.T @ proj / scale
 
-    best = None
-    for c0 in centers:
-        for w0 in widths:
-            p = np.clip(np.array([a0, b0, c0, w0]), lo, hi)
-            sse = float(np.sum(terms(p)[0] ** 2))
-            if best is None or sse < best[0]:
-                best = (sse, p)
-    p0 = best[1]
-    if not math.isfinite(best[0]):
+    memo = {}
+    seeds = [np.clip([c0, w0], lo, hi)
+             for c0 in (float(w[np.argmax(y)]), w_ref)
+             for w0 in (150.0, 300.0, 600.0, 1200.0)]
+    costs = [0.5 * np.sum(project(x)[2] ** 2) for x in seeds]
+    x0 = seeds[int(np.argmin(costs))]
+    # the Newton's thresholds are absolute; it sees the cost in seed units
+    scale = float(np.min(costs)) or 1.0
+    if not math.isfinite(scale):
         raise ValueError("rates / sigmas overflow the residuals at the seed")
+    x, f, _, iterations, status = _bounded_newton(reduced, x0, lo, hi)
+    # it stops short of a line fitted to rounding; one more step gets there
+    _, g, hess, gn = reduced(x)
+    step = _newton_step(g, hess, gn, [0, 1])[0]
+    trial = x if step is None else np.clip(x + step, lo, hi)
+    if reduced(trial)[0] < f:
+        x = trial
 
-    scale = np.array([max(a0, 1.0), max(b0, 1.0), w_ref, 500.0])
-    params, r, jac, evaluations, converged = _bounded_lm(terms, p0, lo, hi,
-                                                         scale)
-
+    a, b, r, jac = project(x)
     # covariance from the Jacobian at the solution; pinv guards the
     # unidentifiable zero-amplitude corner
-    cov = np.linalg.pinv(jac.T @ jac)
+    cov = np.linalg.pinv(jac[:, :4].T @ jac[:, :4])
     if sigmas is None:
         dof = max(w.size - 4, 1)
         cov = cov * (float(r @ r) / dof)
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     peak = "B*exp(-(w-w0)^2/(2*sw^2))" if probe is None else \
         "B*line(w-w0), line = <k^2/g^2 sin^2(g T)>_sw normalized at 0, g^2 = k^2 + d^2/4"
-
+    names = ("baseline_coeff", "amplitude", "center", "width_sigma_hz")
     return FitResult(
-        parameters={"baseline_coeff": float(params[0]),
-                    "amplitude": float(params[1]),
-                    "center": float(params[2]),
-                    "width_sigma_hz": float(params[3]),
-                    "omega_ref": w_ref},
-        sigmas={"baseline_coeff": float(sig[0]),
-                "amplitude": float(sig[1]),
-                "center": float(sig[2]),
-                "width_sigma_hz": float(sig[3])},
+        parameters=dict(zip(names, map(float, (a, b, *x))), omega_ref=w_ref),
+        sigmas=dict(zip(names, map(float, sig))),
         residual_norm=math.sqrt(float(r @ r)),
-        n_iterations=evaluations,
-        converged=converged,
+        n_iterations=iterations,
+        converged=status != "failed",
         model_id="resonance ndot(w) = A*(w_ref/w)^2 + " + peak,
-        method="grid-seeded-lm",
-        initial_guess={"baseline_coeff": float(p0[0]), "amplitude": float(p0[1]),
-                       "center": float(p0[2]), "width_sigma_hz": float(p0[3])})
+        method="varpro-newton",
+        initial_guess=dict(zip(names, map(float, (*project(x0)[:2], *x0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -733,53 +681,55 @@ def _newton_step(g, hess, gauss_newton, free):
     return None, False
 
 
-def _newton_mle(dataset, n_bar, omega0):
-    """Damped Newton on the NLL over (n_bar, u = ln Omega_0).
+def _bounded_newton(derivatives, x, lo, hi):
+    """Damped Newton over the box [lo, hi] in two coordinates, from x in it.
 
-    Every trial keeps 0 <= n_bar <= _N_BAR_TOP. Where n_bar sits on a bound
-    and the gradient or the step points out of the range, n_bar is held
-    and u alone iterates. Where the Hessian is not positive definite its
-    Gauss-Newton part takes its place. Far from the optimum (Newton
-    decrement g.H^-1.g, twice the NLL's predicted fall, above 1e-2) steps
-    backtrack until the NLL falls by the Armijo margin; closer in the full
-    step is taken, as the NLL is quadratic there to well below its
-    rounding, which would stall a line search. The iteration stops when
-    the decrement is below 1e-10 with a positive-definite Hessian:
-    "converged", or "pinned" when n_bar is held at the upper edge. Returns
-    (n_bar, u, nll, hess, iterations, status); status "failed" when a
-    line search or the iteration limit runs out.
+    ``derivatives(x)`` returns the objective, its gradient, its Hessian and
+    a Gauss-Newton part of it that is never indefinite, used where the
+    Hessian is not positive definite. A coordinate on a bound is held while
+    the gradient or the step points out of the box; a step that would
+    leave it stops on its first bound. Far from the optimum (Newton
+    decrement g.H^-1.g, twice the predicted fall, above 1e-2) steps
+    backtrack to the Armijo margin; closer in the full step is taken, as
+    the objective is quadratic there to well below its rounding, which
+    would stall a line search. The iteration stops at a decrement below
+    1e-10 with a positive-definite Hessian: "converged", or "pinned" when
+    a coordinate is held at its upper bound. Returns (x, objective, hess,
+    iterations, status), status "failed" when a line search or the
+    iteration limit runs out.
     """
-    x = np.array([n_bar, math.log(omega0)])
-    f, g, hess, gn = _nll_derivatives(dataset, *x)
+    f, g, hess, gn = derivatives(x)
     for iterations in range(100):
         if not (math.isfinite(f) and np.all(np.isfinite(hess))
                 and np.all(np.isfinite(g))):
             break
-        step, exact = _newton_step(g, hess, gn, [0, 1])
-        # the direction out of the range at a bound: -1 at 0, +1 at the top
-        out = -1.0 if x[0] == 0.0 else 1.0 if x[0] == _N_BAR_TOP else 0.0
-        held = out != 0.0 and (g[0] * out < 0.0 or step is None
-                               or step[0] * out >= 0.0)
-        if held:
-            step, exact = _newton_step(g, hess, gn, [1])
+        # the direction out of the box at a bound: -1 at lo, +1 at hi
+        out = np.where(x == lo, -1.0, np.where(x == hi, 1.0, 0.0))
+        free = [0, 1]
+        while True:
+            step, exact = _newton_step(g, hess, gn, free)
+            leaving = [k for k in free if out[k] != 0.0 and (
+                g[k] * out[k] < 0.0 or step is None or step[k] * out[k] >= 0.0)]
+            if not leaving:
+                break
+            free = [k for k in free if k not in leaving]
         if step is None:
             break
         decrement = float(-(g @ step))
         if exact and decrement <= 1e-10:
-            status = "pinned" if held and out > 0.0 else "converged"
-            return x[0], x[1], f, hess, iterations, status
-        # the longest step that keeps n_bar inside [0, _N_BAR_TOP]
-        alpha_max, bound = 1.0, None
-        if x[0] + step[0] < 0.0:
-            alpha_max, bound = x[0] / -step[0], 0.0
-        elif x[0] + step[0] > _N_BAR_TOP:
-            alpha_max, bound = (_N_BAR_TOP - x[0]) / step[0], _N_BAR_TOP
-        alpha = alpha_max
+            pinned = any(out[k] > 0.0 for k in (0, 1) if k not in free)
+            return x, f, hess, iterations, "pinned" if pinned else "converged"
+        # the longest step that keeps x inside the box
+        edge = np.clip(x + step, lo, hi)
+        cut = edge != x + step
+        room = np.divide(edge - x, step, out=np.full(2, np.inf), where=cut)
+        k = int(np.argmin(room))
+        alpha = alpha_max = min(1.0, room[k])
         for _ in range(60):
             trial = x + alpha * step
-            if alpha == alpha_max and bound is not None:
-                trial[0] = bound
-            ft, gt, ht, gnt = _nll_derivatives(dataset, *trial)
+            if alpha == alpha_max and cut[k]:
+                trial[k] = edge[k]
+            ft, gt, ht, gnt = derivatives(trial)
             if (exact and decrement < 1e-2 and math.isfinite(ft)) or \
                     ft <= f - 1e-4 * alpha * decrement:
                 break
@@ -787,7 +737,17 @@ def _newton_mle(dataset, n_bar, omega0):
         else:
             break
         x, f, g, hess, gn = trial, ft, gt, ht, gnt
-    return x[0], x[1], f, hess, iterations, "failed"
+    return x, f, hess, iterations, "failed"
+
+
+def _newton_mle(dataset, n_bar, omega0):
+    """(n_bar, u, nll, hess, iterations, status) of _bounded_newton on the
+    NLL over (n_bar, u = ln Omega_0), with 0 <= n_bar <= _N_BAR_TOP."""
+    x, nll, hess, iterations, status = _bounded_newton(
+        lambda x: _nll_derivatives(dataset, *x),
+        np.array([n_bar, math.log(omega0)]), np.array([0.0, -np.inf]),
+        np.array([_N_BAR_TOP, np.inf]))
+    return x[0], x[1], nll, hess, iterations, status
 
 
 def _hessian_sigmas(hess, omega0):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, nnls
 from scipy.special import eval_laguerre
 
 from ionwire import analysis, dynamics, experiments
@@ -205,11 +205,23 @@ def _synthetic_line(kind):
         probe = PROBE if kind == "probe-line" else None
         return w, resonance_model(w, 250e3, 750e3, TWO_PI * 1.368e6, 527.0,
                                   w_ref, probe), None, probe
+    if kind == "noisy-unweighted":
+        return (*_synthetic_line("noisy-500")[:2], None, None)
     if kind.startswith("noisy-"):
         y = resonance_model(w, 250e3, 750e3, TWO_PI * 1.368e6,
                             float(kind[6:]), w_ref)
         return w, y + np.random.default_rng(7).normal(0.0, 15e3, w.size), \
             np.full(w.size, 15e3), None
+    if kind == "edge":
+        # a wide peak centered beyond the top of the scan
+        y = resonance_model(w, 250e3, 750e3, w.max() + TWO_PI * 1.5e3,
+                            1500.0, w_ref)
+        return w, y + np.random.default_rng(3).normal(0.0, 10e3, w.size), \
+            np.full(w.size, 10e3), None
+    if kind == "ripple":
+        # a noiseless baseline with a ripple that no peak on the scan fits
+        y = 250e3 * (w_ref / w) ** 2 + 5e3 * np.sin(np.arange(w.size))
+        return w, y, np.full(w.size, 10e3), None
     # a baseline alone, with and without noise
     noise = 0.0 if kind == "flat-noiseless" else 10e3
     y = 250e3 * (w_ref / w) ** 2
@@ -219,13 +231,21 @@ def _synthetic_line(kind):
 
 @pytest.mark.parametrize("line", ["gaussian", "probe-line", "noisy-200",
                                   "noisy-500", "noisy-1000", "flat",
-                                  "flat-noiseless"])
+                                  "flat-noiseless", "edge",
+                                  "noisy-unweighted", "ripple"])
 def test_resonance_fit_matches_scipy_on_synthetic_lines(line):
     fit = assert_matches_scipy(*_synthetic_line(line))
     if line == "flat-noiseless":
         # the amplitude sits on its bound
         assert fit.parameters["amplitude"] == 0.0
         assert fit.residual_norm == 0.0
+    if line == "edge":
+        assert fit.parameters["center"] > scan_grid().max()
+    if line == "ripple":
+        # at amplitude 0 the cost is 1.9418; a narrow peak on one crest
+        # of the ripple fits below it
+        assert fit.parameters["amplitude"] > 0.0
+        assert 0.5 * fit.residual_norm ** 2 < 1.9
 
 
 def test_resonance_fit_matches_scipy_on_scan_datasets(scan_scenario,
@@ -241,6 +261,27 @@ def test_resonance_fit_matches_scipy_on_scan_datasets(scan_scenario,
                                    table["rate_quanta_per_s"],
                                    table["sigma_quanta_per_s"], probe)
         assert fit.as_dict() == rep.fits["resonance"].as_dict()
+
+
+@pytest.mark.parametrize("a,b,zero_line,held", [
+    (2.0, 3.0, False, [False, False]), (-1.0, 3.0, False, [True, False]),
+    (2.0, -3.0, False, [False, True]), (2.0, 0.0, True, [False, True])],
+    ids=["both", "a-clipped", "b-clipped", "zero-line"])
+def test_nonneg_pair_matches_scipy_nnls(a, b, zero_line, held):
+    # the closed-form inner solve of the resonance fit against scipy's
+    # active-set NNLS, on weighted problems that take each of its branches
+    rng = np.random.default_rng(5)
+    w = scan_grid()
+    base = (float(np.median(w)) / w) ** 2
+    line = np.exp(-0.5 * ((w - w[20]) / (TWO_PI * 800.0)) ** 2)
+    if zero_line:
+        line = np.zeros_like(w)
+    sigmas = rng.uniform(0.5, 2.0, w.size)
+    y = a * base + b * line + rng.normal(0.0, 0.01, w.size)
+    got = analysis._nonneg_pair(base, line, y, sigmas)
+    want = nnls(np.column_stack((base, line)) / sigmas[:, None], y / sigmas)[0]
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert list(got == 0.0) == held
 
 
 @pytest.mark.parametrize("probe", [None, PROBE], ids=["gaussian", "probe-line"])
@@ -265,6 +306,30 @@ def test_resonance_jacobian_matches_central_differences(probe):
                                              probe)[0]) / (2.0 * h)
         assert np.max(np.abs(jac[:, k] - numeric)) \
             <= 1e-6 * np.max(np.abs(jac[:, k])), RESONANCE_NAMES[k]
+
+
+@pytest.mark.parametrize("probe", [None, PROBE], ids=["gaussian", "probe-line"])
+def test_resonance_second_derivatives_match_central_differences(probe):
+    # the last three columns of _resonance_terms, the second derivatives in
+    # (center, center), (center, width) and (width, width), against central
+    # differences of the center and width columns
+    w = scan_grid()
+    w_ref = float(np.median(w))
+    rates, sigmas = np.zeros_like(w), np.full(w.size, 15e3)
+    p = np.array([250e3, 750e3, TWO_PI * 1.3682e6, 527.0])
+    jac = analysis._resonance_terms(p, w, rates, sigmas, w_ref, probe)[1]
+    for k, cols in ((2, [4, 5]), (3, [5, 6])):
+        h = 1e-4 * (TWO_PI * 527.0 if k == 2 else 527.0)
+        up, down = p.copy(), p.copy()
+        up[k] += h
+        down[k] -= h
+        numeric = (analysis._resonance_terms(up, w, rates, sigmas, w_ref,
+                                             probe)[1][:, 2:4] -
+                   analysis._resonance_terms(down, w, rates, sigmas, w_ref,
+                                             probe)[1][:, 2:4]) / (2.0 * h)
+        for col, num in zip(cols, numeric.T):
+            assert np.max(np.abs(jac[:, col] - num)) \
+                <= 1e-6 * np.max(np.abs(jac[:, col])), (k, col)
 
 
 # ---------------------------------------------------------------------------
