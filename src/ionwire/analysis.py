@@ -27,7 +27,7 @@ resonance widths, which are reported in Hz (rms of the Gaussian).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,16 +60,7 @@ class FitResult:
             check_range(f"sigma for {k}", v, ge=0)
 
     def as_dict(self):
-        return {
-            "model_id": self.model_id,
-            "method": self.method,
-            "parameters": dict(self.parameters),
-            "sigmas": dict(self.sigmas),
-            "residual_norm": self.residual_norm,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "initial_guess": dict(self.initial_guess),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

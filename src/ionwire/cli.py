@@ -6,10 +6,13 @@ one line on stderr). All computation happens in the library
 modules; this layer owns argument parsing, the master seed, output
 paths, and atomic writes. Only one environment override exists,
 IONWIRE_OUT (output directory); every physical parameter must come from
-the scenario file or flags so runs stay auditable. Flags are read and
-checked like scenario keys (``scenario.read_options``), naming the flag.
-Tables go out a column at a time, each given as {column name: values};
-a float cell is the ``repr`` of its value.
+the scenario file or flags so runs stay auditable. The subcommands are
+the schedule kinds of ``scenario.SCHEDULES`` (with --scenario and --svg)
+and the entries of ``_COMMANDS``. Each takes --out and --format, and as
+its own flags ``scenario.OPTION_KEYS[command]``, read like scenario keys
+but naming the flag (``scenario.read_options``). Tables go out a column
+at a time, each given as {column name: values}; a float cell is the
+``repr`` of its value.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -30,7 +34,7 @@ import numpy as np
 from . import (__version__, analysis, circuit, dynamics, experiments, geometry,
                svgplot)
 from .core import rad_s_to_hz
-from .scenario import (SCHEDULES, ScenarioError, digest, parse_scenario,
+from .scenario import (OPTION_KEYS, SCHEDULES, digest, parse_scenario,
                        parse_scenario_text, read_options, scenario_digest)
 
 EXIT_OK = 0
@@ -251,7 +255,7 @@ def _resolve_outdir(args, scn=None):
 # ---------------------------------------------------------------------------
 # subcommands; each returns whether its expectation bands passed, or None
 
-def _cmd_report(args, started, kind):
+def _cmd_report(kind, args, started):
     scn = _load_scenario(args, kind.bundled)
     report = getattr(experiments, kind.runner)(scn)
     writer = _Writer(_resolve_outdir(args, scn))
@@ -352,8 +356,13 @@ def _cmd_thermometry(args, started):
           f"+- {sig:.2g} ({off}), method {fit.method}")
 
 
-_COMMANDS = {"predict": _cmd_predict, "rate": _cmd_rate, "deff": _cmd_deff,
-             "thermometry": _cmd_thermometry}
+# the other commands: (help, handler, whether it reads a scenario)
+_COMMANDS = {
+    "rate": ("coupling rates and circuit equivalents", _cmd_rate, True),
+    "deff": ("effective ion-wire distance vs height", _cmd_deff, False),
+    "thermometry": ("Rabi thermometry round trip", _cmd_thermometry, False),
+    "predict": ("predicted rates vs expectation bands", _cmd_predict, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -366,63 +375,36 @@ def build_parser():
                     "coupling between remotely trapped ions.")
     parser.add_argument("--version", action="version",
                         version=f"ionwire {__version__}")
-
-    def option(*names, **kwargs):
-        holder = argparse.ArgumentParser(add_help=False)
-        holder.add_argument(*names, **kwargs)
-        return holder
-
-    # each command offers only the options it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, metavar="DIR",
+    common.add_argument("--out", metavar="DIR",
                         help="output directory (default: IONWIRE_OUT or "
                              "./ionwire-out)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format (default csv)")
-    scenario = option("--scenario", default=None, metavar="PATH",
-                      help="scenario file, or one of: " + ", ".join(BUNDLED))
-    seed = option("--seed", metavar="U64",
-                  help="master seed override (default: scenario value)")
-    ensemble = option("--ensemble", metavar="N", help="ensemble size override")
-    svg = option("--svg", action="store_true", help="also emit SVG line plots")
-
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.add_parser("rate", parents=[common, scenario],
-                   help="coupling rates and circuit equivalents")
-    deff = sub.add_parser("deff", parents=[common],
-                          help="effective ion-wire distance vs height")
-    deff.add_argument("--paddle-um")
-    deff.add_argument("--heights-um")
-    sub.add_parser("swap", parents=[common, scenario, seed, svg],
-                   help="noiseless resonant exchange demonstration")
-    sub.add_parser("scan", parents=[common, scenario, seed, ensemble, svg],
-                   help="heating-rate spectroscopy across the resonance")
-    sub.add_parser("sympathetic",
-                   parents=[common, scenario, seed, ensemble, svg],
-                   help="sympathetic heating-rate reduction")
-    thermo = sub.add_parser("thermometry", parents=[common],
-                            help="Rabi thermometry round trip")
-    thermo.add_argument("--seed", metavar="U64", help="master seed (default 0)")
-    for flag in ("--nbar", "--shots", "--points", "--rabi-khz", "--lamb-dicke"):
-        thermo.add_argument(flag)
-    sub.add_parser("predict", parents=[common],
-                   help="predicted rates vs expectation bands")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                required=True)
+    kinds = {kind.command: (kind.help, functools.partial(_cmd_report, kind),
+                            True) for kind in SCHEDULES.values()}
+    for name, (text, run, reads_scenario) in {**kinds, **_COMMANDS}.items():
+        cmd = sub.add_parser(name, help=text, parents=[common])
+        cmd.set_defaults(run=run)
+        if reads_scenario:
+            cmd.add_argument("--scenario", metavar="PATH",
+                             help="scenario file, or one of: "
+                                  + ", ".join(BUNDLED))
+        for key in OPTION_KEYS.get(name, ()):
+            cmd.add_argument("--" + key.name, help=(
+                "replaces the scenario's value" if reads_scenario else None))
+        if name in kinds:
+            cmd.add_argument("--svg", action="store_true",
+                             help="also emit SVG line plots")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    kinds = {kind.command: kind for kind in SCHEDULES.values()}
-    started = _now()
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in kinds:
-            passed = _cmd_report(args, started, kinds[args.command])
-        else:
-            passed = _COMMANDS[args.command](args, started)
+        passed = args.run(args, _now())
     except (ValueError, FileNotFoundError) as exc:
         print(f"ionwire: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,7 +60,9 @@ class RangeError(ValueError):
 
         need = [f"{op} {show(b)}".removesuffix(".0")
                 for op, b in (self.low, self.high) if math.isfinite(b)]
-        if self.low == (">", -math.inf) or self.high == ("<", math.inf):
+        if self.low == (">=", self.high[1]) and self.high[0] == "<=":
+            need = [show(self.low[1]).removesuffix(".0")]   # the one value
+        elif self.low == (">", -math.inf) or self.high == ("<", math.inf):
             need.insert(0, "finite")
         index = self.index
         at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
@@ -89,11 +91,11 @@ def check_range(name, value, *, ge=None, gt=None, le=None, lt=None):
     raise RangeError(name, low, high, float(v[index]), index)
 
 
-def check_count(name, value, least):
-    """``value`` as an int, when it is an integer >= ``least``."""
+def check_count(name, value, least, most=None):
+    """``value`` as an int, when it is an integer from ``least`` to ``most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return check_range(name, int(value), ge=least)
+    return check_range(name, int(value), ge=least, le=most)
 
 
 @dataclass(frozen=True)

@@ -292,17 +292,24 @@ def run_sympathetic(scenario):
     n1_0 = sched.initial_hot_occupation
     waits = np.asarray(sched.wait_times, float)
     t_fit = float(waits[-1])
-    # extend past the fit window to exhibit the curve ordering at late times
-    t_end = max(2.5 * t_fit, t_fit)
-    n_rec = int(round(t_end / (waits[1] - waits[0]))) + 1
+    # a record each wait step from 0, on past the fit window to 2.5 times it
+    # (rounded up), to exhibit the curve ordering at late times
+    wait_step = waits[1] - waits[0]
+    iw = np.rint(waits / wait_step).astype(int)      # the waits' records
+    n_rec = (5 * int(iw[-1]) + 1) // 2 + 1
+    t_end = (n_rec - 1) * wait_step
 
-    # branch A: free heating, stochastic ensemble
+    # branch A: free heating, stochastic ensemble, on the longest step that
+    # divides the wait step and keeps to the step limit
+    noise = (scenario.noise1, dynamics.NO_NOISE)
+    cooling = (dynamics.NO_COOLING, dynamics.NO_COOLING)
+    dt_max = dynamics.envelope_step_limit(0.0, w1, (0.0, 0.0), noise, cooling,
+                                          t_end)
     traj_u = dynamics.integrate_envelope(
-        kappa=0.0, carrier=w1, detuning=(0.0, 0.0),
-        noise=(scenario.noise1, dynamics.NO_NOISE),
-        cooling=(dynamics.NO_COOLING, dynamics.NO_COOLING),
-        duration=t_end, seed=scenario.seed,
-        n_realizations=scenario.ensemble_size,
+        kappa=0.0, carrier=w1, detuning=(0.0, 0.0), noise=noise,
+        cooling=cooling, duration=t_end,
+        dt=wait_step / math.ceil(wait_step / dt_max),
+        seed=scenario.seed, n_realizations=scenario.ensemble_size,
         initial_occupations=(n1_0, n_ss),
         init_phase=(dynamics.INIT_COHERENT, dynamics.INIT_COHERENT),
         record_points=n_rec)
@@ -315,21 +322,13 @@ def run_sympathetic(scenario):
         n1_0=n1_0, n2_0=n_ss, heat1=heat1, heat2=0.0, kappa_ex=kappa_ex,
         cooling2=clamp, duration=t_end, record_points=n_rec)
 
-    def at_waits(traj):
-        idx = [int(np.argmin(np.abs(traj.times - w))) for w in waits]
-        if max(abs(traj.times[i] - w) for i, w in zip(idx, waits)) > 1e-9 + 1e-6 * t_fit:
-            raise ValueError("wait times must lie on the record grid")
-        return np.array(idx)
-
-    iu = at_waits(traj_u)
-    ic = at_waits(traj_c)
     # the t = 0 point is exact by construction (fixed-amplitude prep); floor
     # its weight so the normal equations stay well conditioned
-    sem_floor = 1e-6 * float(np.max(traj_u.n_bar_1[iu]))
+    sem_floor = 1e-6 * float(np.max(traj_u.n_bar_1[iw]))
     fit_u = analysis.fit_linear_heating(
-        traj_u.times[iu], traj_u.n_bar_1[iu],
-        np.maximum(traj_u.n_bar_sem_1[iu], sem_floor))
-    fit_c = analysis.fit_linear_heating(traj_c.times[ic], traj_c.n_bar_1[ic])
+        traj_u.times[iw], traj_u.n_bar_1[iw],
+        np.maximum(traj_u.n_bar_sem_1[iw], sem_floor))
+    fit_c = analysis.fit_linear_heating(traj_c.times[iw], traj_c.n_bar_1[iw])
 
     rate_u = fit_u.parameters["rate"]
     rate_c = fit_c.parameters["rate"]
@@ -393,9 +392,10 @@ def run_swap_demo(scenario):
     sched = scenario.schedule
     if not isinstance(sched, ScheduleSwap):
         raise ValueError("scenario schedule must be a swap demo")
-    for nm in (scenario.noise1, scenario.noise2):
-        if nm.heating_rate_at_reference > 0 or nm.jitter_sigma > 0:
-            raise ValueError("swap demo requires zeroed noise")
+    # the parser refuses these at their keys, records made in code here
+    for record in (scenario.noise1, scenario.noise2, scenario.cooling1,
+                   scenario.cooling2):
+        scenario_file.SCHEDULES[sched.kind].check_zeroed(record)
     exp = load_expectations()
 
     kappa = scenario.kappa()

@@ -30,10 +30,6 @@ from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_count,
                    rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
-SCHEDULE_SCAN = "resonance_scan"
-SCHEDULE_SYMPATHETIC = "sympathetic_run"
-SCHEDULE_SWAP = "swap_demo"
-
 
 @dataclass(frozen=True)
 class ScheduleResonanceScan:
@@ -41,7 +37,7 @@ class ScheduleResonanceScan:
     probe_duration: float           # s
     hot_occupation: float
     cold_occupation: float
-    kind: str = SCHEDULE_SCAN
+    kind: str = "resonance_scan"
 
     def __post_init__(self):
         # each field's range, in key order, before the shape of the values
@@ -64,7 +60,7 @@ class ScheduleResonanceScan:
 class ScheduleSympathetic:
     wait_times: np.ndarray          # s
     initial_hot_occupation: float
-    kind: str = SCHEDULE_SYMPATHETIC
+    kind: str = "sympathetic_run"
 
     def __post_init__(self):
         check_range("wait_times", self.wait_times, ge=0)
@@ -73,15 +69,20 @@ class ScheduleSympathetic:
         if len(self.wait_times) < 3:
             raise ValueError(f"wait_times needs at least 3 values to fit a "
                              f"slope, got {len(self.wait_times)}")
-        if np.any(np.diff(self.wait_times) <= 0):
-            raise ValueError("wait_times must be strictly increasing")
+        # the run records at each multiple of the first step, from 0
+        step = self.wait_times[1] - self.wait_times[0]
+        if np.any(np.diff(self.wait_times) <= 0) or any(
+                abs(math.remainder(w, step)) > 1e-6 * step
+                for w in self.wait_times):
+            raise ValueError("wait_times must be strictly increasing whole "
+                             "multiples of their first step")
 
 
 @dataclass(frozen=True)
 class ScheduleSwap:
     duration: float                 # s
     initial_occupations: tuple = (1000.0, 0.0)
-    kind: str = SCHEDULE_SWAP
+    kind: str = "swap_demo"
 
     def __post_init__(self):
         check_range("initial_occupations", self.initial_occupations, ge=0)
@@ -112,7 +113,7 @@ class Scenario:
 
     def __post_init__(self):
         check_count("ensemble_size", self.ensemble_size,
-                    SCHEDULES[self.schedule.kind].least_ensemble)
+                    *SCHEDULES[self.schedule.kind].ensemble)
         check_count("seed", self.seed, 0)
         # zero is allowed: a decoupled run is the null experiment
         if self.kappa_override is not None:
@@ -434,34 +435,49 @@ class ScheduleKind:
     keys: tuple         # its [schedule] keys after ``kind``, in parse order
     runner: str         # name of its run_* function in ``experiments``
     command: str        # CLI subcommand
+    help: str           # its one-line help
     bundled: str        # default bundled scenario
-    # a fit that weights by the ensemble's standard error needs two
-    least_ensemble: int = 2
+    # least and most realizations; a fit weighting by their spread needs two
+    ensemble: tuple = (2, None)
+    zeroed: tuple = ()  # noise and cooling fields its run leaves out
+
+    def check_zeroed(self, record):
+        """``record`` (noise or cooling) if each field its run leaves out is 0."""
+        for name in self.zeroed:
+            if hasattr(record, name):
+                check_range(f"{name} of a {self.command} run (no noise or "
+                            f"cooling)", getattr(record, name), ge=0, le=0)
+        return record
 
 
-# keyed by the ``kind`` value of the [schedule] section; runners are named,
-# not held, so a replaced experiments.run_* is the one that runs
-SCHEDULES = {
-    SCHEDULE_SCAN: ScheduleKind(
+# keyed by the ``kind`` value of the [schedule] section, which the schedule
+# record holds; runners are named, not held, so a replaced experiments.run_*
+# is the one that runs
+SCHEDULES = {kind.schedule.kind: kind for kind in (
+    ScheduleKind(
         ScheduleResonanceScan,
         (_Key("frequencies_mhz", "probe_frequencies", LIST, units=_MHZ,
               default=_scan_grid),
          _Key("probe_ms", "probe_duration", units=_MS),
          _Key("hot_quanta", "hot_occupation"),
          _Key("cold_quanta", "cold_occupation")),
-        "run_resonance_scan", "scan", "scan_benchmark"),
-    SCHEDULE_SYMPATHETIC: ScheduleKind(
+        "run_resonance_scan", "scan",
+        "heating-rate spectroscopy across the resonance", "scan_benchmark"),
+    ScheduleKind(
         ScheduleSympathetic,
         (_Key("wait_ms", "wait_times", LIST, units=_MS),
          _Key("initial_hot_quanta", "initial_hot_occupation")),
-        "run_sympathetic", "sympathetic", "sympathetic_benchmark"),
-    SCHEDULE_SWAP: ScheduleKind(
+        "run_sympathetic", "sympathetic", "sympathetic heating-rate reduction",
+        "sympathetic_benchmark"),
+    ScheduleKind(
         ScheduleSwap,
         (_Key("initial_quanta", "initial_occupations", LIST,
               units=(_pair, None), default=(1000.0, 0.0)),
          _Key("duration_ms", "duration", units=_MS)),
-        "run_swap_demo", "swap", "swap_benchmark", least_ensemble=1),
-}
+        "run_swap_demo", "swap", "noiseless resonant exchange demonstration",
+        "swap_benchmark", ensemble=(1, 1),
+        zeroed=("heating_rate_at_reference", "jitter_sigma", "damping_rate")),
+)}
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 
 
@@ -491,6 +507,7 @@ OPTION_KEYS = {
         _Key("lamb-dicke", "lamb_dicke", default=0.05, bounds=dict(gt=0, lt=1)),
         _Key("seed", "seed", INTEGER, default=0, bounds=dict(ge=0))),
     **{kind.command: _RUN_OPTIONS for kind in SCHEDULES.values()},
+    "swap": _RUN_OPTIONS[1:],       # the seed: a swap runs one realization
 }
 
 
@@ -534,13 +551,18 @@ def parse_scenario_text(text, path="<scenario>"):
                 for name, (lineno, entries) in raw.items()}
 
     def build(name, make, keys, prefixes=("",)):
-        """``make`` of each prefix's fields; then no key may be left over."""
+        """``make`` of each prefix's fields, refusing those the kind's run
+        leaves out (``ScheduleKind.zeroed``); then no key may be left over."""
         sc = sections[name]
         with sc.checked():
-            made = [make(**sc.read(keys, prefix)) for prefix in prefixes]
+            made = [kind.check_zeroed(make(**sc.read(keys, prefix)))
+                    for prefix in prefixes]
         sc.finish()
         return made
 
+    # the schedule first: its kind says which fields ``build`` refuses
+    kind = SCHEDULES[sections["schedule"].read((_KIND_KEY,))[_KIND_KEY.field]]
+    [schedule] = build("schedule", kind.schedule, kind.keys)
     [species] = build("species", IonSpecies, _SPECIES_KEYS)
     [wire] = build("wire", WireSpec, _WIRE_KEYS)
     [site1] = build("site1", functools.partial(_trap_site, wire), _SITE_KEYS)
@@ -551,8 +573,6 @@ def parse_scenario_text(text, path="<scenario>"):
                                _COOLING_KEYS, _SITE_PREFIXES)
     [coupling] = build("coupling", dict, _COUPLING_KEYS) \
         if "coupling" in sections else [{}]
-    kind = SCHEDULES[sections["schedule"].read((_KIND_KEY,))[_KIND_KEY.field]]
-    [schedule] = build("schedule", kind.schedule, kind.keys)
     [run] = build("run", dict, _RUN_KEYS)
     with sections["run"].checked():
         return Scenario(species=species, site1=site1, site2=site2, wire=wire,

@@ -321,10 +321,12 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
      "frequencies_mhz = " + ",".join(["1.368"] * 6), "probe_frequencies"),
     ("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = -3,-2,-1",
      "wait_ms"),
+    ("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,2,3",
+     "schedule.wait_ms"),
     # one point above the bound, not a grid too large to build
     ("scan", "points = 9", "points = 1000", "schedule.points")],
     ids=["five-frequencies", "equal-frequencies", "negative-waits",
-         "points-above-bound"])
+         "off-grid-waits", "points-above-bound"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):
@@ -359,6 +361,86 @@ def test_an_ensemble_of_one_exits_2_naming_the_key(command, source, tmp_path,
     assert len(err.splitlines()) == 1 and named in err, err
     assert "must be finite and >= 2, got 1" in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("site1_damping_per_s = 0", "site1_damping_per_s = 5000",
+     "] cooling.site1_damping_per_s: site1_damping_per_s of a swap run "
+     "(no noise or cooling) must be 0, got 5000"),
+    ("site2_jitter_sigma_hz = 0", "site2_jitter_sigma_hz = 3",
+     "] noise.site2_jitter_sigma_hz: site2_jitter_sigma_hz of a swap run "
+     "(no noise or cooling) must be 0, got 3"),
+    ("ensemble = 1", "ensemble = 5",
+     "] run.ensemble: ensemble must be 1, got 5")],
+    ids=["cooling", "noise", "ensemble"])
+def test_swap_refuses_what_its_one_noiseless_run_leaves_out(old, new, named,
+                                                            tmp_path, capsys):
+    # the swap integrates one realization without noise or cooling; a
+    # scenario that asks for more exits 2 at the key, not 0 without it
+    with open(SWAP_SHORT, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    scn = tmp_path / "swap.scenario"
+    scn.write_text(text.replace(old, new))
+    status, err = _main(["swap", "--scenario", str(scn),
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 2, err
+    assert len(err.splitlines()) == 1 and named in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("waits", ["0,1,2,3", "0,2,4,6,8,10",
+                                   "0,1,2,3,4,5,6,7,8,9"])
+def test_sympathetic_records_at_each_wait_of_a_uniform_grid(waits, tmp_path,
+                                                            capsys):
+    from importlib import resources
+    text = resources.files("ionwire").joinpath(
+        "data", "sympathetic_benchmark.scenario").read_text(encoding="utf-8")
+    scn = tmp_path / "waits.scenario"
+    scn.write_text(text.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10",
+                                f"wait_ms = {waits}"))
+    out = tmp_path / "o"
+    # at 50 realizations a band may fail, which exits 1
+    status, err = _main(["sympathetic", "--scenario", str(scn),
+                         "--ensemble", "50", "--out", str(out)], capsys)
+    assert status in (0, 1) and err == "", err
+    rows = (out / "sympathetic_uncoupled_trajectory.csv").read_text()
+    times_ms = [1e3 * float(row.split(",")[0])
+                for row in rows.splitlines()[2:]]
+    step = float(waits.split(",")[1])
+    # a record each wait step, on to 2.5 times the last wait
+    assert times_ms == pytest.approx([step * i for i in range(len(times_ms))])
+    assert times_ms[-1] >= 2.5 * float(waits.split(",")[-1])
+
+
+def test_a_registered_schedule_kind_becomes_a_command(tmp_path, monkeypatch,
+                                                      capsys):
+    # the parser and the dispatch are built from SCHEDULES and OPTION_KEYS:
+    # a kind registered there is a command with --scenario, its options and
+    # --svg, and runs its runner
+    import dataclasses
+    from ionwire import experiments, scenario
+    kind = dataclasses.replace(scenario.SCHEDULES["swap_demo"],
+                               runner="run_fake", command="fake",
+                               help="a registered kind")
+    monkeypatch.setitem(scenario.SCHEDULES, "fake_demo", kind)
+    monkeypatch.setitem(scenario.OPTION_KEYS, "fake",
+                        scenario.OPTION_KEYS["swap"])
+    ran = []
+
+    def run_fake(scn):
+        ran.append(scn)
+        return experiments.ExperimentReport("fake", "digest", [])
+
+    monkeypatch.setattr(experiments, "run_fake", run_fake, raising=False)
+    args = cli.build_parser().parse_args(
+        ["fake", "--scenario", "swap_benchmark", "--seed", "3", "--svg"])
+    assert (args.scenario, args.seed, args.svg) == ("swap_benchmark", "3", True)
+    out = tmp_path / "o"
+    assert cli.main(["fake", "--seed", "3", "--out", str(out)]) == 0
+    assert [scn.seed for scn in ran] == [3]
+    assert read_manifest(out)["command"] == "fake"
+    assert capsys.readouterr().out.startswith("fake: PASS")
 
 
 def test_band_failure_exits_1(tmp_path):

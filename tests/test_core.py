@@ -130,6 +130,9 @@ def test_quanta_energy_domain_errors():
      "x must be finite and >= 0, got nan at index (1, 0)"),
     (np.array([0.5, -1.0, math.inf]), {"gt": 0},
      "x must be finite and > 0, got -1.0 at index 1"),
+    # equal inclusive bounds admit one value, which the message names
+    (5, {"ge": 1, "le": 1}, "x must be 1, got 5"),
+    (2.5, {"ge": 0, "le": 0}, "x must be 0, got 2.5"),
 ])
 def test_check_range_rejects_naming_the_first_bad_entry(value, bounds,
                                                         message):

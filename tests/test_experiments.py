@@ -182,6 +182,16 @@ def test_swap_requires_noiseless_scenario(swap_scenario):
         run_swap_demo(noisy)
 
 
+def test_swap_refuses_a_cooled_record_made_in_code(swap_scenario):
+    # the parser refuses cooling at its key; the run refuses a record made
+    # in code rather than run it uncooled
+    cooled = dataclasses.replace(swap_scenario,
+                                 cooling2=CoolingClamp(5000.0, 0.0))
+    with pytest.raises(ValueError,
+                       match=r"^damping_rate of a swap run .* must be 0, got"):
+        run_swap_demo(cooled)
+
+
 # ---------------------------------------------------------------------------
 # schedule plumbing
 

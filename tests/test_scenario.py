@@ -441,12 +441,16 @@ def test_record_errors_from_a_defaulted_key_stay_at_the_section():
      "wait_ms", "wait_times must be strictly increasing"),
     (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,1"),
      "wait_ms", "wait_times needs at least 3 values to fit a slope, got 2"),
+    # the run records at whole multiples of the first step
+    (BASE.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,2,3"),
+     "wait_ms", "wait_times must be strictly increasing whole multiples of "
+     "their first step"),
     (_with_scan_schedule("kind = swap_demo\ninitial_quanta = 1,2,3\n"
                          "duration_ms = 45"),
      "initial_quanta", "initial_occupations needs exactly two values, got 3")],
     ids=["five-frequencies", "equal-frequencies", "five-points",
          "negative-waits", "points-above-bound", "unordered-waits",
-         "two-waits", "three-initial-quanta"])
+         "two-waits", "off-grid-waits", "three-initial-quanta"])
 def test_bad_scan_and_wait_grids_are_located(text, key, words):
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text)
@@ -511,8 +515,11 @@ def test_scan_and_sympathetic_records_need_two_realizations():
         with pytest.raises(ValueError, match="ensemble_size must be .*>= 2"):
             dataclasses.replace(scn, ensemble_size=1)
         assert dataclasses.replace(scn, ensemble_size=2).ensemble_size == 2
-    # the noiseless swap runs a single trajectory
-    assert load_bundled("swap_benchmark").ensemble_size == 1
+    # the noiseless swap runs a single trajectory, and holds no other size
+    swap = load_bundled("swap_benchmark")
+    assert swap.ensemble_size == 1
+    with pytest.raises(ValueError, match="^ensemble_size must be 1, got 5$"):
+        dataclasses.replace(swap, ensemble_size=5)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "7", True])
