@@ -475,6 +475,10 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
+    # not _DERIV_BLOCK: freeing this mapped block raises glibc's mmap and trim
+    # thresholds, so the fit's blocks after it reuse heap pages. At 6,000 here
+    # three thermometry runs took 0.15 s instead of 0.12 s, and 0.12 s again
+    # with MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ set.
     for lo, hi, _, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top,
                                          20_000):
         np.sin(phase, out=phase)

@@ -12,7 +12,8 @@ and the entries of ``_COMMANDS``. Each takes --out and --format, and as
 its own flags ``scenario.OPTION_KEYS[command]``, read like scenario keys
 but naming the flag (``scenario.read_options``). Tables go out a column
 at a time, each given as {column name: values}; a float cell is the
-``repr`` of its value.
+``repr`` of its value. All JSON goes through ``_Writer.json``, with a nan or
+an infinity written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class _Writer:
         self.outputs = []
         os.makedirs(outdir, exist_ok=True)
 
-    def _emit(self, name, text):
+    def text(self, name, text):
         path = os.path.join(self.outdir, name)
         fd, tmp = tempfile.mkstemp(dir=self.outdir, suffix=".tmp")
         try:
@@ -71,25 +72,16 @@ class _Writer:
         self.outputs.append(name)
         return path
 
-    def csv(self, name, table_id, table):
-        # a float array's cells are each value's repr, as from _csv_cell
-        cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
-                 and col.dtype.kind == "f" else map(_csv_cell, col)
-                 for col in table.values()]
-        lines = [f"# ionwire csv schema v{CSV_SCHEMA_VERSION} table={table_id}",
-                 ",".join(table), *map(",".join, zip(*cells))]
-        return self._emit(name, "\n".join(lines) + "\n")
-
     def json(self, name, payload):
-        return self._emit(name, json.dumps(payload, indent=2,
-                                           sort_keys=True) + "\n")
-
-    def text(self, name, text):
-        return self._emit(name, text)
+        return self.text(name, json.dumps(_json_safe(payload), indent=2,
+                                          sort_keys=True) + "\n")
 
 
 def _csv_cell(value):
     if isinstance(value, str):
+        # RFC 4180: a cell a reader would split is quoted, its quotes doubled
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
@@ -103,27 +95,29 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, np.integer):
         return int(value)
     return value
 
 
 def _table(writer, name, table_id, table, fmt):
-    """Write ``table``, {column name: values}, as CSV or as JSON rows."""
+    """Write ``table``, {column name: values}, as CSV or as JSON rows. A
+    float array's CSV cells are each value's repr, as from _csv_cell."""
     if fmt == "json":
-        rows = zip(*map(_json_safe, table.values()))
-        writer.json(name + ".json", {"schema": f"ionwire.{table_id}.v1",
-                                     "rows": [dict(zip(table, row))
-                                              for row in rows]})
-    else:
-        writer.csv(name + ".csv", table_id, table)
+        rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                     for col in table.values()))
+        return writer.json(name + ".json", {"schema": f"ionwire.{table_id}.v1",
+                                            "rows": [dict(zip(table, row))
+                                                     for row in rows]})
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
+             and col.dtype.kind == "f" else map(_csv_cell, col)
+             for col in table.values()]
+    lines = [f"# ionwire csv schema v{CSV_SCHEMA_VERSION} table={table_id}",
+             ",".join(table), *map(",".join, zip(*cells))]
+    return writer.text(name + ".csv", "\n".join(lines) + "\n")
 
 
 def _report_markdown(report):
@@ -166,11 +160,7 @@ def _write_report(writer, report, fmt, svg=False):
     for name, fit in report.fits.items():
         writer.json(f"{report.name}_fit_{name}.json", fit.as_dict())
     for name, tab in report.tables.items():
-        if isinstance(tab, dict) and all(isinstance(v, np.ndarray)
-                                         for v in tab.values()):
-            _table(writer, f"{report.name}_{name}", name, tab, fmt)
-        else:
-            writer.json(f"{report.name}_{name}.json", _json_safe(tab))
+        _table(writer, f"{report.name}_{name}", name, tab, fmt)
     writer.text(f"{report.name}_report.md", _report_markdown(report))
     if svg:
         _write_svg(writer, report)
@@ -271,9 +261,6 @@ def _cmd_predict(args, started):
     report = experiments.run_prediction_table()
     writer = _Writer(_resolve_outdir(args))
     _write_report(writer, report, args.format, svg=False)
-    rows = report.tables["rows"]
-    _table(writer, "prediction_rows", "prediction",
-           {c: [r[c] for r in rows] for c in ("case", "kappa_hz")}, args.format)
     _manifest(writer, args, report.scenario_digest, started,
               passed=report.passed)
     for h in report.headline:
@@ -349,7 +336,7 @@ def _cmd_thermometry(args, started):
             "shots": [dataset.shots_per_point] * len(dataset.pulse_times)},
            args.format)
     writer.json("thermometry_fit.json", fit.as_dict())
-    writer.json("thermometry_truth.json", _json_safe(truth))
+    writer.json("thermometry_truth.json", truth)
     _manifest(writer, args, digest(opts), started, seed=opts["seed"])
     sig = fit.sigmas.get("n_bar", float("nan"))
     print(f"injected n_bar {nbar:g}, fitted {n_fit:.4g} "

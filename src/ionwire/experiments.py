@@ -60,7 +60,7 @@ class ExperimentReport:
     artifact_choices: dict = field(default_factory=dict)
     trajectories: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)     # {column name: values}
     notes: list = field(default_factory=list)
     passed: bool = True
     wall_time_s: float = 0.0
@@ -156,14 +156,12 @@ def run_prediction_table():
         name="prediction_table",
         scenario_digest="builtin-reference-parameters",
         headline=headline,
-        tables={"rows": [
-            {"case": "symmetric 60um @ 2 MHz", "kappa_hz": rad_s_to_hz(kappa_sym)},
-            {"case": "asymmetric 50/70um @ 1.990 MHz",
-             "kappa_hz": rad_s_to_hz(kappa_asym)},
-            {"case": "coulomb @ 620um, 1.99 MHz", "kappa_hz": rad_s_to_hz(coulomb)},
-            {"case": "electron 100 MHz / calcium 2 MHz scaling",
-             "kappa_hz": electron_scaling},
-        ]},
+        tables={"rows": {
+            "case": ["symmetric 60um @ 2 MHz", "asymmetric 50/70um @ 1.990 MHz",
+                     "coulomb @ 620um, 1.99 MHz",
+                     "electron 100 MHz / calcium 2 MHz scaling"],
+            "kappa_hz": [rad_s_to_hz(kappa_sym), rad_s_to_hz(kappa_asym),
+                         rad_s_to_hz(coulomb), electron_scaling]}},
         artifact_choices={
             "measured_kappa_hz": MEASURED_KAPPA_HZ,
             "deff_model": "gapless-plane analytic, 120 um square paddle",
@@ -295,7 +293,7 @@ def run_sympathetic(scenario):
     # a record each wait step from 0, on past the fit window to 2.5 times it
     # (rounded up), to exhibit the curve ordering at late times
     wait_step = waits[1] - waits[0]
-    iw = np.rint(waits / wait_step).astype(int)      # the waits' records
+    iw = sched.wait_steps      # the waits' records
     n_rec = (5 * int(iw[-1]) + 1) // 2 + 1
     t_end = (n_rec - 1) * wait_step
 

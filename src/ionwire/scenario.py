@@ -61,6 +61,8 @@ class ScheduleSympathetic:
     wait_times: np.ndarray          # s
     initial_hot_occupation: float
     kind: str = "sympathetic_run"
+    # 2,501 records at the bound: 9 s at the bundled 20,000 realizations
+    MAX_WAIT_STEPS = 1000
 
     def __post_init__(self):
         check_range("wait_times", self.wait_times, ge=0)
@@ -70,12 +72,19 @@ class ScheduleSympathetic:
             raise ValueError(f"wait_times needs at least 3 values to fit a "
                              f"slope, got {len(self.wait_times)}")
         # the run records at each multiple of the first step, from 0
-        step = self.wait_times[1] - self.wait_times[0]
+        step = float(self.wait_times[1] - self.wait_times[0])
         if np.any(np.diff(self.wait_times) <= 0) or any(
                 abs(math.remainder(w, step)) > 1e-6 * step
                 for w in self.wait_times):
             raise ValueError("wait_times must be strictly increasing whole "
                              "multiples of their first step")
+        last = float(self.wait_times[-1])
+        if last > self.MAX_WAIT_STEPS * step:     # before dividing by step
+            raise ValueError(f"wait_times must end within {self.MAX_WAIT_STEPS}"
+                             f" times their first step, got {last / step:.6g}")
+        # the waits in steps; no field, so no digest sees it
+        object.__setattr__(self, "wait_steps", np.rint(
+            np.asarray(self.wait_times, float) / step).astype(int))
 
 
 @dataclass(frozen=True)

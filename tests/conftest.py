@@ -4,6 +4,9 @@ The expensive ensemble runs are session-scoped so the benchmark modules
 and the acceptance gate share one computation. Everything is seeded;
 reruns are bit-identical.
 """
+import csv
+import json
+
 import numpy as np
 import pytest
 from importlib import resources
@@ -16,6 +19,29 @@ from ionwire.scenario import parse_scenario
 def load_bundled(name):
     root = resources.files("ionwire").joinpath("data")
     return parse_scenario(str(root.joinpath(name + ".scenario")))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def parse_problem(name, text):
+    """None when the CSV or JSON file ``name`` parses, else what is wrong:
+    a CSV row not as wide as its header, or JSON that does not load or holds
+    a NaN or Infinity literal."""
+    if name.endswith(".csv"):
+        # the first line is the schema comment
+        rows = list(csv.reader(text.splitlines(keepends=True)[1:]))
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                return f"row {i + 1} has {len(row)} fields under " \
+                       f"{len(rows[0])} columns"
+    elif name.endswith(".json"):
+        try:
+            json.loads(text, parse_constant=_refuse_constant)
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 @pytest.fixture(scope="session")

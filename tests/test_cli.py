@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import ionwire
 from ionwire import cli
 from ionwire.scenario import read_options
-from conftest import load_bundled
+from conftest import load_bundled, parse_problem
 
 # the subprocesses run in temporary directories, where a relative
 # PYTHONPATH entry no longer finds the package under test
@@ -324,9 +325,15 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
     ("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", "wait_ms = 0,2,3",
      "schedule.wait_ms"),
     # one point above the bound, not a grid too large to build
-    ("scan", "points = 9", "points = 1000", "schedule.points")],
+    ("scan", "points = 9", "points = 1000", "schedule.points"),
+    # past the bound of 1,000 wait steps, refused before any division
+    *[("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", f"wait_ms = {w}",
+       "schedule.wait_ms: wait_times must end within 1000 times their first "
+       "step, got ") for w in ("0,4.9e-321,1", "0,0.0001,1000",
+                               "0,0.01,10.01")]],
     ids=["five-frequencies", "equal-frequencies", "negative-waits",
-         "off-grid-waits", "points-above-bound"])
+         "off-grid-waits", "points-above-bound", "subnormal-wait-step",
+         "fine-wait-grid", "waits-above-bound"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):
@@ -336,8 +343,10 @@ def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
     assert old in text
     scn = tmp_path / "bad.scenario"
     scn.write_text(text.replace(old, new))
+    started = time.perf_counter()
     status, err = _main([command, "--scenario", str(scn),
                          "--out", str(tmp_path / "o")], capsys)
+    assert time.perf_counter() - started < 1.0     # refused before it runs
     assert status == 2, err
     assert len(err.splitlines()) == 1 and named in err, err
 
@@ -389,8 +398,28 @@ def test_swap_refuses_what_its_one_noiseless_run_leaves_out(old, new, named,
     assert not (tmp_path / "o").exists()
 
 
+def test_a_nan_headline_is_written_as_a_json_string(tmp_path, capsys):
+    # swapping from an empty ion leaves the residual fraction 0 / 0
+    with open(SWAP_SHORT, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("initial_quanta = 1000,0") == 1
+    scn = tmp_path / "empty.scenario"
+    scn.write_text(text.replace("initial_quanta = 1000,0",
+                                "initial_quanta = 0,1000"))
+    out = tmp_path / "o"
+    status, err = _main(["swap", "--scenario", str(scn), "--format", "json",
+                         "--out", str(out)], capsys)
+    assert status == 1 and err == "", err
+    for path in out.glob("*.json"):
+        assert parse_problem(path.name, path.read_text()) is None, path.name
+    rows = json.loads((out / "swap_demo_headline.json").read_text())["rows"]
+    assert {"name": "residual_fraction", "value": "nan"}.items() <= \
+        next(r for r in rows if r["name"] == "residual_fraction").items()
+
+
+# the last is the bound's 1,000 steps
 @pytest.mark.parametrize("waits", ["0,1,2,3", "0,2,4,6,8,10",
-                                   "0,1,2,3,4,5,6,7,8,9"])
+                                   "0,1,2,3,4,5,6,7,8,9", "0,0.01,10"])
 def test_sympathetic_records_at_each_wait_of_a_uniform_grid(waits, tmp_path,
                                                             capsys):
     from importlib import resources

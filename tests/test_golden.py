@@ -4,7 +4,9 @@ set of invocations, frozen in ``data/golden_cli.json``.
 Numbers are parsed out of the text and compared at ``rtol=1e-12``, room
 for platform differences; all other text compares exactly. Only the
 manifest timestamps and library versions, the report's ``wall time:``
-line and the output directory in stdout are masked. A change that moves
+line and the output directory in stdout are masked. Each CSV file must also
+read with ``csv.reader`` into rows as wide as its header, and each JSON file
+must load with no NaN or Infinity literal. A change that moves
 an output on purpose regenerates the file, and the diff of the data file
 is its declared change. Regenerating keeps each stdout and file text that
 still matches, so noise inside the tolerance shows no diff:
@@ -23,6 +25,7 @@ import tempfile
 import pytest
 
 from ionwire import cli
+from conftest import parse_problem
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "golden_cli.json")
@@ -60,7 +63,8 @@ def _mask(text):
 
 
 def run_invocation(threads, argv):
-    """Exit status, masked stdout and masked written files of one run."""
+    """Exit status, masked stdout and masked written files of one run, with
+    the problem of each written file that does not parse."""
     saved = os.environ.get("IONWIRE_THREADS")
     os.environ["IONWIRE_THREADS"] = threads
     try:
@@ -69,17 +73,21 @@ def run_invocation(threads, argv):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink):
                 status = cli.main(argv + ["--out", out])
-            files = {}
+            files, unparsed = {}, {}
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), encoding="utf-8") as fh:
-                    files[name] = _mask(fh.read())
+                    text = fh.read()
+                files[name] = _mask(text)
+                problem = parse_problem(name, text)
+                if problem is not None:
+                    unparsed[name] = problem
     finally:
         if saved is None:
             del os.environ["IONWIRE_THREADS"]
         else:
             os.environ["IONWIRE_THREADS"] = saved
     return {"status": status, "stdout": sink.getvalue().replace(out, OUT),
-            "files": files}
+            "files": files, "unparsed": unparsed}
 
 
 def _split(text):
@@ -114,6 +122,7 @@ def _load_golden():
 def test_cli_output_matches_golden(name, threads, argv):
     expected = _load_golden()[name]
     actual = run_invocation(threads, argv)
+    assert actual["unparsed"] == {}
     assert actual["status"] == expected["status"]
     assert text_mismatch(expected["stdout"], actual["stdout"]) is None, \
         text_mismatch(expected["stdout"], actual["stdout"])
@@ -129,6 +138,16 @@ def test_text_mismatch_rules():
     assert text_mismatch("a 1.0 b", "a 1.0 c") is not None
     assert text_mismatch("v1 x", "v2 x") is not None
     assert text_mismatch("1e-3", "0.001") is None
+
+
+def test_parse_problem_rules():
+    assert parse_problem("t.csv", '# c\na,b\n"x, y",1\n"say ""hi""",2\n') \
+        is None
+    assert parse_problem("t.csv", "# c\na,b\nx, y,1\n") is not None
+    assert parse_problem("t.json", '{"v": "nan"}') is None
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        assert parse_problem("t.json", '{"v": %s}' % literal) is not None
+    assert parse_problem("t.svg", "<svg") is None
 
 
 def merge(old, new):
