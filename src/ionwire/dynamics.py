@@ -5,8 +5,7 @@ Three model tiers, cheapest last:
 * ``integrate_full``     -- velocity-Verlet integration of the coupled
   equations of motion with impulsive stochastic force kicks (heating),
   viscous drag plus compensating diffusion (Doppler clamp), and per-shot
-  or Ornstein-Uhlenbeck trap-frequency jitter. Ground truth at short
-  durations.
+  trap-frequency jitter. Ground truth at short durations.
 * ``integrate_envelope`` -- rotating-frame reduction to two slowly varying
   complex amplitudes, stepped with an exact per-step 2x2 matrix
   exponential. 1e4x cheaper; the workhorse for multi-second scans.
@@ -22,33 +21,35 @@ heats at exactly ndot quanta/s; the 1/f^alpha character of the field
 noise enters only through the frequency dependence of ndot between runs
 (see ``noise_psd``), never within one run.
 
-Without OU jitter both integrators are linear with constant coefficients
-per realization: a step maps the real state s, (Re a, Im a) of the
-envelope or (x, v) of the Verlet scheme with drag, to T s plus a kick
-drawn from N(0, D). So n steps are exactly T^n s plus one draw from
-N(0, Q_n), Q_n = sum_{k<n} T^k D T^k^T, both built by doubling (Van Loan
-1978, IEEE TAC 23:395): each realization advances one record interval at
-a time, with the stepped integrator's statistics and without its steps.
-The states of consecutive record points are read out (occupations, and
-the energy check of the Verlet scheme) and summed into the ensemble
-moments together, once per block of up to _WIDE row-records: a one-row
-run does so once, a batch of 2,048 rows once per record point. The same
-maps give the exact ensemble means (``exact=True``). OU jitter makes T
-random, so it keeps the step loop, which records each point alone.
+Both integrators are linear with constant coefficients per realization,
+whose per-shot jitter holds one frequency offset for the whole run: a
+step maps the real state s, (Re a, Im a) of the envelope or (x, v) of the
+Verlet scheme with drag, to T s plus a kick drawn from N(0, D). So n
+steps are exactly T^n s plus one draw from N(0, Q_n),
+Q_n = sum_{k<n} T^k D T^k^T, both built by doubling (Van Loan 1978, IEEE
+TAC 23:395): each realization advances one record interval at a time,
+with the stepped integrator's statistics and without its steps. The
+states of consecutive record points are read out (occupations, and the
+energy check of the Verlet scheme) and summed into the ensemble moments
+together, once per block of up to _WIDE row-records: a one-row run does
+so once, a batch of 2,048 rows once per record point. The same maps give
+the exact ensemble means (``exact=True``).
 
 Realizations b _BATCH to (b + 1) _BATCH - 1 of a point with seed s are
 segment b. Its generator, ``default_rng(SeedSequence(s, spawn_key=(b,)))``,
 draws full _BATCH-row arrays: the set-up draws, then one per record
-interval, none for a segment without diffusion. Under OU jitter, steps
-c _CHUNK on draw from ``SeedSequence(s, spawn_key=(b, c))`` instead. So a
-realization's numbers depend only on the seed and its index: output is
-the same whatever the batch packing or ensemble size, and adding
-realizations never moves the existing ones.
+interval, none for a segment without diffusion. So a realization's
+numbers depend only on the seed and its index: output is the same
+whatever the batch packing or ensemble size, and adding realizations
+never moves the existing ones.
 
-A batch holds consecutive segments, of one point or of several. Where
-neither ion has jitter, a point's rows share one step map, built once
-per batch, and a batch holds up to _WIDE rows; with jitter every row has
-its own map, and a batch holds _BATCH rows, which bounds its memory.
+A batch holds consecutive segments, of one point or of several, and one
+kernel, ``_batch``, runs it for both integrators; the integrator's model
+(``_verlet_model`` or ``_envelope_model``) supplies the step maps and the
+read-out. Where neither ion has jitter, a point's rows share one step
+map, built once per batch, and a batch holds up to _WIDE rows; with
+jitter every row has its own map, and a batch holds _BATCH rows, which
+bounds its memory.
 """
 
 
@@ -71,14 +72,12 @@ _BATCH = 256     # rows per generator; ensembles are cut at its multiples
 _WIDE = 8 * _BATCH   # rows per batch where no ion has jitter, else _BATCH,
                      # and row-records per read-out block; it bounds a
                      # batch's memory and moves no output
-_CHUNK = 1024    # integration steps per RNG draw block under OU jitter
 _NODES = 64      # Gauss-Hermite nodes per jittered ion in the exact means
 # the draw layout, as the manifests record it
 RNG_LAYOUT = (f"SeedSequence(seed, spawn_key=(b,)) per {_BATCH}-realization "
-              f"segment b, (b, c) per {_CHUNK}-step OU chunk c")
+              f"segment b")
 
 JITTER_PER_SHOT = "per_shot_static"
-JITTER_OU = "ornstein_uhlenbeck"
 
 INIT_THERMAL = "thermal"    # Rayleigh amplitude, uniform phase
 INIT_COHERENT = "coherent"  # fixed amplitude, uniform phase
@@ -91,9 +90,11 @@ class NoiseModel:
 
     heating_rate_at_reference : quanta/s produced at reference_frequency
     spectral_exponent         : alpha of the field PSD S_E ~ 1/f^alpha
-    jitter_sigma              : Hz rms of the trap-frequency fluctuation
-    jitter_kind               : per_shot_static or ornstein_uhlenbeck
-    jitter_correlation_time   : s, OU only
+    jitter_sigma              : Hz rms of the trap-frequency fluctuation,
+                                one offset per realization held for the run
+    jitter_kind               : per_shot_static, the one kind
+    jitter_correlation_time   : s, 0: per-shot jitter has no correlation
+                                time (the field keeps scenario digests)
     """
 
     heating_rate_at_reference: float = 0.0
@@ -104,8 +105,8 @@ class NoiseModel:
     jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
-        check_range("jitter_correlation_time", self.jitter_correlation_time,
-                    ge=0)
+        check_range("jitter_correlation_time of per-shot jitter",
+                    self.jitter_correlation_time, ge=0, le=0)
         check_range("heating_rate_at_reference", self.heating_rate_at_reference,
                     ge=0)
         check_range("reference_frequency", self.reference_frequency, ge=0)
@@ -114,11 +115,8 @@ class NoiseModel:
         if self.heating_rate_at_reference > 0:
             check_range("reference_frequency with nonzero heating",
                         self.reference_frequency, gt=0)
-        if self.jitter_kind not in (JITTER_PER_SHOT, JITTER_OU):
+        if self.jitter_kind != JITTER_PER_SHOT:
             raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
-        if self.jitter_kind == JITTER_OU and self.jitter_sigma > 0:
-            check_range("jitter_correlation_time of OU jitter",
-                        self.jitter_correlation_time, gt=0)
 
 
 NO_NOISE = NoiseModel()
@@ -217,18 +215,16 @@ def _initial_state(initial_occupations, init_phase, z, phase):
 
 
 def _rates(noise, cooling, nominal):
-    """The damping rates; the per-shot and the OU jitter rms, rad/s; and
-    the diffusion (points, 2) in quanta/s, heating at each point's
-    ``nominal`` frequencies plus clamp back-action."""
+    """The damping rates; the jitter rms, rad/s; and the diffusion
+    (points, 2) in quanta/s, heating at each point's ``nominal``
+    frequencies plus clamp back-action."""
     gamma = np.array([cooling[0].damping_rate, cooling[1].damping_rate])
     if not np.all(np.isfinite(gamma)):
         raise ValueError("the integrators need finite damping rates")
-    sigma = np.array([TWO_PI * n.jitter_sigma for n in noise])
-    is_ou = np.array([n.jitter_kind == JITTER_OU for n in noise])
     n_ss = np.array([cooling[0].steady_state_occupation,
                      cooling[1].steady_state_occupation])
     ndot = [[noise_psd(noise[i], nom[i]) for i in (0, 1)] for nom in nominal]
-    return (gamma, np.where(is_ou, 0.0, sigma), np.where(is_ou, sigma, 0.0),
+    return (gamma, np.array([TWO_PI * n.jitter_sigma for n in noise]),
             np.array(ndot) + gamma * n_ss)
 
 
@@ -276,8 +272,8 @@ def _pack(points, n_real, cap):
 
 
 def _grid(duration, dt, dt_max, record_points):
-    """(dt, n_steps, rec_idx) of a run: the step, defaulting to ``dt_max``,
-    the step count and the steps of the record points."""
+    """(dt, rec_idx) of a run: the step, defaulting to ``dt_max``, and the
+    steps of the record points."""
     if dt is None:
         dt = dt_max
     check_range("dt", dt, gt=0)
@@ -285,24 +281,24 @@ def _grid(duration, dt, dt_max, record_points):
         raise ValueError(f"dt={dt:g} too coarse, need <= {dt_max:g}")
     check_range("duration", duration, ge=dt)    # at least one step
     n_records = check_count("record_points", record_points, 2)
-    n_steps = int(math.ceil(duration / dt - 1e-9))
-    if n_steps > 50_000_000:
+    steps = duration / dt - 1e-9    # may be inf, which math.ceil refuses
+    if steps > 50_000_000:
         raise ValueError("step budget exceeded; raise dt or shorten duration")
-    return dt, n_steps, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
+    n_steps = math.ceil(steps)
+    return dt, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
 
-def _integrate(kernel, points, grid, n_realizations, noise):
+def _integrate(model, base, points, grid, n_realizations, noise, cooling,
+               initial, init_phase):
     """Front end shared by both integrators; one EnsembleTrajectory per point.
 
-    ``points`` holds one (seed, point argument) pair per point, ``grid``
-    the run's (dt, n_steps, rec_idx). ``kernel(segments)`` integrates a
-    batch of (seed, point argument, lo, hi) segments, realizations lo..hi-1
-    of a point each, and returns each segment's occupation sums and sums of
-    squares on the record grid, then the batch's first row's positions and
-    energies or None. Batches run one at a time, in order. Without jitter
-    on either ion (``noise``) a point's rows share one step map, which
-    ``_propagate`` builds once per batch, so a batch holds up to _WIDE rows;
-    with jitter every row has its own map and a batch holds _BATCH rows.
+    ``points`` holds one (seed, detuning pair) per point, ``grid`` the
+    run's (dt, rec_idx); ``model`` and ``base`` are as ``_batch`` takes
+    them. Batches of segments run through ``_batch`` one at a time, in
+    order. Without jitter on either ion (``noise``) a point's rows share
+    one step map, which ``_propagate`` builds once per batch, so a batch
+    holds up to _WIDE rows; with jitter every row has its own map and a
+    batch holds _BATCH rows.
     """
     n_real = check_count("n_realizations", n_realizations, 1)
     for seed, _point in points:
@@ -310,7 +306,9 @@ def _integrate(kernel, points, grid, n_realizations, noise):
     cap = _WIDE if all(n.jitter_sigma == 0 for n in noise) else _BATCH
     per_point = -(-n_real // _BATCH)      # segments per point
     sums, first, done = [], None, 0
-    for moments, x, e in map(kernel, _pack(points, n_real, cap)):
+    for segments in _pack(points, n_real, cap):
+        moments, x, e = _batch(segments, model, base, noise, cooling, initial,
+                               init_phase, grid[1])
         if first is None:
             first = (x, e)
         for segment in moments:
@@ -323,7 +321,7 @@ def _integrate(kernel, points, grid, n_realizations, noise):
     for p, (s, s2) in enumerate(sums):
         mean, sem = _mean_and_sem(s, s2, n_real)
         trajectories.append(EnsembleTrajectory(
-            times=grid[2] * grid[0],
+            times=grid[1] * grid[0],
             n_bar_1=mean[:, 0], n_bar_2=mean[:, 1],
             n_bar_sem_1=sem[:, 0], n_bar_sem_2=sem[:, 1],
             positions=first[0] if p == 0 else None,
@@ -331,44 +329,48 @@ def _integrate(kernel, points, grid, n_realizations, noise):
     return trajectories
 
 
-def _batch_setup(segments, nominal, noise, cooling, initial, init_phase, dt):
-    """Set-up shared by both batch kernels.
+def _batch(segments, model, base, noise, cooling, initial, init_phase,
+           rec_idx):
+    """One batch of (seed, detuning pair, lo, hi) segments, realizations
+    lo..hi-1 of a point each: each segment's occupation sums and sums of
+    squares on the record grid, then realization 0's positions and
+    energies, or None.
 
     The batch's rows are its segments' realizations; each segment's
     generator draws (_BATCH, k) arrays of 4 normals (thermal amplitudes),
-    2 uniform phases, then 2 jitter normals, or 4 under OU jitter. Returns
-    the generators; each segment's row bounds; ``rows(values)``, values
-    per segment repeated over its rows; the jitter offsets (rows, 2) in
-    rad/s; the damping rates; the diffusion (rows, 2) in quanta/s; the OU
-    state (rho, kick, start) or None; and the initial quadratures.
+    2 uniform phases and 2 jitter normals, cut to its rows. Heating is
+    evaluated at each point's nominal frequencies, ``base`` plus its
+    detuning. ``model(detuning, offsets, gamma, diffusion)`` takes the
+    rows' detunings and jitter offsets in rad/s, the damping rates and the
+    rows' diffusion in quanta/s, and gives the rows' keys, step ``maps``,
+    quadrature scales and ``reader``, as ``_verlet_model`` and
+    ``_envelope_model`` do.
     """
     from numpy.random import SeedSequence, default_rng
 
-    gamma, shot_sigma, ou_sigma, diffusion = _rates(noise, cooling, nominal)
-    has_ou = bool(np.any(ou_sigma > 0))
-    counts = [hi - lo for _seed, _point, lo, hi in segments]
+    detuning = [d for _seed, d, _lo, _hi in segments]
+    gamma, sigma, diffusion = _rates(
+        noise, cooling, [[base[i] + d[i] for i in (0, 1)] for d in detuning])
+    counts = [hi - lo for _seed, _d, lo, hi in segments]
     rngs = [default_rng(SeedSequence(seed, spawn_key=(lo // _BATCH,)))
-            for seed, _point, lo, _hi in segments]
-    draws = [(r.standard_normal((_BATCH, 4)),
-              r.uniform(0.0, TWO_PI, (_BATCH, 2)),
-              r.standard_normal((_BATCH, 4 if has_ou else 2)))
-             for r in rngs]
+            for seed, _d, lo, _hi in segments]
+    draws = [(r.standard_normal((_BATCH, 4)), r.uniform(0.0, TWO_PI, (_BATCH, 2)),
+              r.standard_normal((_BATCH, 2))) for r in rngs]
     z, phase, jit = (np.concatenate([d[k][:n] for d, n in zip(draws, counts)])
                      for k in range(3))
     ends = np.cumsum(counts)
 
     def rows(values):
+        # values per segment, repeated over its rows
         return np.repeat(np.asarray(values, float), counts, axis=0)
 
-    ou = None
-    if has_ou:
-        tau = np.array([max(n.jitter_correlation_time, 0.0) for n in noise])
-        ou_rho = np.exp(-dt / np.where(tau > 0, tau, np.inf))
-        ou = (ou_rho, ou_sigma * np.sqrt(1.0 - ou_rho ** 2),
-              ou_sigma[None, :] * jit[:, 2:])
-    return (rngs, list(zip([0, *ends[:-1]], ends)), rows,
-            np.where(shot_sigma > 0, shot_sigma * jit[:, :2], 0.0), gamma,
-            rows(diffusion), ou, _initial_state(initial, init_phase, z, phase)[0])
+    key, maps, scale, reader = model(
+        rows(detuning), np.where(sigma > 0, sigma * jit, 0.0), gamma,
+        rows(diffusion))
+    s = scale * _initial_state(initial, init_phase, z, phase)[0]
+    read_out, first = reader(s, rec_idx)
+    return (_propagate(rngs, list(zip([0, *ends[:-1]], ends)), rec_idx, key,
+                       maps, s, read_out), *first)
 
 
 def _recorder(bounds, n_records):
@@ -429,14 +431,15 @@ def _factor(q):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the energy check reports these
-def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
+def _propagate(rngs, bounds, rec_idx, key, maps, s, read_out):
     """Advance each row a record interval at a time; each segment's moments.
 
     A row's step map and noise are ``maps(key)`` of its ``key`` row, once
     per distinct key, with their ``_power`` once per interval length n;
     where every row has one key they share its arrays. The (rows, 4) state
     takes s <- T^n s + L_n z, L_n L_n^T = Q_n. A segment is kicked where
-    ``kick_scale`` kicks any of its rows: z stacks one (_BATCH, 4) normal
+    any of its rows has a nonzero kick in ``key`` (its last two columns,
+    the kicks' rms, in both models): z stacks one (_BATCH, 4) normal
     draw of each kicked segment's generator, cut to its rows, and the
     other segments' rows take no kick term. The states of a block of
     max(1, _WIDE // rows) consecutive record slots, at most _WIDE
@@ -452,7 +455,7 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
         states = states[0][None] if len(states) == 1 else np.stack(states)
         record(j, read_out(j, states))
 
-    kicked = [bool(np.any(kick_scale[r0:r1] > 0)) for r0, r1 in bounds]
+    kicked = [bool(np.any(key[r0:r1, 2:] > 0)) for r0, r1 in bounds]
     rows = slice(None) if all(kicked) else np.flatnonzero(
         np.repeat(kicked, [r1 - r0 for r0, r1 in bounds]))
     uniq, inv = (key[:1], np.zeros(len(key), int)) if np.all(key == key[0]) \
@@ -485,58 +488,18 @@ def _propagate(rngs, bounds, rec_idx, key, maps, kick_scale, s, read_out):
     return moments
 
 
-def _step_loop(segments, bounds, n_steps, rec_idx, kick_scale, ou, advance,
-               read_out):
-    """Both kernels' step loop under OU jitter; each segment's moments.
-
-    Steps c _CHUNK on of segment b of a point with seed s draw from their
-    own generator, ``default_rng(SeedSequence(s, spawn_key=(b, c)))``: one
-    normal array (rows, span, k + 2) holding per step the k kick normals,
-    where ``kick_scale`` (rows, k) kicks any of the segment's rows, then 2
-    OU normals. A generator fills the array row by row, so a segment's
-    first rows draw the same numbers however many rows follow them, and
-    no row is drawn that is not run. Each step updates the OU state, then
-    calls ``advance(kick, delta_ou)``; at each record point (step 0
-    included) ``read_out(slot)`` returns the (1, rows, 2) occupations.
-    """
-    from numpy.random import SeedSequence, default_rng
-
-    slot = {int(k): j for j, k in enumerate(rec_idx)}
-    record, moments = _recorder(bounds, len(rec_idx))
-    record(0, read_out(0))                  # the record grid starts at step 0
-    k = kick_scale.shape[1]
-    # (steps, rows, k + 2), so that each step's draws lie together
-    draws = np.zeros((min(_CHUNK, n_steps), bounds[-1][1], k + 2))
-    ou_rho, ou_kick, delta_ou = ou
-    for start in range(0, n_steps, _CHUNK):
-        span = min(_CHUNK, n_steps - start)
-        for (seed, _point, lo, _hi), (r0, r1) in zip(segments, bounds):
-            first = 0 if np.any(kick_scale[r0:r1] > 0) else k
-            rng = default_rng(SeedSequence(seed, spawn_key=(lo // _BATCH,
-                                                            start // _CHUNK)))
-            draws[:span, r0:r1, first:] = rng.standard_normal(
-                (r1 - r0, span, k + 2 - first)).transpose(1, 0, 2)
-        kicks = draws[:span, :, :k] * kick_scale
-        for i in range(span):
-            delta_ou = delta_ou * ou_rho[None, :] + ou_kick[None, :] * draws[i, :, k:]
-            advance(kicks[i], delta_ou)
-            if start + i + 1 in slot:
-                record(slot[start + i + 1], read_out(slot[start + i + 1]))
-    return moments
-
-
-def _exact(model, noise, cooling, nominal, initial, init_phase, grid):
+def _exact(model, base, detuning, noise, cooling, initial, init_phase, grid):
     """Exact ensemble means of one point, zero SEM, from the sampled
-    kernels' own step maps: second moments C <- T^n C T^n^T + Q_n per
+    kernel's own step maps: second moments C <- T^n C T^n^T + Q_n per
     record interval at Gauss-Hermite nodes of the per-shot jitter, their
-    occupations summed with the nodes' weights. ``model(offsets, gamma,
-    diffusion)`` gives the rows' keys, ``maps`` and quadrature scales."""
-    dt, _n_steps, rec_idx = grid
-    gamma, shot_sigma, ou_sigma, diffusion = _rates(noise, cooling, [nominal])
-    if np.any(ou_sigma > 0):
-        raise ValueError("not linear: OU jitter makes the step map random")
-    nodes, weights = _jitter_nodes(shot_sigma)
-    key, maps, scale = model(nodes, gamma, np.repeat(diffusion, len(weights), 0))
+    occupations summed with the nodes' weights. ``model`` and ``base`` are
+    as ``_batch`` takes them, ``detuning`` the point's pair."""
+    dt, rec_idx = grid
+    gamma, sigma, diffusion = _rates(
+        noise, cooling, [[base[i] + detuning[i] for i in (0, 1)]])
+    nodes, weights = _jitter_nodes(sigma)
+    key, maps, scale, _reader = model(np.asarray(detuning), nodes, gamma,
+                                      np.repeat(diffusion, len(weights), 0))
     c = _initial_state(initial, init_phase, np.zeros((0, 4)), np.zeros((0, 2)))[1]
     c = scale[:, :, None] * c * scale[:, None, :]
     t, d = maps(key)
@@ -570,90 +533,63 @@ def _accel(x, w2, g_over_m):
     return -(w2 * x) - g_over_m * x[:, ::-1]
 
 
-def _verlet_step(x, v, accel, w2, g_over_m, dt, drag, kick):
-    """One velocity-Verlet step of the (rows, 2) x and v, in place, with
-    the squared frequencies w2 at its end; drag and the kick act on v only.
-    Returns the acceleration at the new x."""
-    x += dt * v + (0.5 * dt * dt) * accel
-    new_accel = _accel(x, w2, g_over_m)
-    v[:] = (v + (0.5 * dt) * (accel + new_accel)) * drag + kick
-    return new_accel
-
-
-def _verlet_model(params, dt, offsets, gamma, diffusion):
-    """Per row of jitter ``offsets``: the key (w1, w2, kick1, kick2), the
-    jittered frequencies and the rms velocity kicks; ``maps(keys)``, one
-    Verlet step with drag on s = (x, v) (rows, 4, 4) and its kick
-    covariance; and the scale (rows, 4) from quadratures to s."""
+def _verlet_model(params, dt, record_first, detuning, offsets, gamma,
+                  diffusion):
+    """Per row of ``detuning`` plus jitter ``offsets`` from the nominal
+    frequencies: the key (w1, w2, kick1, kick2), the frequencies and the
+    rms velocity kicks; ``maps(keys)``, one velocity-Verlet step with drag
+    on s = (x, v) (rows, 4, 4) and its kick covariance; the scale (rows, 4)
+    from quadratures to s; and ``reader(s, rec_idx)`` of the initial
+    states s. The reader gives the sampled read-out ``read_out(j,
+    states)``, the occupations (k, rows, 2) of the (k, rows, 4) states at
+    slots j..j+k-1 once their energies pass the check against the initial
+    ones, and realization 0's positions and energies: arrays that the
+    read-out fills where ``record_first``, else None."""
     m = np.array([params.mass1, params.mass2])
     w_nom = np.array([params.omega1, params.omega2])
-    w = w_nom[None, :] + offsets                        # (B, 2) rad/s
+    w = w_nom + detuning + offsets                      # (B, 2) rad/s
     drag = np.exp(-gamma * dt)
     sigma_v = np.sqrt(4.0 * m * HBAR * w_nom * diffusion * dt / 2.0) / m
 
     def maps(key):
-        # the step's images of the four unit states are the map's columns
+        # the step's images of the four unit states are the map's columns;
+        # drag acts on v only
         w2 = np.repeat(key[:, :2] ** 2, 4, axis=0)
         g_over_m = np.repeat(_spring(params, key[:, :2])[:, None] / m, 4, 0)
         s = np.tile(np.eye(4), (len(key), 1))
         x, v = s[:, :2], s[:, 2:]
-        _verlet_step(x, v, _accel(x, w2, g_over_m), w2, g_over_m, dt, drag, 0.0)
+        accel = _accel(x, w2, g_over_m)
+        x += dt * v + (0.5 * dt * dt) * accel
+        v[:] = (v + (0.5 * dt) * (accel + _accel(x, w2, g_over_m))) * drag
         return (s.reshape(-1, 4, 4).transpose(0, 2, 1),
                 _diag(np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1)))
+
+    def reader(s, rec_idx):
+        w2, g = w ** 2, _spring(params, w)
+        x, v = s[:, :2], s[:, 2:]
+        e_ref = max(float(np.max(0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2)),
+                    HBAR * float(np.max(w)))
+        first_x = np.zeros((len(rec_idx), 2)) if record_first else None
+        first_e = np.zeros(len(rec_idx)) if record_first else None
+
+        def read_out(j, states):
+            x, v = states[..., :2], states[..., 2:]
+            e = 0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2
+            if record_first:
+                first_x[j:j + len(x)] = x[:, 0]
+                first_e[j:j + len(x)] = e[:, 0].sum(axis=1) + \
+                    g[0] * x[:, 0, 0] * x[:, 0, 1]
+            bad = np.flatnonzero(~(e.max(axis=(1, 2)) <= 1e6 * e_ref))
+            if bad.size:
+                raise RuntimeError(f"unstable step: energy exceeded 1e6x "
+                                   f"initial at step {rec_idx[j + bad[0]]}")
+            return e / (HBAR * w)
+        return read_out, (first_x, first_e)
 
     # a = sqrt(m w / 2 hbar) (x + i v/w) up to a phase; invert per quadrature
     scale_x = np.sqrt(2.0 * HBAR / (m[None, :] * w))
     return (np.concatenate([w, sigma_v], axis=1), maps,
-            np.concatenate([scale_x, scale_x * w], axis=1))
-
-
-def _full_batch(segments, params, noise, cooling, initial, init_phase,
-                record_first, dt, n_steps, rec_idx):
-    m = np.array([params.mass1, params.mass2])
-    w_nom = np.array([params.omega1, params.omega2])
-    rngs, bounds, _rows, offsets, gamma, diffusion, ou, init = _batch_setup(
-        segments, [w_nom] * len(segments), noise, cooling, initial,
-        init_phase, dt)
-    key, maps, scale = _verlet_model(params, dt, offsets, gamma, diffusion)
-    w, sigma_v, g = key[:, :2], key[:, 2:], _spring(params, key[:, :2])
-    first_x = np.zeros((len(rec_idx), 2)) if record_first else None
-    first_e = np.zeros(len(rec_idx)) if record_first else None
-
-    def read_out(j, x, v, w2):
-        # the occupations (k, rows, 2) at slots j..j+k-1 of the (k, rows, 2)
-        # positions and velocities, once their energies pass the check
-        e = 0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2
-        if record_first:
-            first_x[j:j + len(x)] = x[:, 0]
-            first_e[j:j + len(x)] = e[:, 0].sum(axis=1) + \
-                g[0] * x[:, 0, 0] * x[:, 0, 1]
-        bad = np.flatnonzero(~(e.max(axis=(1, 2)) <= 1e6 * e_ref))
-        if bad.size:
-            raise RuntimeError(f"unstable step: energy exceeded 1e6x initial "
-                               f"at step {rec_idx[j + bad[0]]}")
-        return e / (HBAR * w)
-
-    s = scale * init
-    x, v, w2 = s[:, :2], s[:, 2:], w ** 2
-    e_ref = max(float(np.max(0.5 * m * v ** 2 + 0.5 * m * w2 * x ** 2)),
-                HBAR * float(np.max(w)))
-    if ou is None:
-        moments = _propagate(rngs, bounds, rec_idx, key, maps, sigma_v, s,
-                             lambda j, s: read_out(j, s[..., :2], s[..., 2:], w2))
-        return moments, first_x, first_e
-
-    drag = np.exp(-gamma * dt)
-    g_over_m = g[:, None] / m[None, :]
-    accel = _accel(x, w2, g_over_m)
-
-    def advance(kick, delta_ou):
-        nonlocal w2, accel
-        w2 = (w + delta_ou) ** 2
-        accel = _verlet_step(x, v, accel, w2, g_over_m, dt, drag, kick)
-
-    moments = _step_loop(segments, bounds, n_steps, rec_idx, sigma_v, ou,
-                         advance, lambda j: read_out(j, x[None], v[None], w2))
-    return moments, first_x, first_e
+            np.concatenate([scale_x, scale_x * w], axis=1), reader)
 
 
 def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
@@ -666,19 +602,17 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
     ``init_phase``. The step must resolve the fast motion:
     dt <= 2 pi / (50 max omega). ``exact=True`` returns the exact
     ensemble means of the same scheme instead, with zero SEM and no
-    positions; the seed and the ensemble size are then unused, and OU
-    jitter raises ValueError ("not linear").
+    positions; the seed and the ensemble size are then unused.
     """
     grid = _grid(duration, dt, TWO_PI / (50.0 * max(params.omega1, params.omega2)),
                  record_points)
+    model = functools.partial(_verlet_model, params, grid[0], record_positions)
+    base, detuning = (params.omega1, params.omega2), (0.0, 0.0)
     if exact:
-        return _exact(functools.partial(_verlet_model, params, grid[0]),
-                      noise, cooling, (params.omega1, params.omega2), initial,
+        return _exact(model, base, detuning, noise, cooling, initial,
                       init_phase, grid)
-    return _integrate(
-        lambda segments: _full_batch(segments, params, noise, cooling, initial,
-                                     init_phase, record_positions, *grid),
-        [(seed, None)], grid, n_realizations, noise)[0]
+    return _integrate(model, base, [(seed, detuning)], grid, n_realizations,
+                      noise, cooling, initial, init_phase)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +645,9 @@ def _envelope_model(kappa, dt, detuning, offsets, gamma, diffusion):
     """Per row of ``detuning`` plus jitter ``offsets``: the key (d1, d2,
     kick1, kick2), kicks the rms per quadrature; ``maps(keys)``, the 2x2
     complex step on s = (Re a, Im a) as a real (rows, 4, 4) block, with
-    circular kicks; and the unit quadrature scale."""
+    circular kicks; the unit quadrature scale; and ``reader``, as
+    ``_verlet_model`` gives it, whose read-out is n = |a|^2 and records
+    no realization."""
     def maps(key):
         m = _expm2(-1j * key[:, 0] - 0.5 * gamma[0],
                    -1j * key[:, 1] - 0.5 * gamma[1],
@@ -719,38 +655,11 @@ def _envelope_model(kappa, dt, detuning, offsets, gamma, diffusion):
         return (np.block([[m.real, -m.imag], [m.imag, m.real]]),
                 _diag(np.tile(key[:, 2:], 2) ** 2))
 
+    def reader(_s, _rec_idx):
+        return (lambda j, s: s[..., :2] ** 2 + s[..., 2:] ** 2), (None, None)
+
     return (np.concatenate([detuning + offsets, np.sqrt(diffusion * dt / 2.0)],
-                           axis=1), maps, np.ones((len(offsets), 4)))
-
-
-def _envelope_batch(segments, kappa, carrier, noise, cooling, initial,
-                    init_phase, dt, n_steps, rec_idx):
-    # a segment's point argument is its detuning pair; heating is
-    # evaluated at each ion's nominal absolute frequency
-    detuning = [d for _seed, d, _lo, _hi in segments]
-    rngs, bounds, rows, offsets, gamma, diffusion, ou, init = _batch_setup(
-        segments, [[carrier + d[i] for i in (0, 1)] for d in detuning],
-        noise, cooling, initial, init_phase, dt)
-    key, maps, _scale = _envelope_model(kappa, dt, rows(detuning), offsets,
-                                        gamma, diffusion)
-    if ou is None:     # kicks on Re a, then Im a
-        return _propagate(rngs, bounds, rec_idx, key, maps,
-                          np.tile(key[:, 2:], 2), init,
-                          lambda j, s: s[..., :2] ** 2 + s[..., 2:] ** 2), None, None
-    t = maps(key)[0]
-    m, a = t[:, :2, :2] + 1j * t[:, 2:, :2], init[:, :2] + 1j * init[:, 2:]
-
-    def advance(kick, delta_ou):
-        # the complex step, then the OU phase exp(-i dt delta_ou)
-        nonlocal a
-        a = np.einsum("rij,rj->ri", m, a) + kick.view(complex)
-        a *= np.exp(-1j * dt * delta_ou)
-
-    # kicks (Re a1, Im a1, Re a2, Im a2), so that a step's kick views as a
-    moments = _step_loop(segments, bounds, n_steps, rec_idx,
-                         np.repeat(key[:, 2:], 2, axis=1), ou, advance,
-                         lambda j: (a.real ** 2 + a.imag ** 2)[None])
-    return moments, None, None
+                           axis=1), maps, np.ones((len(offsets), 4)), reader)
 
 
 def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
@@ -805,17 +714,15 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
     grid = _grid(duration, dt, min(
         envelope_step_limit(kappa, carrier, d, noise, cooling, duration)
         for _s, d in points), record_points)
+    model = functools.partial(_envelope_model, kappa, grid[0])
     if exact:
-        trajectories = [_exact(
-            functools.partial(_envelope_model, kappa, grid[0], np.array(d)),
-            noise, cooling, carrier + np.array(d), initial_occupations,
-            init_phase, grid) for _s, d in points]
+        trajectories = [_exact(model, (carrier, carrier), d, noise, cooling,
+                               initial_occupations, init_phase, grid)
+                        for _s, d in points]
     else:
-        trajectories = _integrate(
-            lambda segments: _envelope_batch(
-                segments, kappa, carrier, noise, cooling, initial_occupations,
-                init_phase, *grid),
-            points, grid, n_realizations, noise)
+        trajectories = _integrate(model, (carrier, carrier), points, grid,
+                                  n_realizations, noise, cooling,
+                                  initial_occupations, init_phase)
     return trajectories if several else trajectories[0]
 
 

@@ -391,12 +391,14 @@ def run_swap_demo(scenario):
     if not isinstance(sched, ScheduleSwap):
         raise ValueError("scenario schedule must be a swap demo")
     # the parser refuses these at their keys, records made in code here
+    kind = scenario_file.SCHEDULES[sched.kind]
     for record in (scenario.noise1, scenario.noise2, scenario.cooling1,
                    scenario.cooling2):
-        scenario_file.SCHEDULES[sched.kind].check_zeroed(record)
+        kind.check_zeroed(record)
+    kappa = scenario.kappa()
+    kind.coupling(kappa)
     exp = load_expectations()
 
-    kappa = scenario.kappa()
     w = 0.5 * (scenario.site1.vertical_frequency +
                scenario.site2.vertical_frequency)
     params = dynamics.PairParams.resonant(scenario.species.mass, w, kappa)

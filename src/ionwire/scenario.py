@@ -292,8 +292,7 @@ _SITE_KEYS = (
     _Key("deff_um", "effective_distance", units=_UM, auto=True))
 _NOISE_KEYS = (         # after a site prefix
     _Key("jitter_kind", "jitter_kind", TEXT, default="per_shot",
-         choices={"per_shot": dynamics.JITTER_PER_SHOT,
-                  "ou": dynamics.JITTER_OU}),
+         choices={"per_shot": dynamics.JITTER_PER_SHOT}),
     _Key("jitter_correlation_ms", "jitter_correlation_time", units=_MS,
          default=0.0),
     _Key("heating_quanta_per_ms", "heating_rate_at_reference",
@@ -449,6 +448,7 @@ class ScheduleKind:
     # least and most realizations; a fit weighting by their spread needs two
     ensemble: tuple = (2, None)
     zeroed: tuple = ()  # noise and cooling fields its run leaves out
+    coupled: bool = False   # its run times an exchange, so needs kappa > 0
 
     def check_zeroed(self, record):
         """``record`` (noise or cooling) if each field its run leaves out is 0."""
@@ -457,6 +457,13 @@ class ScheduleKind:
                 check_range(f"{name} of a {self.command} run (no noise or "
                             f"cooling)", getattr(record, name), ge=0, le=0)
         return record
+
+    def coupling(self, kappa_override):
+        """The [coupling] fields, if the run has the exchange it needs."""
+        if self.coupled and kappa_override is not None:
+            check_range(f"kappa_override of a {self.command} run",
+                        kappa_override, gt=0)
+        return {"kappa_override": kappa_override}
 
 
 # keyed by the ``kind`` value of the [schedule] section, which the schedule
@@ -485,7 +492,8 @@ SCHEDULES = {kind.schedule.kind: kind for kind in (
          _Key("duration_ms", "duration", units=_MS)),
         "run_swap_demo", "swap", "noiseless resonant exchange demonstration",
         "swap_benchmark", ensemble=(1, 1),
-        zeroed=("heating_rate_at_reference", "jitter_sigma", "damping_rate")),
+        zeroed=("heating_rate_at_reference", "jitter_sigma", "damping_rate"),
+        coupled=True),
 )}
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 
@@ -580,7 +588,7 @@ def parse_scenario_text(text, path="<scenario>"):
                            _SITE_PREFIXES)
     cooling1, cooling2 = build("cooling", dynamics.CoolingClamp,
                                _COOLING_KEYS, _SITE_PREFIXES)
-    [coupling] = build("coupling", dict, _COUPLING_KEYS) \
+    [coupling] = build("coupling", kind.coupling, _COUPLING_KEYS) \
         if "coupling" in sections else [{}]
     [run] = build("run", dict, _RUN_KEYS)
     with sections["run"].checked():

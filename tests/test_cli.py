@@ -330,10 +330,21 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
     *[("sympathetic", "wait_ms = 0,1,2,3,4,5,6,7,8,9,10", f"wait_ms = {w}",
        "schedule.wait_ms: wait_times must end within 1000 times their first "
        "step, got ") for w in ("0,4.9e-321,1", "0,0.0001,1000",
-                               "0,0.01,10.01")]],
+                               "0,0.01,10.01")],
+    # the one jitter kind is per-shot, which has no correlation time
+    ("scan", "site2_jitter_sigma_hz = 372.65",
+     "site2_jitter_sigma_hz = 372.65\nsite2_jitter_kind = ou",
+     "] noise.site2_jitter_kind: must be one of ['per_shot'], got 'ou'"),
+    ("scan", "site2_jitter_sigma_hz = 372.65",
+     "site2_jitter_sigma_hz = 372.65\nsite2_jitter_correlation_ms = 5",
+     "] noise.site2_jitter_correlation_ms: site2_jitter_correlation_ms of "
+     "per-shot jitter must be 0, got 5"),
+    # a step count past the budget, refused before it is made an integer
+    ("scan", "probe_ms = 2", "probe_ms = 1e308", "step budget exceeded")],
     ids=["five-frequencies", "equal-frequencies", "negative-waits",
          "off-grid-waits", "points-above-bound", "subnormal-wait-step",
-         "fine-wait-grid", "waits-above-bound"])
+         "fine-wait-grid", "waits-above-bound", "ou-jitter",
+         "jitter-correlation", "probe-past-step-budget"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):
@@ -380,8 +391,12 @@ def test_an_ensemble_of_one_exits_2_naming_the_key(command, source, tmp_path,
      "] noise.site2_jitter_sigma_hz: site2_jitter_sigma_hz of a swap run "
      "(no noise or cooling) must be 0, got 3"),
     ("ensemble = 1", "ensemble = 5",
-     "] run.ensemble: ensemble must be 1, got 5")],
-    ids=["cooling", "noise", "ensemble"])
+     "] run.ensemble: ensemble must be 1, got 5"),
+    # the swap time pi/(2 kappa) needs an exchange
+    ("kappa_hz = 333", "kappa_hz = 0",
+     "] coupling.kappa_hz: kappa_hz of a swap run must be finite and > 0, "
+     "got 0")],
+    ids=["cooling", "noise", "ensemble", "coupling"])
 def test_swap_refuses_what_its_one_noiseless_run_leaves_out(old, new, named,
                                                             tmp_path, capsys):
     # the swap integrates one realization without noise or cooling; a

@@ -177,27 +177,26 @@ def test_seed_determinism_bitwise():
 
 
 # the RNG draw layout and the kick scaling, frozen to the bit as float.hex:
-# both integrators with heating, drag, per-shot jitter on ion 1 and OU
-# jitter on ion 2, over more than one draw block (_CHUNK) and two segments
-# (_BATCH), so both take the OU step loop; a change of the draw order, of
-# how the kicks are scaled or of how the generators are seeded fails here
+# both integrators with heating, drag and per-shot jitter on both ions,
+# over two segments (_BATCH); a change of the draw order, of how the kicks
+# are scaled or of how the generators are seeded fails here
 FROZEN_BITS = {
-    "full": (["0x1.8a27581e8ccf5p+6", "0x1.8a34fb7aa5806p+6",
-              "0x1.90e37f1517f9cp+6"],
-             ["0x1.807eae307557ap+5", "0x1.700e97215de18p+5",
-              "0x1.5af3862380238p+5"],
-             ["0x1.866b55594c8ecp+2", "0x1.8be2be3349d04p+2",
-              "0x1.8268956b19cbbp+2"],
-             ["0x1.76c86ad5cbc5cp+1", "0x1.615309e9d4446p+1",
-              "0x1.4a87ac1ebd264p+1"]),
-    "envelope": (["0x1.8a27581e8ccf5p+6", "0x1.b255d01cf02c5p+6",
-                  "0x1.d2e343fcf805fp+6"],
-                 ["0x1.807eae307557cp+5", "0x1.3fc06052d913fp+5",
-                  "0x1.354aa85d224e5p+5"],
-                 ["0x1.866b55594c8ecp+2", "0x1.d62b836fe21c9p+2",
-                  "0x1.de67f0035083dp+2"],
-                 ["0x1.76c86ad5cbc5bp+1", "0x1.2d4b52cf538d6p+1",
-                  "0x1.2747c69bb0d10p+1"])}
+    "full": (["0x1.8a27581e8ccf6p+6", "0x1.858c80aadcb53p+6",
+              "0x1.948e4818d6a4fp+6"],
+             ["0x1.807eae307557cp+5", "0x1.70fa70f68bf63p+5",
+              "0x1.68560e7e05dc0p+5"],
+             ["0x1.866b55594c8ecp+2", "0x1.6edf0e1696ebcp+2",
+              "0x1.861d2c0a016e2p+2"],
+             ["0x1.76c86ad5cbc5bp+1", "0x1.66b40902108b9p+1",
+              "0x1.57efb7e5a50aap+1"]),
+    "envelope": (["0x1.8a27581e8ccf5p+6", "0x1.9cb72173da1fbp+6",
+                  "0x1.a003aa3fdb073p+6"],
+                 ["0x1.807eae307557cp+5", "0x1.4098526502c40p+5",
+                  "0x1.2c4a18e1ba3d6p+5"],
+                 ["0x1.866b55594c8ecp+2", "0x1.7e541d4a65d4cp+2",
+                  "0x1.731b6344c4571p+2"],
+                 ["0x1.76c86ad5cbc5bp+1", "0x1.4a301f9b4bb14p+1",
+                  "0x1.145746a6227d4p+1"])}
 
 
 def test_kick_scaling_is_frozen_bitwise():
@@ -206,8 +205,7 @@ def test_kick_scaling_is_frozen_bitwise():
                   seed=21, n_realizations=260, record_points=3)
 
     def noise(f):
-        return (NoiseModel(5e4, f, 1.0, 300.0),
-                NoiseModel(2e4, f, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
+        return (NoiseModel(5e4, f, 1.0, 300.0), NoiseModel(2e4, f, 1.0, 200.0))
 
     params = PairParams.resonant(calcium_40().mass, w, TWO_PI * 50.0)
     runs = {"full": integrate_full(params, (100.0, 50.0), noise=noise(w),
@@ -230,8 +228,6 @@ ONE_ROW_CASES = {
         NoiseModel(5e4, W_ONE_ROW, 1.0, 300.0),
         NoiseModel(2e4, W_ONE_ROW, 1.0, 200.0))),
     "drag": dict(cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))),
-    "OU jitter": dict(noise=(
-        NO_NOISE, NoiseModel(0.0, 0.0, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))),
 }
 
 
@@ -241,23 +237,23 @@ def test_one_row_verlet_equals_row_zero_of_a_batch(case):
     runs = [integrate_full(params, (100.0, 50.0), duration=2.2e-4, seed=21,
                            n_realizations=n, record_points=12,
                            record_positions=True, **ONE_ROW_CASES[case])
-            for n in (1, 3)]    # 1,100 steps: more than one draw block
+            for n in (1, 3)]    # 1,100 steps
     assert np.array_equal(runs[0].positions, runs[1].positions), case
     assert np.array_equal(runs[0].energies, runs[1].energies), case
 
 
-# a one-row run with heating, drag, per-shot jitter on ion 1 and OU jitter
-# on ion 2, to the bit as float.hex
+# a one-row run with heating, drag and per-shot jitter on both ions, to
+# the bit as float.hex
 FROZEN_ONE_ROW = {
-    "n_bar_1": ["0x1.98456b89f3d29p+5", "0x1.9efcae362d757p+4",
-                "0x1.d6f256b48b3adp+4"],
-    "n_bar_2": ["0x1.00f631957e11fp+6", "0x1.f11f8b60dce83p+5",
-                "0x1.a885d6182c8a1p+5"],
-    "positions": ["0x1.10a8b54052998p-21", "-0x1.49f47f6c50f45p-22",
-                  "0x1.5f2159c4cb1f5p-22", "-0x1.8727c5c3b44aap-22",
-                  "0x1.9b13ad9fdf2edp-22", "-0x1.6b584295e8812p-22"],
-    "energies": ["0x1.2e68fca49f2d8p-87", "0x1.ce20290a1efa4p-88",
-                 "0x1.b0d289ccc82f1p-88"]}
+    "n_bar_1": ["0x1.98456b89f3d29p+5", "0x1.93e4d0cec6e78p+5",
+                "0x1.689f651535d45p+6"],
+    "n_bar_2": ["0x1.00f631957e121p+6", "0x1.2f2188d91cab3p+6",
+                "0x1.a1ae9c53ad965p+5"],
+    "positions": ["0x1.10a8b54052998p-21", "-0x1.4a39d5180cccep-22",
+                  "0x1.0ebd0e98b153ap-21", "-0x1.14e623e28bbdcp-22",
+                  "0x1.5d94ee23f33ebp-21", "-0x1.6eeb973f8fed0p-23"],
+    "energies": ["0x1.2e22353124e15p-87", "0x1.4af8ca3b32725p-87",
+                 "0x1.7556ac2db9569p-87"]}
 
 
 def test_one_row_verlet_is_frozen_bitwise():
@@ -265,7 +261,7 @@ def test_one_row_verlet_is_frozen_bitwise():
     tr = integrate_full(
         params, (100.0, 50.0),
         noise=(NoiseModel(5e4, W_ONE_ROW, 1.0, 300.0),
-               NoiseModel(2e4, W_ONE_ROW, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3)),
+               NoiseModel(2e4, W_ONE_ROW, 1.0, 200.0)),
         cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
         duration=2.2e-4, seed=21, n_realizations=1, record_points=3,
         record_positions=True)
@@ -357,22 +353,20 @@ def test_unstable_step_is_located_inside_a_block(wide, monkeypatch):
 
 # the seeding contract: each _BATCH-row segment of a point draws from its
 # own generator, so realizations 0-255 give the same segment sums however
-# many realizations follow them, with and without OU jitter (which keeps
-# the step loop), and without jitter, where the first segment shares a
-# batch with the next seven
+# many realizations follow them, with per-shot jitter and without jitter,
+# where the first segment shares a batch with the next seven
 @pytest.mark.parametrize("jitter_kind", [
-    dynamics.JITTER_PER_SHOT, dynamics.JITTER_OU,
-    pytest.param(None, id="no_jitter")])
+    dynamics.JITTER_PER_SHOT, pytest.param(None, id="no_jitter")])
 def test_adding_realizations_keeps_the_first_segment(jitter_kind, monkeypatch):
     seen = []
-    kernel = dynamics._envelope_batch
+    kernel = dynamics._batch
 
     def spy(segments, *args):
         moments, x, e = kernel(segments, *args)
         seen.append((segments[0][2:], len(segments), moments[0]))
         return moments, x, e
 
-    monkeypatch.setattr(dynamics, "_envelope_batch", spy)
+    monkeypatch.setattr(dynamics, "_batch", spy)
     larger = 512 if jitter_kind else 2560
     for n in (256, larger):
         integrate_envelope(TWO_PI * 50.0, CARRIER, noise=_packing_noise(jitter_kind),
@@ -474,12 +468,6 @@ def test_power_by_doubling_equals_the_direct_sum():
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max(),
                                        err_msg=str(n))
-
-
-def test_exact_means_are_not_defined_for_ou_jitter():
-    with pytest.raises(ValueError, match="not linear"):
-        integrate_envelope(TWO_PI * 50.0, CARRIER, noise=FUZZ_NOISE,
-                           duration=1e-3, exact=True)
 
 
 def _assert_within_4_sem(sampled, sem, exact, label):
@@ -599,21 +587,6 @@ def test_jitter_suppresses_exchange_monotonically():
                                 record_points=2)
         gains.append(float(tr.n_bar_2[-1]) - 200.0)
     assert gains[0] > 1.2 * gains[1] > 1.2 * 1.2 * gains[2] > 0.0
-
-
-def test_ou_jitter_deterministic_and_distinct():
-    def run(kind, tau):
-        noise = (NoiseModel(0.0, 0.0, 1.0, 300.0, kind, tau), NO_NOISE)
-        return integrate_envelope(TWO_PI * 59.0, CARRIER, noise=noise,
-                                  duration=2e-3, seed=13, n_realizations=32,
-                                  initial_occupations=(1e3, 0.0),
-                                  init_phase=("fixed", "fixed"),
-                                  record_points=11)
-    a = run(dynamics.JITTER_OU, 0.5e-3)
-    b = run(dynamics.JITTER_OU, 0.5e-3)
-    c = run(dynamics.JITTER_PER_SHOT, 0.0)
-    assert np.array_equal(a.n_bar_1, b.n_bar_1)
-    assert not np.array_equal(a.n_bar_1, c.n_bar_1)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +712,8 @@ def test_noise_model_validation():
         NoiseModel(0.0, 0.0, 1.0, -5.0)
     with pytest.raises(ValueError):
         NoiseModel(0.0, 0.0, 1.0, 10.0, "sinusoidal")
-    with pytest.raises(ValueError):
-        NoiseModel(0.0, 0.0, 1.0, 10.0, dynamics.JITTER_OU, 0.0)
+    with pytest.raises(ValueError):     # per-shot jitter has no correlation
+        NoiseModel(0.0, 0.0, 1.0, 10.0, dynamics.JITTER_PER_SHOT, 0.5e-3)
 
 
 def test_cooling_and_params_validation():
@@ -810,20 +783,18 @@ def test_unknown_init_policy_rejected():
 # several probe points in one call
 
 def _packing_noise(jitter_kind):
-    """Heating on both ions; per-shot jitter on ion 1 and ``jitter_kind``
-    jitter on ion 2, or no jitter where ``jitter_kind`` is None."""
+    """Heating on both ions; ``jitter_kind`` jitter on both, or no jitter
+    where ``jitter_kind`` is None."""
     if jitter_kind is None:
         return (NoiseModel(5e4, CARRIER, 1.0), NoiseModel(2e4, CARRIER, 1.0))
-    return (NoiseModel(5e4, CARRIER, 1.0, 300.0),
-            NoiseModel(2e4, CARRIER, 1.0, 200.0, jitter_kind,
-                       0.5e-3 if jitter_kind == dynamics.JITTER_OU else 0.0))
+    return (NoiseModel(5e4, CARRIER, 1.0, 300.0, jitter_kind),
+            NoiseModel(2e4, CARRIER, 1.0, 200.0, jitter_kind))
 
 
 @pytest.mark.parametrize("ensemble,n_points,jitter_kind", [
-    (64, 5, dynamics.JITTER_OU),     # 4 points per batch, then 1
-    (100, 3, dynamics.JITTER_OU),    # 2 points per batch, 56 rows free
-    (300, 3, dynamics.JITTER_OU),    # each point split at _BATCH
-    (100, 3, dynamics.JITTER_PER_SHOT)])
+    (64, 5, dynamics.JITTER_PER_SHOT),     # 4 points per batch, then 1
+    (100, 3, dynamics.JITTER_PER_SHOT),    # 2 points per batch, 56 rows free
+    (300, 3, dynamics.JITTER_PER_SHOT)])   # each point split at _BATCH
 def test_packed_points_equal_one_point_calls(ensemble, n_points, jitter_kind):
     common = dict(noise=_packing_noise(jitter_kind),
                   cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
@@ -850,9 +821,9 @@ def test_packed_points_draw_kicks_only_where_they_are_kicked():
     # a subnormal heating rate makes the kick size underflow to zero at
     # the detuned point only (heating is evaluated at each point's nominal
     # frequency), so only the resonant point's generators draw kick
-    # normals before their OU normals, as in one-point calls
+    # normals after their set-up draws, as in one-point calls
     detuned = CARRIER / 25.0
-    noise = (NoiseModel(0.0, 0.0, 1.0, 10.0, dynamics.JITTER_OU, 1e-4),
+    noise = (NoiseModel(0.0, 0.0, 1.0, 10.0),
              NoiseModel(2.9645e-316, CARRIER, 0.0, 0.0))
     dt = 2.5e-8
     kick = [math.sqrt(noise_psd(noise[1], CARRIER + d) * dt / 2.0)
@@ -931,7 +902,7 @@ EDGE_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0)
 # rate's denominator, or a charge or mass in SI units, to zero
 EXTRA_EDGE_VALUES = {"wire-spec": (5e-324,), "enhancement": (5e-324,)}
 FUZZ_NOISE = (NoiseModel(5e4, CARRIER, 1.0, 300.0),
-              NoiseModel(2e4, CARRIER, 1.0, 200.0, dynamics.JITTER_OU, 0.5e-3))
+              NoiseModel(2e4, CARRIER, 1.0, 200.0))
 FUZZ_COOLING = (CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0))
 FUZZ_SCAN = tuple((TWO_PI * (1.368e6 + 500.0 * np.arange(-4, 4))).tolist())
 FUZZ_POSITION = dict(patch=RectPatch.centered_square(120e-6),

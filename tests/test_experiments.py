@@ -192,6 +192,15 @@ def test_swap_refuses_a_cooled_record_made_in_code(swap_scenario):
         run_swap_demo(cooled)
 
 
+def test_swap_refuses_an_uncoupled_record_made_in_code(swap_scenario):
+    # the swap time is pi/(2 kappa): no exchange is a usage error, not a
+    # division by zero
+    uncoupled = dataclasses.replace(swap_scenario, kappa_override=0.0)
+    with pytest.raises(ValueError,
+                       match=r"^kappa_override of a swap run must be .*> 0"):
+        run_swap_demo(uncoupled)
+
+
 # ---------------------------------------------------------------------------
 # schedule plumbing
 

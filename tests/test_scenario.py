@@ -114,10 +114,11 @@ def test_auto_effective_distance_and_coupling():
 def test_digest_round_trip():
     scenarios = [load_bundled(name) for name in
                  ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark")]
-    # a per-shot jitter may still carry a correlation time
+    # the jitter keys that only take their defaults, written out
     scenarios.append(parse_scenario_text(BASE.replace(
         "site1_jitter_sigma_hz = 0",
-        "site1_jitter_sigma_hz = 0\nsite1_jitter_correlation_ms = 5")))
+        "site1_jitter_sigma_hz = 0\nsite1_jitter_kind = per_shot\n"
+        "site1_jitter_correlation_ms = 0")))
     for scn in scenarios:
         again = parse_scenario_text(serialize_scenario(scn))
         assert scenario_digest(again) == scenario_digest(scn)
