@@ -77,8 +77,6 @@ _NODES = 64      # Gauss-Hermite nodes per jittered ion in the exact means
 RNG_LAYOUT = (f"SeedSequence(seed, spawn_key=(b,)) per {_BATCH}-realization "
               f"segment b")
 
-JITTER_PER_SHOT = "per_shot_static"
-
 INIT_THERMAL = "thermal"    # Rayleigh amplitude, uniform phase
 INIT_COHERENT = "coherent"  # fixed amplitude, uniform phase
 INIT_FIXED = "fixed"        # fixed amplitude, zero phase
@@ -92,21 +90,14 @@ class NoiseModel:
     spectral_exponent         : alpha of the field PSD S_E ~ 1/f^alpha
     jitter_sigma              : Hz rms of the trap-frequency fluctuation,
                                 one offset per realization held for the run
-    jitter_kind               : per_shot_static, the one kind
-    jitter_correlation_time   : s, 0: per-shot jitter has no correlation
-                                time (the field keeps scenario digests)
     """
 
     heating_rate_at_reference: float = 0.0
     reference_frequency: float = 0.0
     spectral_exponent: float = 1.0
     jitter_sigma: float = 0.0
-    jitter_kind: str = JITTER_PER_SHOT
-    jitter_correlation_time: float = 0.0
 
     def __post_init__(self):
-        check_range("jitter_correlation_time of per-shot jitter",
-                    self.jitter_correlation_time, ge=0, le=0)
         check_range("heating_rate_at_reference", self.heating_rate_at_reference,
                     ge=0)
         check_range("reference_frequency", self.reference_frequency, ge=0)
@@ -115,8 +106,6 @@ class NoiseModel:
         if self.heating_rate_at_reference > 0:
             check_range("reference_frequency with nonzero heating",
                         self.reference_frequency, gt=0)
-        if self.jitter_kind != JITTER_PER_SHOT:
-            raise ValueError(f"unknown jitter_kind {self.jitter_kind!r}")
 
 
 NO_NOISE = NoiseModel()
@@ -435,8 +424,11 @@ def _propagate(rngs, bounds, rec_idx, key, maps, s, read_out):
     """Advance each row a record interval at a time; each segment's moments.
 
     A row's step map and noise are ``maps(key)`` of its ``key`` row, once
-    per distinct key, with their ``_power`` once per interval length n;
-    where every row has one key they share its arrays. The (rows, 4) state
+    per run of consecutive rows with equal keys, with their ``_power`` once
+    per interval length n; where every row has one key they share its
+    arrays. A point's rows without jitter make one run, jittered rows one
+    each. Equal keys apart are mapped twice, to the same bits, since every
+    map is computed row by row. The (rows, 4) state
     takes s <- T^n s + L_n z, L_n L_n^T = Q_n. A segment is kicked where
     any of its rows has a nonzero kick in ``key`` (its last two columns,
     the kicks' rms, in both models): z stacks one (_BATCH, 4) normal
@@ -458,10 +450,9 @@ def _propagate(rngs, bounds, rec_idx, key, maps, s, read_out):
     kicked = [bool(np.any(key[r0:r1, 2:] > 0)) for r0, r1 in bounds]
     rows = slice(None) if all(kicked) else np.flatnonzero(
         np.repeat(kicked, [r1 - r0 for r0, r1 in bounds]))
-    uniq, inv = (key[:1], np.zeros(len(key), int)) if np.all(key == key[0]) \
-        else np.unique(key, axis=0, return_inverse=True)
-    t, d = maps(uniq)
-    inv, powers = inv.reshape(-1), {}
+    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]   # a run's first row
+    t, d = maps(key[new])
+    inv, powers = np.cumsum(new) - 1, {}
 
     def spread(a, idx):
         # a row per key to a row per entry of idx; a view for a single key
@@ -522,10 +513,14 @@ def _exact(model, base, detuning, noise, cooling, initial, init_phase, grid):
 # ---------------------------------------------------------------------------
 # full stochastic integrator
 
+@np.errstate(over="ignore")   # an overflowed product takes two square roots
 def _spring(params, w):
     # coupling spring constant 2 kappa sqrt(m1 w1 m2 w2) per row (jitter is
     # a ~1e-4 effect here)
-    return 2.0 * params.kappa * np.sqrt(params.mass1 * params.mass2 * w[:, 0] * w[:, 1])
+    k = np.sqrt(params.mass1 * params.mass2 * w[:, 0] * w[:, 1])
+    k = np.where(np.isinf(k), np.sqrt(params.mass1 * w[:, 0]) *
+                 np.sqrt(params.mass2 * w[:, 1]), k)
+    return 2.0 * params.kappa * k
 
 
 def _accel(x, w2, g_over_m):

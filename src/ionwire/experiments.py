@@ -429,7 +429,7 @@ def run_swap_demo(scenario):
                 (traj.times[k_min + 1] - traj.times[k_min])
     t_expected = math.pi / (2.0 * kappa)
     swap_err = abs(t_swap - t_expected) / t_expected
-    residual = traj.n_bar_1[k_min] / n1_0 if n1_0 > 0 else float("nan")
+    residual = traj.n_bar_1[k_min] / n1_0
 
     env_on_grid_1 = np.interp(traj.times, env.times, env.n_bar_1)
     env_on_grid_2 = np.interp(traj.times, env.times, env.n_bar_2)

@@ -331,20 +331,24 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
        "schedule.wait_ms: wait_times must end within 1000 times their first "
        "step, got ") for w in ("0,4.9e-321,1", "0,0.0001,1000",
                                "0,0.01,10.01")],
-    # the one jitter kind is per-shot, which has no correlation time
+    # jitter is per shot, with no kind or correlation time to set
     ("scan", "site2_jitter_sigma_hz = 372.65",
      "site2_jitter_sigma_hz = 372.65\nsite2_jitter_kind = ou",
-     "] noise.site2_jitter_kind: must be one of ['per_shot'], got 'ou'"),
+     "bad.scenario:27: [unknown] noise.site2_jitter_kind: unknown key"),
     ("scan", "site2_jitter_sigma_hz = 372.65",
      "site2_jitter_sigma_hz = 372.65\nsite2_jitter_correlation_ms = 5",
-     "] noise.site2_jitter_correlation_ms: site2_jitter_correlation_ms of "
-     "per-shot jitter must be 0, got 5"),
+     "bad.scenario:27: [unknown] noise.site2_jitter_correlation_ms: "
+     "unknown key"),
+    ("scan", "site1_jitter_sigma_hz = 372.65",
+     "site1_jitter_sigma_hz = 372.65\nsite1_jitter_kind = per_shot",
+     "bad.scenario:24: [unknown] noise.site1_jitter_kind: unknown key"),
     # a step count past the budget, refused before it is made an integer
     ("scan", "probe_ms = 2", "probe_ms = 1e308", "step budget exceeded")],
     ids=["five-frequencies", "equal-frequencies", "negative-waits",
          "off-grid-waits", "points-above-bound", "subnormal-wait-step",
          "fine-wait-grid", "waits-above-bound", "ou-jitter",
-         "jitter-correlation", "probe-past-step-budget"])
+         "jitter-correlation", "per-shot-jitter-kind",
+         "probe-past-step-budget"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):
@@ -395,8 +399,14 @@ def test_an_ensemble_of_one_exits_2_naming_the_key(command, source, tmp_path,
     # the swap time pi/(2 kappa) needs an exchange
     ("kappa_hz = 333", "kappa_hz = 0",
      "] coupling.kappa_hz: kappa_hz of a swap run must be finite and > 0, "
-     "got 0")],
-    ids=["cooling", "noise", "ensemble", "coupling"])
+     "got 0"),
+    # n1(t) is smallest at t = 0 unless the first ion starts hotter
+    *[("initial_quanta = 1000,0", f"initial_quanta = {n1},{n2}",
+       f"] schedule.initial_quanta: initial_quanta of the first ion (hotter "
+       f"than the second) must be finite and > {n2}, got {n1}.0")
+      for n1, n2 in ((0, 1000), (500, 1000), (0, 0))]],
+    ids=["cooling", "noise", "ensemble", "coupling", "empty-first-ion",
+         "colder-first-ion", "both-ions-empty"])
 def test_swap_refuses_what_its_one_noiseless_run_leaves_out(old, new, named,
                                                             tmp_path, capsys):
     # the swap integrates one realization without noise or cooling; a
@@ -414,22 +424,34 @@ def test_swap_refuses_what_its_one_noiseless_run_leaves_out(old, new, named,
 
 
 def test_a_nan_headline_is_written_as_a_json_string(tmp_path, capsys):
-    # swapping from an empty ion leaves the residual fraction 0 / 0
-    with open(SWAP_SHORT, encoding="utf-8") as fh:
-        text = fh.read()
-    assert text.count("initial_quanta = 1000,0") == 1
-    scn = tmp_path / "empty.scenario"
-    scn.write_text(text.replace("initial_quanta = 1000,0",
-                                "initial_quanta = 0,1000"))
+    # a scan without jitter injects no width, so the width's relative
+    # error is 0 / 0
+    assert NULL_SCAN.count("jitter_sigma_hz = 372.65") == 2
+    scn = tmp_path / "unjittered.scenario"
+    scn.write_text(NULL_SCAN.replace("jitter_sigma_hz = 372.65",
+                                     "jitter_sigma_hz = 0"))
     out = tmp_path / "o"
-    status, err = _main(["swap", "--scenario", str(scn), "--format", "json",
+    status, err = _main(["scan", "--scenario", str(scn), "--format", "json",
                          "--out", str(out)], capsys)
     assert status == 1 and err == "", err
     for path in out.glob("*.json"):
         assert parse_problem(path.name, path.read_text()) is None, path.name
-    rows = json.loads((out / "swap_demo_headline.json").read_text())["rows"]
-    assert {"name": "residual_fraction", "value": "nan"}.items() <= \
-        next(r for r in rows if r["name"] == "residual_fraction").items()
+    rows = json.loads((out / "resonance_scan_headline.json").read_text())["rows"]
+    assert {"name": "width_rel_err", "value": "nan"}.items() <= \
+        next(r for r in rows if r["name"] == "width_rel_err").items()
+
+
+def test_a_swap_of_a_huge_mass_runs(tmp_path, capsys):
+    # m1 m2 w1 w2 overflows above about 1e175 u, but the coupling spring
+    # sqrt(m1 w1 m2 w2) is finite: no unstable step
+    with open(SWAP_SHORT, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("mass_u = 39.9625909") == 1
+    scn = tmp_path / "heavy.scenario"
+    scn.write_text(text.replace("mass_u = 39.9625909", "mass_u = 1e308"))
+    status, err = _main(["swap", "--scenario", str(scn),
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status == 0 and err == "", err
 
 
 # the last is the bound's 1,000 steps

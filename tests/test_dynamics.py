@@ -355,9 +355,10 @@ def test_unstable_step_is_located_inside_a_block(wide, monkeypatch):
 # own generator, so realizations 0-255 give the same segment sums however
 # many realizations follow them, with per-shot jitter and without jitter,
 # where the first segment shares a batch with the next seven
-@pytest.mark.parametrize("jitter_kind", [
-    dynamics.JITTER_PER_SHOT, pytest.param(None, id="no_jitter")])
-def test_adding_realizations_keeps_the_first_segment(jitter_kind, monkeypatch):
+@pytest.mark.parametrize("jittered", [
+    pytest.param(True, id="per_shot_static"),
+    pytest.param(False, id="no_jitter")])
+def test_adding_realizations_keeps_the_first_segment(jittered, monkeypatch):
     seen = []
     kernel = dynamics._batch
 
@@ -367,14 +368,14 @@ def test_adding_realizations_keeps_the_first_segment(jitter_kind, monkeypatch):
         return moments, x, e
 
     monkeypatch.setattr(dynamics, "_batch", spy)
-    larger = 512 if jitter_kind else 2560
+    larger = 512 if jittered else 2560
     for n in (256, larger):
-        integrate_envelope(TWO_PI * 50.0, CARRIER, noise=_packing_noise(jitter_kind),
+        integrate_envelope(TWO_PI * 50.0, CARRIER, noise=_packing_noise(jittered),
                            duration=5.5e-4, dt=5e-7, seed=17, n_realizations=n,
                            initial_occupations=(100.0, 50.0), record_points=4)
     (rows_256, _, sums_256), (rows_more, width, sums_more) = seen[0], seen[1]
     assert rows_256 == rows_more == (0, 256)
-    assert width == (1 if jitter_kind else dynamics._WIDE // dynamics._BATCH)
+    assert width == (1 if jittered else dynamics._WIDE // dynamics._BATCH)
     assert np.array_equal(sums_256, sums_more)
 
 
@@ -710,10 +711,6 @@ def test_noise_model_validation():
         NoiseModel(1e3, CARRIER, 2.5, 0.0)
     with pytest.raises(ValueError):
         NoiseModel(0.0, 0.0, 1.0, -5.0)
-    with pytest.raises(ValueError):
-        NoiseModel(0.0, 0.0, 1.0, 10.0, "sinusoidal")
-    with pytest.raises(ValueError):     # per-shot jitter has no correlation
-        NoiseModel(0.0, 0.0, 1.0, 10.0, dynamics.JITTER_PER_SHOT, 0.5e-3)
 
 
 def test_cooling_and_params_validation():
@@ -782,31 +779,34 @@ def test_unknown_init_policy_rejected():
 # ---------------------------------------------------------------------------
 # several probe points in one call
 
-def _packing_noise(jitter_kind):
-    """Heating on both ions; ``jitter_kind`` jitter on both, or no jitter
-    where ``jitter_kind`` is None."""
-    if jitter_kind is None:
-        return (NoiseModel(5e4, CARRIER, 1.0), NoiseModel(2e4, CARRIER, 1.0))
-    return (NoiseModel(5e4, CARRIER, 1.0, 300.0, jitter_kind),
-            NoiseModel(2e4, CARRIER, 1.0, 200.0, jitter_kind))
+def _packing_noise(jittered):
+    """Heating on both ions, and per-shot jitter on both if ``jittered``."""
+    sigma = (300.0, 200.0) if jittered else (0.0, 0.0)
+    return (NoiseModel(5e4, CARRIER, 1.0, sigma[0]),
+            NoiseModel(2e4, CARRIER, 1.0, sigma[1]))
 
 
-@pytest.mark.parametrize("ensemble,n_points,jitter_kind", [
-    (64, 5, dynamics.JITTER_PER_SHOT),     # 4 points per batch, then 1
-    (100, 3, dynamics.JITTER_PER_SHOT),    # 2 points per batch, 56 rows free
-    (300, 3, dynamics.JITTER_PER_SHOT)])   # each point split at _BATCH
-def test_packed_points_equal_one_point_calls(ensemble, n_points, jitter_kind):
-    common = dict(noise=_packing_noise(jitter_kind),
+@pytest.mark.parametrize("ensemble,offsets_hz,jittered", [
+    (64, (-400, 0, 400, 800, 1200), True),  # 4 points per batch, then 1
+    (100, (-400, 0, 400), True),            # 2 points per batch, 56 rows free
+    (300, (-400, 0, 400), True),            # each point split at _BATCH
+    # one batch; without jitter each point's rows are one run of equal
+    # keys, and the first and last points' equal runs are not adjacent
+    (100, (0, 400, 0), False)],
+    ids=["64-5-per_shot_static", "100-3-per_shot_static",
+         "300-3-per_shot_static", "no_jitter-repeated_point"])
+def test_packed_points_equal_one_point_calls(ensemble, offsets_hz, jittered):
+    common = dict(noise=_packing_noise(jittered),
                   cooling=(CoolingClamp(400.0, 20.0), CoolingClamp(800.0, 5.0)),
                   duration=5.5e-4, dt=5e-7, n_realizations=ensemble,
                   initial_occupations=(100.0, 50.0),
                   init_phase=("thermal", "coherent"),
                   record_points=4)                        # 1,100 steps
-    detunings = [(0.0, TWO_PI * 400.0 * (p - 1)) for p in range(n_points)]
-    seeds = [31 + 7 * p for p in range(n_points)]
+    detunings = [(0.0, TWO_PI * f) for f in offsets_hz]
+    seeds = [31 + 7 * p for p in range(len(detunings))]
     packed = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=detunings,
                                 seed=seeds, **common)
-    assert len(packed) == n_points
+    assert len(packed) == len(detunings)
     for d, s, tr in zip(detunings, seeds, packed):
         alone = integrate_envelope(TWO_PI * 50.0, CARRIER, detuning=d, seed=s,
                                    **common)
@@ -932,12 +932,11 @@ FUZZ_CALLS = {
     "fixed-point": (rate_equation_fixed_point, dict(
         heat1=206e3, heat2=5e3, kappa_ex=132.0,
         cooling2=CoolingClamp(1e3, 10.0))),
-    # no heating and per-shot jitter: the reference frequency and the
-    # correlation time are unused, and must be numbers all the same
+    # no heating and per-shot jitter: the reference frequency is unused,
+    # and must be a number all the same
     "noise-model": (NoiseModel, dict(
         heating_rate_at_reference=0.0, reference_frequency=CARRIER,
-        spectral_exponent=1.0, jitter_sigma=300.0,
-        jitter_correlation_time=0.0)),
+        spectral_exponent=1.0, jitter_sigma=300.0)),
     "linear-heating": (analysis.fit_linear_heating, dict(
         times=(0.0, 1.0, 2.0, 3.0), occupations=(1.0, 2.1, 2.9, 4.0),
         sigmas=(0.1, 0.2, 0.1, 0.3))),
@@ -1003,7 +1002,7 @@ FUZZ_LEAVES = {"rate-equations": 9, "linear-heating": 12, "resonance": 24,
                "enhancement": 12, "rabi-excitation": 6, "laguerre": 2,
                "patch-potential": 8, "patch-field": 8, "extract-kappa": 4,
                "sympathetic-schedule": 4, "scan-schedule": 11, "scenario": 2,
-               "fixed-point": 5, "noise-model": 5, "probe-line": 6}
+               "fixed-point": 5, "noise-model": 4, "probe-line": 6}
 
 
 def _numeric_leaves(value, path=()):

@@ -63,14 +63,14 @@ seed = 7
 """
 
 
-# digests of the bundled scenarios as format_version 1 defines them
+# digests of the bundled scenarios as format_version 2 defines them
 FROZEN_DIGESTS = {
     "scan_benchmark":
-        "9ed7c0a3223d5ac17686c2b21d17b60adb7eaaf31d11149e9cfdca3d7ceadf16",
+        "08c92f811df0b2ee81f42a17cc29d70d0b2c8c02824df8a1b35315328685d221",
     "sympathetic_benchmark":
-        "960b275bf7d4e3ecd9513393f060237aaae8cab68f49c9551e442c562a0deba6",
+        "b653e620b81b8b00088ef19fd953f8d84787b3474c8c5365f763bd2b7d6dcf26",
     "swap_benchmark":
-        "a1ee5108abd9953f02a7d2a1ffcfae191c03dd20651667e8f21c94a048d6c93a",
+        "a974b76f5512eb51e30712c594f98cfb9a1bd1b7bf0966e1354fab5277bad209",
 }
 
 
@@ -114,11 +114,6 @@ def test_auto_effective_distance_and_coupling():
 def test_digest_round_trip():
     scenarios = [load_bundled(name) for name in
                  ("scan_benchmark", "sympathetic_benchmark", "swap_benchmark")]
-    # the jitter keys that only take their defaults, written out
-    scenarios.append(parse_scenario_text(BASE.replace(
-        "site1_jitter_sigma_hz = 0",
-        "site1_jitter_sigma_hz = 0\nsite1_jitter_kind = per_shot\n"
-        "site1_jitter_correlation_ms = 0")))
     for scn in scenarios:
         again = parse_scenario_text(serialize_scenario(scn))
         assert scenario_digest(again) == scenario_digest(scn)
@@ -156,7 +151,7 @@ def test_digest_ignores_output_dir():
 
 def test_canonical_dict_format_version():
     d = canonical_dict(parse_scenario_text(BASE))
-    assert d["format_version"] == 1
+    assert d["format_version"] == 2
 
 
 def test_empty_file_names_first_missing_section():
