@@ -120,8 +120,9 @@ class CoolingClamp:
 
     def __post_init__(self):
         check_range("damping_rate", self.damping_rate, ge=0, le=math.inf)
+        # below 1e100, squared occupations summed over an ensemble stay finite
         check_range("steady_state_occupation", self.steady_state_occupation,
-                    ge=0)
+                    ge=0, lt=1e100)
 
 
 NO_COOLING = CoolingClamp()
@@ -365,23 +366,17 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
 def _recorder(bounds, n_records):
     """``record(j, n)`` puts the (k, rows, 2) occupations n of record slots
     j..j+k-1 and their squares, summed per segment, in those slots of the
-    returned (segments, 2, n_records, 2). A run of m consecutive segments
-    of one size is summed as one (k, m, size, 2) block, which adds each
-    segment's rows in the order of its own slice."""
+    returned (segments, 2, n_records, 2). The segments' (r0, r1) ``bounds``
+    tile the rows; one ``np.add.reduceat`` at their first rows adds each
+    segment's rows in the order of its own slice, whatever else the block
+    holds."""
     sums = np.zeros((len(bounds), 2, n_records, 2))
-    runs = []       # [first segment, segments, first row, rows per segment]
-    for s, (r0, r1) in enumerate(bounds):
-        if runs and runs[-1][3] == r1 - r0:
-            runs[-1][1] += 1
-        else:
-            runs.append([s, 1, r0, r1 - r0])
+    starts = np.asarray(bounds)[:, 0]
 
     def record(j, n):
         slots = slice(j, j + len(n))
-        for s, m, r, size in runs:
-            block = n[:, r:r + m * size].reshape(len(n), m, size, 2)
-            sums[s:s + m, 0, slots] = block.sum(axis=2).swapaxes(0, 1)
-            sums[s:s + m, 1, slots] = (block ** 2).sum(axis=2).swapaxes(0, 1)
+        for k, v in enumerate((n, n * n)):      # the sums, then the squares'
+            sums[:, k, slots] = np.add.reduceat(v, starts, 1).swapaxes(0, 1)
     return record, sums
 
 
@@ -409,7 +404,10 @@ def _power(t, d, n):
 def _factor(q):
     """L with L L^T = q per row for symmetric positive semidefinite q (an
     eigendecomposition of q scaled to unit diagonal); NaN where q is not
-    finite, so that an overflowed map fails the energy check."""
+    finite, so that an overflowed map fails the energy check. The
+    envelope's Q_n is the real form of a complex Hermitian 2x2 matrix, so
+    its eigenvalues come in pairs and rounding sets ``eigh``'s basis within
+    a pair: any change to Q_n's bits redraws every envelope realization."""
     out = np.full_like(q, np.nan)
     ok = np.all(np.isfinite(q), axis=(1, 2))
     scale = np.sqrt(np.diagonal(q[ok], axis1=1, axis2=2))

@@ -394,7 +394,7 @@ def run_swap_demo(scenario):
     kind = scenario_file.SCHEDULES[sched.kind]
     for record in (scenario.noise1, scenario.noise2, scenario.cooling1,
                    scenario.cooling2):
-        kind.check_zeroed(record)
+        kind.check_record(record)
     kappa = scenario.kappa()
     kind.coupling(kappa)
     exp = load_expectations()

@@ -449,14 +449,22 @@ class ScheduleKind:
     # least and most realizations; a fit weighting by their spread needs two
     ensemble: tuple = (2, None)
     zeroed: tuple = ()  # noise and cooling fields its run leaves out
+    # noise and cooling fields its integrators take, which must be finite;
+    # the parser admits an infinite damping rate, a hard clamp
+    finite: tuple = ()
     coupled: bool = False   # its run times an exchange, so needs kappa > 0
 
-    def check_zeroed(self, record):
-        """``record`` (noise or cooling) if each field its run leaves out is 0."""
+    def check_record(self, record):
+        """``record`` (noise or cooling) if each field its run leaves out is 0
+        and each its integrators take is finite."""
         for name in self.zeroed:
             if hasattr(record, name):
                 check_range(f"{name} of a {self.command} run (no noise or "
                             f"cooling)", getattr(record, name), ge=0, le=0)
+        for name in self.finite:
+            if hasattr(record, name):
+                check_range(f"{name} of a {self.command} run",
+                            getattr(record, name), ge=0)
         return record
 
     def coupling(self, kappa_override):
@@ -479,7 +487,8 @@ SCHEDULES = {kind.schedule.kind: kind for kind in (
          _Key("hot_quanta", "hot_occupation"),
          _Key("cold_quanta", "cold_occupation")),
         "run_resonance_scan", "scan",
-        "heating-rate spectroscopy across the resonance", "scan_benchmark"),
+        "heating-rate spectroscopy across the resonance", "scan_benchmark",
+        finite=("damping_rate",)),
     ScheduleKind(
         ScheduleSympathetic,
         (_Key("wait_ms", "wait_times", LIST, units=_MS),
@@ -570,10 +579,11 @@ def parse_scenario_text(text, path="<scenario>"):
 
     def build(name, make, keys, prefixes=("",)):
         """``make`` of each prefix's fields, refusing those the kind's run
-        leaves out (``ScheduleKind.zeroed``); then no key may be left over."""
+        leaves out or cannot take (``ScheduleKind.check_record``); then no
+        key may be left over."""
         sc = sections[name]
         with sc.checked():
-            made = [kind.check_zeroed(make(**sc.read(keys, prefix)))
+            made = [kind.check_record(make(**sc.read(keys, prefix)))
                     for prefix in prefixes]
         sc.finish()
         return made

@@ -343,12 +343,21 @@ def test_subnormal_wire_capacitance_exits_2(tmp_path):
      "site1_jitter_sigma_hz = 372.65\nsite1_jitter_kind = per_shot",
      "bad.scenario:24: [unknown] noise.site1_jitter_kind: unknown key"),
     # a step count past the budget, refused before it is made an integer
-    ("scan", "probe_ms = 2", "probe_ms = 1e308", "step budget exceeded")],
+    ("scan", "probe_ms = 2", "probe_ms = 1e308", "step budget exceeded"),
+    # the scan integrates both clamps; only sympathetic's is a hard clamp
+    *[("scan", f"site{i}_damping_per_s = 0", f"site{i}_damping_per_s = inf",
+       f"] cooling.site{i}_damping_per_s: site{i}_damping_per_s of a scan "
+       f"run must be finite and >= 0, got inf") for i in (1, 2)],
+    # squares of occupations near the target would overflow
+    ("sympathetic", "site2_target_quanta = 182", "site2_target_quanta = 1e308",
+     "] cooling.site2_target_quanta: site2_target_quanta must be >= 0 and "
+     "< 1e+100, got 1e+308")],
     ids=["five-frequencies", "equal-frequencies", "negative-waits",
          "off-grid-waits", "points-above-bound", "subnormal-wait-step",
          "fine-wait-grid", "waits-above-bound", "ou-jitter",
          "jitter-correlation", "per-shot-jitter-kind",
-         "probe-past-step-budget"])
+         "probe-past-step-budget", "site1-infinite-damping",
+         "site2-infinite-damping", "target-above-bound"])
 def test_bad_scan_and_wait_grids_exit_2_naming_the_key(command, old, new,
                                                        named, tmp_path,
                                                        capsys):
@@ -452,6 +461,20 @@ def test_a_swap_of_a_huge_mass_runs(tmp_path, capsys):
     status, err = _main(["swap", "--scenario", str(scn),
                          "--out", str(tmp_path / "o")], capsys)
     assert status == 0 and err == "", err
+
+
+def test_a_sympathetic_run_just_below_the_target_bound_runs(tmp_path,
+                                                           capsys):
+    from importlib import resources
+    text = resources.files("ionwire").joinpath(
+        "data", "sympathetic_benchmark.scenario").read_text(encoding="utf-8")
+    scn = tmp_path / "hot_target.scenario"
+    scn.write_text(text.replace("site2_target_quanta = 182",
+                                "site2_target_quanta = 9.99e99"))
+    # at 64 realizations a band may fail, which exits 1
+    status, err = _main(["sympathetic", "--scenario", str(scn), "--ensemble",
+                         "64", "--out", str(tmp_path / "o")], capsys)
+    assert status in (0, 1) and err == "", err
 
 
 # the last is the bound's 1,000 steps

@@ -179,23 +179,24 @@ def test_seed_determinism_bitwise():
 # the RNG draw layout and the kick scaling, frozen to the bit as float.hex:
 # both integrators with heating, drag and per-shot jitter on both ions,
 # over two segments (_BATCH); a change of the draw order, of how the kicks
-# are scaled or of how the generators are seeded fails here
+# are scaled, of how the generators are seeded or of the order in which
+# the moments are summed fails here
 FROZEN_BITS = {
-    "full": (["0x1.8a27581e8ccf6p+6", "0x1.858c80aadcb53p+6",
-              "0x1.948e4818d6a4fp+6"],
-             ["0x1.807eae307557cp+5", "0x1.70fa70f68bf63p+5",
-              "0x1.68560e7e05dc0p+5"],
-             ["0x1.866b55594c8ecp+2", "0x1.6edf0e1696ebcp+2",
-              "0x1.861d2c0a016e2p+2"],
-             ["0x1.76c86ad5cbc5bp+1", "0x1.66b40902108b9p+1",
-              "0x1.57efb7e5a50aap+1"]),
-    "envelope": (["0x1.8a27581e8ccf5p+6", "0x1.9cb72173da1fbp+6",
-                  "0x1.a003aa3fdb073p+6"],
-                 ["0x1.807eae307557cp+5", "0x1.4098526502c40p+5",
+    "full": (["0x1.8a27581e8ccfap+6", "0x1.858c80aadcb54p+6",
+              "0x1.948e4818d6a4dp+6"],
+             ["0x1.807eae307557cp+5", "0x1.70fa70f68bf60p+5",
+              "0x1.68560e7e05dc3p+5"],
+             ["0x1.866b55594c8e7p+2", "0x1.6edf0e1696ebdp+2",
+              "0x1.861d2c0a016e0p+2"],
+             ["0x1.76c86ad5cbc58p+1", "0x1.66b40902108c0p+1",
+              "0x1.57efb7e5a50a9p+1"]),
+    "envelope": (["0x1.8a27581e8ccf9p+6", "0x1.9cb72173da1fap+6",
+                  "0x1.a003aa3fdb078p+6"],
+                 ["0x1.807eae307557cp+5", "0x1.4098526502c41p+5",
                   "0x1.2c4a18e1ba3d6p+5"],
-                 ["0x1.866b55594c8ecp+2", "0x1.7e541d4a65d4cp+2",
-                  "0x1.731b6344c4571p+2"],
-                 ["0x1.76c86ad5cbc5bp+1", "0x1.4a301f9b4bb14p+1",
+                 ["0x1.866b55594c8e8p+2", "0x1.7e541d4a65d4cp+2",
+                  "0x1.731b6344c456cp+2"],
+                 ["0x1.76c86ad5cbc58p+1", "0x1.4a301f9b4bb15p+1",
                   "0x1.145746a6227d4p+1"])}
 
 
@@ -332,6 +333,24 @@ def test_block_recording_is_bitwise_the_same(case, monkeypatch):
     monkeypatch.setattr(dynamics, "_WIDE", wide)
     assert bits() == blocked, case
     assert set(blocks) == {1}, case
+
+
+def test_recorder_sums_each_segment_over_its_own_rows():
+    # unequal segments recorded in uneven blocks of slots, against a loop
+    # over segments; a segment holds at most _BATCH positive terms, so the
+    # sums agree to _BATCH ulps whatever the order of addition
+    rng = np.random.default_rng(4)
+    ends = np.cumsum([256, 3, 256, 1, 40])
+    bounds = list(zip([0, *ends[:-1]], ends))
+    n = rng.exponential(100.0, (7, ends[-1], 2))
+    record, sums = dynamics._recorder(bounds, len(n))
+    for j, k in ((0, 1), (1, 4), (5, 2)):
+        record(j, n[j:j + k])
+    for s, (r0, r1) in enumerate(bounds):
+        for moment, v in enumerate((n, n ** 2)):
+            np.testing.assert_allclose(sums[s, moment],
+                                       v[:, r0:r1].sum(axis=1),
+                                       rtol=dynamics._BATCH * 2.0 ** -52)
 
 
 # the energy check runs once per block and names the step of the first
@@ -718,6 +737,8 @@ def test_cooling_and_params_validation():
         CoolingClamp(-1.0, 0.0)
     with pytest.raises(ValueError):
         CoolingClamp(10.0, -1.0)
+    with pytest.raises(ValueError, match="< 1e"):
+        CoolingClamp(10.0, 1e100)
     with pytest.raises(ValueError):
         PairParams(0.0, 1e-25, TWO_PI * 1e6, TWO_PI * 1e6, TWO_PI * 10.0)
     with pytest.raises(ValueError):

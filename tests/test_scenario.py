@@ -278,9 +278,11 @@ SCAN_SCHEDULE = ("kind = resonance_scan\ncenter_mhz = 1.990\nspan_khz = 6\n"
 
 
 def _with_scan_schedule(schedule):
+    # a scan integrates both clamps, so it takes no hard (infinite) one
     return BASE.replace(
         "kind = sympathetic_run\nwait_ms = 0,1,2,3,4,5,6,7,8,9,10\n"
-        "initial_hot_quanta = 1000", schedule)
+        "initial_hot_quanta = 1000", schedule).replace(
+        "site2_damping_per_s = inf", "site2_damping_per_s = 1000")
 
 
 def test_scan_schedule_requires_hot_above_cold():
