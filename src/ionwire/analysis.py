@@ -97,7 +97,8 @@ def fit_linear_heating(times, occupations, sigmas=None):
 
     With per-point sigmas the covariance is the exact WLS covariance;
     without, ordinary least squares with the covariance scaled by the
-    reduced chi-square (standard OLS errors).
+    reduced chi-square (standard OLS errors). Sigmas whose weights or
+    normal equations leave the float range are refused.
     """
     t = check_range("times", np.asarray(times, float))
     y = check_range("occupations", np.asarray(occupations, float))
@@ -112,16 +113,21 @@ def fit_linear_heating(times, occupations, sigmas=None):
         s = np.asarray(sigmas, float)
         if s.shape != t.shape:
             raise ValueError("sigmas must align with times")
-        w = 1.0 / check_range("sigmas", s, gt=0) ** 2
-    else:
-        w = np.ones_like(t)
-
-    sw = w.sum()
-    swt = (w * t).sum()
-    swtt = (w * t * t).sum()
+        check_range("sigmas", s, gt=0)
+    # det > 0 for distinct times; weights or sums out of the float range
+    # leave it 0, subnormal, infinite or NaN, and the fit is refused
+    with np.errstate(all="ignore"):
+        w = 1.0 / s ** 2 if weighted else np.ones_like(t)
+        sw = w.sum()
+        swt = (w * t).sum()
+        swtt = (w * t * t).sum()
+        det = sw * swtt - swt ** 2
+    if not np.finfo(float).tiny <= det < math.inf:
+        raise ValueError(f"{'sigmas' if weighted else 'times'} give normal "
+                         f"equations outside the float range (determinant "
+                         f"{det:.3g})")
     swy = (w * y).sum()
     swty = (w * t * y).sum()
-    det = sw * swtt - swt ** 2
     rate = (sw * swty - swt * swy) / det
     intercept = (swtt * swy - swt * swty) / det
 

@@ -38,10 +38,11 @@ the exact ensemble means (``exact=True``).
 Realizations b _BATCH to (b + 1) _BATCH - 1 of a point with seed s are
 segment b. Its generator, ``default_rng(SeedSequence(s, spawn_key=(b,)))``,
 draws full _BATCH-row arrays: the set-up draws, then one per record
-interval, none for a segment without diffusion. So a realization's
-numbers depend only on the seed and its index: output is the same
-whatever the batch packing or ensemble size, and adding realizations
-never moves the existing ones.
+interval, none in a batch without diffusion. A row without diffusion
+takes no kick from its draws, and a generator feeds only its own
+segment, so a realization's numbers depend only on the seed and its
+index: output is the same whatever the batch packing or ensemble size,
+and adding realizations never moves the existing ones.
 
 A batch holds consecutive segments, of one point or of several, and one
 kernel, ``_batch``, runs it for both integrators; the integrator's model
@@ -285,28 +286,26 @@ def _integrate(model, base, points, grid, n_realizations, noise, cooling,
     ``points`` holds one (seed, detuning pair) per point, ``grid`` the
     run's (dt, rec_idx); ``model`` and ``base`` are as ``_batch`` takes
     them. Batches of segments run through ``_batch`` one at a time, in
-    order. Without jitter on either ion (``noise``) a point's rows share
-    one step map, which ``_propagate`` builds once per batch, so a batch
-    holds up to _WIDE rows; with jitter every row has its own map and a
-    batch holds _BATCH rows.
+    order; a point's sums start at its first segment. Without jitter on
+    either ion (``noise``) a point's rows share one step map, which
+    ``_batch`` builds once, so a batch holds up to _WIDE rows; with jitter
+    every row has its own map and a batch holds _BATCH rows.
     """
     n_real = check_count("n_realizations", n_realizations, 1)
     for seed, _point in points:
         check_count("seed", seed, 0)
     cap = _WIDE if all(n.jitter_sigma == 0 for n in noise) else _BATCH
-    per_point = -(-n_real // _BATCH)      # segments per point
-    sums, first, done = [], None, 0
+    sums, first = [], None
     for segments in _pack(points, n_real, cap):
         moments, x, e = _batch(segments, model, base, noise, cooling, initial,
                                init_phase, grid[1])
         if first is None:
             first = (x, e)
-        for segment in moments:
-            if done % per_point == 0:
+        for (_seed, _point, lo, _hi), segment in zip(segments, moments):
+            if lo == 0:
                 sums.append(segment.copy())
             else:
                 sums[-1] += segment
-            done += 1
     trajectories = []
     for p, (s, s2) in enumerate(sums):
         mean, sem = _mean_and_sem(s, s2, n_real)
@@ -335,6 +334,23 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
     rows' diffusion in quanta/s, and gives the rows' keys, step ``maps``,
     quadrature scales and ``reader``, as ``_verlet_model`` and
     ``_envelope_model`` do.
+
+    Each row then advances a record interval at a time. A row's step map
+    and noise are ``maps(key)`` of its ``key`` row, once per run of
+    consecutive rows with equal keys, with their ``_power`` once per
+    interval length n; where every row has one key they share its arrays.
+    A point's rows without jitter make one run, jittered rows one each.
+    Equal keys apart are mapped twice, to the same bits, since every map
+    is computed row by row. The (rows, 4) state takes s <- T^n s + L_n z,
+    L_n L_n^T = Q_n. The batch is kicked if any row has a nonzero kick in
+    ``key`` (its last two columns, the kicks' rms, in both models):
+    then z stacks one (_BATCH, 4) normal draw of every segment's
+    generator, cut to its rows, and a row without kicks has Q_n = 0, so
+    L_n = 0 and its state takes no kick. The states of a block of
+    max(1, _WIDE // rows) consecutive record slots, at most _WIDE
+    row-records, are read out and recorded together: ``read_out(j,
+    states)`` gives the (k, rows, 2) occupations of the (k, rows, 4)
+    states at slots j..j+k-1.
     """
     from numpy.random import SeedSequence, default_rng
 
@@ -359,8 +375,41 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
         rows(diffusion))
     s = scale * _initial_state(initial, init_phase, z, phase)[0]
     read_out, first = reader(s, rec_idx)
-    return (_propagate(rngs, list(zip([0, *ends[:-1]], ends)), rec_idx, key,
-                       maps, s, read_out), *first)
+    record, moments = _recorder(list(zip([0, *ends[:-1]], ends)), len(rec_idx))
+    block = max(1, _WIDE // len(s))
+    kicked = np.any(key[:, 2:] > 0)
+    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]   # a run's first row
+    inv, powers = np.cumsum(new) - 1, {}
+
+    def spread(a):
+        # a row per run to a row per row; a view for a single run
+        return np.broadcast_to(a, (len(inv), 4, 4)) if len(a) == 1 else a[inv]
+
+    def flush(j, states):
+        # a block of one is a view of its state, not a copy
+        states = states[0][None] if len(states) == 1 else np.stack(states)
+        record(j, read_out(j, states))
+
+    # the energy check reports overflows of the propagation and read-out
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, d = maps(key[new])
+        states, first_slot = [s], 0     # the block's states and its first slot
+        for j, n in enumerate(np.diff(rec_idx), 1):
+            if len(states) == block:
+                flush(first_slot, states)
+                states, first_slot = [], j
+            if n not in powers:
+                tn, qn = _power(t, d, int(n))
+                powers[n] = spread(tn), spread(_factor(qn)) if kicked else None
+            tn, ln = powers[n]
+            s = np.einsum("rij,rj->ri", tn, s)
+            if kicked:
+                z = np.concatenate([r.standard_normal((_BATCH, 4))[:m]
+                                    for r, m in zip(rngs, counts)])
+                s += np.einsum("rij,rj->ri", ln, z)
+            states.append(s)
+        flush(first_slot, states)
+    return (moments, *first)
 
 
 def _recorder(bounds, n_records):
@@ -415,66 +464,6 @@ def _factor(q):
     lam, vec = np.linalg.eigh(q[ok] / scale[:, :, None] / scale[:, None, :])
     out[ok] = scale[:, :, None] * vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
     return out
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the energy check reports these
-def _propagate(rngs, bounds, rec_idx, key, maps, s, read_out):
-    """Advance each row a record interval at a time; each segment's moments.
-
-    A row's step map and noise are ``maps(key)`` of its ``key`` row, once
-    per run of consecutive rows with equal keys, with their ``_power`` once
-    per interval length n; where every row has one key they share its
-    arrays. A point's rows without jitter make one run, jittered rows one
-    each. Equal keys apart are mapped twice, to the same bits, since every
-    map is computed row by row. The (rows, 4) state
-    takes s <- T^n s + L_n z, L_n L_n^T = Q_n. A segment is kicked where
-    any of its rows has a nonzero kick in ``key`` (its last two columns,
-    the kicks' rms, in both models): z stacks one (_BATCH, 4) normal
-    draw of each kicked segment's generator, cut to its rows, and the
-    other segments' rows take no kick term. The states of a block of
-    max(1, _WIDE // rows) consecutive record slots, at most _WIDE
-    row-records, are read out and recorded together: ``read_out(j,
-    states)`` gives the (k, rows, 2) occupations of the (k, rows, 4)
-    states at slots j..j+k-1.
-    """
-    record, moments = _recorder(bounds, len(rec_idx))
-    block = max(1, _WIDE // len(s))
-
-    def flush(j, states):
-        # a block of one is a view of its state, not a copy
-        states = states[0][None] if len(states) == 1 else np.stack(states)
-        record(j, read_out(j, states))
-
-    kicked = [bool(np.any(key[r0:r1, 2:] > 0)) for r0, r1 in bounds]
-    rows = slice(None) if all(kicked) else np.flatnonzero(
-        np.repeat(kicked, [r1 - r0 for r0, r1 in bounds]))
-    new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]   # a run's first row
-    t, d = maps(key[new])
-    inv, powers = np.cumsum(new) - 1, {}
-
-    def spread(a, idx):
-        # a row per key to a row per entry of idx; a view for a single key
-        return np.broadcast_to(a, (len(idx), 4, 4)) if len(a) == 1 else a[idx]
-
-    states, first = [s], 0      # the block's states and its first slot
-    for j, n in enumerate(np.diff(rec_idx), 1):
-        if len(states) == block:
-            flush(first, states)
-            states, first = [], j
-        if n not in powers:
-            tn, qn = _power(t, d, int(n))
-            powers[n] = (spread(tn, inv),
-                         spread(_factor(qn), inv[rows]) if any(kicked) else None)
-        tn, ln = powers[n]
-        s = np.einsum("rij,rj->ri", tn, s)
-        if ln is not None:
-            z = np.concatenate([r.standard_normal((_BATCH, 4))[:r1 - r0]
-                                for r, (r0, r1), k in zip(rngs, bounds, kicked)
-                                if k])
-            s[rows] += np.einsum("rij,rj->ri", ln, z)
-        states.append(s)
-    flush(first, states)
-    return moments
 
 
 def _exact(model, base, detuning, noise, cooling, initial, init_phase, grid):

@@ -30,6 +30,13 @@ from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_count,
                    rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
+# every schedule occupation is below this. At large n the sympathetic fit
+# weights each point by (1e-6 n)^-2, at its SEM floor, and its normal
+# equations multiply two weights: below 1e80 the products stay above
+# 1e-296, twelve decades above the smallest normal float, which leaves
+# room for the spread of the times
+MAX_QUANTA = 1e80
+
 
 @dataclass(frozen=True)
 class ScheduleResonanceScan:
@@ -45,7 +52,7 @@ class ScheduleResonanceScan:
         check_range("probe_duration", self.probe_duration, gt=0)
         # the hot ion starts hotter than the cold ion; the cold occupation
         # is checked against it, so a cold one raised too far is named
-        check_range("hot_occupation", self.hot_occupation, gt=0)
+        check_range("hot_occupation", self.hot_occupation, gt=0, lt=MAX_QUANTA)
         check_range("cold_occupation", self.cold_occupation, ge=0,
                     lt=self.hot_occupation)
         # the resonance fit needs 6 points spread over the line
@@ -67,7 +74,7 @@ class ScheduleSympathetic:
     def __post_init__(self):
         check_range("wait_times", self.wait_times, ge=0)
         check_range("initial_hot_occupation", self.initial_hot_occupation,
-                    ge=0)
+                    ge=0, lt=MAX_QUANTA)
         if len(self.wait_times) < 3:
             raise ValueError(f"wait_times needs at least 3 values to fit a "
                              f"slope, got {len(self.wait_times)}")
@@ -94,7 +101,8 @@ class ScheduleSwap:
     kind: str = "swap_demo"
 
     def __post_init__(self):
-        check_range("initial_occupations", self.initial_occupations, ge=0)
+        check_range("initial_occupations", self.initial_occupations, ge=0,
+                    lt=MAX_QUANTA)
         check_range("duration", self.duration, gt=0)
         if len(self.initial_occupations) != 2:
             raise ValueError(f"initial_occupations needs exactly two values, "

@@ -54,6 +54,20 @@ def test_linear_fit_contracts():
         fit_linear_heating([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, -1.0, 1.0])
 
 
+# weights whose normal equations leave the float range are refused, naming
+# the sigmas, without a warning: at 1e170 sigma^2 overflows, at 1e150 the
+# determinant underflows, at 1e-170 sigma^2 underflows to an infinite
+# weight; at 1e60 the fit still recovers the line
+@pytest.mark.parametrize("sigma", [1e170, 1e150, 1e-170])
+def test_linear_fit_refuses_weights_out_of_float_range(sigma):
+    t = np.linspace(0.0, 10e-3, 11)
+    y = 3.0 + 7.0e3 * t
+    with pytest.raises(ValueError, match="^sigmas "):
+        fit_linear_heating(t, y, np.full(11, sigma))
+    fit = fit_linear_heating(t, y, np.full(11, 1e60))
+    assert fit.parameters["rate"] == pytest.approx(7.0e3, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # resonance line shape
 

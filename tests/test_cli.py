@@ -477,6 +477,40 @@ def test_a_sympathetic_run_just_below_the_target_bound_runs(tmp_path,
     assert status in (0, 1) and err == "", err
 
 
+# every schedule occupation is below scenario.MAX_QUANTA: at and above it
+# the run exits 2 at its key, just below it the run goes on without a
+# warning (a band may fail at a small ensemble, which exits 1)
+OCCUPATION_KEYS = {     # key: command, its bundled line, the line at value
+    "hot_quanta": ("scan", "hot_quanta = 10000", "hot_quanta = {}"),
+    "initial_hot_quanta": ("sympathetic", "initial_hot_quanta = 1000",
+                           "initial_hot_quanta = {}"),
+    "initial_quanta": ("swap", "initial_quanta = 1000,0",
+                       "initial_quanta = {},0"),
+}
+
+
+@pytest.mark.parametrize("key", OCCUPATION_KEYS)
+def test_occupations_from_the_bound_up_exit_2_at_their_key(key, tmp_path,
+                                                           capsys):
+    from importlib import resources
+    command, old, new = OCCUPATION_KEYS[key]
+    text = resources.files("ionwire").joinpath(
+        "data", f"{command}_benchmark.scenario").read_text(encoding="utf-8")
+    assert old in text
+    small = () if command == "swap" else ("--ensemble", "64")
+    for value in ("1e308", "1e100", "1e80", "9.99e79"):
+        scn = tmp_path / f"{value}.scenario"
+        scn.write_text(text.replace(old, new.format(value)))
+        status, err = _main([command, "--scenario", str(scn), *small,
+                             "--out", str(tmp_path / value)], capsys)
+        if value == "9.99e79":
+            assert status in (0, 1) and err == "", err
+        else:
+            assert status == 2 and len(err.splitlines()) == 1, (value, err)
+            assert f"] schedule.{key}: {key} must be " in err, err
+            assert f"< 1e+80, got {float(value):g}" in err, err
+
+
 # the last is the bound's 1,000 steps
 @pytest.mark.parametrize("waits", ["0,1,2,3", "0,2,4,6,8,10",
                                    "0,1,2,3,4,5,6,7,8,9", "0,0.01,10"])

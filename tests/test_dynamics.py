@@ -410,11 +410,11 @@ def test_wide_batches_equal_narrow_ones(ensemble, n_points, monkeypatch):
     detunings = [(0.0, TWO_PI * 400.0 * (p - 1)) for p in range(n_points)]
     seeds = [31 + 7 * p for p in range(n_points)]
     params = PairParams.resonant(calcium_40().mass, CARRIER, TWO_PI * 50.0)
-    widths, propagate = [], dynamics._propagate
+    widths, kernel = [], dynamics._batch
 
     def spy(*args):
-        widths.append(len(args[1]))     # segments in the batch
-        return propagate(*args)
+        widths.append(len(args[0]))     # segments in the batch
+        return kernel(*args)
 
     def runs():
         widths.clear()
@@ -426,7 +426,7 @@ def test_wide_batches_equal_narrow_ones(ensemble, n_points, monkeypatch):
                               seed=seeds[0], record_positions=True, **common)
         return [*envelope, full], list(widths)
 
-    monkeypatch.setattr(dynamics, "_propagate", spy)
+    monkeypatch.setattr(dynamics, "_batch", spy)
     wide, wide_widths = runs()
     monkeypatch.setattr(dynamics, "_WIDE", dynamics._BATCH)
     narrow, narrow_widths = runs()
@@ -838,11 +838,13 @@ def test_packed_points_equal_one_point_calls(ensemble, offsets_hz, jittered):
         assert tr.positions is None and tr.energies is None
 
 
-def test_packed_points_draw_kicks_only_where_they_are_kicked():
+def test_packed_points_kick_a_batch_as_a_whole():
     # a subnormal heating rate makes the kick size underflow to zero at
     # the detuned point only (heating is evaluated at each point's nominal
-    # frequency), so only the resonant point's generators draw kick
-    # normals after their set-up draws, as in one-point calls
+    # frequency). Packed with the resonant point, the detuned point's
+    # generator draws kick normals after its set-up draws too, which its
+    # one-point call does not, but its rows take no kick from them, so its
+    # outputs equal that call's
     detuned = CARRIER / 25.0
     noise = (NoiseModel(0.0, 0.0, 1.0, 10.0),
              NoiseModel(2.9645e-316, CARRIER, 0.0, 0.0))
