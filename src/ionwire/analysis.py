@@ -97,8 +97,12 @@ def fit_linear_heating(times, occupations, sigmas=None):
 
     With per-point sigmas the covariance is the exact WLS covariance;
     without, ordinary least squares with the covariance scaled by the
-    reduced chi-square (standard OLS errors). Sigmas whose weights or
-    normal equations leave the float range are refused.
+    reduced chi-square (standard OLS errors). Times and sigmas are scaled
+    by powers of two to their largest magnitudes before the normal
+    equations are formed, and the results scaled back, so the fit does not
+    depend on their units; that is exact unless a scaled value is
+    subnormal. Weights, normal equations or fitted values that still leave
+    the float range are refused.
     """
     t = check_range("times", np.asarray(times, float))
     y = check_range("occupations", np.asarray(occupations, float))
@@ -114,37 +118,50 @@ def fit_linear_heating(times, occupations, sigmas=None):
         if s.shape != t.shape:
             raise ValueError("sigmas must align with times")
         check_range("sigmas", s, gt=0)
-    # det > 0 for distinct times; weights or sums out of the float range
-    # leave it 0, subnormal, infinite or NaN, and the fit is refused
+    # t = 2^a t' and sigma = 2^b sigma', the largest |t'| and sigma' in
+    # [1/2, 1): rate = 2^-a rate', the intercept's sigma 2^b times its
+    # sigma', the rate's 2^(b-a) times and the residual norm 2^-b times
+    a = math.frexp(np.max(np.abs(t)))[1]
+    b = math.frexp(np.max(s))[1] if weighted else 0
     with np.errstate(all="ignore"):
-        w = 1.0 / s ** 2 if weighted else np.ones_like(t)
+        t = np.ldexp(t, -a)
+        w = 1.0 / np.ldexp(s, -b) ** 2 if weighted else np.ones_like(t)
         sw = w.sum()
         swt = (w * t).sum()
         swtt = (w * t * t).sum()
         det = sw * swtt - swt ** 2
+        swy = (w * y).sum()
+        swty = (w * t * y).sum()
+        rate = (sw * swty - swt * swy) / det
+        intercept = (swtt * swy - swt * swty) / det
+        resid = y - (intercept + rate * t)
+        chi2 = (w * resid ** 2).sum()
+        # covariance of (intercept, rate) from the normal equations
+        cov_ii = swtt / det
+        cov_rr = sw / det
+        if not weighted:
+            dof = t.size - 2
+            scale = chi2 / dof if dof > 0 else 0.0
+            cov_ii *= scale
+            cov_rr *= scale
+        rate, sigma_r, sigma_i, norm = np.ldexp(
+            [rate, np.sqrt(cov_rr), np.sqrt(cov_ii), np.sqrt(chi2)],
+            [-a, b - a, b, -b])
+    # det > 0 for distinct times; weights or sums out of the float range
+    # leave it 0, subnormal, infinite or NaN, and the fit is refused, as it
+    # is where a result scaled back leaves the float range
     if not np.finfo(float).tiny <= det < math.inf:
         raise ValueError(f"{'sigmas' if weighted else 'times'} give normal "
                          f"equations outside the float range (determinant "
                          f"{det:.3g})")
-    swy = (w * y).sum()
-    swty = (w * t * y).sum()
-    rate = (sw * swty - swt * swy) / det
-    intercept = (swtt * swy - swt * swty) / det
-
-    resid = y - (intercept + rate * t)
-    chi2 = float((w * resid ** 2).sum())
-    # covariance of (intercept, rate) from the normal equations
-    cov_ii = swtt / det
-    cov_rr = sw / det
-    if not weighted:
-        dof = t.size - 2
-        scale = chi2 / dof if dof > 0 else 0.0
-        cov_ii *= scale
-        cov_rr *= scale
+    if not np.isfinite([rate, intercept, sigma_r, sigma_i, norm]).all():
+        names = ("times, occupations and sigmas" if weighted
+                 else "times and occupations")
+        raise ValueError(f"{names} give a fit outside the float range")
     return FitResult(
         parameters={"rate": float(rate), "intercept": float(intercept)},
-        sigmas={"rate": math.sqrt(cov_rr), "intercept": math.sqrt(cov_ii)},
-        residual_norm=math.sqrt(chi2),
+        sigmas={"rate": float(sigma_r), "intercept": float(sigma_i)},
+        residual_norm=float(norm),
         n_iterations=1,
         converged=True,
         model_id="linear-heating n(t) = intercept + rate*t",
@@ -451,12 +468,30 @@ def _truncation(n_bar):
     return int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
 
 
-def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
-    """(lo, hi, rate, phase) per Fock block n = lo .. hi-1 up to n_top: rate
-    the block's Omega_n/2 and phase a fresh array of Omega_n t/2 over the
-    float array t, with Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
+# Fock terms per block of every Fock-sum kernel: a (points x 512) work
+# array takes 4 kB a point, so a kernel's few of them stay in cache
+_FOCK_BLOCK = 512
 
-    Blocks of ``block`` terms bound memory at high n_bar; ``end(lo)``, if
+
+def _block_buffer(t, n_top):
+    """A flat work buffer for one (points x block) array of the Fock blocks
+    of _fock_phases over the float array t up to n_top."""
+    return np.empty(t.size * min(_FOCK_BLOCK, n_top + 1))
+
+
+def _view(buf, shape):
+    """A C-contiguous view of the given shape on buf's leading elements."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, end=None):
+    """(lo, hi, rate, phase) per Fock block n = lo .. hi-1 up to n_top: rate
+    the block's Omega_n/2 and phase Omega_n t/2 over the float array t,
+    with Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
+
+    Blocks of _FOCK_BLOCK terms bound memory at high n_bar. Each phase is a
+    view into one buffer per call, which the next block overwrites, so a
+    kernel may work in it in place but keeps nothing of it. ``end(lo)``, if
     given, ends block lo at the n it returns, or stops the sum at n <= lo.
     Scaling Omega_n by the exact factor 1/2 before the product with t gives
     the same phases as halving t * Omega_n, except where that product is
@@ -465,11 +500,22 @@ def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, block, end=None):
     x = lamb_dicke ** 2
     lag = _laguerre_prefix(n_top, x)
     half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
-    for lo in range(0, n_top + 1, block):
-        hi = min(lo + block, n_top + 1 if end is None else end(lo))
+    buf = _block_buffer(t, n_top)
+    for lo in range(0, n_top + 1, _FOCK_BLOCK):
+        hi = min(lo + _FOCK_BLOCK, n_top + 1 if end is None else end(lo))
         if hi <= lo:
             return
-        yield lo, hi, half[lo:hi], np.multiply.outer(t, half[lo:hi])
+        yield lo, hi, half[lo:hi], np.multiply(
+            t[:, None], half[lo:hi], out=_view(buf, (t.size, hi - lo)))
+
+
+def _sin_squared(phase, buf):
+    """sin^2 of phase in place, as tan^2/(1 + tan^2) with 1 + tan^2 in a
+    view of the flat buffer buf."""
+    np.tan(phase, out=phase)
+    np.square(phase, out=phase)
+    phase /= np.add(phase, 1.0, out=_view(buf, phase.shape))
+    return phase
 
 
 def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
@@ -481,15 +527,9 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
-    # not _DERIV_BLOCK: freeing this mapped block raises glibc's mmap and trim
-    # thresholds, so the fit's blocks after it reuse heap pages. At 6,000 here
-    # three thermometry runs took 0.15 s instead of 0.12 s, and 0.12 s again
-    # with MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ set.
-    for lo, hi, _, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top,
-                                         20_000):
-        np.sin(phase, out=phase)
-        np.square(phase, out=phase)
-        out += phase @ p_n[lo:hi]
+    buf = _block_buffer(t, n_top)
+    for lo, hi, _, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top):
+        out += _sin_squared(phase, buf) @ p_n[lo:hi]
     return out
 
 
@@ -511,24 +551,31 @@ def synthesize_rabi(n_bar, carrier_rabi, lamb_dicke, times, shots, seed):
     return dataset, manifest
 
 
-def _binomial_terms(dataset, p):
+def _binomial_nll(dataset, p):
     """The binomial NLL of the counts at probabilities p, clipped to
-    [1e-9, 1 - 1e-9], and its first and second derivatives in each p,
+    [1e-9, 1 - 1e-9], summed over the pulse times on p's last axis."""
+    pc = np.clip(p, 1e-9, 1.0 - 1e-9)
+    k = np.round(dataset.excitation_probability * dataset.shots_per_point)
+    m = dataset.shots_per_point - k
+    return -(k * np.log(pc) + m * np.log1p(-pc)).sum(axis=-1)
+
+
+def _binomial_terms(dataset, p):
+    """_binomial_nll at p, and its first and second derivatives in each p,
     which are zero where the clip holds p."""
     pc = np.clip(p, 1e-9, 1.0 - 1e-9)
     k = np.round(dataset.excitation_probability * dataset.shots_per_point)
     m = dataset.shots_per_point - k
-    nll = float(-(k * np.log(pc) + m * np.log1p(-pc)).sum())
     free = pc == p
     d1 = np.where(free, m / (1.0 - pc) - k / pc, 0.0)
     d2 = np.where(free, k / pc ** 2 + m / (1.0 - pc) ** 2, 0.0)
-    return nll, d1, d2
+    return float(_binomial_nll(dataset, p)), d1, d2
 
 
 def _rabi_nll(dataset, n_bar, omega0):
     """The thermometry objective; the fit uses its closed-form derivatives."""
     p = rabi_excitation(dataset.pulse_times, n_bar, omega0, dataset.lamb_dicke)
-    return _binomial_terms(dataset, p)[0]
+    return float(_binomial_nll(dataset, p))
 
 
 def _thermal_columns(n_bar, lo, hi):
@@ -551,12 +598,6 @@ def _thermal_columns(n_bar, lo, hi):
     return w
 
 
-# Fock terms per block of both fit kernels: the derivative kernel's three
-# (points x 6,000) arrays stay below the one (points x 20,000) array of
-# rabi_excitation, and the seed grid drops losing columns block by block
-_DERIV_BLOCK = 6_000
-
-
 def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
     """P(t) of rabi_excitation and its derivatives in n_bar and u = ln Omega_0.
 
@@ -569,20 +610,22 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
     sin 2phi = 2 tau/d and cos 2phi = 1 - 2 sin^2 phi. The phi factors go
     into the weight columns as phi_n = a g_n, a = t h and g_n = Omega_n/(2h)
     for the block's largest |Omega_n|/2 = h (1 if all are 0), so neither
-    a^2 nor g_n^2 can overflow; the rest is four in-place passes and two
-    matrix products.
+    a^2 nor g_n^2 can overflow; the rest is four passes into the call's
+    work buffers and two matrix products.
     """
     t = np.asarray(times, float)
+    n_top = _truncation(n_bar)
+    s_buf, d_buf = _block_buffer(t, n_top), _block_buffer(t, n_top)
     acc = np.zeros((t.size, 6))
     for lo, hi, rate, phase in _fock_phases(t, carrier_rabi, lamb_dicke,
-                                            _truncation(n_bar), _DERIV_BLOCK):
+                                            n_top):
         h = np.max(np.abs(rate)) or 1.0
         a, g = t * h, rate / h
         w = _thermal_columns(n_bar, lo, hi)
         wg = w[:, :2] * g[:, None]
         tau = np.tan(phase, out=phase)
-        s = np.square(tau)
-        d = s + 1.0
+        s = np.square(tau, out=_view(s_buf, tau.shape))
+        d = np.add(s, 1.0, out=_view(d_buf, tau.shape))
         s /= d                              # sin^2 phi
         tau /= d                            # sin 2phi / 2
         # sum sin^2 phi times p_n, dp_n, d2p_n and p_n g_n^2
@@ -611,10 +654,11 @@ def _nll_derivatives(dataset, n_bar, u):
 
 def _nll_floor(dataset, p, headroom):
     """A lower bound on the binomial NLL at any probabilities between p and
-    p + headroom: each point's NLL falls, then rises, in its P."""
+    p + headroom, per row of p: each point's NLL falls, then rises, in its
+    P."""
     k = np.round(dataset.excitation_probability * dataset.shots_per_point)
     p_least = k / dataset.shots_per_point
-    return _binomial_terms(dataset, np.clip(p_least, p, p + headroom))[0]
+    return _binomial_nll(dataset, np.clip(p_least, p, p + headroom))
 
 
 def _seed_grid_nll(dataset, nbar_grid, omega_grid):
@@ -633,32 +677,32 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
     q = [nb / (1.0 + nb) for nb in nbar_grid]
     nll = np.full((len(nbar_grid), len(omega_grid)), np.inf)
     least = math.inf
+    buf = _block_buffer(t, max(tops))
 
     def live_end(lo):
         # drop the columns that cannot win from block lo on; twice the
         # remaining mass and 1e-9 of the NLL cover rounding
         nonlocal live
-        live = [i for i in live if tops[i] >= lo and not _nll_floor(
-            dataset, p[:, i], 2.0 * q[i] ** lo) > least * (1.0 + 1e-9)]
+        live = [i for i in live if tops[i] >= lo]
+        room = np.array([2.0 * q[i] ** lo for i in live])
+        floor = _nll_floor(dataset, p[live], room[:, None])
+        live = [i for i, f in zip(live, floor) if not f > least * (1.0 + 1e-9)]
         return max((tops[i] + 1 for i in live), default=0)
 
     for j, om in enumerate(omega_grid):
-        p = np.zeros((t.size, len(nbar_grid)))
+        # one row of excitation curve per n_bar
+        p = np.zeros((len(nbar_grid), t.size))
         live = range(len(nbar_grid))
         for lo, hi, _, phase in _fock_phases(t, om, dataset.lamb_dicke,
-                                             max(tops), _DERIV_BLOCK,
-                                             live_end):
+                                             max(tops), live_end):
             cols = np.zeros((hi - lo, len(live)))
             for c, i in enumerate(live):
                 end = min(hi, tops[i] + 1)
                 cols[:end - lo, c] = _thermal_block(nbar_grid[i], lo, end)
-            np.tan(phase, out=phase)
-            np.square(phase, out=phase)
-            phase /= phase + 1.0            # sin^2 = tan^2/(1 + tan^2)
-            p[:, live] += phase @ cols
+            p[live] += (_sin_squared(phase, buf) @ cols).T
             for i in live:
                 if tops[i] < hi:
-                    nll[i, j] = _binomial_terms(dataset, p[:, i])[0]
+                    nll[i, j] = _binomial_nll(dataset, p[i])
                     least = min(least, nll[i, j])
     return nll
 

@@ -531,8 +531,8 @@ OPTION_KEYS = {
              bounds=dict(ge=0, lt=analysis.N_BAR_MAX)),
         # Generator.binomial takes an int64 count
         _Key("shots", "shots", INTEGER, default=200, bounds=dict(ge=1, lt=2**63)),
-        # more points than fitted parameters; Fock blocks hold points x 20,000
-        # floats in rabi_excitation and three points x 6,000 in the fit
+        # more points than fitted parameters; the Fock blocks of every
+        # thermometry kernel hold three points x 512 floats
         _Key("points", "points", INTEGER, default=60, bounds=dict(ge=3, lt=1000)),
         _Key("rabi-khz", "carrier_rabi",
              units=(lambda f: 2 * math.pi * f * 1e3,

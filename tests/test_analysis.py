@@ -54,18 +54,34 @@ def test_linear_fit_contracts():
         fit_linear_heating([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, -1.0, 1.0])
 
 
-# weights whose normal equations leave the float range are refused, naming
-# the sigmas, without a warning: at 1e170 sigma^2 overflows, at 1e150 the
-# determinant underflows, at 1e-170 sigma^2 underflows to an infinite
-# weight; at 1e60 the fit still recovers the line
+# the fit scales times and sigmas by powers of two: uniform sigmas of the
+# power of two nearest 1e170, 1e150 or 1e-170, whose squares or normal
+# equations leave the float range, give the sigma-1 line bit for bit and
+# its sigmas scaled exactly; sigmas that span 1e-170 to 1e170 still leave
+# the normal equations out of range, and are refused, naming the sigmas,
+# without a warning
 @pytest.mark.parametrize("sigma", [1e170, 1e150, 1e-170])
 def test_linear_fit_refuses_weights_out_of_float_range(sigma):
+    exponent = math.frexp(sigma)[1]
     t = np.linspace(0.0, 10e-3, 11)
-    y = 3.0 + 7.0e3 * t
+    y = 3.0 + 7.0e3 * t + np.sin(np.arange(11.0))
+    unit = fit_linear_heating(t, y, np.ones(11))
+    fit = fit_linear_heating(t, y, np.full(11, math.ldexp(1.0, exponent)))
+    assert fit.parameters == unit.parameters
+    assert fit.sigmas == {k: math.ldexp(v, exponent)
+                          for k, v in unit.sigmas.items()}
+    assert fit.residual_norm == math.ldexp(unit.residual_norm, -exponent)
     with pytest.raises(ValueError, match="^sigmas "):
-        fit_linear_heating(t, y, np.full(11, sigma))
-    fit = fit_linear_heating(t, y, np.full(11, 1e60))
-    assert fit.parameters["rate"] == pytest.approx(7.0e3, rel=1e-12)
+        fit_linear_heating(t, y, np.geomspace(1e-170, 1e170, 11))
+
+
+# a rate, sigma or residual norm that leaves the float range when scaled
+# back is refused, naming the arguments, without a warning
+@pytest.mark.parametrize("sigmas", [None, [1e300] * 3])
+def test_linear_fit_refuses_results_out_of_float_range(sigmas):
+    with pytest.raises(ValueError, match="^times.* occupations.* float range"):
+        fit_linear_heating([1e-300, 2e-300, 3e-300], [0.0, 1e10, 2e10],
+                           sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -603,23 +619,26 @@ def test_thermal_columns_match_the_thermal_weights():
 
 
 def _plain_excitation(times, n_bar, carrier_rabi, lamb_dicke):
-    """The Fock sum written out: a fresh Laguerre sequence, no cache."""
+    """The Fock sum written out in analysis's blocks, with sin^2 as
+    tan^2/(1 + tan^2): a fresh Laguerre sequence, no cache, fresh arrays."""
     t = np.asarray(times, float)
     n_top = analysis._truncation(n_bar)
     x = lamb_dicke ** 2
     omega_n = carrier_rabi * math.exp(-0.5 * x) * laguerre_sequence(n_top, x)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
-    for lo in range(0, n_top + 1, 20_000):
-        hi = min(lo + 20_000, n_top + 1)
-        out += np.sin(0.5 * np.outer(t, omega_n[lo:hi])) ** 2 @ p_n[lo:hi]
+    block = analysis._FOCK_BLOCK
+    for lo in range(0, n_top + 1, block):
+        hi = min(lo + block, n_top + 1)
+        tan2 = np.tan(0.5 * np.outer(t, omega_n[lo:hi])) ** 2
+        out += tan2 / (1.0 + tan2) @ p_n[lo:hi]
     return out
 
 
 def test_rabi_excitation_is_independent_of_call_order(monkeypatch):
     times = np.linspace(1e-7, 60e-6, 60)
     rabi = TWO_PI * 50e3
-    # n_bar 1000 spans two Fock blocks
+    # n_bar 50 and 1000 span 3 and 40 Fock blocks, each last one part full
     cases = [(50.0, 0.05), (1000.0, 0.05), (182.0, 0.07), (0.0, 0.05)]
 
     def cold(n_bar, eta):
@@ -640,6 +659,36 @@ def test_rabi_excitation_is_independent_of_call_order(monkeypatch):
         for c in order:
             assert np.array_equal(rabi_excitation(times, c[0], rabi, c[1]),
                                   expected[c])
+
+
+# a Fock-sum kernel works in a few (points x block) arrays, so its memory
+# does not grow with the truncation: 1,101 Fock terms at n_bar 50, 20,101
+# at n_bar 1000
+def test_fock_kernel_memory_does_not_grow_with_n_bar():
+    import tracemalloc
+
+    times = np.linspace(1e-7, 60e-6, 200)
+    rabi, eta = TWO_PI * 50e3, 0.05
+    data, _ = synthesize_rabi(1000.0, rabi, eta, times, 200, 0)
+    kernels = {
+        "rabi_excitation": lambda nb: rabi_excitation(times, nb, rabi, eta),
+        "_excitation_derivatives": lambda nb: analysis._excitation_derivatives(
+            times, nb, rabi, eta),
+        "_seed_grid_nll": lambda nb: analysis._seed_grid_nll(
+            data, [0.1, nb], [rabi]),
+    }
+
+    def peak(kernel, n_bar):
+        tracemalloc.start()
+        try:
+            kernel(n_bar)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for name, kernel in kernels.items():
+        kernel(1000.0)      # keeps the Laguerre sequence both calls slice
+        assert peak(kernel, 1000.0) <= 1.5 * peak(kernel, 50.0), name
 
 
 def _pole_and_zero_times(rabi):

@@ -511,6 +511,25 @@ def test_occupations_from_the_bound_up_exit_2_at_their_key(key, tmp_path,
             assert f"< 1e+80, got {float(value):g}" in err, err
 
 
+# a fine wait grid under an occupation just below the bound: the heating
+# fit's weights and times span decades the normal equations cannot hold
+# unscaled, so the fit scales them by powers of two and the run goes on
+# without a warning (a band may fail at 64 realizations, which exits 1)
+@pytest.mark.parametrize("waits", ["0,1e-20,2e-20", "0,1e-100,2e-100"])
+def test_a_fine_wait_grid_of_a_hot_sympathetic_run_runs(waits, tmp_path,
+                                                        capsys):
+    from importlib import resources
+    text = resources.files("ionwire").joinpath(
+        "data", "sympathetic_benchmark.scenario").read_text(encoding="utf-8")
+    scn = tmp_path / "fine.scenario"
+    scn.write_text(text.replace("wait_ms = 0,1,2,3,4,5,6,7,8,9,10",
+                                f"wait_ms = {waits}").replace(
+        "initial_hot_quanta = 1000", "initial_hot_quanta = 9e79"))
+    status, err = _main(["sympathetic", "--scenario", str(scn), "--ensemble",
+                         "64", "--out", str(tmp_path / "o")], capsys)
+    assert status in (0, 1) and err == "", err
+
+
 # the last is the bound's 1,000 steps
 @pytest.mark.parametrize("waits", ["0,1,2,3", "0,2,4,6,8,10",
                                    "0,1,2,3,4,5,6,7,8,9", "0,0.01,10"])
