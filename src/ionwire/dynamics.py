@@ -50,7 +50,9 @@ kernel, ``_batch``, runs it for both integrators; the integrator's model
 read-out. Where neither ion has jitter, a point's rows share one step
 map, built once per batch, and a batch holds up to _WIDE rows; with
 jitter every row has its own map, and a batch holds _BATCH rows, which
-bounds its memory.
+bounds its memory. States and maps are held rows-last, so that a row's
+bits do not depend on the batch it sits in; a one-row batch, whose row
+axis einsum would drop, sums its products explicitly (see ``_batch``).
 """
 
 
@@ -262,9 +264,9 @@ def _pack(points, n_real, cap):
     yield batch
 
 
-def _grid(duration, dt, dt_max, record_points):
+def step_grid(duration, dt, dt_max, record_points):
     """(dt, rec_idx) of a run: the step, defaulting to ``dt_max``, and the
-    steps of the record points."""
+    steps of the record points. Scenarios call it to refuse a run at a key."""
     if dt is None:
         dt = dt_max
     check_range("dt", dt, gt=0)
@@ -274,7 +276,7 @@ def _grid(duration, dt, dt_max, record_points):
     n_records = check_count("record_points", record_points, 2)
     steps = duration / dt - 1e-9    # may be inf, which math.ceil refuses
     if steps > 50_000_000:
-        raise ValueError("step budget exceeded; raise dt or shorten duration")
+        raise ValueError(f"step budget exceeded: {steps:.3g} steps, over 5e7")
     n_steps = math.ceil(steps)
     return dt, np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
 
@@ -286,10 +288,8 @@ def _integrate(model, base, points, grid, n_realizations, noise, cooling,
     ``points`` holds one (seed, detuning pair) per point, ``grid`` the
     run's (dt, rec_idx); ``model`` and ``base`` are as ``_batch`` takes
     them. Batches of segments run through ``_batch`` one at a time, in
-    order; a point's sums start at its first segment. Without jitter on
-    either ion (``noise``) a point's rows share one step map, which
-    ``_batch`` builds once, so a batch holds up to _WIDE rows; with jitter
-    every row has its own map and a batch holds _BATCH rows.
+    order; a point's sums start at its first segment. A batch holds up to
+    _WIDE rows without jitter on either ion (``noise``), else _BATCH.
     """
     n_real = check_count("n_realizations", n_realizations, 1)
     for seed, _point in points:
@@ -338,19 +338,22 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
     Each row then advances a record interval at a time. A row's step map
     and noise are ``maps(key)`` of its ``key`` row, once per run of
     consecutive rows with equal keys, with their ``_power`` once per
-    interval length n; where every row has one key they share its arrays.
-    A point's rows without jitter make one run, jittered rows one each.
-    Equal keys apart are mapped twice, to the same bits, since every map
-    is computed row by row. The (rows, 4) state takes s <- T^n s + L_n z,
-    L_n L_n^T = Q_n. The batch is kicked if any row has a nonzero kick in
-    ``key`` (its last two columns, the kicks' rms, in both models):
-    then z stacks one (_BATCH, 4) normal draw of every segment's
-    generator, cut to its rows, and a row without kicks has Q_n = 0, so
-    L_n = 0 and its state takes no kick. The states of a block of
-    max(1, _WIDE // rows) consecutive record slots, at most _WIDE
-    row-records, are read out and recorded together: ``read_out(j,
-    states)`` gives the (k, rows, 2) occupations of the (k, rows, 4)
-    states at slots j..j+k-1.
+    interval length n, held rows-last: (4, 4, rows), or (4, 4, 1) where
+    every row has one key. A point's rows without jitter make one run,
+    jittered rows one each. Equal keys apart are mapped twice, to the same
+    bits, since every map is computed row by row. The C-contiguous (4,
+    rows) state takes s <- T^n s + L_n z, L_n L_n^T = Q_n, by einsum, whose
+    inner loop then runs over rows: each row adds its four terms in one
+    order at any batch width. A one-row batch sums them explicitly, as
+    einsum drops its row axis and adds them in another order. The batch is
+    kicked if any row has a nonzero kick in ``key`` (its last two columns,
+    the kicks' rms, in both models): then z stacks one (_BATCH, 4) normal
+    draw of every segment's generator, cut to its rows, as a C-contiguous
+    (4, rows), and a row without kicks has Q_n = 0, so L_n = 0 and its
+    state takes no kick. The states of a block of max(1, _WIDE // rows)
+    consecutive record slots, at most _WIDE row-records, are read out and
+    recorded together: ``read_out(j, states)`` gives the (k, rows, 2)
+    occupations of the (k, rows, 4) states at slots j..j+k-1.
     """
     from numpy.random import SeedSequence, default_rng
 
@@ -376,19 +379,22 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
     s = scale * _initial_state(initial, init_phase, z, phase)[0]
     read_out, first = reader(s, rec_idx)
     record, moments = _recorder(list(zip([0, *ends[:-1]], ends)), len(rec_idx))
-    block = max(1, _WIDE // len(s))
+    block, s = max(1, _WIDE // len(s)), np.ascontiguousarray(s.T)
     kicked = np.any(key[:, 2:] > 0)
     new = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]   # a run's first row
     inv, powers = np.cumsum(new) - 1, {}
 
     def spread(a):
-        # a row per run to a row per row; a view for a single run
-        return np.broadcast_to(a, (len(inv), 4, 4)) if len(a) == 1 else a[inv]
+        return a.transpose(1, 2, 0).take(inv if len(a) > 1 else [0], axis=2)
+
+    def apply(a, v):
+        return np.add.reduce(a * v, 1) if v.shape[1] == 1 else \
+            np.einsum("ijr,jr->ir", a, v)
 
     def flush(j, states):
         # a block of one is a view of its state, not a copy
         states = states[0][None] if len(states) == 1 else np.stack(states)
-        record(j, read_out(j, states))
+        record(j, read_out(j, states.swapaxes(1, 2)))
 
     # the energy check reports overflows of the propagation and read-out
     with np.errstate(over="ignore", invalid="ignore"):
@@ -402,11 +408,11 @@ def _batch(segments, model, base, noise, cooling, initial, init_phase,
                 tn, qn = _power(t, d, int(n))
                 powers[n] = spread(tn), spread(_factor(qn)) if kicked else None
             tn, ln = powers[n]
-            s = np.einsum("rij,rj->ri", tn, s)
+            s = apply(tn, s)
             if kicked:
                 z = np.concatenate([r.standard_normal((_BATCH, 4))[:m]
                                     for r, m in zip(rngs, counts)])
-                s += np.einsum("rij,rj->ri", ln, z)
+                s += apply(ln, z.T.copy())
             states.append(s)
         flush(first_slot, states)
     return (moments, *first)
@@ -427,11 +433,6 @@ def _recorder(bounds, n_records):
         for k, v in enumerate((n, n * n)):      # the sums, then the squares'
             sums[:, k, slots] = np.add.reduceat(v, starts, 1).swapaxes(0, 1)
     return record, sums
-
-
-def _diag(v):
-    """Diagonal matrices (rows, k, k) from their diagonals (rows, k)."""
-    return v[:, :, None] * np.eye(v.shape[1])
 
 
 def _power(t, d, n):
@@ -543,8 +544,8 @@ def _verlet_model(params, dt, record_first, detuning, offsets, gamma,
         accel = _accel(x, w2, g_over_m)
         x += dt * v + (0.5 * dt * dt) * accel
         v[:] = (v + (0.5 * dt) * (accel + _accel(x, w2, g_over_m))) * drag
-        return (s.reshape(-1, 4, 4).transpose(0, 2, 1),
-                _diag(np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1)))
+        d = np.concatenate([0 * key[:, 2:], key[:, 2:] ** 2], axis=1)
+        return s.reshape(-1, 4, 4).transpose(0, 2, 1), d[:, :, None] * np.eye(4)
 
     def reader(s, rec_idx):
         w2, g = w ** 2, _spring(params, w)
@@ -574,6 +575,11 @@ def _verlet_model(params, dt, record_first, detuning, offsets, gamma,
             np.concatenate([scale_x, scale_x * w], axis=1), reader)
 
 
+def verlet_step_limit(params):
+    """Largest step that resolves the fast motion: 2 pi / (50 max omega)."""
+    return TWO_PI / (50.0 * max(params.omega1, params.omega2))
+
+
 def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
                    cooling=(NO_COOLING, NO_COOLING), duration=1e-3, dt=None,
                    seed=0, n_realizations=1, init_phase=(INIT_THERMAL, INIT_THERMAL),
@@ -581,13 +587,12 @@ def integrate_full(params, initial, noise=(NO_NOISE, NO_NOISE),
     """Velocity-Verlet SDE ensemble; returns an EnsembleTrajectory.
 
     ``initial`` is the (n1, n2) occupation pair, realized per
-    ``init_phase``. The step must resolve the fast motion:
-    dt <= 2 pi / (50 max omega). ``exact=True`` returns the exact
+    ``init_phase``. ``dt`` defaults to, and must not exceed,
+    ``verlet_step_limit``. ``exact=True`` returns the exact
     ensemble means of the same scheme instead, with zero SEM and no
     positions; the seed and the ensemble size are then unused.
     """
-    grid = _grid(duration, dt, TWO_PI / (50.0 * max(params.omega1, params.omega2)),
-                 record_points)
+    grid = step_grid(duration, dt, verlet_step_limit(params), record_points)
     model = functools.partial(_verlet_model, params, grid[0], record_positions)
     base, detuning = (params.omega1, params.omega2), (0.0, 0.0)
     if exact:
@@ -635,7 +640,7 @@ def _envelope_model(kappa, dt, detuning, offsets, gamma, diffusion):
                    -1j * key[:, 1] - 0.5 * gamma[1],
                    -1j * kappa * np.ones(len(key)), dt)
         return (np.block([[m.real, -m.imag], [m.imag, m.real]]),
-                _diag(np.tile(key[:, 2:], 2) ** 2))
+                (np.tile(key[:, 2:], 2) ** 2)[:, :, None] * np.eye(4))
 
     def reader(_s, _rec_idx):
         return (lambda j, s: s[..., :2] ** 2 + s[..., 2:] ** 2), (None, None)
@@ -648,7 +653,8 @@ def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
     """Largest envelope step that resolves the slow dynamics:
     1/(100 max(kappa, |detuning| + 5 sigma, gamma_c, 1/duration)), with
     sigma the angular jitter of each ion. All slow rates must sit far below
-    the carrier.
+    the carrier; the ValueError that says otherwise holds in ``rate`` the
+    index of the largest: kappa, each ion's detuning, each damping rate.
     """
     check_range("kappa", kappa)
     check_range("carrier", carrier, gt=0)
@@ -656,10 +662,12 @@ def envelope_step_limit(kappa, carrier, detuning, noise, cooling, duration):
     check_range("duration", duration, gt=0)
     sig = [TWO_PI * n.jitter_sigma for n in noise]
     rates = [abs(kappa)] + [abs(d) + 5.0 * s for d, s in zip(detuning, sig)] + \
-        [c.damping_rate for c in cooling if np.isfinite(c.damping_rate)]
+        [c.damping_rate if np.isfinite(c.damping_rate) else 0.0 for c in cooling]
     r_max = max(rates)
     if r_max > carrier / 20.0:
-        raise ValueError("scale separation violated: slow rates approach the carrier")
+        err = ValueError("scale separation violated: slow rates approach the carrier")
+        err.rate = rates.index(r_max)
+        raise err
     return 1.0 / (100.0 * max(r_max, 1.0 / duration))
 
 
@@ -693,7 +701,7 @@ def integrate_envelope(kappa, carrier, detuning=(0.0, 0.0),
                          f"({len(pairs)})")
     points = [(s, tuple(map(float, d)))
               for s, d in zip(seeds, pairs if several else [pairs])]
-    grid = _grid(duration, dt, min(
+    grid = step_grid(duration, dt, min(
         envelope_step_limit(kappa, carrier, d, noise, cooling, duration)
         for _s, d in points), record_points)
     model = functools.partial(_envelope_model, kappa, grid[0])

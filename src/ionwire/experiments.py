@@ -290,24 +290,17 @@ def run_sympathetic(scenario):
     n1_0 = sched.initial_hot_occupation
     waits = np.asarray(sched.wait_times, float)
     t_fit = float(waits[-1])
-    # a record each wait step from 0, on past the fit window to 2.5 times it
-    # (rounded up), to exhibit the curve ordering at late times
-    wait_step = waits[1] - waits[0]
-    iw = sched.wait_steps      # the waits' records
-    n_rec = (5 * int(iw[-1]) + 1) // 2 + 1
-    t_end = (n_rec - 1) * wait_step
+    iw, n_rec = sched.wait_steps, sched.records     # the waits' records, all
+    [(_key, t_end, dt, _dt_max)] = \
+        scenario_file.SCHEDULES[sched.kind].grids(scenario)
 
-    # branch A: free heating, stochastic ensemble, on the longest step that
-    # divides the wait step and keeps to the step limit
-    noise = (scenario.noise1, dynamics.NO_NOISE)
-    cooling = (dynamics.NO_COOLING, dynamics.NO_COOLING)
-    dt_max = dynamics.envelope_step_limit(0.0, w1, (0.0, 0.0), noise, cooling,
-                                          t_end)
+    # branch A: free heating, stochastic ensemble, on the grid the
+    # scenario's kind gives
     traj_u = dynamics.integrate_envelope(
-        kappa=0.0, carrier=w1, detuning=(0.0, 0.0), noise=noise,
-        cooling=cooling, duration=t_end,
-        dt=wait_step / math.ceil(wait_step / dt_max),
-        seed=scenario.seed, n_realizations=scenario.ensemble_size,
+        kappa=0.0, carrier=w1, detuning=(0.0, 0.0),
+        noise=(scenario.noise1, dynamics.NO_NOISE),
+        cooling=(dynamics.NO_COOLING, dynamics.NO_COOLING), duration=t_end,
+        dt=dt, seed=scenario.seed, n_realizations=scenario.ensemble_size,
         initial_occupations=(n1_0, n_ss),
         init_phase=(dynamics.INIT_COHERENT, dynamics.INIT_COHERENT),
         record_points=n_rec)

@@ -89,9 +89,12 @@ class ScheduleSympathetic:
         if last > self.MAX_WAIT_STEPS * step:     # before dividing by step
             raise ValueError(f"wait_times must end within {self.MAX_WAIT_STEPS}"
                              f" times their first step, got {last / step:.6g}")
-        # the waits in steps; no field, so no digest sees it
-        object.__setattr__(self, "wait_steps", np.rint(
-            np.asarray(self.wait_times, float) / step).astype(int))
+        # the waits in steps, and the run's records: one each step from 0 on
+        # past the fit window to 2.5 times it (rounded up), to exhibit the
+        # curve ordering at late times; no fields, so no digest sees them
+        steps = np.rint(np.asarray(self.wait_times, float) / step).astype(int)
+        object.__setattr__(self, "wait_steps", steps)
+        object.__setattr__(self, "records", (5 * int(steps[-1]) + 1) // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -338,6 +341,7 @@ class _Section:
         self.entries = dict(entries)
         self.path = path
         self.origin = {}    # field -> (key, file key, line) of the last read
+        self.lines = {name: line for name, (_text, line) in self.entries.items()}
 
     def read(self, keys, prefix=""):
         """Field name -> SI value for ``prefix`` + each key, in table order;
@@ -461,6 +465,10 @@ class ScheduleKind:
     # the parser admits an infinite damping rate, a hard clamp
     finite: tuple = ()
     coupled: bool = False   # its run times an exchange, so needs kappa > 0
+    # the run's integrator grids of a scenario: (key of the duration,
+    # duration, step or None, step limit) each, as ``dynamics.step_grid``
+    # takes them
+    grids: object = None
 
     def check_record(self, record):
         """``record`` (noise or cooling) if each field its run leaves out is 0
@@ -483,6 +491,44 @@ class ScheduleKind:
         return {"kappa_override": kappa_override}
 
 
+def _scan_grids(scn):
+    """Every probe point in one envelope run over the probe, at the
+    smallest of their step limits: the farthest point's, as the limit
+    falls as the detuning grows."""
+    sched, w1 = scn.schedule, scn.site1.vertical_frequency
+    far = max(sched.probe_frequencies - w1, key=abs)
+    return [("probe_ms", sched.probe_duration, None, dynamics.envelope_step_limit(
+        scn.kappa(), w1, (0.0, float(far)), (scn.noise1, scn.noise2),
+        (scn.cooling1, scn.cooling2), sched.probe_duration))]
+
+
+def _sympathetic_grids(scn):
+    """The free-heating branch: an envelope run of ion 1's noise alone to
+    the last record, on the longest step that divides the wait step and
+    keeps to the step limit. Where the wait step holds more steps than a
+    float can count, the step is the limit, a grid refused either way."""
+    sched = scn.schedule
+    wait_step = float(sched.wait_times[1] - sched.wait_times[0])
+    end = (sched.records - 1) * wait_step
+    dt_max = dynamics.envelope_step_limit(
+        0.0, scn.site1.vertical_frequency, (0.0, 0.0),
+        (scn.noise1, dynamics.NO_NOISE), (dynamics.NO_COOLING,) * 2, end)
+    steps = wait_step / dt_max
+    return [("wait_ms", end, wait_step / math.ceil(steps)
+             if math.isfinite(steps) else dt_max, dt_max)]
+
+
+def _swap_grids(scn):
+    """The noiseless Verlet run over the duration, at the mean of the two
+    trap frequencies. Its grid is the longer: where the slow rates pass,
+    the envelope run takes 100 max(kappa T, 1) steps, fewer. Those rates
+    are left to the run, whose Verlet steps go unstable first."""
+    w = 0.5 * (scn.site1.vertical_frequency + scn.site2.vertical_frequency)
+    params = dynamics.PairParams.resonant(scn.species.mass, w, scn.kappa())
+    return [("duration_ms", scn.schedule.duration, None,
+             dynamics.verlet_step_limit(params))]
+
+
 # keyed by the ``kind`` value of the [schedule] section, which the schedule
 # record holds; runners are named, not held, so a replaced experiments.run_*
 # is the one that runs
@@ -496,13 +542,13 @@ SCHEDULES = {kind.schedule.kind: kind for kind in (
          _Key("cold_quanta", "cold_occupation")),
         "run_resonance_scan", "scan",
         "heating-rate spectroscopy across the resonance", "scan_benchmark",
-        finite=("damping_rate",)),
+        finite=("damping_rate",), grids=_scan_grids),
     ScheduleKind(
         ScheduleSympathetic,
         (_Key("wait_ms", "wait_times", LIST, units=_MS),
          _Key("initial_hot_quanta", "initial_hot_occupation")),
         "run_sympathetic", "sympathetic", "sympathetic heating-rate reduction",
-        "sympathetic_benchmark"),
+        "sympathetic_benchmark", grids=_sympathetic_grids),
     ScheduleKind(
         ScheduleSwap,
         (_Key("initial_quanta", "initial_occupations", LIST,
@@ -511,7 +557,7 @@ SCHEDULES = {kind.schedule.kind: kind for kind in (
         "run_swap_demo", "swap", "noiseless resonant exchange demonstration",
         "swap_benchmark", ensemble=(1, 1),
         zeroed=("heating_rate_at_reference", "jitter_sigma", "damping_rate"),
-        coupled=True),
+        coupled=True, grids=_swap_grids),
 )}
 _KIND_KEY = _Key("kind", "kind", TEXT, choices={k: k for k in SCHEDULES})
 
@@ -611,10 +657,45 @@ def parse_scenario_text(text, path="<scenario>"):
         if "coupling" in sections else [{}]
     [run] = build("run", dict, _RUN_KEYS)
     with sections["run"].checked():
-        return Scenario(species=species, site1=site1, site2=site2, wire=wire,
-                        noise1=noise1, noise2=noise2, cooling1=cooling1,
-                        cooling2=cooling2, schedule=schedule, **coupling,
-                        **run)
+        scn = Scenario(species=species, site1=site1, site2=site2, wire=wire,
+                       noise1=noise1, noise2=noise2, cooling1=cooling1,
+                       cooling2=cooling2, schedule=schedule, **coupling, **run)
+    _check_grids(scn, sections, path)
+    return scn
+
+
+def _check_grids(scn, sections, path):
+    """Refuse at a key what the run's integrators would refuse as it
+    starts: slow rates near the carrier (``dynamics.envelope_step_limit``),
+    at the key of the largest, and a grid that ``dynamics.step_grid``
+    refuses, at the key of its duration. A key the file does not give is
+    reported at its section."""
+    def refuse(section, key, exc):
+        # without a [coupling] section the wire gives kappa
+        sc = sections.get(section) or sections["wire"]
+        line = sc.lines.get(key, sc.lineno)
+        raise ScenarioError(KIND_INVALID, str(exc), path, line, sc.name,
+                            key if key in sc.lines else "")
+
+    try:
+        grids = SCHEDULES[scn.schedule.kind].grids(scn)
+    except ValueError as exc:
+        if not hasattr(exc, "rate"):
+            raise
+        # kappa, then each ion's detuning plus jitter, then each damping rate
+        ion = (exc.rate - 1) % 2 + 1
+        if exc.rate == 0:
+            refuse("coupling", "kappa_hz", exc)
+        elif exc.rate > 2:
+            refuse("cooling", f"site{ion}_damping_per_s", exc)
+        elif (scn.noise1, scn.noise2)[ion - 1].jitter_sigma > 0:
+            refuse("noise", f"site{ion}_jitter_sigma_hz", exc)
+        refuse("schedule", "frequencies_mhz", exc)
+    for key, duration, dt, dt_max in grids:
+        try:
+            dynamics.step_grid(duration, dt, dt_max, 2)
+        except ValueError as exc:
+            refuse("schedule", key, exc)
 
 
 def parse_scenario(path):

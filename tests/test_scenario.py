@@ -460,6 +460,51 @@ def test_bad_scan_and_wait_grids_are_located(text, key, words):
     assert words in str(err.value)
 
 
+# a run that its integrators would refuse as it starts is refused at the
+# key that drives it, by the step limits and the step grid the run takes:
+# past the step budget at the key of its duration, slow rates near the
+# carrier at the key of the largest
+@pytest.mark.parametrize("name,edits,section,key,words", [
+    ("scan", ["probe_ms = 1e308"], "schedule", "probe_ms",
+     "step budget exceeded: inf steps"),
+    ("swap", ["duration_ms = 1e308"], "schedule", "duration_ms",
+     "step budget exceeded: inf steps"),
+    ("sympathetic", ["site1_jitter_sigma_hz = 300", "wait_ms = 0,1e5,2e5"],
+     "schedule", "wait_ms", "step budget exceeded: 4.71e+08 steps"),
+    # a wait step of more steps than a float can count (exit 3 before)
+    ("sympathetic", ["site1_jitter_sigma_hz = 300", "wait_ms = 0,1e307,2e307"],
+     "schedule", "wait_ms", "step budget exceeded: inf steps"),
+    ("scan", ["kappa_hz = 1e5"], "coupling", "kappa_hz",
+     "scale separation violated"),
+    ("scan", ["site2_jitter_sigma_hz = 2e4"], "noise",
+     "site2_jitter_sigma_hz", "scale separation violated"),
+    ("scan", ["site2_damping_per_s = 1e6"], "cooling", "site2_damping_per_s",
+     "scale separation violated"),
+    ("sympathetic", ["site1_jitter_sigma_hz = 1e5"], "noise",
+     "site1_jitter_sigma_hz", "scale separation violated")],
+    ids=["scan-probe-past-step-budget", "swap-duration-past-step-budget",
+         "sympathetic-waits-past-step-budget",
+         "sympathetic-wait-step-past-float-range", "scan-kappa-near-carrier",
+         "scan-jitter-near-carrier", "scan-damping-near-carrier",
+         "sympathetic-jitter-near-carrier"])
+def test_runs_the_integrators_refuse_are_located(name, edits, section, key,
+                                                 words):
+    from importlib import resources
+    text = resources.files("ionwire.data").joinpath(
+        f"{name}_benchmark.scenario").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    for edit in edits:     # each replaces the line of its key
+        [i] = [i for i, line in enumerate(lines)
+               if line.startswith(edit.split(" = ")[0] + " = ")]
+        lines[i] = edit
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text("\n".join(lines), "bad.scenario")
+    assert err.value.kind == KIND_INVALID
+    assert (err.value.section, err.value.key) == (section, key)
+    assert str(err.value).startswith(f"bad.scenario:{i + 1}: [invalid] "
+                                     f"{section}.{key}: {words}")
+
+
 def test_scan_grid_overflow_is_located():
     assert parse_scenario_text(_with_scan_schedule(SCAN_SCHEDULE))
     text = _with_scan_schedule(SCAN_SCHEDULE.replace("center_mhz = 1.990",
