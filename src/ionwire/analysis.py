@@ -322,8 +322,10 @@ def fit_resonance(omegas, rates, sigmas=None, probe=None):
 
     span_hz = (w.max() - w.min()) / (2.0 * math.pi)
     spacing_hz = float(np.median(np.diff(np.sort(w)))) / (2.0 * math.pi)
-    lo = np.array([w.min() - (w.max() - w.min()), 0.5 * spacing_hz])
-    hi = np.array([w.max() + (w.max() - w.min()), 10.0 * span_hz])
+    # nor, with a probe, below the 1/(16 T) Hz step of probe_line's sum
+    floor = max(0.5 * spacing_hz, 1.0 / (16.0 * probe[1]) if probe else 0.0)
+    lo = np.array([w.min() - (w.max() - w.min()), floor])
+    hi = np.array([w.max() + (w.max() - w.min()), max(10.0 * span_hz, floor)])
 
     def project(x):
         # A, B >= 0 at center and width x, the residuals and the Jacobian
@@ -468,20 +470,9 @@ def _truncation(n_bar):
     return int(min(20.0 * n_bar + 100.0, N_MAX_CAP))
 
 
-# Fock terms per block of every Fock-sum kernel: a (points x 512) work
-# array takes 4 kB a point, so a kernel's few of them stay in cache
+# Fock terms per block of every Fock-sum kernel: a (points x 512) array
+# takes 4 kB a point, so a kernel's few of them stay in cache
 _FOCK_BLOCK = 512
-
-
-def _block_buffer(t, n_top):
-    """A flat work buffer for one (points x block) array of the Fock blocks
-    of _fock_phases over the float array t up to n_top."""
-    return np.empty(t.size * min(_FOCK_BLOCK, n_top + 1))
-
-
-def _view(buf, shape):
-    """A C-contiguous view of the given shape on buf's leading elements."""
-    return buf[:shape[0] * shape[1]].reshape(shape)
 
 
 def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, end=None):
@@ -490,31 +481,28 @@ def _fock_phases(t, carrier_rabi, lamb_dicke, n_top, end=None):
     with Omega_n = Omega_0 exp(-eta^2/2) L_n(eta^2).
 
     Blocks of _FOCK_BLOCK terms bound memory at high n_bar. Each phase is a
-    view into one buffer per call, which the next block overwrites, so a
-    kernel may work in it in place but keeps nothing of it. ``end(lo)``, if
-    given, ends block lo at the n it returns, or stops the sum at n <= lo.
-    Scaling Omega_n by the exact factor 1/2 before the product with t gives
-    the same phases as halving t * Omega_n, except where that product is
-    subnormal (its sin^2 and tan^2 are 0 either way) or overflows.
+    new (points x block) array, which a kernel may overwrite. ``end(lo)``,
+    if given, ends block lo at the n it returns, or stops the sum at
+    n <= lo. Scaling Omega_n by the exact factor 1/2 before the product
+    with t gives the same phases as halving t * Omega_n, except where that
+    product is subnormal (its sin^2 and tan^2 are 0 either way) or
+    overflows.
     """
     x = lamb_dicke ** 2
     lag = _laguerre_prefix(n_top, x)
     half = 0.5 * (carrier_rabi * math.exp(-0.5 * x) * lag)
-    buf = _block_buffer(t, n_top)
     for lo in range(0, n_top + 1, _FOCK_BLOCK):
         hi = min(lo + _FOCK_BLOCK, n_top + 1 if end is None else end(lo))
         if hi <= lo:
             return
-        yield lo, hi, half[lo:hi], np.multiply(
-            t[:, None], half[lo:hi], out=_view(buf, (t.size, hi - lo)))
+        yield lo, hi, half[lo:hi], t[:, None] * half[lo:hi]
 
 
-def _sin_squared(phase, buf):
-    """sin^2 of phase in place, as tan^2/(1 + tan^2) with 1 + tan^2 in a
-    view of the flat buffer buf."""
+def _sin_squared(phase):
+    """sin^2 of phase in place, as tan^2/(1 + tan^2)."""
     np.tan(phase, out=phase)
     np.square(phase, out=phase)
-    phase /= np.add(phase, 1.0, out=_view(buf, phase.shape))
+    phase /= phase + 1.0
     return phase
 
 
@@ -527,9 +515,8 @@ def rabi_excitation(times, n_bar, carrier_rabi, lamb_dicke):
     n_top = _truncation(n_bar)
     p_n = thermal_weights(n_bar, n_top)
     out = np.zeros_like(t)
-    buf = _block_buffer(t, n_top)
     for lo, hi, _, phase in _fock_phases(t, carrier_rabi, lamb_dicke, n_top):
-        out += _sin_squared(phase, buf) @ p_n[lo:hi]
+        out += _sin_squared(phase) @ p_n[lo:hi]
     return out
 
 
@@ -610,12 +597,11 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
     sin 2phi = 2 tau/d and cos 2phi = 1 - 2 sin^2 phi. The phi factors go
     into the weight columns as phi_n = a g_n, a = t h and g_n = Omega_n/(2h)
     for the block's largest |Omega_n|/2 = h (1 if all are 0), so neither
-    a^2 nor g_n^2 can overflow; the rest is four passes into the call's
-    work buffers and two matrix products.
+    a^2 nor g_n^2 can overflow; the rest is four elementwise passes, in the
+    block's phase and two more block arrays, and two matrix products.
     """
     t = np.asarray(times, float)
     n_top = _truncation(n_bar)
-    s_buf, d_buf = _block_buffer(t, n_top), _block_buffer(t, n_top)
     acc = np.zeros((t.size, 6))
     for lo, hi, rate, phase in _fock_phases(t, carrier_rabi, lamb_dicke,
                                             n_top):
@@ -624,8 +610,8 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
         w = _thermal_columns(n_bar, lo, hi)
         wg = w[:, :2] * g[:, None]
         tau = np.tan(phase, out=phase)
-        s = np.square(tau, out=_view(s_buf, tau.shape))
-        d = np.add(s, 1.0, out=_view(d_buf, tau.shape))
+        s = np.square(tau)
+        d = s + 1.0
         s /= d                              # sin^2 phi
         tau /= d                            # sin 2phi / 2
         # sum sin^2 phi times p_n, dp_n, d2p_n and p_n g_n^2
@@ -636,6 +622,7 @@ def _excitation_derivatives(times, n_bar, carrier_rabi, lamb_dicke):
         acc[:, 3:5] += sin2
         # sum p_n (phi sin 2phi + 2 phi^2 cos 2phi)
         acc[:, 5] += sin2[:, 0] + 2.0 * a * a * (wg[:, 0] @ g - 2.0 * sq[:, 3])
+        del s, d        # before the next block's phase is made
     return acc[:, 0], acc[:, [1, 3]].T, acc[:, [2, 4, 5]].T
 
 
@@ -677,7 +664,6 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
     q = [nb / (1.0 + nb) for nb in nbar_grid]
     nll = np.full((len(nbar_grid), len(omega_grid)), np.inf)
     least = math.inf
-    buf = _block_buffer(t, max(tops))
 
     def live_end(lo):
         # drop the columns that cannot win from block lo on; twice the
@@ -699,7 +685,7 @@ def _seed_grid_nll(dataset, nbar_grid, omega_grid):
             for c, i in enumerate(live):
                 end = min(hi, tops[i] + 1)
                 cols[:end - lo, c] = _thermal_block(nbar_grid[i], lo, end)
-            p[live] += (_sin_squared(phase, buf) @ cols).T
+            p[live] += (_sin_squared(phase) @ cols).T
             for i in live:
                 if tops[i] < hi:
                     nll[i, j] = _binomial_nll(dataset, p[i])
@@ -849,14 +835,10 @@ def fit_rabi_nbar(dataset):
     omega_grid = [omega_seed * f for f in (0.9, 1.0, 1.1)]
 
     grid = _seed_grid_nll(dataset, nbar_grid, omega_grid)
-    best = None
-    for i, nb in enumerate(nbar_grid):
-        for j, om in enumerate(omega_grid):
-            if best is None or grid[i, j] < best[0]:
-                best = (grid[i, j], nb, om)
-    guess = {"n_bar": best[1], "carrier_rabi": best[2]}
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    guess = {"n_bar": nbar_grid[i], "carrier_rabi": omega_grid[j]}
 
-    nb, u, nll, hess, iterations, status = _newton_mle(dataset, best[1], best[2])
+    nb, u, nll, hess, iterations, status = _newton_mle(dataset, *guess.values())
     om = math.exp(u)
     sig_nb, sig_om = _hessian_sigmas(hess, om)
     return FitResult(

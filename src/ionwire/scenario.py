@@ -20,14 +20,15 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, circuit, dynamics
-from .core import (IonSpecies, RangeError, TrapSite, WireSpec, check_count,
-                   check_range, hz_to_rad_s, mhz_to_rad_s, rad_s_to_hz,
-                   rad_s_to_mhz)
+from .core import (TWO_PI, IonSpecies, RangeError, TrapSite, WireSpec,
+                   check_count, check_range, hz_to_rad_s, mhz_to_rad_s,
+                   rad_s_to_hz, rad_s_to_mhz)
 from .geometry import RectPatch, effective_distance
 
 # every schedule occupation is below this. At large n the sympathetic fit
@@ -286,10 +287,19 @@ _SITE_PREFIXES = ("site1_", "site2_")
 
 def _scan_grid(sc):
     """Default probe grid in MHz: ``points`` frequencies spread over
-    ``span_khz`` around ``center_mhz``."""
+    ``span_khz`` around ``center_mhz``. A grid that reaches 0 Hz or parts
+    no points is refused at span_khz, one past the float range in rad/s at
+    center_mhz."""
     center, span, points = sc.read(_GRID_KEYS).values()
     half = 0.5 * span * 1e-3
-    return np.linspace(center - half, center + half, points)
+    grid = np.linspace(center - half, center + half, points)
+    with sc.checked():
+        check_range("span", span, gt=0, lt=2e3 * center)
+        check_range("center", mhz_to_rad_s(float(grid[-1])))
+        if np.ptp(grid) == 0:
+            raise ValueError(f"span {span!r} kHz parts no probe frequencies "
+                             f"at center {center!r} MHz")
+    return grid
 
 
 # each table lists its keys in parse order: the first bad key is reported
@@ -327,7 +337,7 @@ _RUN_KEYS = _RUN_OPTIONS + (
     _Key("output_dir", "output_dir", TEXT, default=""))
 # read only where frequencies_mhz is absent, and never written
 _GRID_KEYS = (
-    _Key("center_mhz", "center", bounds=dict(ge=0)),
+    _Key("center_mhz", "center", bounds=dict(gt=0)),
     _Key("span_khz", "span", bounds=dict(gt=0)),
     # the scan runs every point x ensemble: 999 points at the bundled 1,200
     # realizations take 10 to 12 s, against 0.5 s for its 31
@@ -486,8 +496,11 @@ class ScheduleKind:
     def coupling(self, kappa_override):
         """The [coupling] fields, if the run has the exchange it needs."""
         if self.coupled and kappa_override is not None:
-            check_range(f"kappa_override of a {self.command} run",
-                        kappa_override, gt=0)
+            name = f"kappa_override of a {self.command} run"
+            check_range(name, kappa_override, gt=0)
+            # and its swap time pi/(2 kappa) a float
+            check_range(name, kappa_override,
+                        gt=0.5 * math.pi / sys.float_info.max)
         return {"kappa_override": kappa_override}
 
 
@@ -520,13 +533,16 @@ def _sympathetic_grids(scn):
 
 def _swap_grids(scn):
     """The noiseless Verlet run over the duration, at the mean of the two
-    trap frequencies. Its grid is the longer: where the slow rates pass,
-    the envelope run takes 100 max(kappa T, 1) steps, fewer. Those rates
-    are left to the run, whose Verlet steps go unstable first."""
+    trap frequencies, and its envelope cross-check, whose step limit
+    refuses slow rates near the carrier."""
     w = 0.5 * (scn.site1.vertical_frequency + scn.site2.vertical_frequency)
-    params = dynamics.PairParams.resonant(scn.species.mass, w, scn.kappa())
-    return [("duration_ms", scn.schedule.duration, None,
-             dynamics.verlet_step_limit(params))]
+    kappa, duration = scn.kappa(), scn.schedule.duration
+    params = dynamics.PairParams.resonant(scn.species.mass, w, kappa)
+    return [("duration_ms", duration, None, limit) for limit in (
+        dynamics.verlet_step_limit(params),
+        dynamics.envelope_step_limit(
+            kappa, w, (0.0, 0.0), (dynamics.NO_NOISE,) * 2,
+            (dynamics.NO_COOLING,) * 2, duration))]
 
 
 # keyed by the ``kind`` value of the [schedule] section, which the schedule
@@ -577,8 +593,8 @@ OPTION_KEYS = {
              bounds=dict(ge=0, lt=analysis.N_BAR_MAX)),
         # Generator.binomial takes an int64 count
         _Key("shots", "shots", INTEGER, default=200, bounds=dict(ge=1, lt=2**63)),
-        # more points than fitted parameters; the Fock blocks of every
-        # thermometry kernel hold three points x 512 floats
+        # more points than fitted parameters; a thermometry kernel's Fock
+        # blocks are (points x 512) float arrays
         _Key("points", "points", INTEGER, default=60, bounds=dict(ge=3, lt=1000)),
         _Key("rabi-khz", "carrier_rabi",
              units=(lambda f: 2 * math.pi * f * 1e3,
@@ -618,8 +634,12 @@ def _trap_site(wire, **fields):
         return TrapSite(**fields)
     site = TrapSite(**{**fields, "effective_distance": fields["physical_height"]})
     patch = RectPatch.centered_square(wire.paddle_side)
-    return dataclasses.replace(site, effective_distance=float(
-        effective_distance(patch, site.physical_height)))
+    try:
+        deff = effective_distance(patch, site.physical_height)
+    except ValueError as exc:   # reported at deff_um
+        raise ValueError(f"effective_distance of the paddle at this height: "
+                         f"{exc}") from None
+    return dataclasses.replace(site, effective_distance=float(deff))
 
 
 def parse_scenario_text(text, path="<scenario>"):
@@ -660,25 +680,49 @@ def parse_scenario_text(text, path="<scenario>"):
         scn = Scenario(species=species, site1=site1, site2=site2, wire=wire,
                        noise1=noise1, noise2=noise2, cooling1=cooling1,
                        cooling2=cooling2, schedule=schedule, **coupling, **run)
-    _check_grids(scn, sections, path)
+    _check_run(scn, sections, path)
     return scn
 
 
-def _check_grids(scn, sections, path):
-    """Refuse at a key what the run's integrators would refuse as it
-    starts: slow rates near the carrier (``dynamics.envelope_step_limit``),
-    at the key of the largest, and a grid that ``dynamics.step_grid``
-    refuses, at the key of its duration. A key the file does not give is
-    reported at its section."""
-    def refuse(section, key, exc):
-        # without a [coupling] section the wire gives kappa
-        sc = sections.get(section) or sections["wire"]
-        line = sc.lines.get(key, sc.lineno)
-        raise ScenarioError(KIND_INVALID, str(exc), path, line, sc.name,
-                            key if key in sc.lines else "")
+def _check_run(scn, sections, path):
+    """Refuse at a key what the run would refuse, or fail on: a scan probe
+    shorter than a carrier period; a sympathetic run whose extraction
+    divides by zero; sites that the circuit's resonant rate cannot take,
+    where the run takes that rate; slow rates near the carrier
+    (``dynamics.envelope_step_limit``), at the key of the largest; a grid
+    that ``dynamics.step_grid`` refuses, at the key of its duration; and
+    heating that reaches MAX_QUANTA over the run."""
+    def refuse(section, key, problem):
+        # without a [coupling] section the wire's capacitance gives kappa
+        if section not in sections:
+            section, key = "wire", "capacitance_ff"
+        raise ScenarioError(KIND_INVALID, str(problem), path,
+                            sections[section].lines[key], section, key)
 
+    # the envelope averages over the carrier: a probe shorter than one of
+    # its periods has no envelope
+    sched = scn.schedule
+    if isinstance(sched, ScheduleResonanceScan) and \
+            sched.probe_duration < TWO_PI / scn.site1.vertical_frequency:
+        refuse("schedule", "probe_ms",
+               "probe_ms is shorter than one period of site1's trap frequency")
+    # the endpoint extraction divides by the hot start less the clamp target
+    if isinstance(sched, ScheduleSympathetic) and \
+            sched.initial_hot_occupation == scn.cooling2.steady_state_occupation:
+        refuse("schedule", "initial_hot_quanta",
+               "initial_hot_quanta must differ from site2_target_quanta: the "
+               "extraction divides by their difference")
+    # the rate gives kappa without a [coupling] value, and a scan's prediction
+    if scn.kappa_override is None or isinstance(sched, ScheduleResonanceScan):
+        try:
+            circuit.wire_coupling_rate(scn.species, scn.site1, scn.site2,
+                                       scn.wire)
+        except RangeError as exc:
+            refuse("wire", "capacitance_ff", exc)
+        except ValueError as exc:
+            refuse("site2", "frequency_mhz", exc)
     try:
-        grids = SCHEDULES[scn.schedule.kind].grids(scn)
+        grids = SCHEDULES[sched.kind].grids(scn)
     except ValueError as exc:
         if not hasattr(exc, "rate"):
             raise
@@ -690,12 +734,30 @@ def _check_grids(scn, sections, path):
             refuse("cooling", f"site{ion}_damping_per_s", exc)
         elif (scn.noise1, scn.noise2)[ion - 1].jitter_sigma > 0:
             refuse("noise", f"site{ion}_jitter_sigma_hz", exc)
-        refuse("schedule", "frequencies_mhz", exc)
+        # a grid's probes: its center, or its span if that reaches farther
+        f, key = sched.probe_frequencies, "frequencies_mhz"
+        if key not in sections["schedule"].lines:
+            far = abs(0.5 * (f[0] + f[-1]) - scn.site1.vertical_frequency)
+            key = "center_mhz" if far > 0.5 * (f[-1] - f[0]) else "span_khz"
+        refuse("schedule", key, exc)
     for key, duration, dt, dt_max in grids:
         try:
             dynamics.step_grid(duration, dt, dt_max, 2)
         except ValueError as exc:
             refuse("schedule", key, exc)
+    # each ion's heating at its trap frequency over the run, like every
+    # occupation a schedule gives, stays below MAX_QUANTA
+    end = max(duration for _key, duration, _dt, _dt_max in grids)
+    for i, (site, noise) in enumerate(((scn.site1, scn.noise1),
+                                       (scn.site2, scn.noise2)), start=1):
+        try:
+            quanta = dynamics.noise_psd(noise, site.vertical_frequency) * end
+        except OverflowError:
+            quanta = math.inf
+        if not quanta < MAX_QUANTA:
+            refuse("noise", f"site{i}_heating_quanta_per_ms",
+                   f"the heating at the trap frequency reaches {quanta:.3g} "
+                   f"quanta over the run, over {MAX_QUANTA:g}")
 
 
 def parse_scenario(path):

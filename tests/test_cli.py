@@ -8,6 +8,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import ionwire
@@ -287,13 +288,15 @@ def test_thermometry_round_trip_cli(tmp_path):
 
 
 def test_crash_exits_3_without_traceback(tmp_path):
-    # kappa near the trap frequency makes the Verlet step unstable
-    with open(SWAP_SHORT, encoding="utf-8") as fh:
-        text = fh.read()
-    scn = tmp_path / "unstable.scenario"
-    scn.write_text(text.replace("kappa_hz = 333", "kappa_hz = 2000000"))
-    proc = run_cli(["swap", "--scenario", str(scn),
-                    "--out", str(tmp_path / "u")], tmp_path)
+    # a Verlet step 20 times its limit is unstable; the parser refuses every
+    # scenario that would reach one, so the run takes a widened limit
+    code = ("import sys\n"
+            "from ionwire import cli, dynamics\n"
+            "limit = dynamics.verlet_step_limit\n"
+            "dynamics.verlet_step_limit = lambda params: 20 * limit(params)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = run_python(["-c", code, "swap", "--scenario", SWAP_SHORT,
+                       "--out", str(tmp_path / "u")], tmp_path)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ionwire: RuntimeError: unstable step")
@@ -750,3 +753,70 @@ def test_direct_option_digests_cover_the_validated_values(tmp_path, capsys):
     # the spelling of a value is not
     assert config_digest("deff", "--heights-um", "40,50") == \
         config_digest("deff", "--heights-um", "40.0,50.0")
+
+
+# ---------------------------------------------------------------------------
+# seeded run fuzz: a scenario the parser accepts runs
+
+_RATE_KEYS = ("kappa_hz", "_jitter_sigma_hz", "_damping_per_s")
+# a twentieth of the bundled carriers is 68.4 kHz (scan) and 99.5 kHz
+_NEAR_CARRIER = ("7e4", "1e5", "2e5")
+_RUN_VALUES = ("0", "0.5", "3", "30", "1e-3", "1e5", "1e12", "1e-300",
+               "1e-320", "1e308", "inf", "-1", "nan", "auto", "1,2,3")
+# the bundled runs take 0.01 to 0.05 s each in process at --ensemble 16
+_RUN_SECONDS = 1.0
+
+
+def _run_mutation(text, rng):
+    """One or two values replaced: each a slow rate near the carrier at a
+    rate key, or at any key one of _RUN_VALUES, with even odds."""
+    lines = text.splitlines()
+    for _ in range(rng.integers(1, 3)):
+        near = rng.integers(2) == 0
+        keyed = [i for i, line in enumerate(lines)
+                 if " = " in line and not line.startswith("#") and (
+                     not near or line.split(" = ")[0].endswith(_RATE_KEYS))]
+        i = keyed[rng.integers(len(keyed))]
+        value = rng.choice(_NEAR_CARRIER if near else _RUN_VALUES)
+        lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_runs_exit_0_1_or_2_at_a_key(tmp_path, capsys):
+    from importlib import resources
+    rng = np.random.default_rng(20261022)
+    accepted = 0
+    for command in ("scan", "sympathetic", "swap"):
+        text = resources.files("ionwire.data").joinpath(
+            f"{command}_benchmark.scenario").read_text(encoding="utf-8")
+        ensemble = [] if command == "swap" else ["--ensemble", "16"]
+        for k in range(40):
+            path = tmp_path / f"{command}{k}.scenario"
+            path.write_text(_run_mutation(text, rng))
+            start = time.perf_counter()
+            status, err = _main([command, "--scenario", str(path), *ensemble,
+                                 "--out", str(tmp_path / f"{command}{k}")],
+                                capsys)
+            seconds = time.perf_counter() - start
+            case = f"{path.read_text()}\n{err}"
+            assert status in (0, 1, 2), case
+            if status == 2:
+                assert re.match(rf"ionwire: {re.escape(str(path))}:\d+: "
+                                rf"\[\w+\] \w+\.\w+: ", err), case
+            accepted += status != 2
+            assert seconds < _RUN_SECONDS, case
+    # the edits must leave some runs to run, or nothing runs under test
+    assert accepted > 0
+
+
+def test_a_one_microsecond_scan_probe_fits_without_overflow(tmp_path, capsys):
+    # the probe's line is summed in steps of 1/(16 T) Hz, 62.5 kHz here;
+    # a fitted width below that step made its normal equations overflow
+    from importlib import resources
+    text = resources.files("ionwire.data").joinpath(
+        "scan_benchmark.scenario").read_text(encoding="utf-8")
+    path = tmp_path / "short.scenario"
+    path.write_text(re.sub(r"(?m)^probe_ms = .*$", "probe_ms = 1e-3", text))
+    status, err = _main(["scan", "--scenario", str(path), "--ensemble", "16",
+                         "--out", str(tmp_path / "o")], capsys)
+    assert status in (0, 1), err

@@ -460,49 +460,93 @@ def test_bad_scan_and_wait_grids_are_located(text, key, words):
     assert words in str(err.value)
 
 
-# a run that its integrators would refuse as it starts is refused at the
-# key that drives it, by the step limits and the step grid the run takes:
-# past the step budget at the key of its duration, slow rates near the
-# carrier at the key of the largest
-@pytest.mark.parametrize("name,edits,section,key,words", [
-    ("scan", ["probe_ms = 1e308"], "schedule", "probe_ms",
+def _line_of(lines, section, key):
+    """Index of the ``key = `` line of ``[section]`` in ``lines``."""
+    start = lines.index(f"[{section}]")
+    return next(i for i in range(start, len(lines))
+                if lines[i].startswith(key + " = "))
+
+
+# a run that its integrators would refuse as it starts, or that would fail,
+# overflow or divide by zero later, is refused at the key that drives it,
+# by the step limits and the step grid the run takes: past the step budget
+# at the key of its duration, slow rates near the carrier at the key of the
+# largest; each (section, line) edit replaces the line of its key there
+@pytest.mark.parametrize("name,edits,at,words", [
+    ("scan", [("schedule", "probe_ms = 1e308")], ("schedule", "probe_ms"),
      "step budget exceeded: inf steps"),
-    ("swap", ["duration_ms = 1e308"], "schedule", "duration_ms",
-     "step budget exceeded: inf steps"),
-    ("sympathetic", ["site1_jitter_sigma_hz = 300", "wait_ms = 0,1e5,2e5"],
-     "schedule", "wait_ms", "step budget exceeded: 4.71e+08 steps"),
+    ("swap", [("schedule", "duration_ms = 1e308")],
+     ("schedule", "duration_ms"), "step budget exceeded: inf steps"),
+    ("sympathetic", [("noise", "site1_jitter_sigma_hz = 300"),
+                     ("schedule", "wait_ms = 0,1e5,2e5")],
+     ("schedule", "wait_ms"), "step budget exceeded: 4.71e+08 steps"),
     # a wait step of more steps than a float can count (exit 3 before)
-    ("sympathetic", ["site1_jitter_sigma_hz = 300", "wait_ms = 0,1e307,2e307"],
-     "schedule", "wait_ms", "step budget exceeded: inf steps"),
-    ("scan", ["kappa_hz = 1e5"], "coupling", "kappa_hz",
+    ("sympathetic", [("noise", "site1_jitter_sigma_hz = 300"),
+                     ("schedule", "wait_ms = 0,1e307,2e307")],
+     ("schedule", "wait_ms"), "step budget exceeded: inf steps"),
+    ("scan", [("coupling", "kappa_hz = 1e5")], ("coupling", "kappa_hz"),
      "scale separation violated"),
-    ("scan", ["site2_jitter_sigma_hz = 2e4"], "noise",
-     "site2_jitter_sigma_hz", "scale separation violated"),
-    ("scan", ["site2_damping_per_s = 1e6"], "cooling", "site2_damping_per_s",
+    ("swap", [("coupling", "kappa_hz = 2e5")], ("coupling", "kappa_hz"),
      "scale separation violated"),
-    ("sympathetic", ["site1_jitter_sigma_hz = 1e5"], "noise",
-     "site1_jitter_sigma_hz", "scale separation violated")],
+    ("scan", [("noise", "site2_jitter_sigma_hz = 2e4")],
+     ("noise", "site2_jitter_sigma_hz"), "scale separation violated"),
+    ("scan", [("cooling", "site2_damping_per_s = 1e6")],
+     ("cooling", "site2_damping_per_s"), "scale separation violated"),
+    ("sympathetic", [("noise", "site1_jitter_sigma_hz = 1e5")],
+     ("noise", "site1_jitter_sigma_hz"), "scale separation violated"),
+    # the cases below exited 2 naming no key, or 3, before
+    ("scan", [("schedule", "span_khz = 1e5")], ("schedule", "span_khz"),
+     "span_khz must be > 0 and < 2736, got 100000.0"),
+    ("scan", [("schedule", "span_khz = 1e-300")], ("schedule", "span_khz"),
+     "span 1e-300 kHz parts no probe frequencies at center 1.368 MHz"),
+    ("scan", [("noise", "site2_jitter_sigma_hz = 0"),
+              ("schedule", "span_khz = 300")], ("schedule", "span_khz"),
+     "scale separation violated"),
+    ("scan", [("noise", "site2_jitter_sigma_hz = 0"),
+              ("schedule", "center_mhz = 1.5")], ("schedule", "center_mhz"),
+     "scale separation violated"),
+    ("scan", [("schedule", "probe_ms = 1e-4")], ("schedule", "probe_ms"),
+     "probe_ms is shorter than one period of site1's trap frequency"),
+    ("scan", [("site2", "frequency_mhz = 1.5")], ("site2", "frequency_mhz"),
+     "sites detuned by more than 1e-3 relative"),
+    ("sympathetic", [("cooling", "site2_target_quanta = 1000")],
+     ("schedule", "initial_hot_quanta"),
+     "initial_hot_quanta must differ from site2_target_quanta"),
+    ("swap", [("coupling", "kappa_hz = 1e-320")], ("coupling", "kappa_hz"),
+     "kappa_hz of a swap run must be finite and > 1.39067116157e-309"),
+    ("sympathetic", [("noise", "site1_reference_mhz = 1e100")],
+     ("noise", "site1_heating_quanta_per_ms"),
+     "the heating at the trap frequency reaches 1.3e+203 quanta over the "
+     "run, over 1e+80"),
+    ("sympathetic", [("wire", "paddle_um = 1e-300")], ("site1", "deff_um"),
+     "effective_distance of the paddle at this height: degenerate patch"),
+    ("sympathetic", [("site2", "height_um = 1e308")], ("site2", "deff_um"),
+     "effective_distance of the paddle at this height: axial field not "
+     "finite")],
     ids=["scan-probe-past-step-budget", "swap-duration-past-step-budget",
          "sympathetic-waits-past-step-budget",
          "sympathetic-wait-step-past-float-range", "scan-kappa-near-carrier",
-         "scan-jitter-near-carrier", "scan-damping-near-carrier",
-         "sympathetic-jitter-near-carrier"])
-def test_runs_the_integrators_refuse_are_located(name, edits, section, key,
-                                                 words):
+         "swap-kappa-near-carrier", "scan-jitter-near-carrier",
+         "scan-damping-near-carrier", "sympathetic-jitter-near-carrier",
+         "scan-span-below-0-hz", "scan-span-parts-no-points",
+         "scan-span-near-carrier", "scan-center-near-carrier",
+         "scan-probe-under-a-period", "scan-detuned-sites",
+         "sympathetic-hot-start-at-target", "swap-swap-time-past-float",
+         "sympathetic-heating-past-max-quanta", "deff-of-a-tiny-paddle",
+         "deff-at-a-huge-height"])
+def test_runs_the_integrators_refuse_are_located(name, edits, at, words):
     from importlib import resources
-    text = resources.files("ionwire.data").joinpath(
-        f"{name}_benchmark.scenario").read_text(encoding="utf-8")
-    lines = text.splitlines()
-    for edit in edits:     # each replaces the line of its key
-        [i] = [i for i, line in enumerate(lines)
-               if line.startswith(edit.split(" = ")[0] + " = ")]
-        lines[i] = edit
+    lines = resources.files("ionwire.data").joinpath(
+        f"{name}_benchmark.scenario").read_text(encoding="utf-8").splitlines()
+    for section, edit in edits:
+        lines[_line_of(lines, section, edit.split(" = ")[0])] = edit
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("\n".join(lines), "bad.scenario")
     assert err.value.kind == KIND_INVALID
-    assert (err.value.section, err.value.key) == (section, key)
-    assert str(err.value).startswith(f"bad.scenario:{i + 1}: [invalid] "
-                                     f"{section}.{key}: {words}")
+    assert (err.value.section, err.value.key) == at
+    line = _line_of(lines, *at) + 1
+    assert str(err.value).startswith(
+        f"bad.scenario:{line}: [invalid] {at[0]}.{at[1]}: {words}")
 
 
 def test_scan_grid_overflow_is_located():
@@ -511,8 +555,8 @@ def test_scan_grid_overflow_is_located():
                                                      "center_mhz = 1e308"))
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text)
-    assert err.value.section == "schedule"
-    assert err.value.line == text.splitlines().index("[schedule]") + 1
+    assert (err.value.section, err.value.key) == ("schedule", "center_mhz")
+    assert err.value.line == text.splitlines().index("center_mhz = 1e308") + 1
 
 
 def test_duplicate_section_and_key_rejected():
